@@ -19,7 +19,7 @@ import numpy as np
 from . import lab
 from .arith import convolve, load_csv, save_csv, tabulate
 from .characters import Modulus
-from .errors import QlodError, UnsupportedRing
+from .errors import QlodError, UsageError
 from .regions import a0, count_region, density_ratio, enumerate_region
 from .rings import AlgInt, make_ring
 from .sieve import cache_inspect, cache_load, cache_save, sieve_primes
@@ -83,7 +83,10 @@ def _build_fn(spec: str, ring, bound: int, table):
         if f.ring.d != ring.d or f.norm_bound < bound:
             raise QlodError(f"csv function does not cover d={ring.d}, norm {bound}")
         return f
-    return tabulate(spec, ring, bound, table)
+    try:
+        return tabulate(spec, ring, bound, table)
+    except ValueError as exc:  # tabulate's only ValueError: an unknown name
+        raise UsageError(str(exc)) from None
 
 
 def _add_common(p, need_d=True):
@@ -238,7 +241,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except UnsupportedRing as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QlodError as exc:
@@ -388,7 +391,7 @@ def _dispatch(args) -> int:
     if cmd == "sw-check":
         ring = make_ring(args.d)
         cfg.params = {"f": args.f, "N": args.N, "D": args.D, "bound_power": args.bound_power}
-        bound = int(args.N) ** 2
+        bound = lab._floor_sq(args.N)
         table = sieve_primes(ring, bound)
         f = _build_fn(args.f, ring, bound, table)
         rep = lab.sw_check(f, args.N, args.D, args.bound_power)
@@ -426,6 +429,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "large-sieve":
+        if args.vectors < 1:
+            raise UsageError(f"--vectors must be at least 1, got {args.vectors}")
         ring = make_ring(args.d)
         cfg.params = {"N": args.N, "Q1": args.Q1, "Q2": args.Q2, "vectors": args.vectors}
         region = a0(ring, args.N)

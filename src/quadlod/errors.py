@@ -5,7 +5,11 @@ class QlodError(Exception):
     """Base class for all quadlod computation errors."""
 
 
-class UnsupportedRing(QlodError):
+class UsageError(QlodError):
+    """A request the command line should reject as misuse (exit code 2)."""
+
+
+class UnsupportedRing(UsageError):
     """d is not one of the nine class-number-one imaginary quadratic values."""
 
 

@@ -10,7 +10,13 @@ congruence is not unit-invariant, so the element-level reading is the
 self-consistent one).  As a function of M it is a step function that only
 changes when floor(M^2) crosses the norm of an element carrying a nonzero
 coprime contribution, so the exact maximum over all real M <= N is found by
-sweeping those breakpoints with running per-class accumulators.
+evaluating eps at each of those breakpoints for every coprime class.
+
+The sweep evaluates a bounded (breakpoint x class) block per numpy call, but
+every float sum keeps one fixed order, which is what keeps artifacts byte
+for byte stable: each class's running sum adds its elements one at a time in
+(norm, x, y) order; each breakpoint's new elements are summed with numpy's
+``.sum()``; the running coprime total adds those level sums one at a time.
 """
 
 from __future__ import annotations
@@ -68,8 +74,7 @@ def _rids(m: Modulus, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _coprime_index(m: Modulus) -> np.ndarray:
     cop = np.full(m.norm, -1, dtype=np.int64)
-    for i, r in enumerate(m.unit_rids):
-        cop[r] = i
+    cop[m.unit_rids] = np.arange(m.phi)
     return cop
 
 
@@ -118,42 +123,103 @@ def epsilon_sweep(f: ArithFn, n: float, m: Modulus) -> SweepResult:
     return _sweep_arrays(m, xs, ys, norms, fv)
 
 
+# Cells of one (breakpoint x class) block of the sweep: bounds its working
+# memory to a few hundred kB whatever the modulus and N.
+_SWEEP_BLOCK = 1 << 12
+
+
+def _level_sums(va: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``va[s:s + n].sum()`` for every level, one reduction per distinct size n.
+
+    ``.sum(axis=1)`` of a C-contiguous (levels x n) block runs the same
+    pairwise kernel on each row as ``.sum()`` on the row alone, so the bits
+    agree; ``np.add.reduceat`` sums sequentially and does not.
+    """
+    out = np.empty(starts.size, dtype=va.dtype)
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        sel = np.flatnonzero(sizes == n)
+        out[sel] = va[starts[sel, None] + np.arange(n)].sum(axis=1)
+    return out
+
+
+def _class_running_sums(va: np.ndarray, vc: np.ndarray, phi: int) -> np.ndarray:
+    """Row c: 0, then the running sums of class c's values in element order.
+
+    Each row is one sequential ``cumsum``, the order ``np.add.at`` adds in.
+    A residue class holds about 1/norm(q) of the elements of A0(N), so the
+    padded (phi x largest class count) array has at most about |A0(N)|
+    cells, whatever f is.
+    """
+    # the narrowest unsigned type: numpy radix-sorts up to 16 bits, stably
+    order = np.argsort(vc.astype(np.min_scalar_type(phi - 1)), kind="stable")
+    counts = np.bincount(vc, minlength=phi)
+    first = np.cumsum(counts) - counts
+    cs = vc[order]
+    pad = np.zeros((phi, int(counts.max()) + 1), dtype=va.dtype)
+    pad[cs, np.arange(cs.size) - first[cs] + 1] = va[order]
+    return np.cumsum(pad, axis=1)
+
+
 def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> SweepResult:
+    """Max over breakpoints and coprime classes of |eps|, first attained.
+
+    Per breakpoint b and class c, eps = A[b, c] - T[b] / phi, where A is the
+    running sum of class c and T the running coprime total.  The float sums
+    keep the order of a per-breakpoint loop, so the result is bit-identical
+    to it for any f: A[b, c] is read from each class's sequential running
+    sums at the class's element count after b; T is a sequential running sum
+    of per-breakpoint ``.sum()`` values.  Blocks of at most ``_SWEEP_BLOCK``
+    cells are scanned in (breakpoint, class) order, and a block's maximum
+    replaces the best only when strictly larger, so ties go to the first
+    breakpoint and then the first class.
+    """
     gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
     if m.phi == 1:
         return SweepResult(0.0, 0j, 0, gx, gy)
-    rid = _rids(m, xs, ys)
-    cid = _coprime_index(m)[rid]
-    active = (cid >= 0) & (fv != 0)
-    idx = np.flatnonzero(active)
+    cid = _coprime_index(m)[_rids(m, xs, ys)]
+    idx = np.flatnonzero((cid >= 0) & (fv != 0))
     if idx.size == 0:
         return SweepResult(0.0, 0j, 0, gx, gy)
-    lvn = norms[idx]
-    starts = np.flatnonzero(np.r_[True, lvn[1:] != lvn[:-1]])
-    ends = np.r_[starts[1:], np.array([lvn.size])]
     phi = m.phi
-    acc = np.zeros(phi, dtype=np.complex128)
-    total = 0j
+    va, vc, lvn = fv[idx], cid[idx], norms[idx]
+    new_level = np.diff(lvn, prepend=0) != 0  # norms are >= 1
+    starts = np.flatnonzero(new_level)
+    bounds = np.append(starts, lvn.size)
+    level = np.cumsum(new_level) - 1  # breakpoint index of each element
+    lsum = np.zeros(starts.size + 1, dtype=va.dtype)
+    lsum[1:] = _level_sums(va, starts, np.diff(bounds))
+    total = np.cumsum(lsum)[1:]  # from 0j, as a loop's `total += level sum`
+    # componentwise division: scalar float division is IEEE-unambiguous,
+    # complex division by an integer is not identical across runtimes
+    t_re = total.real / phi
+    t_im = total.imag / phi
+    sums = _class_running_sums(va, vc, phi)
+    row = np.arange(phi) * sums.shape[1]
+    sums = sums.ravel()
+    seen = np.zeros(phi, dtype=np.int64)  # class counts before the block
     best_sq = 0.0  # squared magnitudes compare exactly for integer-valued f
     best_eps = 0j
     best_norm = 0
     best_cid = 0
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        sel = idx[s:e]
-        np.add.at(acc, cid[sel], fv[sel])
-        total += fv[sel].sum()
-        # componentwise subtraction: scalar float division is IEEE-unambiguous,
-        # complex division by an integer is not identical across runtimes
-        dr = acc.real - float(total.real) / phi
-        di = acc.imag - float(total.imag) / phi
+    step = max(1, _SWEEP_BLOCK // phi)
+    for b0 in range(0, starts.size, step):
+        b1 = min(b0 + step, starts.size)
+        e0, e1 = bounds[b0], bounds[b1]
+        cells = (level[e0:e1] - b0) * phi + vc[e0:e1]
+        cnt = np.bincount(cells, minlength=(b1 - b0) * phi).reshape(b1 - b0, phi)
+        cnt = np.cumsum(cnt, axis=0) + seen
+        seen = cnt[-1]
+        acc = sums[cnt + row]
+        dr = acc.real - t_re[b0:b1, None]
+        di = acc.imag - t_im[b0:b1, None]
         sq = dr * dr + di * di  # plain multiplies; exact for integer-valued f
-        i_arg = int(np.argmax(sq))
-        mx = float(sq[i_arg])
+        k = int(np.argmax(sq))
+        mx = float(sq.flat[k])
         if mx > best_sq:
             best_sq = mx
-            best_eps = complex(dr[i_arg], di[i_arg])
-            best_norm = int(lvn[s])
-            best_cid = i_arg
+            best_eps = complex(dr.flat[k], di.flat[k])
+            best_norm = int(lvn[starts[b0 + k // phi]])
+            best_cid = k % phi
     gx, gy = m.rid_coords(m.unit_rids[best_cid])
     return SweepResult(math.sqrt(best_sq), best_eps, best_norm, gx, gy)
 
@@ -221,13 +287,12 @@ class LodTable:
 _SWEEP_CTX: dict = {}
 
 
-def _sweep_task(q_coords: tuple[int, int]) -> ModulusRecord:
+def _sweep_task(i: int) -> ModulusRecord:
     ctx = _SWEEP_CTX
-    ring = make_ring(ctx["d"])
-    m = Modulus(ring, AlgInt(ring, *q_coords))
+    m = ctx["moduli"][i]
     res = _sweep_arrays(m, ctx["xs"], ctx["ys"], ctx["norms"], ctx["fv"])
     return ModulusRecord(
-        q_coords[0], q_coords[1], m.norm, m.phi,
+        m.q.x, m.q.y, m.norm, m.phi,
         res.max_abs, res.max_eps, res.argmax_norm, res.gamma_x, res.gamma_y,
     )
 
@@ -238,8 +303,10 @@ def lod_scan(
     """Run the modulus sweep for every N in the grid and aggregate E(N, Q).
 
     Moduli run over one canonical associate per class with 2 <= norm(q) <= Q.
-    Parallelism is across moduli; records are assembled in (norm, x, y) order
-    regardless of worker count, so results are identical for any `workers`.
+    Each Modulus is built once, for the largest Q of the grid, and shared by
+    every N.  Parallelism is across moduli; records are assembled in
+    (norm, x, y) order regardless of worker count, so results are identical
+    for any `workers`.
     """
     global _SWEEP_CTX
     ring = make_ring(cfg.d)
@@ -249,28 +316,33 @@ def lod_scan(
         f = tabulate(cfg.f_spec, ring, max_hi, table)
     if f.norm_bound < max_hi:
         raise TableTooSmall(f"f covers norm {f.norm_bound}, grid needs {max_hi}")
+    counts = [count_region(a0(ring, n)) for n in cfg.N_grid]
+    q_bounds = [cfg.q_bound(cnt, n) for cnt, n in zip(counts, cfg.N_grid)]
+    all_moduli = [
+        Modulus(ring, q) for q in canonical_classes(ring, int(max(q_bounds)))
+        if q.norm() >= 2
+    ]
     out = []
-    for n in cfg.N_grid:
-        region = a0(ring, n)
-        cnt = count_region(region)
-        q_bound = cfg.q_bound(cnt, n)
-        moduli = [
-            q for q in canonical_classes(ring, int(q_bound)) if q.norm() >= 2
-        ] if q_bound >= 2 else []
+    for n, cnt, q_bound in zip(cfg.N_grid, counts, q_bounds):
+        # all_moduli is in (norm, x, y) order, and so is each N's subset
+        moduli = [m for m in all_moduli if m.norm <= int(q_bound)]
         tab = LodTable(n, q_bound, cnt, degenerate=not moduli)
         if moduli:
-            xs, ys, norms = element_arrays(ring.d, 1, region.hi_sq)
+            xs, ys, norms = element_arrays(ring.d, 1, a0(ring, n).hi_sq)
             fv = _fvals(f, xs, ys)
-            _SWEEP_CTX = {"d": ring.d, "xs": xs, "ys": ys, "norms": norms, "fv": fv}
-            coords = [(q.x, q.y) for q in moduli]
+            nz = fv != 0  # zeros never move eps; drop them once, not per modulus
+            _SWEEP_CTX = {
+                "moduli": moduli, "xs": xs[nz], "ys": ys[nz], "norms": norms[nz], "fv": fv[nz],
+            }
+            tasks = range(len(moduli))
             if workers > 1:
                 mp = multiprocessing.get_context("fork")
                 with mp.Pool(workers) as pool:
                     tab.records = pool.map(
-                        _sweep_task, coords, chunksize=max(1, len(coords) // (4 * workers))
+                        _sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))
                     )
             else:
-                tab.records = [_sweep_task(qc) for qc in coords]
+                tab.records = [_sweep_task(i) for i in tasks]
             _SWEEP_CTX = {}
         out.append(tab)
     return out

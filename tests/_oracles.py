@@ -140,3 +140,52 @@ def cumsum_sweep_max(m, xs, ys, norms, fv):
             if sq > best_sq:
                 best_sq = sq
     return math.sqrt(best_sq)
+
+
+def loop_sweep_reference(m, xs, ys, norms, fv):
+    """The per-breakpoint loop that lab._sweep_arrays replaced, kept verbatim.
+
+    One Python step per distinct active norm: np.add.at into per-class
+    accumulators, the level's .sum() into the running total, then an argmax
+    over classes.  Its float summation order is the one the library must
+    reproduce bit for bit.
+    """
+    from quadlod.lab import SweepResult, _coprime_index, _rids
+
+    gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
+    if m.phi == 1:
+        return SweepResult(0.0, 0j, 0, gx, gy)
+    rid = _rids(m, xs, ys)
+    cid = _coprime_index(m)[rid]
+    active = (cid >= 0) & (fv != 0)
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
+        return SweepResult(0.0, 0j, 0, gx, gy)
+    lvn = norms[idx]
+    starts = np.flatnonzero(np.r_[True, lvn[1:] != lvn[:-1]])
+    ends = np.r_[starts[1:], np.array([lvn.size])]
+    phi = m.phi
+    acc = np.zeros(phi, dtype=np.complex128)
+    total = 0j
+    best_sq = 0.0  # squared magnitudes compare exactly for integer-valued f
+    best_eps = 0j
+    best_norm = 0
+    best_cid = 0
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        sel = idx[s:e]
+        np.add.at(acc, cid[sel], fv[sel])
+        total += fv[sel].sum()
+        # componentwise subtraction: scalar float division is IEEE-unambiguous,
+        # complex division by an integer is not identical across runtimes
+        dr = acc.real - float(total.real) / phi
+        di = acc.imag - float(total.imag) / phi
+        sq = dr * dr + di * di  # plain multiplies; exact for integer-valued f
+        i_arg = int(np.argmax(sq))
+        mx = float(sq[i_arg])
+        if mx > best_sq:
+            best_sq = mx
+            best_eps = complex(dr[i_arg], di[i_arg])
+            best_norm = int(lvn[s])
+            best_cid = i_arg
+    gx, gy = m.rid_coords(m.unit_rids[best_cid])
+    return SweepResult(math.sqrt(best_sq), best_eps, best_norm, gx, gy)

@@ -228,3 +228,25 @@ def test_artifact_embeds_reproducible_config(capsys, tmp_path):
         "--Ngrid", grid, "--out", str(out2),
     )
     assert out2.read_bytes() == first
+
+
+def test_sw_check_non_integer_n_uses_floor_of_square(capsys):
+    # the table must reach floor(10.5^2) = 110; int(10.5)**2 = 100 falls short
+    code, out, err = run(capsys, "sw-check", "--d", "-1", "--f", "one", "--N", "10.5", "--D", "3")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("# max_scaled=")
+
+
+def test_unknown_function_is_usage_error(capsys):
+    code, _, err = run(capsys, "tabulate", "--d", "-1", "--f", "bogus", "--norm-bound", "50")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bogus" in err
+
+
+def test_large_sieve_zero_vectors_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "large-sieve", "--d", "-1", "--N", "10", "--Q1", "4", "--Q2", "20",
+        "--vectors", "0",
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--vectors" in err

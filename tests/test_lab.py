@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
 from quadlod.characters import make_modulus
 from quadlod.errors import (
@@ -244,6 +245,21 @@ def test_lod_scan_worker_determinism(gauss, one_2500, tmp_path):
     write_lod_csv(t1, cfg, p1)
     write_lod_csv(t2, cfg, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_lod_scan_builds_each_modulus_once(one_2500, monkeypatch):
+    built = []
+
+    class CountingModulus(lab.Modulus):
+        def __init__(self, ring, q, *args, **kwargs):
+            super().__init__(ring, q, *args, **kwargs)
+            built.append((q.x, q.y))
+
+    monkeypatch.setattr(lab, "Modulus", CountingModulus)
+    cfg = LodScanConfig(d=-1, theta=0.4, B=0.0, N_grid=(20, 30, 40))
+    tables = lod_scan(cfg, one_2500)
+    assert len(tables[0].records) < len(tables[-1].records)
+    assert len(built) == len(set(built)) == len(tables[-1].records)
 
 
 def test_sw_sum_principal_counts_coprime(gauss, one_2500):

@@ -1,0 +1,71 @@
+"""The blocked breakpoint sweep against the per-breakpoint loop it replaced.
+
+Equality is on repr, so it is bit for bit, signed zeros included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadlod import lab
+from quadlod.arith import ArithFn, tabulate
+from quadlod.characters import Modulus
+from quadlod.regions import canonical_classes, element_arrays
+from quadlod.rings import SUPPORTED_D, make_ring
+from quadlod.sieve import sieve_primes
+from _oracles import loop_sweep_reference
+
+INTEGER_VALUES = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+LOG_VALUES = st.one_of(
+    st.just(0.0), st.integers(2, 10**4).map(math.log), st.floats(-2.0, 2.0)
+).map(complex)
+COMPLEX_VALUES = st.builds(
+    complex, st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 0.5, -1.25])
+)
+
+
+def assert_same_sweep(m, xs, ys, norms, fv):
+    got = lab._sweep_arrays(m, xs, ys, norms, fv)
+    assert repr(got) == repr(loop_sweep_reference(m, xs, ys, norms, fv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sweep_bit_identical_to_loop(data):
+    ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
+    hi = lab._floor_sq(data.draw(st.floats(1.5, 13.0), label="N"))
+    classes = canonical_classes(ring, hi)
+    values = data.draw(st.sampled_from([INTEGER_VALUES, LOG_VALUES, COMPLEX_VALUES]))
+    vals = data.draw(st.lists(values, min_size=len(classes), max_size=len(classes)))
+    f = ArithFn(ring, hi, {(c.x, c.y): v for c, v in zip(classes, vals)}, "drawn")
+    moduli = [q for q in canonical_classes(ring, 60) if q.norm() >= 2]
+    m = Modulus(ring, data.draw(st.sampled_from(moduli), label="q"))
+    xs, ys, norms = element_arrays(ring.d, 1, hi)
+    assert_same_sweep(m, xs, ys, norms, lab._fvals(f, xs, ys))
+
+
+@pytest.mark.parametrize("name", ["log_norm", "lambda", "moebius"])
+def test_sweep_bit_identical_across_blocks(gauss, monkeypatch, name):
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
+    f = tabulate(name, gauss, 900, sieve_primes(gauss, 900))
+    xs, ys, norms = element_arrays(-1, 1, 900)
+    fv = lab._fvals(f, xs, ys)
+    for q in canonical_classes(gauss, 40):
+        if q.norm() >= 2:
+            m = Modulus(gauss, q)
+            assert m.phi < 64 < len(np.unique(norms[fv != 0])) * m.phi  # several blocks
+            assert_same_sweep(m, xs, ys, norms, fv)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_level_sums_match_per_level_sum(sizes, seed):
+    rng = np.random.default_rng(seed)
+    va = rng.standard_normal(sum(sizes)) + 1j * rng.standard_normal(sum(sizes))
+    starts = np.cumsum([0] + sizes[:-1])
+    got = lab._level_sums(va, starts, np.array(sizes))
+    want = np.array([va[s:s + n].sum() for s, n in zip(starts, sizes)])
+    assert got.tobytes() == want.tobytes()
