@@ -74,7 +74,10 @@ def _emit(lines: list[str], cfg: RunConfig) -> None:
 
 
 def _grid(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise UsageError(f"--Ngrid must be comma-separated integers, got {text!r}") from None
 
 
 def _build_fn(spec: str, ring, bound: int, table):
@@ -225,14 +228,17 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
     f_spec = pick(args.f, "f_spec", "prime_indicator")
     g_spec = pick(getattr(args, "g", None), "g_spec", f_spec) if require_g else f_spec
     grid = _grid(args.Ngrid) if args.Ngrid else file_vals.get("N_grid", (50, 100))
-    cfg = lab.LodScanConfig(
-        d=args.d,
-        theta=float(pick(args.theta, "theta", 0.4)),
-        B=float(pick(args.B, "B", 0.0)),
-        N_grid=tuple(int(n) for n in grid),
-        A=float(pick(args.A, "A", 0.0)),
-        f_spec=f_spec,
-    )
+    try:
+        cfg = lab.LodScanConfig(
+            d=args.d,
+            theta=float(pick(args.theta, "theta", 0.4)),
+            B=float(pick(args.B, "B", 0.0)),
+            N_grid=tuple(int(n) for n in grid),
+            A=float(pick(args.A, "A", 0.0)),
+            f_spec=f_spec,
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"scan config: {exc}") from None
     return cfg, f_spec, g_spec
 
 
@@ -394,7 +400,10 @@ def _dispatch(args) -> int:
         bound = lab._floor_sq(args.N)
         table = sieve_primes(ring, bound)
         f = _build_fn(args.f, ring, bound, table)
-        rep = lab.sw_check(f, args.N, args.D, args.bound_power)
+        try:
+            rep = lab.sw_check(f, args.N, args.D, args.bound_power)
+        except ValueError as exc:  # sw_check's only ValueError: N <= 1
+            raise UsageError(str(exc)) from None
         lines = [
             f"# N={rep.n} D={rep.d_power} bound_power={rep.bound_power} "
             f"modulus_cap={repr(rep.modulus_cap)}",

@@ -351,6 +351,20 @@ def lod_scan(
 # -- Siegel-Walfisz sums ---------------------------------------------------
 
 
+def _twisted_sum(fv: np.ndarray, cid: np.ndarray, chi: DirichletCharacter) -> complex:
+    """sum of fv * chi over the elements, in element order.
+
+    cid is each element's coprime class index (-1 off the unit group); the
+    value table has a trailing 0j slot, so -1 picks 0j.
+    """
+    m = chi.modulus
+    table = np.array(
+        [complex(v) for v in (chi.value_of_rid(r) for r in m.unit_rids)] + [0j],
+        dtype=np.complex128,
+    )
+    return complex((fv * table[cid]).sum())
+
+
 def sw_sum(f: ArithFn, n: float, chi: DirichletCharacter) -> complex:
     """Character-twisted sum of f over the elements of A0(N)."""
     hi = _floor_sq(n)
@@ -358,15 +372,7 @@ def sw_sum(f: ArithFn, n: float, chi: DirichletCharacter) -> complex:
         raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
     m = chi.modulus
     xs, ys, _ = element_arrays(f.ring.d, 1, hi)
-    fv = _fvals(f, xs, ys)
-    rid = _rids(m, xs, ys)
-    cid = _coprime_index(m)[rid] if m.norm > 1 else np.zeros(len(rid), dtype=np.int64)
-    table = np.array(
-        [complex(v) for v in (chi.value_of_rid(r) for r in m.unit_rids)],
-        dtype=np.complex128,
-    )
-    chi_vals = np.where(cid >= 0, table[np.maximum(cid, 0)], 0j)
-    return complex((fv * chi_vals).sum())
+    return _twisted_sum(_fvals(f, xs, ys), _coprime_index(m)[_rids(m, xs, ys)], chi)
 
 
 def sw_term(
@@ -396,22 +402,35 @@ def sw_check(
     """Scan all moduli of norm <= (log N)^D and all non-principal characters.
 
     The scaled column is |sum| * (log N)^bound_power / |A0(N)|; bound_power
-    defaults to 3*D but both exponents are independent knobs.
+    defaults to 3*D but both exponents are independent knobs.  f is read
+    once, and each modulus reduces the elements once for all its characters;
+    every twisted sum still runs over all of A0(N) in (norm, x, y) order.
     """
+    if not n > 1:
+        raise ValueError(f"N must exceed 1, got {n}")
     if bound_power is None:
         bound_power = 3.0 * d_power
     ring = f.ring
+    hi = _floor_sq(n)
+    if hi > f.norm_bound:
+        raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
     cap = math.log(n) ** d_power
+    xs, ys, _ = element_arrays(ring.d, 1, hi)
+    fv = _fvals(f, xs, ys)
+    cnt = count_region(a0(ring, n))
+    log_power = math.log(n) ** bound_power
     rows = []
     max_scaled = 0.0
     for q in canonical_classes(ring, int(cap)):
         if q.norm() < 2:
             continue
         m = Modulus(ring, q)
+        cid = _coprime_index(m)[_rids(m, xs, ys)]
         for chi in m.characters:
             if chi.is_principal:
                 continue
-            s, scaled = sw_term(f, n, chi, bound_power)
+            s = _twisted_sum(fv, cid, chi)
+            scaled = abs(s) * log_power / cnt
             rows.append(
                 {
                     "q_x": q.x, "q_y": q.y, "q_norm": q.norm(),

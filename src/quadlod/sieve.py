@@ -326,6 +326,8 @@ def cache_load(ring: RingDescriptor, path) -> PrimeTable:
             if len(chunk) < rec.size:
                 raise FormatVersionMismatch("truncated record section")
             x, y, code = rec.unpack(chunk)
+            if code not in _SPLIT_NAME:
+                raise FormatVersionMismatch(f"unknown split code {code} in record section")
             primes.append(AlgInt(ring, x, y))
             split_types.append(_SPLIT_NAME[code])
     return PrimeTable(ring, max_norm, primes, split_types)

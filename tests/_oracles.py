@@ -189,3 +189,63 @@ def loop_sweep_reference(m, xs, ys, norms, fv):
             best_cid = i_arg
     gx, gy = m.rid_coords(m.unit_rids[best_cid])
     return SweepResult(math.sqrt(best_sq), best_eps, best_norm, gx, gy)
+
+
+def loop_sw_check_reference(f, n, d_power, bound_power=None):
+    """The sw_check -> sw_term -> sw_sum loop that lab.sw_check replaced, verbatim.
+
+    Every non-principal character rebuilds the element arrays, f's values,
+    the residue ids and the coprime index, then sums over all of A0(N).  Its
+    float summation order is the one the library must reproduce bit for bit.
+    """
+    from quadlod.characters import Modulus
+    from quadlod.errors import PrincipalCharacter, TableTooSmall
+    from quadlod.lab import SWReport, _coprime_index, _floor_sq, _fvals, _rids
+    from quadlod.regions import a0, canonical_classes, count_region, element_arrays
+
+    def sw_sum(f, n, chi):
+        hi = _floor_sq(n)
+        if hi > f.norm_bound:
+            raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
+        m = chi.modulus
+        xs, ys, _ = element_arrays(f.ring.d, 1, hi)
+        fv = _fvals(f, xs, ys)
+        rid = _rids(m, xs, ys)
+        cid = _coprime_index(m)[rid] if m.norm > 1 else np.zeros(len(rid), dtype=np.int64)
+        table = np.array(
+            [complex(v) for v in (chi.value_of_rid(r) for r in m.unit_rids)],
+            dtype=np.complex128,
+        )
+        chi_vals = np.where(cid >= 0, table[np.maximum(cid, 0)], 0j)
+        return complex((fv * chi_vals).sum())
+
+    def sw_term(f, n, chi, bound_power):
+        if chi.is_principal:
+            raise PrincipalCharacter("the cancellation bound needs a non-principal chi")
+        s = sw_sum(f, n, chi)
+        cnt = count_region(a0(f.ring, n))
+        return s, abs(s) * math.log(n) ** bound_power / cnt
+
+    if bound_power is None:
+        bound_power = 3.0 * d_power
+    ring = f.ring
+    cap = math.log(n) ** d_power
+    rows = []
+    max_scaled = 0.0
+    for q in canonical_classes(ring, int(cap)):
+        if q.norm() < 2:
+            continue
+        m = Modulus(ring, q)
+        for chi in m.characters:
+            if chi.is_principal:
+                continue
+            s, scaled = sw_term(f, n, chi, bound_power)
+            rows.append(
+                {
+                    "q_x": q.x, "q_y": q.y, "q_norm": q.norm(),
+                    "exponents": chi.exponents,
+                    "abs_sum": abs(s), "scaled": scaled,
+                }
+            )
+            max_scaled = max(max_scaled, scaled)
+    return SWReport(n, d_power, bound_power, cap, rows, max_scaled)

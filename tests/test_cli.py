@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from quadlod.cli import RunConfig, default_cache_dir, main
 
 
@@ -250,3 +252,57 @@ def test_large_sieve_zero_vectors_is_usage_error(capsys):
     )
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "--vectors" in err
+
+
+@pytest.mark.parametrize(
+    "command,flags,needle",
+    [
+        ("lod-scan", ["--theta", "2"], "theta"),
+        ("conv-experiment", ["--theta", "2"], "theta"),
+        ("lod-scan", ["--B", "-1"], "B must be"),
+        ("conv-experiment", ["--B", "-1"], "B must be"),
+        ("lod-scan", ["--Ngrid", "20,10"], "N_grid"),
+        ("conv-experiment", ["--Ngrid", "20,10"], "N_grid"),
+        ("lod-scan", ["--Ngrid", "10,abc"], "--Ngrid"),
+        ("conv-experiment", ["--Ngrid", "10,abc"], "--Ngrid"),
+    ],
+)
+def test_bad_scan_flags_are_usage_errors(capsys, command, flags, needle):
+    code, _, err = run(capsys, command, "--d", "-1", "--f", "one", *flags)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("command", ["lod-scan", "conv-experiment"])
+@pytest.mark.parametrize(
+    "values,needle",
+    [({"theta": 2, "N_grid": [10, 20]}, "theta"), ({"N_grid": 20}, "scan config")],
+)
+def test_bad_config_file_is_usage_error(capsys, tmp_path, command, values, needle):
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps({**values, "f_spec": "one"}))
+    code, _, err = run(capsys, command, "--d", "-1", "--config", str(cfg_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("n", ["0.5", "1"])
+def test_sw_check_n_at_most_one_is_usage_error(capsys, n):
+    code, _, err = run(capsys, "sw-check", "--d", "-1", "--f", "one", "--N", n, "--D", "1.5")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "N must exceed 1" in err
+
+
+def test_cache_unknown_split_code_is_computation_error(capsys, tmp_path):
+    cdir = str(tmp_path / "c3")
+    run(capsys, "cache", "save", "--d", "-1", "--max-norm", "200", "--cache-dir", cdir)
+    path = os.path.join(cdir, "primes_d-1_n200.qlod")
+    raw = bytearray(open(path, "rb").read())
+    raw[-1] = 9  # the last record's split code
+    with open(path, "wb") as fh:
+        fh.write(bytes(raw))
+    code, _, err = run(
+        capsys, "cache", "load", "--d", "-1", "--max-norm", "200", "--cache-dir", cdir
+    )
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "split code 9" in err

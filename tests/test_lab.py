@@ -302,6 +302,40 @@ def test_sw_check_report(gauss):
     assert rep.max_scaled < 1.0  # f = one cancels very strongly
 
 
+def test_sw_check_reads_f_once_and_reduces_each_modulus_once(gauss, monkeypatch):
+    calls = {"fvals": 0, "rids": 0}
+    built = []
+    fvals, rids = lab._fvals, lab._rids
+
+    def counting_fvals(*args):
+        calls["fvals"] += 1
+        return fvals(*args)
+
+    def counting_rids(*args):
+        calls["rids"] += 1
+        return rids(*args)
+
+    class CountingModulus(lab.Modulus):
+        def __init__(self, ring, q, *args, **kwargs):
+            super().__init__(ring, q, *args, **kwargs)
+            built.append((q.x, q.y))
+
+    monkeypatch.setattr(lab, "_fvals", counting_fvals)
+    monkeypatch.setattr(lab, "_rids", counting_rids)
+    monkeypatch.setattr(lab, "Modulus", CountingModulus)
+    one = tabulate("one", gauss, 2500, sieve_primes(gauss, 2500))
+    rep = sw_check(one, 50, 1.5)
+    assert len(rep.rows) > len(built) > 1
+    assert calls["fvals"] == 1
+    assert calls["rids"] == len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("n", [1, 0.5, 0, -3, float("nan")])
+def test_sw_check_rejects_n_at_most_one(gauss, one_2500, n):
+    with pytest.raises(ValueError, match="N must exceed 1"):
+        sw_check(one_2500, n, 1.5)
+
+
 def test_convolution_experiment_shape(gauss):
     bound = 2500
     table = sieve_primes(gauss, bound)

@@ -4,8 +4,16 @@ from collections import Counter
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadlod.errors import FormatVersionMismatch, RingMismatch, TableTooSmall, ZeroOrUnit
+from quadlod.errors import (
+    FormatVersionMismatch,
+    QlodError,
+    RingMismatch,
+    TableTooSmall,
+    ZeroOrUnit,
+)
 from quadlod.regions import canonical_classes
 from quadlod.rings import SUPPORTED_D, AlgInt, canonical_associate, make_ring
 from quadlod.sieve import (
@@ -202,3 +210,41 @@ def test_cache_ring_mismatch(tmp_path):
     cache_save(table, path)
     with pytest.raises(RingMismatch):
         cache_load(make_ring(-1), path)
+
+
+def test_cache_unknown_split_code(tmp_path, gauss):
+    path = tmp_path / "bad_split.qlod"
+    cache_save(sieve_primes(gauss, 100), path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 9  # the last record's split code
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatVersionMismatch, match="split code 9"):
+        cache_load(gauss, path)
+
+
+@pytest.fixture(scope="module")
+def cache_dir_and_bytes(tmp_path_factory):
+    cdir = tmp_path_factory.mktemp("cache")
+    cache_save(sieve_primes(make_ring(-1), 100), cdir / "gauss100.qlod")
+    return cdir, (cdir / "gauss100.qlod").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cache_load_fuzz(cache_dir_and_bytes, data):
+    """Truncated or bit-flipped caches load cleanly or raise a QlodError."""
+    cdir, saved = cache_dir_and_bytes
+    raw = bytearray(saved)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
+            raw[pos] ^= mask
+    path = cdir / "fuzzed.qlod"
+    path.write_bytes(bytes(raw))
+    try:
+        table = cache_load(make_ring(-1), path)
+    except QlodError:
+        return
+    assert len(table.primes) == len(table.split_types)
