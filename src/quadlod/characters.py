@@ -22,6 +22,7 @@ from .rings import (
     canonical_associate,
     divide_exact,
     gcd,
+    mul_xy,
 )
 
 DEFAULT_MODULUS_GUARD = 1 << 20
@@ -67,16 +68,22 @@ class Modulus:
 
     # -- coset machinery -------------------------------------------------
 
-    def reduce_coords(self, x: int, y: int) -> tuple[int, int]:
-        """Canonical representative coordinates of x + y*omega mod (q)."""
+    def rid_xy(self, x, y):
+        """rid of x + y*omega mod (q); x and y are ints or int64 arrays.
+
+        The coset representative is (x - k*b mod a, j) with y = k*c + j,
+        0 <= j < c; % and // floor alike on ints and on int64 arrays.
+        """
         a, b, c = self.hnf_a, self.hnf_b, self.hnf_c
         j = y % c
-        k = (y - j) // c
-        return ((x - k * b) % a, j)
+        return (x - (y - j) // c * b) % a + a * j
+
+    def reduce_coords(self, x, y):
+        """Canonical representative coordinates of x + y*omega mod (q)."""
+        return self.rid_coords(self.rid_xy(x, y))
 
     def rid(self, xi: AlgInt) -> int:
-        x, j = self.reduce_coords(xi.x, xi.y)
-        return x + self.hnf_a * j
+        return self.rid_xy(xi.x, xi.y)
 
     def rid_coords(self, rid: int) -> tuple[int, int]:
         return (rid % self.hnf_a, rid // self.hnf_a)
@@ -88,15 +95,8 @@ class Modulus:
     def mul_rid(self, r1: int, r2: int) -> int:
         x1, y1 = self.rid_coords(r1)
         x2, y2 = self.rid_coords(r2)
-        d = self.ring.d
-        if self.ring.one_mod_four:
-            px = x1 * x2 + y1 * y2 * ((d - 1) // 4)
-            py = x1 * y2 + y1 * x2 + y1 * y2
-        else:
-            px = x1 * x2 + y1 * y2 * d
-            py = x1 * y2 + y1 * x2
-        x, j = self.reduce_coords(px, py)
-        return x + self.hnf_a * j
+        x, y = mul_xy(self.ring, x1, y1, x2, y2)
+        return self.rid_xy(x, y)
 
     def pow_rid(self, r: int, n: int) -> int:
         out = self.one_rid
@@ -110,8 +110,7 @@ class Modulus:
 
     @cached_property
     def one_rid(self) -> int:
-        x, j = self.reduce_coords(1, 0)
-        return x + self.hnf_a * j
+        return self.rid_xy(1, 0)
 
     @cached_property
     def residues(self) -> list[AlgInt]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -35,7 +36,6 @@ class RunConfig:
     d: int | None = None
     params: dict = field(default_factory=dict)
     out: str | None = None
-    format: str = "csv"
     seed: int = 0
     workers: int = 1
     cache_dir: str | None = None
@@ -48,6 +48,7 @@ class RunConfig:
     def from_json(text: str) -> "RunConfig":
         data = json.loads(text)
         data.pop("version", None)
+        data.pop("format", None)  # written by older versions; output is always CSV
         return RunConfig(**data)
 
 
@@ -80,6 +81,17 @@ def _grid(text: str) -> tuple[int, ...]:
         raise UsageError(f"--Ngrid must be comma-separated integers, got {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: nan and inf are usage errors too."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_fn(spec: str, ring, bound: int, table):
     if spec.startswith("csv:"):
         f = load_csv(spec[4:])
@@ -96,7 +108,6 @@ def _add_common(p, need_d=True):
     if need_d:
         p.add_argument("--d", type=int, required=True, help="ring selector (one of the nine)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers", type=int, default=None,
@@ -114,18 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="elements of an annulus, sorted")
     _add_common(p)
-    p.add_argument("--N", type=float, required=True)
-    p.add_argument("--yprime", type=float, default=1.0)
-    p.add_argument("--Y", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--N", type=_finite_float, required=True)
+    p.add_argument("--yprime", type=_finite_float, default=1.0)
+    p.add_argument("--Y", type=_finite_float, default=0.0)
+    p.add_argument("--b", type=_finite_float, default=1.0)
 
     p = sub.add_parser("count", help="element count of A0(N)")
     _add_common(p)
-    p.add_argument("--N", type=float, required=True)
+    p.add_argument("--N", type=_finite_float, required=True)
 
     p = sub.add_parser("density", help="count over the 2*pi*N^2/sqrt(|D|) model")
     _add_common(p)
-    p.add_argument("--N", type=float, required=True)
+    p.add_argument("--N", type=_finite_float, required=True)
 
     p = sub.add_parser("sieve", help="prime elements up to a norm bound")
     _add_common(p)
@@ -160,34 +171,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lod-scan", help="E(N, Q) sweep over a grid of N")
     _add_common(p)
     p.add_argument("--f", default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--A", type=float, default=None)
+    p.add_argument("--theta", type=_finite_float, default=None)
+    p.add_argument("--B", type=_finite_float, default=None)
     p.add_argument("--Ngrid", default=None)
     p.add_argument("--config", help="JSON config file with these parameters")
 
     p = sub.add_parser("sw-check", help="character cancellation scan")
     _add_common(p)
     p.add_argument("--f", required=True)
-    p.add_argument("--N", type=float, required=True)
-    p.add_argument("--D", type=float, required=True)
-    p.add_argument("--bound-power", dest="bound_power", type=float, default=None)
+    p.add_argument("--N", type=_finite_float, required=True)
+    p.add_argument("--D", type=_finite_float, required=True)
+    p.add_argument("--bound-power", dest="bound_power", type=_finite_float, default=None)
 
     p = sub.add_parser("conv-experiment", help="normalized errors of f, g, f*g")
     _add_common(p)
     p.add_argument("--f", default=None)
     p.add_argument("--g", default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--A", type=float, default=None)
+    p.add_argument("--theta", type=_finite_float, default=None)
+    p.add_argument("--B", type=_finite_float, default=None)
     p.add_argument("--Ngrid", default=None)
     p.add_argument("--config", help="JSON config file with these parameters")
 
     p = sub.add_parser("large-sieve", help="lhs/rhs ratios for random sign vectors")
     _add_common(p)
-    p.add_argument("--N", type=float, required=True)
-    p.add_argument("--Q1", type=float, required=True)
-    p.add_argument("--Q2", type=float, required=True)
+    p.add_argument("--N", type=_finite_float, required=True)
+    p.add_argument("--Q1", type=_finite_float, required=True)
+    p.add_argument("--Q2", type=_finite_float, required=True)
     p.add_argument("--vectors", type=int, default=1)
 
     p = sub.add_parser("mertens", help="ideal and prime reciprocal-norm sums")
@@ -220,7 +229,12 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
     file_vals = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            file_vals = json.load(fh)
+            try:
+                file_vals = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"--config {args.config}: not JSON ({exc})") from None
+        if not isinstance(file_vals, dict):
+            raise UsageError(f"--config {args.config}: expected a JSON object")
 
     def pick(flag, key, default=None):
         return flag if flag is not None else file_vals.get(key, default)
@@ -234,7 +248,6 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
             theta=float(pick(args.theta, "theta", 0.4)),
             B=float(pick(args.B, "B", 0.0)),
             N_grid=tuple(int(n) for n in grid),
-            A=float(pick(args.A, "A", 0.0)),
             f_spec=f_spec,
         )
     except (TypeError, ValueError) as exc:
@@ -266,7 +279,6 @@ def _dispatch(args) -> int:
         command=args.command,
         d=getattr(args, "d", None),
         out=getattr(args, "out", None),
-        format=getattr(args, "format", "csv"),
         seed=getattr(args, "seed", 0),
         workers=workers,
         cache_dir=getattr(args, "cache_dir", None),
@@ -280,7 +292,7 @@ def _dispatch(args) -> int:
             "d": ring.d,
             "disc": ring.disc,
             "w_K": ring.w_K,
-            "omega": "(1+sqrt(d))/2" if ring.one_mod_four else "sqrt(d)",
+            "omega": "(1+sqrt(d))/2" if ring.d % 4 == 1 else "sqrt(d)",
             "zeta0": [ring.zeta0.x, ring.zeta0.y],
             "units": [[u.x, u.y] for u in ring.units],
         }
@@ -378,7 +390,6 @@ def _dispatch(args) -> int:
 
     if cmd == "lod-scan":
         scan_cfg, f_spec, _ = _scan_config(args)
-        cfg.params = asdict(scan_cfg)
         ring = make_ring(args.d)
         bound = max(scan_cfg.N_grid) ** 2
         table = sieve_primes(ring, bound)
@@ -420,7 +431,6 @@ def _dispatch(args) -> int:
 
     if cmd == "conv-experiment":
         scan_cfg, f_spec, g_spec = _scan_config(args, require_g=True)
-        cfg.params = {**asdict(scan_cfg), "g_spec": g_spec}
         ring = make_ring(args.d)
         bound = max(scan_cfg.N_grid) ** 2
         table = sieve_primes(ring, bound)
@@ -428,7 +438,7 @@ def _dispatch(args) -> int:
         g = f if g_spec == f_spec else _build_fn(g_spec, ring, bound, table)
         report = lab.convolution_experiment(f, g, scan_cfg, workers=cfg.workers)
         if cfg.out:
-            lab.write_conv_csv(report, cfg.out)
+            lab.write_conv_csv(report, cfg.out, g_spec)
         for row in report.rows:
             print(
                 f"N={row['N']} E_f={repr(row['E_f_norm'])} E_g={repr(row['E_g_norm'])} "

@@ -66,10 +66,7 @@ def _fvals(f: ArithFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _rids(m: Modulus, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    a, b, c = m.hnf_a, m.hnf_b, m.hnf_c
-    j = np.mod(ys, c)
-    k = (ys - j) // c
-    return np.mod(xs - k * b, a) + a * j
+    return m.rid_xy(xs, ys)
 
 
 def _coprime_index(m: Modulus) -> np.ndarray:
@@ -235,14 +232,13 @@ class LodScanConfig:
     theta: float
     B: float
     N_grid: tuple[int, ...]
-    A: float = 0.0
     f_spec: str = "one"
 
     def __post_init__(self):
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
-        if self.B < 0:
-            raise ValueError("B must be >= 0")
+        if not 0 <= self.B < math.inf:
+            raise ValueError("B must be finite and >= 0")
         grid = tuple(self.N_grid)
         object.__setattr__(self, "N_grid", grid)
         if any(n2 <= n1 for n1, n2 in zip(grid, grid[1:])) or not grid:
@@ -618,8 +614,8 @@ def mertens_sums(ring: RingDescriptor, r: int) -> MertensReport:
 # -- CSV emission ----------------------------------------------------------
 
 
-def config_json(cfg) -> str:
-    out = asdict(cfg)
+def config_json(cfg, **extra) -> str:
+    out = {**asdict(cfg), **extra}
     out["version"] = 1
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
@@ -646,9 +642,13 @@ def write_lod_csv(tables: list[LodTable], cfg: LodScanConfig, path) -> None:
             )
 
 
-def write_conv_csv(report: ConvolutionReport, path) -> None:
+def write_conv_csv(
+    report: ConvolutionReport, path, g_spec: str | None = None
+) -> None:
+    """Rows under a config line that --config re-runs; g_spec None means g is f."""
+    g_spec = report.config.f_spec if g_spec is None else g_spec
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {config_json(report.config)}\n")
+        fh.write(f"# config: {config_json(report.config, g_spec=g_spec)}\n")
         fh.write("N,E_f_norm,E_g_norm,E_conv_norm\n")
         for row in report.rows:
             fh.write(

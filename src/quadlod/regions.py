@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BoundsTooLarge
-from .rings import AlgInt, RingDescriptor, make_ring
+from .rings import AlgInt, RingDescriptor, make_ring, norm_xy
 
 # Memory guard: enumeration materializes ~pi*hi_sq coordinates.
 DEFAULT_GUARD = 1 << 24
@@ -94,19 +94,14 @@ def _x_interval(ring: RingDescriptor, y: int, bound: int) -> tuple[int, int] | N
     """Integer x with norm(x + y*omega) <= bound, as a closed interval."""
     if bound < 0:
         return None
-    if ring.one_mod_four:
-        # (2x + y)^2 <= 4*bound - |d|*y^2
-        r = 4 * bound + ring.d * y * y
-        if r < 0:
-            return None
-        s = math.isqrt(r)
-        # x in [ceil((-s-y)/2), floor((s-y)/2)]; floor division handles signs
-        return (-((s + y) // 2), (s - y) // 2)
-    r = bound + ring.d * y * y
+    # norm = x^2 + t*x*y - n*y^2, so (2x + t*y)^2 <= 4*bound + disc*y^2
+    ty = ring.t * y
+    r = 4 * bound + ring.disc * y * y
     if r < 0:
         return None
     s = math.isqrt(r)
-    return (-s, s)
+    # x in [ceil((-s-ty)/2), floor((s-ty)/2)]; floor division handles signs
+    return (-((s + ty) // 2), (s - ty) // 2)
 
 
 def count_region(region: NormRegion, guard: int = DEFAULT_GUARD) -> int:
@@ -170,10 +165,7 @@ def _element_arrays_cached(ring_d, lo, hi, guard):
         return empty, empty.copy(), empty.copy()
     xs = np.concatenate(xs_parts)
     ys = np.concatenate(ys_parts)
-    if ring.one_mod_four:
-        norms = xs * xs + xs * ys + ys * ys * ((1 - ring.d) // 4)
-    else:
-        norms = xs * xs - ring.d * ys * ys
+    norms = norm_xy(ring, xs, ys)
     order = np.lexsort((ys, xs, norms))
     xs, ys, norms = xs[order], ys[order], norms[order]
     xs.setflags(write=False)
@@ -218,10 +210,8 @@ def canonical_coords(
         if not rot.any():
             break
         rx, ry = cx[rot], cy[rot]
-        if ring.d == -1:
-            cx[rot], cy[rot] = -ry, rx  # multiply by i
-        else:
-            cx[rot], cy[rot] = -ry, rx + ry  # multiply by omega (d = -3)
+        # multiply by omega, which is zeta0 when w_K > 2 (d = -1, -3)
+        cx[rot], cy[rot] = ring.n * ry, rx + ring.t * ry
     return cx, cy
 
 

@@ -2,6 +2,8 @@
 
 Elements are written x + y*omega with integer coordinates, where omega = sqrt(d)
 for d = -1, -2 and omega = (1 + sqrt(d))/2 for the seven d = 1 (mod 4) values.
+Either way omega^2 = t*omega + n for two integers (t, n) of the ring, and every
+norm and product below is one formula in (t, n) (Cohen, GTM 138, 5.1-5.2).
 Everything here is exact integer arithmetic; floats appear only in the optional
 complex embedding used for reporting.
 """
@@ -19,7 +21,7 @@ SUPPORTED_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 class RingDescriptor:
     """One of the nine rings O_K, with its unit group and basis convention."""
 
-    __slots__ = ("d", "disc", "one_mod_four", "w_K", "units", "zeta0")
+    __slots__ = ("d", "t", "n", "disc", "w_K", "units", "zeta0")
 
     def __init__(self, d: int):
         if d not in SUPPORTED_D:
@@ -27,8 +29,9 @@ class RingDescriptor:
                 f"d={d} is not supported; choose one of {list(SUPPORTED_D)}"
             )
         self.d = d
-        self.one_mod_four = d % 4 == 1
-        self.disc = d if self.one_mod_four else 4 * d
+        # omega^2 = t*omega + n: (1, (d-1)/4) for omega = (1+sqrt(d))/2, else (0, d)
+        self.t, self.n = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+        self.disc = self.t * self.t + 4 * self.n
         if d == -1:
             self.w_K = 4
             zeta = (0, 1)  # i
@@ -55,7 +58,7 @@ class RingDescriptor:
 
     def omega_complex(self) -> complex:
         r = math.sqrt(-self.d)
-        return complex(0.5, 0.5 * r) if self.one_mod_four else complex(0.0, r)
+        return complex(0.5, 0.5 * r) if self.d % 4 == 1 else complex(0.0, r)
 
     def __eq__(self, other):
         return isinstance(other, RingDescriptor) and other.d == self.d
@@ -68,6 +71,16 @@ class RingDescriptor:
 
 
 _RINGS: dict[int, RingDescriptor] = {}
+
+
+def norm_xy(ring: RingDescriptor, x, y):
+    """Norm of x + y*omega; x and y are ints or int64 arrays."""
+    return x * x + ring.t * x * y - ring.n * y * y
+
+
+def mul_xy(ring: RingDescriptor, a, b, c, e):
+    """Coordinates of (a + b*omega)(c + e*omega); ints or int64 arrays."""
+    return a * c + ring.n * b * e, a * e + b * c + ring.t * b * e
 
 
 def make_ring(d: int) -> RingDescriptor:
@@ -90,15 +103,11 @@ class AlgInt:
         self.y = y
 
     def norm(self) -> int:
-        x, y, d = self.x, self.y, self.ring.d
-        if self.ring.one_mod_four:
-            return x * x + x * y + y * y * ((1 - d) // 4)
-        return x * x - d * y * y
+        return norm_xy(self.ring, self.x, self.y)
 
     def conj(self) -> AlgInt:
-        if self.ring.one_mod_four:
-            return AlgInt(self.ring, self.x + self.y, -self.y)
-        return AlgInt(self.ring, self.x, -self.y)
+        # conj(omega) = t - omega
+        return AlgInt(self.ring, self.x + self.ring.t * self.y, -self.y)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -127,14 +136,8 @@ class AlgInt:
 
     def __mul__(self, other: AlgInt) -> AlgInt:
         self._check_ring(other)
-        a, b, c, e = self.x, self.y, other.x, other.y
-        d = self.ring.d
-        if self.ring.one_mod_four:
-            # omega^2 = omega + (d-1)/4
-            return AlgInt(
-                self.ring, a * c + b * e * ((d - 1) // 4), a * e + b * c + b * e
-            )
-        return AlgInt(self.ring, a * c + b * e * d, a * e + b * c)
+        x, y = mul_xy(self.ring, self.x, self.y, other.x, other.y)
+        return AlgInt(self.ring, x, y)
 
     def __pow__(self, n: int) -> AlgInt:
         if n < 0:
@@ -256,17 +259,10 @@ def _lattice_2basis(vectors: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return basis
 
 
-def _norm_xy(ring: RingDescriptor, v: tuple[int, int]) -> int:
-    x, y = v
-    if ring.one_mod_four:
-        return x * x + x * y + y * y * ((1 - ring.d) // 4)
-    return x * x - ring.d * y * y
-
-
 def _dot2(ring: RingDescriptor, u: tuple[int, int], v: tuple[int, int]) -> int:
     # Twice the bilinear form of the norm form: 2B(u,v) = Q(u+v) - Q(u) - Q(v).
-    s = (u[0] + v[0], u[1] + v[1])
-    return _norm_xy(ring, s) - _norm_xy(ring, u) - _norm_xy(ring, v)
+    s = norm_xy(ring, u[0] + v[0], u[1] + v[1])
+    return s - norm_xy(ring, *u) - norm_xy(ring, *v)
 
 
 def lagrange_gauss(
@@ -278,15 +274,15 @@ def lagrange_gauss(
     repeatedly shear the longer vector by the nearest-integer multiple of the
     shorter one.  Terminates with Q(first) minimal over the whole lattice.
     """
-    if _norm_xy(ring, u) < _norm_xy(ring, v):
+    if norm_xy(ring, *u) < norm_xy(ring, *v):
         u, v = v, u
     while True:
-        qv = _norm_xy(ring, v)
+        qv = norm_xy(ring, *v)
         # nearest integer to B(u,v)/Q(v), computed exactly: round(p / 2qv)
         p = _dot2(ring, u, v)
         m = (p + qv) // (2 * qv)
         r = (u[0] - m * v[0], u[1] - m * v[1])
-        if _norm_xy(ring, r) >= qv:
+        if norm_xy(ring, *r) >= qv:
             return v, r
         u, v = v, r
 

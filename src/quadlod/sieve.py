@@ -67,29 +67,17 @@ def solve_norm_equation(ring: RingDescriptor, m: int) -> list[AlgInt]:
     seen = set()
     ymax = math.isqrt(4 * m // abs(ring.disc)) + 1
     for y in range(-ymax, ymax + 1):
-        if ring.one_mod_four:
-            r = 4 * m + ring.d * y * y
-            if r < 0:
-                continue
-            s = math.isqrt(r)
-            if s * s != r:
-                continue
-            for sv in ({s, -s} if s else {0}):
-                if (sv - y) % 2 == 0:
-                    cand = canonical_associate(AlgInt(ring, (sv - y) // 2, y))
-                    key = (cand.x, cand.y)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(cand)
-        else:
-            r = m + ring.d * y * y
-            if r < 0:
-                continue
-            s = math.isqrt(r)
-            if s * s != r:
-                continue
-            for sv in ({s, -s} if s else {0}):
-                cand = canonical_associate(AlgInt(ring, sv, y))
+        # norm m  <=>  (2x + t*y)^2 == 4m + disc*y^2
+        ty = ring.t * y
+        r = 4 * m + ring.disc * y * y
+        if r < 0:
+            continue
+        s = math.isqrt(r)
+        if s * s != r:
+            continue
+        for sv in {s, -s}:
+            if (sv - ty) % 2 == 0:
+                cand = canonical_associate(AlgInt(ring, (sv - ty) // 2, y))
                 key = (cand.x, cand.y)
                 if key not in seen:
                     seen.add(key)

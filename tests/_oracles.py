@@ -14,6 +14,14 @@ import numpy as np
 from quadlod.rings import AlgInt, canonical_associate, divide_exact
 
 
+def oracle_norm(d, x, y):
+    """|x + y*omega|^2 expanded from omega = sqrt(d) or (1 + sqrt(d))/2."""
+    if d % 4 == 1:
+        # x + y*omega = ((2x + y) + y*sqrt(d)) / 2
+        return ((2 * x + y) ** 2 - d * y * y) // 4
+    return x * x - d * y * y
+
+
 def _coordinate_box(ring, bound):
     # |y| <= sqrt(4*bound/|D|); |x| <= sqrt(bound) + |y| covers both conventions
     yspan = math.isqrt(4 * bound // abs(ring.disc)) + 2
@@ -27,7 +35,7 @@ def brute_region_count(ring, lo_sq, hi_sq):
     n = 0
     for x in range(-xspan, xspan + 1):
         for y in range(-yspan, yspan + 1):
-            if lo_sq <= AlgInt(ring, x, y).norm() <= hi_sq:
+            if lo_sq <= oracle_norm(ring.d, x, y) <= hi_sq:
                 n += 1
     return n
 
@@ -38,9 +46,8 @@ def brute_norm_solutions(ring, m):
     out = set()
     for x in range(-xspan, xspan + 1):
         for y in range(-yspan, yspan + 1):
-            z = AlgInt(ring, x, y)
-            if z.norm() == m:
-                c = canonical_associate(z)
+            if oracle_norm(ring.d, x, y) == m:
+                c = canonical_associate(AlgInt(ring, x, y))
                 out.add((c.x, c.y))
     return sorted(out)
 
@@ -66,7 +73,7 @@ def brute_divisor_candidates(ring, m):
     ymax = math.isqrt(4 * m // abs(ring.disc)) + 1
     seen = set()
     for y in range(-ymax, ymax + 1):
-        if ring.one_mod_four:
+        if ring.d % 4 == 1:
             r = 4 * m + ring.d * y * y
             if r < 0:
                 continue

@@ -8,7 +8,7 @@ import pytest
 from quadlod.characters import conductor, make_modulus, trivial_modulus
 from quadlod.errors import ZeroOrUnitModulus
 from quadlod.regions import canonical_classes
-from quadlod.rings import gcd, make_ring
+from quadlod.rings import SUPPORTED_D, AlgInt, divide_exact, gcd, make_ring
 
 
 def unit_char_matrix(m):
@@ -59,6 +59,26 @@ def test_residue_system_complete(gauss):
     z = gauss.element(17, -9)
     rx, ry = m.reduce_coords(z.x, z.y)
     assert divide_exact(z - gauss.element(rx, ry), m.q) is not None
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_array_reduction_matches_scalar(d):
+    ring = make_ring(d)
+    rng = random.Random(d * 5)
+    for q in ((7, 2), (6, 0), (3, -5)):
+        m = make_modulus(ring, ring.element(*q))
+        xs = np.array([rng.randint(-500, 500) for _ in range(200)], dtype=np.int64)
+        ys = np.array([rng.randint(-500, 500) for _ in range(200)], dtype=np.int64)
+        want = [m.rid(AlgInt(ring, x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert m.rid_xy(xs, ys).tolist() == want
+        rx, ry = m.reduce_coords(xs, ys)
+        for x, y, cx, cy in zip(xs.tolist(), ys.tolist(), rx.tolist(), ry.tolist()):
+            assert (cx, cy) == m.reduce_coords(x, y)
+            assert divide_exact(ring.element(x - cx, y - cy), m.q) is not None
+        # products of residues reduce like the products of their elements
+        for r1, r2 in zip(want[:40], want[40:80]):
+            prod = m.element(r1) * m.element(r2)
+            assert m.mul_rid(r1, r2) == m.rid(prod)
 
 
 def test_euler_phi_examples(gauss):

@@ -204,10 +204,16 @@ def test_config_file_merge(capsys, tmp_path):
 def test_run_config_round_trip():
     cfg = RunConfig(
         command="lod-scan", d=-1, params={"theta": 0.4}, out="x.csv",
-        format="csv", seed=7, workers=2, cache_dir=None,
+        seed=7, workers=2, cache_dir=None,
     )
     again = RunConfig.from_json(cfg.to_json())
     assert again == cfg
+
+
+def test_run_config_reads_old_format_key():
+    old = '{"cache_dir":null,"command":"count","d":-1,"format":"csv","out":null,'
+    old += '"params":{"N":5.0},"seed":0,"version":1,"workers":1}'
+    assert RunConfig.from_json(old) == RunConfig(command="count", d=-1, params={"N": 5.0})
 
 
 def test_artifact_embeds_reproducible_config(capsys, tmp_path):
@@ -276,7 +282,11 @@ def test_bad_scan_flags_are_usage_errors(capsys, command, flags, needle):
 @pytest.mark.parametrize("command", ["lod-scan", "conv-experiment"])
 @pytest.mark.parametrize(
     "values,needle",
-    [({"theta": 2, "N_grid": [10, 20]}, "theta"), ({"N_grid": 20}, "scan config")],
+    [
+        ({"theta": 2, "N_grid": [10, 20]}, "theta"),
+        ({"N_grid": 20}, "scan config"),
+        ({"B": float("nan"), "N_grid": [10, 20]}, "B must be"),
+    ],
 )
 def test_bad_config_file_is_usage_error(capsys, tmp_path, command, values, needle):
     cfg_path = tmp_path / "scan.json"
@@ -306,3 +316,73 @@ def test_cache_unknown_split_code_is_computation_error(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and "split code 9" in err
+
+
+_SCAN = ["--f", "one", "--theta", "0.4", "--B", "0", "--Ngrid", "10,15"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--d", "-1", "--N", "nan"],
+        ["density", "--d", "-1", "--N", "inf"],
+        ["enumerate", "--d", "-1", "--N", "nan"],
+        ["enumerate", "--d", "-1", "--N", "3", "--yprime", "inf"],
+        ["enumerate", "--d", "-1", "--N", "3", "--Y", "nan"],
+        ["enumerate", "--d", "-1", "--N", "3", "--b=-inf"],
+        ["large-sieve", "--d", "-1", "--N", "nan", "--Q1", "4", "--Q2", "20"],
+        ["large-sieve", "--d", "-1", "--N", "10", "--Q1", "inf", "--Q2", "20"],
+        ["large-sieve", "--d", "-1", "--N", "10", "--Q1", "4", "--Q2", "nan"],
+        ["sw-check", "--d", "-1", "--f", "one", "--N", "inf", "--D", "2"],
+        ["sw-check", "--d", "-1", "--f", "one", "--N", "10", "--D", "nan"],
+        ["sw-check", "--d", "-1", "--f", "one", "--N", "10", "--D", "2", "--bound-power", "inf"],
+        ["lod-scan", "--d", "-1", *_SCAN, "--B", "nan"],
+        ["conv-experiment", "--d", "-1", *_SCAN, "--theta", "nan"],
+        ["count", "--d", "-1", "--N", "five"],
+    ],
+)
+def test_non_finite_float_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lod-scan", "conv-experiment"])
+@pytest.mark.parametrize("text", ["{theta", "[10, 20]"])
+def test_config_file_not_a_json_object_is_usage_error(capsys, tmp_path, command, text):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    code, _, err = run(capsys, command, "--d", "-1", "--config", str(cfg_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--config" in err
+
+
+def test_conv_experiment_reruns_from_its_config_line(capsys, tmp_path):
+    first = tmp_path / "first.csv"
+    code, _, _ = run(
+        capsys, "conv-experiment", "--d", "-1", "--f", "prime", "--g", "moebius",
+        "--theta", "0.4", "--B", "0", "--Ngrid", "10,15", "--out", str(first),
+    )
+    assert code == 0
+    header = first.read_text().splitlines()[0]
+    assert json.loads(header[len("# config:"):])["g_spec"] == "moebius"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(header[len("# config:"):])
+    again = tmp_path / "again.csv"
+    code, _, _ = run(
+        capsys, "conv-experiment", "--d", "-1", "--config", str(cfg_path),
+        "--out", str(again),
+    )
+    assert code == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_old_config_line_with_a_still_loads(capsys, tmp_path):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(
+        '{"A":0.0,"B":0.0,"N_grid":[10,15],"d":-1,"f_spec":"one","theta":0.4,"version":1}'
+    )
+    code, out, _ = run(capsys, "lod-scan", "--d", "-1", "--config", str(cfg_path))
+    assert code == 0
+    assert len([l for l in out.splitlines() if l.startswith("N=")]) == 2

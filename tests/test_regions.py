@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadlod.errors import BoundsTooLarge
@@ -8,6 +9,7 @@ from quadlod.regions import (
     NormRegion,
     a0,
     canonical_classes,
+    canonical_coords,
     count_region,
     density_ratio,
     enumerate_region,
@@ -52,6 +54,31 @@ def test_count_equals_stream_length(d):
         for _xi in enumerate_region(region):
             n += 1
         assert n == count_region(region)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_count_matches_brute_force(d):
+    ring = make_ring(d)
+    rng = random.Random(d * 17)
+    for _ in range(8):
+        hi = rng.randint(1, 400)
+        lo = rng.randint(1, hi)
+        assert count_region(NormRegion(ring, lo, hi)) == brute_region_count(ring, lo, hi)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_canonical_coords_match_scalar(d):
+    ring = make_ring(d)
+    rng = random.Random(d * 19)
+    xs = np.array([rng.randint(-60, 60) for _ in range(400)] + [0], dtype=np.int64)
+    ys = np.array([rng.randint(-60, 60) for _ in range(400)] + [0], dtype=np.int64)
+    cx, cy = canonical_coords(ring, xs, ys)
+    for x, y, gx, gy in zip(xs.tolist(), ys.tolist(), cx.tolist(), cy.tolist()):
+        if x == y == 0:
+            assert (gx, gy) == (0, 0)  # zero maps to itself
+            continue
+        c = canonical_associate(AlgInt(ring, x, y))
+        assert (gx, gy) == (c.x, c.y)
 
 
 def test_empty_annulus(gauss):

@@ -1,21 +1,25 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlod.errors import BothZero, RingMismatch, UnsupportedRing, ZeroElement
 from quadlod.rings import (
     SUPPORTED_D,
     AlgInt,
     _lattice_2basis,
-    _norm_xy,
     canonical_associate,
     divide_exact,
     gcd,
     lagrange_gauss,
     make_ring,
+    mul_xy,
+    norm_xy,
 )
-from _oracles import brute_common_divisor
+from _oracles import brute_common_divisor, oracle_norm
 
 
 def test_supported_list():
@@ -79,6 +83,32 @@ def test_mul_examples():
     w = r3.omega()
     assert w * w == w - r3.one()  # minimal polynomial x^2 - x + 1
     assert r1.element(2, 1).conj() == r1.element(2, -1)
+
+
+_COORD = st.integers(-10_000, 10_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from(SUPPORTED_D),
+    coords=st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=8),
+)
+def test_kernel_matches_oracle_and_embedding(d, coords):
+    ring = make_ring(d)
+    w = ring.omega_complex()
+    assert abs(w * w - (ring.t * w + ring.n)) < 1e-9
+    for a, b, c, e in coords:
+        assert norm_xy(ring, a, b) == oracle_norm(d, a, b)
+        px, py = mul_xy(ring, a, b, c, e)
+        want = (a + b * w) * (c + e * w)
+        assert abs(px + py * w - want) <= 1e-12 * abs(want) + 1e-9
+        conj = AlgInt(ring, a, b).conj().embedding()
+        assert abs(conj - (a + b * w).conjugate()) <= 1e-12 * abs(conj) + 1e-9
+    # int64 arrays give exactly the scalar results
+    xa, ya, xb, yb = (np.array(col, dtype=np.int64) for col in zip(*coords))
+    assert norm_xy(ring, xa, ya).tolist() == [norm_xy(ring, a, b) for a, b, _, _ in coords]
+    px, py = mul_xy(ring, xa, ya, xb, yb)
+    assert list(zip(px.tolist(), py.tolist())) == [mul_xy(ring, *t) for t in coords]
 
 
 def test_ring_mismatch():
@@ -193,10 +223,10 @@ def test_lagrange_gauss_minimality(d):
         if u[0] * v[1] - u[1] * v[0] == 0:
             continue
         first, second = lagrange_gauss(ring, u, v)
-        got = _norm_xy(ring, first)
-        assert _norm_xy(ring, second) >= got
+        got = norm_xy(ring, *first)
+        assert norm_xy(ring, *second) >= got
         best = min(
-            _norm_xy(ring, (i * u[0] + j * v[0], i * u[1] + j * v[1]))
+            norm_xy(ring, i * u[0] + j * v[0], i * u[1] + j * v[1])
             for i in range(-25, 26)
             for j in range(-25, 26)
             if (i, j) != (0, 0)

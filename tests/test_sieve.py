@@ -26,6 +26,7 @@ from quadlod.sieve import (
     kronecker_disc,
     rational_primes,
     sieve_primes,
+    solve_norm_equation,
     splitting_type,
     von_mangoldt,
 )
@@ -107,6 +108,14 @@ def test_prime_counts_vs_trial_division(gauss):
     ]
     assert len(brute) == len(table)
     assert {(p.x, p.y) for p in table.primes} == {(c.x, c.y) for c in brute}
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_solve_norm_equation_matches_brute_force(d):
+    ring = make_ring(d)
+    for m in range(1, 121):
+        got = [(z.x, z.y) for z in solve_norm_equation(ring, m)]
+        assert got == brute_norm_solutions(ring, m)
 
 
 def test_split_solutions_exist(gauss, eisen):
