@@ -1,6 +1,7 @@
 """Unit-invariant arithmetic functions on O_K and their Dirichlet convolution.
 
-Functions are dense tables over canonical associate representatives, so
+A function is one dense complex128 table over the canonical associate
+representatives of norm <= a bound, indexed like `regions.class_arrays`, so
 f(u * xi) = f(xi) holds by construction.  Convolution runs as a product sweep
 over class pairs (delta, m) with norm(delta) * norm(m) <= bound, which visits
 exactly sum-of-tau(a) pairs, the same count as per-class divisor enumeration.
@@ -10,26 +11,46 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable
 
-from .errors import RingMismatch, TableTooSmall
-from .rings import AlgInt, RingDescriptor, canonical_associate, make_ring
-from .regions import canonical_classes, element_arrays
+import numpy as np
+
+from .errors import CorruptFile, RingMismatch, TableTooSmall, UnsupportedRing
+from .rings import AlgInt, RingDescriptor, canonical_associate, make_ring, norm_xy
+from .regions import (
+    a0, canonical_classes, class_arrays, class_index, class_products, element_arrays,
+)
 from .sieve import FactorSieve, PrimeTable
 
 BUILTIN_NAMES = ("one", "moebius", "tau", "log_norm", "lambda", "prime_indicator")
 _ALIASES = {"prime": "prime_indicator", "mu": "moebius", "log": "log_norm"}
+_CSV_COLUMNS = ["x", "y", "norm", "re", "im"]
 
 
-@dataclass
+@dataclass(eq=False)
 class ArithFn:
-    """A complex-valued function on canonical classes of norm <= norm_bound."""
+    """A complex-valued function on canonical classes of norm <= norm_bound.
+
+    vals[i] is the value at class index i of `class_arrays(ring, norm_bound)`.
+    """
 
     ring: RingDescriptor
     norm_bound: int
-    values: dict[tuple[int, int], complex]
+    vals: np.ndarray
     name: str
+
+    def __post_init__(self):
+        self.vals = np.asarray(self.vals, dtype=np.complex128)
+        if len(self.vals) != len(class_arrays(self.ring, self.norm_bound)[0]):
+            raise ValueError(f"{self.name}: {len(self.vals)} values, not one per class")
+
+    @property
+    def values(self) -> Mapping[tuple[int, int], complex]:
+        """Read-only view: canonical (x, y) -> value, in class order."""
+        return _ClassValues(self)
 
     def __call__(self, xi: AlgInt) -> complex:
         can = canonical_associate(xi)
@@ -40,9 +61,28 @@ class ArithFn:
                 f"{self.name} tabulated to norm {self.norm_bound}, asked at {xi.norm()}"
             ) from None
 
-    def classes(self):
-        """(coords, value) pairs in (norm, x, y) order."""
-        return self.values.items()
+
+class _ClassValues(Mapping):
+    def __init__(self, f: ArithFn):
+        self.f = f
+        self.xs, self.ys, _ = class_arrays(f.ring, f.norm_bound)
+
+    def __getitem__(self, key):
+        (x, y), f = key, self.f
+        if 1 <= norm_xy(f.ring, x, y) <= f.norm_bound:
+            i = class_index(f.ring, f.norm_bound, [x], [y])[0]
+            if (self.xs[i], self.ys[i]) == (x, y):
+                return complex(f.vals[i])
+        raise KeyError(key)
+
+    def __iter__(self):
+        return zip(self.xs.tolist(), self.ys.tolist())
+
+    def __len__(self):
+        return len(self.xs)
+
+    def items(self):
+        return zip(self, self.f.vals.tolist())
 
 
 def tabulate(
@@ -56,184 +96,179 @@ def tabulate(
     The factorization-based builtins (moebius, tau, lambda, prime_indicator)
     need a PrimeTable covering norm_bound.
     """
-    classes = canonical_classes(ring, norm_bound)
     name = builtin if isinstance(builtin, str) else getattr(builtin, "__name__", "custom")
     name = _ALIASES.get(name, name)
-    values: dict[tuple[int, int], complex] = {}
     if not isinstance(builtin, str):
-        for c in classes:
-            values[(c.x, c.y)] = complex(builtin(c))
-        return ArithFn(ring, norm_bound, values, name)
-    if name == "one":
-        for c in classes:
-            values[(c.x, c.y)] = 1 + 0j
-    elif name == "log_norm":
-        for c in classes:
-            values[(c.x, c.y)] = complex(math.log(c.norm()))
-    elif name in ("moebius", "tau", "lambda"):
-        sieve = _factor_sieve(ring, norm_bound, table)
-        for c in classes:
-            fm = sieve.factor(c)
-            if name == "moebius":
-                if any(e > 1 for _, e in fm.factors):
-                    v = 0j
-                else:
-                    v = complex((-1) ** len(fm.factors))
-            elif name == "tau":
-                t = 1
-                for _, e in fm.factors:
-                    t *= e + 1
-                v = complex(t)
-            else:  # lambda
-                if len(fm.factors) == 1:
-                    v = complex(math.log(fm.factors[0][0].norm()))
-                else:
-                    v = 0j
-            values[(c.x, c.y)] = v
-    elif name == "prime_indicator":
-        if table is None or table.max_norm < norm_bound:
-            raise TableTooSmall("prime_indicator needs a covering PrimeTable")
-        prime_set = {
-            (p.x, p.y) for p in table.primes if p.norm() <= norm_bound
-        }
-        for c in classes:
-            values[(c.x, c.y)] = 1 + 0j if (c.x, c.y) in prime_set else 0j
-    else:
+        vals = [complex(builtin(c)) for c in canonical_classes(ring, norm_bound)]
+        return ArithFn(ring, norm_bound, vals, name)
+    _, _, norms = class_arrays(ring, norm_bound)
+    if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {builtin!r}; choose from {BUILTIN_NAMES}")
-    return ArithFn(ring, norm_bound, values, name)
+    if name not in ("one", "log_norm") and (table is None or table.max_norm < norm_bound):
+        raise TableTooSmall(f"{name} needs a PrimeTable covering norm_bound")
+    if name == "one":
+        vals = np.ones(len(norms))
+    elif name == "log_norm":
+        vals = _logs(norms)
+    elif name == "prime_indicator":
+        primes = [p for p in table.primes if p.norm() <= norm_bound]
+        vals = np.zeros(len(norms))
+        vals[class_index(ring, norm_bound, [p.x for p in primes], [p.y for p in primes])] = 1
+    else:
+        distinct, tau, last = _prime_chains(FactorSieve(table, norm_bound))
+        if name == "moebius":
+            vals = np.where(tau == 2**distinct, (-1.0) ** distinct, 0.0)
+        elif name == "tau":
+            vals = tau
+        else:  # lambda: log N(p) on the powers of one prime p
+            vals = np.where(distinct == 1, _logs(norms[last]), 0.0)
+    return ArithFn(ring, norm_bound, vals, name)
 
 
-def _factor_sieve(ring, norm_bound, table):
-    if table is None or table.max_norm < norm_bound:
-        raise TableTooSmall("builtin needs a PrimeTable covering norm_bound")
-    return FactorSieve(table, norm_bound)
+def _logs(norms: np.ndarray) -> np.ndarray:
+    # math.log once per distinct norm: np.log differs from it in the last bit
+    distinct, inverse = np.unique(norms, return_inverse=True)
+    return np.array([math.log(n) for n in distinct.tolist()])[inverse]
+
+
+def _prime_chains(sieve: FactorSieve):
+    """Per class: number of distinct primes, tau, and the last prime.
+
+    Walks every smallest-prime chain at once; primes come out in class order,
+    so a run of equal primes is one prime's exponent.
+    """
+    n = len(sieve.spf)
+    cur, last = np.arange(n), np.full(n, -1)
+    run, distinct, tau = np.zeros(n, np.int64), np.zeros(n, np.int64), np.ones(n, np.int64)
+    while (live := sieve.spf[cur] >= 0).any():
+        p = sieve.spf[cur]
+        new = live & (p != last)
+        tau[new] *= run[new] + 1
+        run = np.where(new, 1, run + live)
+        distinct += new
+        last, cur = np.where(live, p, last), np.where(live, sieve.cof[cur], cur)
+    return distinct, tau * (run + 1), last
 
 
 def convolve(f: ArithFn, g: ArithFn) -> ArithFn:
     """Dirichlet convolution (f*g)(a) = sum over divisor pairs d*m = a."""
     if f.ring.d != g.ring.d:
         raise RingMismatch("convolution operands in different rings")
-    ring = f.ring
     bound = min(f.norm_bound, g.norm_bound)
-    out: dict[tuple[int, int], complex] = {
-        (c.x, c.y): 0j for c in canonical_classes(ring, bound)
-    }
-    g_classes = canonical_classes(ring, bound)
-    g_norms = [c.norm() for c in g_classes]
-    for (dx, dy), fv in f.values.items():
-        if fv == 0:
-            continue
-        delta = AlgInt(ring, dx, dy)
-        dn = delta.norm()
-        if dn > bound:
-            continue
-        cap = bound // dn
-        for m, mn in zip(g_classes, g_norms):
-            if mn > cap:
-                break
-            gv = g.values[(m.x, m.y)]
-            if gv == 0:
-                continue
-            prod = canonical_associate(delta * m)
-            out[(prod.x, prod.y)] += fv * gv
-    return ArithFn(ring, bound, out, f"({f.name})*({g.name})")
+    n = len(class_arrays(f.ring, bound)[0])
+    fv, gv = f.vals[:n], g.vals[:n]
+    left, right = np.flatnonzero(fv), np.flatnonzero(gv)
+    out = np.zeros(n, dtype=np.complex128)
+    for i, j, k in class_products(f.ring, bound, left, right):
+        # Python's complex product, as four float64 products: numpy's complex
+        # multiply may fuse them.  np.add.at adds in pair order, like a loop.
+        a, b = fv[left[i]], gv[right[j]]
+        prod = np.empty(len(k), dtype=np.complex128)
+        prod.real = a.real * b.real - a.imag * b.imag
+        prod.imag = a.real * b.imag + a.imag * b.real
+        np.add.at(out, k, prod)
+    return ArithFn(f.ring, bound, out, f"({f.name})*({g.name})")
 
 
 def add_pointwise(f: ArithFn, g: ArithFn) -> ArithFn:
     if f.ring.d != g.ring.d:
         raise RingMismatch("operands in different rings")
     bound = min(f.norm_bound, g.norm_bound)
-    out = {
-        (c.x, c.y): f.values[(c.x, c.y)] + g.values[(c.x, c.y)]
-        for c in canonical_classes(f.ring, bound)
-    }
-    return ArithFn(f.ring, bound, out, f"({f.name})+({g.name})")
+    n = len(class_arrays(f.ring, bound)[0])
+    return ArithFn(f.ring, bound, f.vals[:n] + g.vals[:n], f"({f.name})+({g.name})")
+
+
+def _running_sum(vals: np.ndarray) -> complex:
+    # 0j + vals[0] + vals[1] + ... left to right; numpy's sum() adds pairwise
+    return complex(np.cumsum(np.concatenate(([0j], vals)))[-1])
 
 
 def dirichlet_series(f: ArithFn, s: complex, trunc_norm: int) -> complex:
     """Truncated sum over classes of f(a) / norm(a)^s."""
     if trunc_norm > f.norm_bound:
         raise TableTooSmall(f"trunc {trunc_norm} beyond table {f.norm_bound}")
+    _, _, norms = class_arrays(f.ring, trunc_norm)
     total = 0j
-    for c in canonical_classes(f.ring, trunc_norm):
-        v = f.values[(c.x, c.y)]
-        if v == 0:
-            continue
-        total += v * c.norm() ** (-s)
+    for v, nm in zip(f.vals.tolist(), norms.tolist()):
+        if v != 0:
+            total += v * nm ** (-s)
     return total
 
 
 def weighted_log_sum(f: ArithFn, n: float, k: int) -> complex:
     """Sum over elements w of A0(N) of f(w) * log^k(N^2 / norm(w))."""
-    from .regions import a0
-
     region = a0(f.ring, n)
     if region.hi_sq > f.norm_bound:
         raise TableTooSmall(f"N^2 = {region.hi_sq} beyond table {f.norm_bound}")
     xs, ys, norms = element_arrays(f.ring.d, 1, region.hi_sq)
+    fv = f.vals[class_index(f.ring, f.norm_bound, xs, ys)]
     n_sq = float(region.hi_sq)
     total = 0j
-    ring = f.ring
-    for x, y, nm in zip(xs.tolist(), ys.tolist(), norms.tolist()):
-        can = canonical_associate(AlgInt(ring, x, y))
-        v = f.values[(can.x, can.y)]
-        if v == 0:
-            continue
-        total += v * math.log(n_sq / nm) ** k
+    for v, nm in zip(fv.tolist(), norms.tolist()):
+        if v != 0:
+            total += v * math.log(n_sq / nm) ** k
     return total
 
 
 def unit_fold_check(f: ArithFn, n: float) -> tuple[complex, complex]:
     """Both sides of: sum of f over elements of A0(N) == w_K * class sum."""
-    from .regions import a0
-
     region = a0(f.ring, n)
     if region.hi_sq > f.norm_bound:
         raise TableTooSmall(f"N^2 = {region.hi_sq} beyond table {f.norm_bound}")
     xs, ys, _ = element_arrays(f.ring.d, 1, region.hi_sq)
-    ring = f.ring
-    el_sum = 0j
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        can = canonical_associate(AlgInt(ring, x, y))
-        el_sum += f.values[(can.x, can.y)]
-    cls_sum = 0j
-    for c in canonical_classes(ring, region.hi_sq):
-        cls_sum += f.values[(c.x, c.y)]
-    return el_sum, ring.w_K * cls_sum
+    el_sum = _running_sum(f.vals[class_index(f.ring, f.norm_bound, xs, ys)])
+    cls_sum = _running_sum(f.vals[: len(class_arrays(f.ring, region.hi_sq)[0])])
+    return el_sum, f.ring.w_K * cls_sum
 
 
 def growth_ratio(f: ArithFn, table: PrimeTable, c_power: float = 2.0) -> float:
     """max |f(a)| / tau(a)^C over the table; the S-W growth diagnostic."""
     tau = tabulate("tau", f.ring, f.norm_bound, table)
     worst = 0.0
-    for coords, v in f.values.items():
-        t = tau.values[coords].real
+    for v, t in zip(f.vals.tolist(), tau.vals.real.tolist()):
         worst = max(worst, abs(v) / t**c_power)
     return worst
 
 
-def save_csv(f: ArithFn, path) -> None:
-    """Columns x, y, norm, re, im; header row carries d, norm_bound, name."""
+def save_csv(f: ArithFn, path, config_line: str = "") -> None:
+    """Columns x, y, norm, re, im, under config_line and a d, norm_bound, name line."""
+    xs, ys, norms = class_arrays(f.ring, f.norm_bound)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# d={f.ring.d} norm_bound={f.norm_bound} name={f.name}\n")
+        fh.write(f"{config_line}# d={f.ring.d} norm_bound={f.norm_bound} name={f.name}\n")
         w = csv.writer(fh)
-        w.writerow(["x", "y", "norm", "re", "im"])
-        for (x, y), v in f.values.items():
-            w.writerow([x, y, AlgInt(f.ring, x, y).norm(), repr(v.real), repr(v.imag)])
+        w.writerow(_CSV_COLUMNS)
+        re, im = map(repr, f.vals.real.tolist()), map(repr, f.vals.imag.tolist())
+        w.writerows(zip(xs.tolist(), ys.tolist(), norms.tolist(), re, im))
 
 
 def load_csv(path) -> ArithFn:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing metadata comment line")
+    """Read a save_csv file; leading `# config:` lines are skipped.
+
+    Anything but one row per class, in class order as save_csv writes it,
+    with two float values, raises CorruptFile.
+    """
+    try:
+        with open(path, newline="") as fh:
+            header = fh.readline()
+            while header.startswith("# config:"):
+                header = fh.readline()
+            rows = list(csv.reader(fh))
+        if not header.startswith("# d="):
+            raise ValueError("no '# d=' line")
         meta = dict(kv.split("=", 1) for kv in header[1:].split())
-        ring = make_ring(int(meta["d"]))
-        bound = int(meta["norm_bound"])
-        rd = csv.reader(fh)
-        next(rd)  # column header
-        values = {}
-        for row in rd:
-            x, y = int(row[0]), int(row[1])
-            values[(x, y)] = complex(float(row[3]), float(row[4]))
-    return ArithFn(ring, bound, values, meta.get("name", "csv"))
+        ring, bound = make_ring(int(meta["d"])), int(meta["norm_bound"])
+    except (ValueError, KeyError, csv.Error, UnsupportedRing) as exc:
+        raise CorruptFile(f"{path}: bad metadata ({exc})") from None
+    if rows[:1] != [_CSV_COLUMNS]:
+        raise CorruptFile(f"{path}: no column header {','.join(_CSV_COLUMNS)}")
+    xs, ys, norms = class_arrays(ring, bound)
+    classes = zip(xs.tolist(), ys.tolist(), norms.tolist())
+    vals = []
+    for n, (row, cls) in enumerate(zip_longest(rows[1:], classes), start=1):
+        try:
+            if not (row and cls and len(row) == 5 and row[:3] == [str(c) for c in cls]):
+                raise ValueError(f"got {row}, expected (x, y, norm) = {cls}")
+            vals.append(complex(float(row[3]), float(row[4])))
+        except ValueError as exc:
+            raise CorruptFile(f"{path}: data row {n}: {exc}") from None
+    return ArithFn(ring, bound, vals, meta.get("name", "csv"))

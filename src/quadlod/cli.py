@@ -62,16 +62,27 @@ def default_cache_dir(flag_value: str | None) -> str:
     return os.path.join(base, "quadlod")
 
 
-def _emit(lines: list[str], cfg: RunConfig) -> None:
+def _config_line(cfg: RunConfig) -> str:
     # embed without out/workers: neither affects the numbers, and identical
     # computations should produce byte-identical artifacts
-    embed = replace(cfg, out=None, workers=1)
-    text = f"# config: {embed.to_json()}\n" + "\n".join(lines) + "\n"
+    return f"# config: {replace(cfg, out=None, workers=1).to_json()}\n"
+
+
+def _emit(lines: list[str], cfg: RunConfig) -> None:
+    text = _config_line(cfg) + "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _report(lines: list[str], cfg: RunConfig) -> None:
+    """Print bare lines, or with --out write them as an artifact under its config line."""
+    if cfg.out:
+        _emit(lines, cfg)
+    else:
+        print("\n".join(lines))
 
 
 def _grid(text: str) -> tuple[int, ...]:
@@ -116,8 +127,15 @@ def _add_common(p, need_d=True):
     p.add_argument("--cache-dir", dest="cache_dir")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one `error:` line and exit code 2; subparsers inherit this."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quadlod")
+    ap = _Parser(prog="quadlod")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ring-info", help="descriptor of one of the nine rings")
@@ -242,12 +260,14 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
     f_spec = pick(args.f, "f_spec", "prime_indicator")
     g_spec = pick(getattr(args, "g", None), "g_spec", f_spec) if require_g else f_spec
     grid = _grid(args.Ngrid) if args.Ngrid else file_vals.get("N_grid", (50, 100))
+    if not isinstance(grid, (list, tuple)) or not all(type(n) is int for n in grid):
+        raise UsageError(f"scan config: N_grid must be a list of integers, got {grid!r}")
     try:
         cfg = lab.LodScanConfig(
             d=args.d,
             theta=float(pick(args.theta, "theta", 0.4)),
             B=float(pick(args.B, "B", 0.0)),
-            N_grid=tuple(int(n) for n in grid),
+            N_grid=tuple(grid),
             f_spec=f_spec,
         )
     except (TypeError, ValueError) as exc:
@@ -315,13 +335,13 @@ def _dispatch(args) -> int:
     if cmd == "count":
         ring = make_ring(args.d)
         cfg.params = {"N": args.N}
-        print(count_region(a0(ring, args.N)))
+        _report([str(count_region(a0(ring, args.N)))], cfg)
         return 0
 
     if cmd == "density":
         ring = make_ring(args.d)
         cfg.params = {"N": args.N}
-        print(repr(density_ratio(ring, args.N)))
+        _report([repr(density_ratio(ring, args.N))], cfg)
         return 0
 
     if cmd == "sieve":
@@ -344,7 +364,7 @@ def _dispatch(args) -> int:
         fm = factor_fn(xi, table)
         parts = [f"unit=({fm.unit.x},{fm.unit.y})"]
         parts += [f"({p.x},{p.y})^{e}" for p, e in fm.factors]
-        print(" * ".join(parts))
+        _report([" * ".join(parts)], cfg)
         return 0
 
     if cmd in ("chars", "conductors"):
@@ -375,7 +395,7 @@ def _dispatch(args) -> int:
         cfg.params = {"f": args.f, "norm_bound": args.norm_bound}
         table = sieve_primes(ring, args.norm_bound)
         f = _build_fn(args.f, ring, args.norm_bound, table)
-        save_csv(f, cfg.out or "/dev/stdout")
+        save_csv(f, cfg.out or "/dev/stdout", _config_line(cfg))
         return 0
 
     if cmd == "convolve":
@@ -385,7 +405,7 @@ def _dispatch(args) -> int:
         f = _build_fn(args.f, ring, args.norm_bound, table)
         g = f if args.g == args.f else _build_fn(args.g, ring, args.norm_bound, table)
         h = convolve(f, g)
-        save_csv(h, cfg.out or "/dev/stdout")
+        save_csv(h, cfg.out or "/dev/stdout", _config_line(cfg))
         return 0
 
     if cmd == "lod-scan":
@@ -469,10 +489,10 @@ def _dispatch(args) -> int:
         ring = make_ring(args.d)
         cfg.params = {"R": args.R}
         rep = lab.mertens_sums(ring, args.R)
-        print(
+        _report([
             f"R={rep.r} ideal_sum={repr(rep.ideal_sum)} prime_sum={repr(rep.prime_sum)} "
             f"ideal_ratio={repr(rep.ideal_ratio)} prime_ratio={repr(rep.prime_ratio)}"
-        )
+        ], cfg)
         return 0
 
     if cmd == "cache":

@@ -41,6 +41,10 @@ class FormatVersionMismatch(QlodError):
     """Cache file has a bad magic header or unknown format version."""
 
 
+class CorruptFile(QlodError):
+    """A function CSV file is malformed or does not cover its classes."""
+
+
 class ZeroOrUnitModulus(QlodError):
     """Moduli must have norm at least 2."""
 

@@ -43,7 +43,7 @@ from .regions import (
     NormRegion,
     a0,
     canonical_classes,
-    canonical_coords,
+    class_index,
     count_region,
     element_arrays,
 )
@@ -58,11 +58,7 @@ def _floor_sq(m: float) -> int:
 
 def _fvals(f: ArithFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """f at the canonical representative of each element, as complex128."""
-    cxs, cys = canonical_coords(f.ring, xs, ys)
-    vals = f.values
-    return np.array(
-        [vals[key] for key in zip(cxs.tolist(), cys.tolist())], dtype=np.complex128
-    )
+    return f.vals[class_index(f.ring, f.norm_bound, xs, ys)]
 
 
 def _rids(m: Modulus, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

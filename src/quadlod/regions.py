@@ -15,8 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BoundsTooLarge
-from .rings import AlgInt, RingDescriptor, make_ring, norm_xy
+from .errors import BoundsTooLarge, TableTooSmall
+from .rings import AlgInt, RingDescriptor, make_ring, mul_xy, norm_xy
 
 # Memory guard: enumeration materializes ~pi*hi_sq coordinates.
 DEFAULT_GUARD = 1 << 24
@@ -182,14 +182,67 @@ def enumerate_region(region: NormRegion, guard: int = DEFAULT_GUARD) -> Iterator
         yield AlgInt(ring, x, y)
 
 
-def canonical_classes(
-    ring: RingDescriptor, max_norm: int, guard: int = DEFAULT_GUARD
-) -> list[AlgInt]:
+def canonical_classes(ring: RingDescriptor, max_norm: int) -> list[AlgInt]:
     """Canonical associate representatives of norm 1..max_norm, sorted."""
-    xs, ys, _ = element_arrays(ring.d, 1, max_norm, guard)
+    xs, ys, _ = class_arrays(ring, max_norm)
+    return [AlgInt(ring, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+@lru_cache(maxsize=8)
+def class_arrays(ring: RingDescriptor, max_norm: int) -> tuple[np.ndarray, ...]:
+    """(xs, ys, norms) of the canonical classes of norm 1..max_norm.
+
+    Sorted by (norm, x, y); position i is class index i of every class-indexed
+    table (`arith.ArithFn.vals`, the factor sieve).
+    """
+    xs, ys, norms = element_arrays(ring.d, 1, max_norm)
     cxs, cys = canonical_coords(ring, xs, ys)
     keep = (cxs == xs) & (cys == ys)
-    return [AlgInt(ring, x, y) for x, y in zip(xs[keep].tolist(), ys[keep].tolist())]
+    out = xs[keep], ys[keep], norms[keep]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _key(max_norm: int, xs, ys, norms):
+    # |x|, |y| <= r below max_norm, so with w = 2r + 1 keys increase with (norm, x, y)
+    w = 4 * math.isqrt(max(max_norm, 0)) + 5
+    return (norms * w + xs) * w + ys
+
+
+@lru_cache(maxsize=8)
+def _class_keys(ring: RingDescriptor, max_norm: int) -> np.ndarray:
+    return _key(max_norm, *class_arrays(ring, max_norm))
+
+
+def class_index(ring: RingDescriptor, max_norm: int, xs, ys) -> np.ndarray:
+    """Class index (see class_arrays) of each element; all nonzero, norm <= max_norm."""
+    cxs, cys = canonical_coords(ring, np.asarray(xs, np.int64), np.asarray(ys, np.int64))
+    norms = norm_xy(ring, cxs, cys)
+    if norms.size and (norms.min() < 1 or norms.max() > max_norm):
+        raise TableTooSmall(f"element norms outside 1..{max_norm}")
+    return np.searchsorted(_class_keys(ring, max_norm), _key(max_norm, cxs, cys, norms))
+
+
+# Pairs per chunk of class_products: bounds its working memory to a few MB.
+_PAIR_CHUNK = 1 << 14
+
+
+def class_products(ring: RingDescriptor, bound: int, left: np.ndarray, right: np.ndarray):
+    """Chunks (i, j, k) of the pairs (left[i], right[j]) with norm product <= bound.
+
+    left and right are increasing class indices below bound.  Pairs come
+    i-major with j ascending; k is the class index of the product.
+    """
+    xs, ys, norms = class_arrays(ring, bound)
+    caps = np.searchsorted(norms[right], bound // norms[left], side="right")
+    ends = np.cumsum(caps)
+    for lo in range(0, int(ends[-1]) if ends.size else 0, _PAIR_CHUNK):
+        pair = np.arange(lo, min(lo + _PAIR_CHUNK, ends[-1]))
+        i = np.searchsorted(ends, pair, side="right")
+        j = pair - (ends[i] - caps[i])
+        a, b = left[i], right[j]
+        yield i, j, class_index(ring, bound, *mul_xy(ring, xs[a], ys[a], xs[b], ys[b]))
 
 
 def canonical_coords(

@@ -11,6 +11,8 @@ import math
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     BoundsTooLarge,
     FormatVersionMismatch,
@@ -19,6 +21,7 @@ from .errors import (
     ZeroElement,
     ZeroOrUnit,
 )
+from .regions import class_arrays, class_index, class_products
 from .rings import AlgInt, RingDescriptor, canonical_associate, divide_exact
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
@@ -225,54 +228,46 @@ def von_mangoldt(xi: AlgInt, table: PrimeTable) -> float:
 
 
 class FactorSieve:
-    """Smallest-prime-divisor links for every canonical class up to a bound.
+    """Smallest prime factor and cofactor of every canonical class up to a bound.
 
-    Built by one pass over (prime, cofactor-class) products, so bulk
-    factorization costs O(number of prime factors) per class afterwards.
+    For a class index c (see `regions.class_arrays`), spf[c] is the class of
+    the smallest prime dividing it, in (norm, x, y) order, and cof[c] the class
+    of the quotient; both are -1 at the unit.  Following cof lists a class's
+    primes in order, so factoring costs O(number of prime factors) per class.
     """
 
     def __init__(self, table: PrimeTable, max_norm: int):
-        from .regions import canonical_classes
-
         if max_norm > table.max_norm:
             raise TableTooSmall(
                 f"need primes to norm {max_norm}, table has {table.max_norm}"
             )
-        self.ring = table.ring
+        self.ring = ring = table.ring
         self.max_norm = max_norm
         self.table = table
-        self.classes = canonical_classes(table.ring, max_norm)
-        link: dict[tuple[int, int], tuple[AlgInt, tuple[int, int]]] = {}
-        for pi in table.primes:
-            pn = pi.norm()
-            if pn > max_norm:
-                break
-            for m in self.classes:
-                if m.norm() * pn > max_norm:
-                    break
-                prod = canonical_associate(pi * m)
-                link[(prod.x, prod.y)] = (pi, (m.x, m.y))
-        self._link = link
+        n = len(class_arrays(ring, max_norm)[0])
+        self.spf, self.cof = np.full((2, n), -1)
+        primes = [pi for pi in table.primes if pi.norm() <= max_norm]
+        pidx = class_index(ring, max_norm, [p.x for p in primes], [p.y for p in primes])
+        # pairs come in increasing prime order: a class's first hit is its smallest prime
+        for i, j, k in class_products(ring, max_norm, pidx, np.arange(n)):
+            k, first = np.unique(k, return_index=True)
+            new = self.spf[k] < 0
+            self.spf[k[new]], self.cof[k[new]] = pidx[i[first[new]]], j[first[new]]
 
     def factor(self, xi: AlgInt) -> FactorMap:
         if xi.is_zero():
             raise ZeroElement("cannot factor zero")
         if xi.norm() > self.max_norm:
             raise TableTooSmall(f"norm {xi.norm()} exceeds sieve bound {self.max_norm}")
-        can = canonical_associate(xi)
-        exps: dict[tuple[int, int], tuple[AlgInt, int]] = {}
-        cur = (can.x, can.y)
-        while cur in self._link:
-            pi, cur = self._link[cur]
-            key = (pi.x, pi.y)
-            if key in exps:
-                exps[key] = (pi, exps[key][1] + 1)
-            else:
-                exps[key] = (pi, 1)
-        factors = sorted(exps.values(), key=lambda t: (t[0].norm(), t[0].x, t[0].y))
+        xs, ys, _ = class_arrays(self.ring, self.max_norm)
+        c = class_index(self.ring, self.max_norm, [xi.x], [xi.y])[0]
+        exps: dict[int, int] = {}  # insertion order is the chain's, i.e. class order
+        while self.spf[c] >= 0:
+            p, c = int(self.spf[c]), self.cof[c]
+            exps[p] = exps.get(p, 0) + 1
+        factors = [(AlgInt(self.ring, int(xs[p]), int(ys[p])), e) for p, e in exps.items()]
         fm = FactorMap(unit=AlgInt(self.ring, 1, 0), factors=factors)
-        unit = divide_exact(xi, fm.reconstruct())
-        fm.unit = unit
+        fm.unit = divide_exact(xi, fm.reconstruct())
         return fm
 
 

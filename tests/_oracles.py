@@ -8,6 +8,7 @@ fresh per-breakpoint summation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,3 +257,224 @@ def loop_sw_check_reference(f, n, d_power, bound_power=None):
             )
             max_scaled = max(max_scaled, scaled)
     return SWReport(n, d_power, bound_power, cap, rows, max_scaled)
+
+
+# -- the dict-based arithmetic functions that quadlod.arith replaced ----------
+
+
+@dataclass
+class DictFn:
+    """The old ArithFn: values is a dict from canonical (x, y) to complex."""
+
+    ring: object
+    norm_bound: int
+    values: dict
+    name: str
+
+
+def as_dict_fn(f):
+    return DictFn(f.ring, f.norm_bound, dict(f.values.items()), f.name)
+
+
+class LoopFactorSieve:
+    """The per-class link-dict FactorSieve, verbatim."""
+
+    def __init__(self, table, max_norm: int):
+        from quadlod.errors import TableTooSmall
+        from quadlod.regions import canonical_classes
+
+        if max_norm > table.max_norm:
+            raise TableTooSmall(
+                f"need primes to norm {max_norm}, table has {table.max_norm}"
+            )
+        self.ring = table.ring
+        self.max_norm = max_norm
+        self.table = table
+        self.classes = canonical_classes(table.ring, max_norm)
+        link: dict[tuple[int, int], tuple[AlgInt, tuple[int, int]]] = {}
+        for pi in table.primes:
+            pn = pi.norm()
+            if pn > max_norm:
+                break
+            for m in self.classes:
+                if m.norm() * pn > max_norm:
+                    break
+                prod = canonical_associate(pi * m)
+                link[(prod.x, prod.y)] = (pi, (m.x, m.y))
+        self._link = link
+
+    def factor(self, xi):
+        from quadlod.errors import TableTooSmall, ZeroElement
+        from quadlod.sieve import FactorMap
+
+        if xi.is_zero():
+            raise ZeroElement("cannot factor zero")
+        if xi.norm() > self.max_norm:
+            raise TableTooSmall(f"norm {xi.norm()} exceeds sieve bound {self.max_norm}")
+        can = canonical_associate(xi)
+        exps: dict[tuple[int, int], tuple[AlgInt, int]] = {}
+        cur = (can.x, can.y)
+        while cur in self._link:
+            pi, cur = self._link[cur]
+            key = (pi.x, pi.y)
+            if key in exps:
+                exps[key] = (pi, exps[key][1] + 1)
+            else:
+                exps[key] = (pi, 1)
+        factors = sorted(exps.values(), key=lambda t: (t[0].norm(), t[0].x, t[0].y))
+        fm = FactorMap(unit=AlgInt(self.ring, 1, 0), factors=factors)
+        unit = divide_exact(xi, fm.reconstruct())
+        fm.unit = unit
+        return fm
+
+
+def loop_tabulate(builtin, ring, norm_bound, table=None):
+    """The per-class tabulate, verbatim apart from returning a DictFn."""
+    from quadlod.arith import _ALIASES, BUILTIN_NAMES
+    from quadlod.errors import TableTooSmall
+    from quadlod.regions import canonical_classes
+
+    classes = canonical_classes(ring, norm_bound)
+    name = builtin if isinstance(builtin, str) else getattr(builtin, "__name__", "custom")
+    name = _ALIASES.get(name, name)
+    values: dict[tuple[int, int], complex] = {}
+    if not isinstance(builtin, str):
+        for c in classes:
+            values[(c.x, c.y)] = complex(builtin(c))
+        return DictFn(ring, norm_bound, values, name)
+    if name == "one":
+        for c in classes:
+            values[(c.x, c.y)] = 1 + 0j
+    elif name == "log_norm":
+        for c in classes:
+            values[(c.x, c.y)] = complex(math.log(c.norm()))
+    elif name in ("moebius", "tau", "lambda"):
+        if table is None or table.max_norm < norm_bound:
+            raise TableTooSmall("builtin needs a PrimeTable covering norm_bound")
+        sieve = LoopFactorSieve(table, norm_bound)
+        for c in classes:
+            fm = sieve.factor(c)
+            if name == "moebius":
+                if any(e > 1 for _, e in fm.factors):
+                    v = 0j
+                else:
+                    v = complex((-1) ** len(fm.factors))
+            elif name == "tau":
+                t = 1
+                for _, e in fm.factors:
+                    t *= e + 1
+                v = complex(t)
+            else:  # lambda
+                if len(fm.factors) == 1:
+                    v = complex(math.log(fm.factors[0][0].norm()))
+                else:
+                    v = 0j
+            values[(c.x, c.y)] = v
+    elif name == "prime_indicator":
+        if table is None or table.max_norm < norm_bound:
+            raise TableTooSmall("prime_indicator needs a covering PrimeTable")
+        prime_set = {
+            (p.x, p.y) for p in table.primes if p.norm() <= norm_bound
+        }
+        for c in classes:
+            values[(c.x, c.y)] = 1 + 0j if (c.x, c.y) in prime_set else 0j
+    else:
+        raise ValueError(f"unknown builtin {builtin!r}; choose from {BUILTIN_NAMES}")
+    return DictFn(ring, norm_bound, values, name)
+
+
+def loop_convolve(f, g):
+    """The per-pair dict convolution, verbatim apart from returning a DictFn."""
+    from quadlod.regions import canonical_classes
+
+    ring = f.ring
+    bound = min(f.norm_bound, g.norm_bound)
+    out: dict[tuple[int, int], complex] = {
+        (c.x, c.y): 0j for c in canonical_classes(ring, bound)
+    }
+    g_classes = canonical_classes(ring, bound)
+    g_norms = [c.norm() for c in g_classes]
+    for (dx, dy), fv in f.values.items():
+        if fv == 0:
+            continue
+        delta = AlgInt(ring, dx, dy)
+        dn = delta.norm()
+        if dn > bound:
+            continue
+        cap = bound // dn
+        for m, mn in zip(g_classes, g_norms):
+            if mn > cap:
+                break
+            gv = g.values[(m.x, m.y)]
+            if gv == 0:
+                continue
+            prod = canonical_associate(delta * m)
+            out[(prod.x, prod.y)] += fv * gv
+    return DictFn(ring, bound, out, f"({f.name})*({g.name})")
+
+
+def loop_fvals(f, xs, ys):
+    """The per-element dict lookup that lab._fvals replaced, verbatim."""
+    from quadlod.regions import canonical_coords
+
+    cxs, cys = canonical_coords(f.ring, xs, ys)
+    vals = f.values
+    return np.array(
+        [vals[key] for key in zip(cxs.tolist(), cys.tolist())], dtype=np.complex128
+    )
+
+
+def loop_add_pointwise(f, g):
+    from quadlod.regions import canonical_classes
+
+    bound = min(f.norm_bound, g.norm_bound)
+    out = {
+        (c.x, c.y): f.values[(c.x, c.y)] + g.values[(c.x, c.y)]
+        for c in canonical_classes(f.ring, bound)
+    }
+    return DictFn(f.ring, bound, out, f"({f.name})+({g.name})")
+
+
+def loop_dirichlet_series(f, s, trunc_norm):
+    from quadlod.regions import canonical_classes
+
+    total = 0j
+    for c in canonical_classes(f.ring, trunc_norm):
+        v = f.values[(c.x, c.y)]
+        if v == 0:
+            continue
+        total += v * c.norm() ** (-s)
+    return total
+
+
+def loop_weighted_log_sum(f, n, k):
+    from quadlod.regions import a0, element_arrays
+
+    region = a0(f.ring, n)
+    xs, ys, norms = element_arrays(f.ring.d, 1, region.hi_sq)
+    n_sq = float(region.hi_sq)
+    total = 0j
+    ring = f.ring
+    for x, y, nm in zip(xs.tolist(), ys.tolist(), norms.tolist()):
+        can = canonical_associate(AlgInt(ring, x, y))
+        v = f.values[(can.x, can.y)]
+        if v == 0:
+            continue
+        total += v * math.log(n_sq / nm) ** k
+    return total
+
+
+def loop_unit_fold_check(f, n):
+    from quadlod.regions import a0, canonical_classes, element_arrays
+
+    region = a0(f.ring, n)
+    xs, ys, _ = element_arrays(f.ring.d, 1, region.hi_sq)
+    ring = f.ring
+    el_sum = 0j
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        can = canonical_associate(AlgInt(ring, x, y))
+        el_sum += f.values[(can.x, can.y)]
+    cls_sum = 0j
+    for c in canonical_classes(ring, region.hi_sq):
+        cls_sum += f.values[(c.x, c.y)]
+    return el_sum, ring.w_K * cls_sum

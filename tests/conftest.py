@@ -31,17 +31,17 @@ def gauss_table_2k(gauss):
 def random_int_fn(ring, bound, seed, lo=-9, hi=9):
     """Random complex function with integer parts: float sums stay exact."""
     rng = random.Random(seed)
-    vals = {
-        (c.x, c.y): complex(rng.randint(lo, hi), rng.randint(lo, hi))
+    vals = [
+        complex(rng.randint(lo, hi), rng.randint(lo, hi))
         for c in canonical_classes(ring, bound)
-    }
+    ]
     return ArithFn(ring, bound, vals, f"randint[{seed}]")
 
 
 def random_float_fn(ring, bound, seed):
     rng = random.Random(seed)
-    vals = {
-        (c.x, c.y): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    vals = [
+        complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         for c in canonical_classes(ring, bound)
-    }
+    ]
     return ArithFn(ring, bound, vals, f"randf[{seed}]")

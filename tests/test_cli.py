@@ -74,8 +74,9 @@ def test_tabulate_and_convolve(capsys, tmp_path):
         "--norm-bound", "50", "--out", str(out_file),
     )
     assert code == 0
-    text = out_file.read_text()
-    assert text.startswith("# d=-1 norm_bound=50 name=(one)*(one)")
+    lines = out_file.read_text().splitlines()
+    assert lines[0].startswith("# config:")
+    assert lines[1].startswith("# d=-1 norm_bound=50 name=(one)*(one)")
     code, _, _ = run(
         capsys, "tabulate", "--d", "-1", "--f", "moebius",
         "--norm-bound", "50", "--out", str(tmp_path / "mu.csv"),
@@ -386,3 +387,81 @@ def test_old_config_line_with_a_still_loads(capsys, tmp_path):
     code, out, _ = run(capsys, "lod-scan", "--d", "-1", "--config", str(cfg_path))
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("N=")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--d", "-1", "--N", "nan"],
+        ["count", "--d", "x", "--N", "5"],
+        ["count", "--d", "-1"],
+        ["no-such-command"],
+    ],
+)
+def test_argparse_usage_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["lod-scan", "conv-experiment"])
+@pytest.mark.parametrize("grid", [[10.7, 20.2], [10, 20.0], [10, True], "10,20"])
+def test_non_integer_config_grid_is_usage_error(capsys, tmp_path, command, grid):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({"N_grid": grid, "f_spec": "one"}))
+    code, out, err = run(capsys, command, "--d", "-1", "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "N_grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--d", "-1", "--N", "5"],
+        ["density", "--d", "-3", "--N", "7.5"],
+        ["factor", "--d", "-1", "--x", "6"],
+        ["mertens", "--d", "-2", "--R", "50"],
+    ],
+)
+def test_printing_commands_write_out_files(capsys, tmp_path, argv):
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    out_file = tmp_path / "result.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(out_file))
+    assert code == 0 and out == ""
+    config, *lines = out_file.read_text().splitlines()
+    assert json.loads(config[len("# config:"):])["command"] == argv[0]
+    assert lines == printed.splitlines()
+
+
+def test_tabulate_file_round_trips_through_csv_spec(capsys, tmp_path):
+    mu = tmp_path / "mu.csv"
+    code, _, _ = run(
+        capsys, "tabulate", "--d", "-1", "--f", "moebius", "--norm-bound", "50",
+        "--out", str(mu),
+    )
+    assert code == 0 and mu.read_text().startswith("# config:")
+    argv = ["sw-check", "--d", "-1", "--N", "7", "--D", "2.5"]
+    code, from_file, _ = run(capsys, *argv, "--f", f"csv:{mu}")
+    assert code == 0 and "\n2,0,4," in from_file
+    _, direct, _ = run(capsys, *argv, "--f", "moebius")
+    assert from_file.splitlines()[1:] == direct.splitlines()[1:]  # all but the config line
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda ls: [l for l in ls if not l.startswith("# d=")],  # no metadata line
+        lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0]] + ls[6:],  # short row
+        lambda ls: ls[:5] + ls[6:],  # missing class
+    ],
+)
+def test_corrupt_csv_function_is_computation_error(capsys, tmp_path, edit):
+    mu = tmp_path / "mu.csv"
+    run(capsys, "tabulate", "--d", "-1", "--f", "moebius", "--norm-bound", "50", "--out", str(mu))
+    mu.write_text("\n".join(edit(mu.read_text().splitlines())) + "\n")
+    code, _, err = run(capsys, "sw-check", "--d", "-1", "--f", f"csv:{mu}", "--N", "3", "--D", "1")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(mu) in err

@@ -1,0 +1,257 @@
+"""The dense class-indexed tables against the dict-based loops they replaced.
+
+Equality is on float64 bit patterns, so it is bit for bit, signed zeros
+included; the complex-valued draws catch a fused multiply-add in the product.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadlod import lab
+from quadlod.arith import (
+    BUILTIN_NAMES,
+    ArithFn,
+    _logs,
+    add_pointwise,
+    convolve,
+    dirichlet_series,
+    load_csv,
+    save_csv,
+    tabulate,
+    unit_fold_check,
+    weighted_log_sum,
+)
+from quadlod.errors import CorruptFile, QlodError, TableTooSmall
+from quadlod.regions import canonical_classes, class_arrays, class_index, element_arrays
+from quadlod.rings import SUPPORTED_D, make_ring
+from quadlod.sieve import FactorSieve, sieve_primes
+from _oracles import (
+    LoopFactorSieve,
+    as_dict_fn,
+    loop_add_pointwise,
+    loop_convolve,
+    loop_dirichlet_series,
+    loop_fvals,
+    loop_tabulate,
+    loop_unit_fold_check,
+    loop_weighted_log_sum,
+)
+
+FLOATS = st.floats(-2.0, 2.0)
+VALUES = {
+    "integer": st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+    "real": st.builds(complex, FLOATS, st.just(0.0)),
+    "complex": st.builds(complex, FLOATS, FLOATS),
+}
+SOME_ZEROS = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+
+
+def bits(vals) -> list[int]:
+    return np.asarray(vals, dtype=np.complex128).view(np.uint64).tolist()
+
+
+def dict_vals(fn) -> list[complex]:
+    """A DictFn's values in class order."""
+    xs, ys, _ = class_arrays(fn.ring, fn.norm_bound)
+    return [fn.values[key] for key in zip(xs.tolist(), ys.tolist())]
+
+
+def draw_fn(data, ring, bound, label):
+    n = len(class_arrays(ring, bound)[0])
+    kind = data.draw(st.sampled_from(sorted(VALUES)), label=f"{label} kind")
+    values = st.one_of(SOME_ZEROS, VALUES[kind])
+    vals = data.draw(st.lists(values, min_size=n, max_size=n), label=label)
+    return ArithFn(ring, bound, vals, label)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_builtin_tables_match_loop(monkeypatch, d):
+    from quadlod import regions
+
+    monkeypatch.setattr(regions, "_PAIR_CHUNK", 997)  # the factor sieve spans many chunks
+    ring = make_ring(d)
+    table = sieve_primes(ring, 2000)
+    for name in BUILTIN_NAMES:
+        got = tabulate(name, ring, 2000, table)
+        assert bits(got.vals) == bits(dict_vals(loop_tabulate(name, ring, 2000, table)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from(SUPPORTED_D), bound=st.integers(0, 300))
+def test_builtin_tables_match_loop_at_any_bound(d, bound):
+    ring = make_ring(d)
+    table = sieve_primes(ring, max(bound, 2))
+    for name in BUILTIN_NAMES:
+        got = tabulate(name, ring, bound, table)
+        assert bits(got.vals) == bits(dict_vals(loop_tabulate(name, ring, bound, table)))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_factor_sieve_matches_loop(monkeypatch, d):
+    from quadlod import regions
+
+    monkeypatch.setattr(regions, "_PAIR_CHUNK", 61)
+    ring = make_ring(d)
+    table = sieve_primes(ring, 400)
+    dense, loop = FactorSieve(table, 400), LoopFactorSieve(table, 400)
+    for c in canonical_classes(ring, 400):
+        for xi in (c, c * ring.zeta0):
+            a, b = dense.factor(xi), loop.factor(xi)
+            assert a.unit == b.unit and a.factors == b.factors
+
+
+def test_logs_are_math_log():
+    # with AVX-512, np.log differs from math.log at 9170 and 19143
+    norms = np.arange(1, 20_001)
+    assert bits(_logs(norms[::-1])) == bits([math.log(n) for n in range(20_000, 0, -1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_convolve_matches_loop(data):
+    ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
+    fb = data.draw(st.integers(1, 250), label="f bound")
+    gb = data.draw(st.integers(1, 250), label="g bound")
+    f, g = draw_fn(data, ring, fb, "f"), draw_fn(data, ring, gb, "g")
+    got = convolve(f, g)
+    want = loop_convolve(as_dict_fn(f), as_dict_fn(g))
+    assert got.norm_bound == want.norm_bound == min(fb, gb)
+    assert bits(got.vals) == bits(dict_vals(want))
+
+
+@pytest.mark.parametrize(("d", "f", "g"), [(-1, "moebius", "log"), (-3, "tau", "lambda"),
+                                           (-7, "prime", "moebius")])
+def test_convolve_builtins_match_loop_across_chunks(monkeypatch, d, f, g):
+    from quadlod import regions
+
+    monkeypatch.setattr(regions, "_PAIR_CHUNK", 97)
+    ring = make_ring(d)
+    table = sieve_primes(ring, 1500)
+    fn, gn = tabulate(f, ring, 1500, table), tabulate(g, ring, 1500, table)
+    want = loop_convolve(as_dict_fn(fn), as_dict_fn(gn))
+    assert bits(convolve(fn, gn).vals) == bits(dict_vals(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_readers_match_loops(data):
+    ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
+    n = data.draw(st.floats(1.0, 14.0), label="N")
+    bound = lab._floor_sq(n) + data.draw(st.integers(0, 30), label="slack")
+    f, g = draw_fn(data, ring, bound, "f"), draw_fn(data, ring, bound + 5, "g")
+    df, dg = as_dict_fn(f), as_dict_fn(g)
+
+    xs, ys, _ = element_arrays(ring.d, 1, bound)
+    assert bits(lab._fvals(f, xs, ys)) == bits(loop_fvals(df, xs, ys))
+    assert bits(add_pointwise(f, g).vals) == bits(dict_vals(loop_add_pointwise(df, dg)))
+    assert bits(unit_fold_check(f, n)) == bits(loop_unit_fold_check(df, n))
+    k = data.draw(st.integers(0, 3), label="k")
+    assert bits([weighted_log_sum(f, n, k)]) == bits([loop_weighted_log_sum(df, n, k)])
+    s = data.draw(st.sampled_from([2, 1.5, 1.7 + 0.3j, -0.5j]), label="s")
+    trunc = data.draw(st.integers(0, bound), label="trunc")
+    assert bits([dirichlet_series(f, s, trunc)]) == bits([loop_dirichlet_series(df, s, trunc)])
+
+
+def test_values_view(gauss, gauss_table_2k):
+    mu = tabulate("moebius", gauss, 50, gauss_table_2k)
+    assert len(mu.values) == len(canonical_classes(gauss, 50))
+    assert list(mu.values)[:3] == [(1, 0), (1, 1), (2, 0)]
+    assert (1, 1) in mu.values and (-1, 1) not in mu.values and (0, 0) not in mu.values
+    assert (7, 7) not in mu.values  # norm 98 is beyond the table
+    assert dict(mu.values.items()) == {k: mu.values[k] for k in mu.values}
+    with pytest.raises(TableTooSmall):
+        mu(gauss.element(7, 7))
+
+
+def test_arith_fn_checks_length(gauss):
+    with pytest.raises(ValueError, match="one per class"):
+        ArithFn(gauss, 50, np.zeros(3), "short")
+
+
+def test_class_index(all_rings):
+    for ring in all_rings:
+        xs, ys, _ = element_arrays(ring.d, 1, 300)
+        idx = class_index(ring, 300, xs, ys)
+        cxs, cys, _ = class_arrays(ring, 300)
+        for x, y, i in zip(xs.tolist(), ys.tolist(), idx.tolist()):
+            c = ring.element(x, y).canonical()
+            assert (c.x, c.y) == (cxs[i], cys[i])
+        with pytest.raises(TableTooSmall):
+            class_index(ring, 300, [0], [0])
+        with pytest.raises(TableTooSmall):
+            class_index(ring, 3, xs, ys)
+
+
+# -- function files ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mu_file(tmp_path_factory):
+    ring = make_ring(-1)
+    path = tmp_path_factory.mktemp("fn") / "mu.csv"
+    save_csv(tabulate("moebius", ring, 30, sieve_primes(ring, 30)), path, "# config: {}\n")
+    return path
+
+
+def test_load_csv_skips_config_lines_and_reads_old_files(mu_file, tmp_path):
+    lines = mu_file.read_text().splitlines(keepends=True)
+    assert lines[0] == "# config: {}\n" and lines[1].startswith("# d=-1 ")
+    old = tmp_path / "old.csv"
+    old.write_text("".join(lines[1:]))
+    for path in (mu_file, old):
+        f = load_csv(path)
+        assert (f.ring.d, f.norm_bound, f.name) == (-1, 30, "moebius")
+        assert f.values[(1, 1)] == -1
+
+
+def _edit(lines, i, new):
+    return lines[:i] + ([new] if new is not None else []) + lines[i + 1:]
+
+
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (lambda ls: _edit(ls, 1, None), "no '# d=' line"),
+        (lambda ls: _edit(ls, 1, "# d=-5 norm_bound=30 name=x\r\n"), "d=-5"),
+        (lambda ls: _edit(ls, 1, "# d=-1 norm_bound=3x name=x\r\n"), "3x"),
+        (lambda ls: _edit(ls, 2, "x,y,re,im\r\n"), "column header"),
+        (lambda ls: _edit(ls, 4, "1,1,2,-1.0\r\n"), "data row 2: got ['1', '1', '2', '-1.0']"),
+        (lambda ls: _edit(ls, 4, "1,1,2,abc,0.0\r\n"), "data row 2: could not convert"),
+        (lambda ls: _edit(ls, 4, "-1,1,2,-1.0,0.0\r\n"), "data row 2: got ['-1', "),
+        (lambda ls: _edit(ls, 4, "1,1,3,-1.0,0.0\r\n"), "expected (x, y, norm) = (1, 1, 2)"),
+        (lambda ls: ls + ["6,0,36,0.0,0.0\r\n"], "expected (x, y, norm) = None"),
+        (lambda ls: ls[:5] + [ls[4]] + ls[5:], "data row 3: got ['1', '1', '2', "),
+        (lambda ls: _edit(ls, 4, None), "data row 2: got ['2', '0', '4', "),
+        (lambda ls: ls[:-1], "got None, expected (x, y, norm) = "),
+    ],
+)
+def test_load_csv_rejects_corrupt_files(mu_file, tmp_path, edit, needle):
+    lines = mu_file.read_bytes().decode().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes("".join(edit(lines)).encode())
+    with pytest.raises(CorruptFile) as exc:
+        load_csv(bad)
+    assert needle in str(exc.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_csv_fuzz(mu_file, tmp_path_factory, data):
+    """Truncated or byte-flipped function files load cleanly or raise a QlodError."""
+    raw = bytearray(mu_file.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
+            raw[pos] ^= mask
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_bytes(bytes(raw))
+    try:
+        load_csv(path)
+    except QlodError:
+        pass

@@ -129,7 +129,7 @@ def test_sweep_argmax_is_attained(gauss):
 
 def test_sweep_zero_function(gauss):
     zero = ArithFn(
-        gauss, 400, {(c.x, c.y): 0j for c in canonical_classes(gauss, 400)}, "zero"
+        gauss, 400, [0j for c in canonical_classes(gauss, 400)], "zero"
     )
     m = make_modulus(gauss, gauss.element(3, 0))
     res = epsilon_sweep(zero, 20, m)
@@ -142,10 +142,10 @@ def test_sweep_phi_one(gauss, one_2500):
 
 
 def test_unit_class_indicator_closed_form(gauss):
-    vals = {
-        (c.x, c.y): (1 + 0j if (c.x, c.y) == (1, 0) else 0j)
+    vals = [
+        1 + 0j if (c.x, c.y) == (1, 0) else 0j
         for c in canonical_classes(gauss, 400)
-    }
+    ]
     f = ArithFn(gauss, 400, vals, "unit_class")
     for coords in [(3, 0), (2, 1), (2, 3)]:
         m = make_modulus(gauss, gauss.element(*coords))
@@ -210,7 +210,7 @@ def test_lod_config_validation():
 
 def test_lod_scan_zero_function(gauss):
     zero = ArithFn(
-        gauss, 2500, {(c.x, c.y): 0j for c in canonical_classes(gauss, 2500)}, "zero"
+        gauss, 2500, [0j for c in canonical_classes(gauss, 2500)], "zero"
     )
     cfg = LodScanConfig(d=-1, theta=0.4, B=0.0, N_grid=(20, 50))
     tables = lod_scan(cfg, zero)
@@ -349,7 +349,7 @@ def test_convolution_experiment_shape(gauss):
 
 def test_zero_convolution_experiment(gauss):
     zero = ArithFn(
-        gauss, 2500, {(c.x, c.y): 0j for c in canonical_classes(gauss, 2500)}, "zero"
+        gauss, 2500, [0j for c in canonical_classes(gauss, 2500)], "zero"
     )
     cfg = LodScanConfig(d=-1, theta=0.4, B=0.0, N_grid=(10, 20))
     rep = convolution_experiment(zero, zero, cfg)

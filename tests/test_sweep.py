@@ -40,7 +40,7 @@ def test_sweep_bit_identical_to_loop(data):
     classes = canonical_classes(ring, hi)
     values = data.draw(st.sampled_from([INTEGER_VALUES, LOG_VALUES, COMPLEX_VALUES]))
     vals = data.draw(st.lists(values, min_size=len(classes), max_size=len(classes)))
-    f = ArithFn(ring, hi, {(c.x, c.y): v for c, v in zip(classes, vals)}, "drawn")
+    f = ArithFn(ring, hi, vals, "drawn")
     moduli = [q for q in canonical_classes(ring, 60) if q.norm() >= 2]
     m = Modulus(ring, data.draw(st.sampled_from(moduli), label="q"))
     xs, ys, norms = element_arrays(ring.d, 1, hi)
