@@ -9,8 +9,10 @@ exactly sum-of-tau(a) pairs, the same count as per-class divisor enumeration.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -231,9 +233,10 @@ def growth_ratio(f: ArithFn, table: PrimeTable, c_power: float = 2.0) -> float:
 
 
 def save_csv(f: ArithFn, path, config_line: str = "") -> None:
-    """Columns x, y, norm, re, im, under config_line and a d, norm_bound, name line."""
+    """Columns x, y, norm, re, im under config_line and a `# d=` line; None: stdout."""
     xs, ys, norms = class_arrays(f.ring, f.norm_bound)
-    with open(path, "w", newline="") as fh:
+    out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
         fh.write(f"{config_line}# d={f.ring.d} norm_bound={f.norm_bound} name={f.name}\n")
         w = csv.writer(fh)
         w.writerow(_CSV_COLUMNS)

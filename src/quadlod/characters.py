@@ -3,8 +3,11 @@
 A modulus carries a Hermite-normal-form basis of the ideal lattice (q), which
 gives exact coset reduction, a complete residue system, and an integer id
 rid = x + a*j for the representative (x, j).  The unit group is decomposed
-into independent cyclic generators so characters are exponent vectors; values
-are exact rational phases, turned into complex numbers only on demand.
+into independent cyclic generators of orders n_1 >= n_2 >= ..., each dividing
+the group exponent L = n_1, and one int64 dlog array gives every unit's
+exponent vector.  A character is an exponent vector e; its value at a unit u
+is the integer phase k = sum_i e_i * dlog_i(u) * (L / n_i) mod L, that is
+exp(2*pi*i * k/L), read from one table of L unit-circle values per modulus.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import BoundsTooLarge, ZeroOrUnitModulus
 from .rings import (
     AlgInt,
@@ -21,25 +26,22 @@ from .rings import (
     _lattice_2basis,
     canonical_associate,
     divide_exact,
-    gcd,
     mul_xy,
 )
+from .sieve import factor, primes_over, rational_primes
 
 DEFAULT_MODULUS_GUARD = 1 << 20
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+def _prime_divisors(n: int) -> list[int]:
+    return [p for p in rational_primes(n) if n % p == 0]
+
+
+def _divides(f: AlgInt, x, y) -> np.ndarray:
+    """Whether f divides x + y*omega, elementwise on int64 arrays."""
+    c, n = f.conj(), f.norm()
+    tx, ty = mul_xy(f.ring, x, y, c.x, c.y)
+    return (tx % n == 0) & (ty % n == 0)
 
 
 class Modulus:
@@ -65,6 +67,7 @@ class Modulus:
         b %= a
         assert a * c == nq, "HNF determinant must equal the ideal norm"
         self.hnf_a, self.hnf_b, self.hnf_c = a, b, c
+        self._kernels: dict[tuple[int, int], np.ndarray] = {}
 
     # -- coset machinery -------------------------------------------------
 
@@ -85,28 +88,22 @@ class Modulus:
     def rid(self, xi: AlgInt) -> int:
         return self.rid_xy(xi.x, xi.y)
 
-    def rid_coords(self, rid: int) -> tuple[int, int]:
+    def rid_coords(self, rid):
         return (rid % self.hnf_a, rid // self.hnf_a)
 
     def element(self, rid: int) -> AlgInt:
         x, j = self.rid_coords(rid)
         return AlgInt(self.ring, x, j)
 
-    def mul_rid(self, r1: int, r2: int) -> int:
+    def mul_rid(self, r1, r2):
+        """rid of the product; ints or int64 arrays."""
         x1, y1 = self.rid_coords(r1)
         x2, y2 = self.rid_coords(r2)
         x, y = mul_xy(self.ring, x1, y1, x2, y2)
         return self.rid_xy(x, y)
 
     def pow_rid(self, r: int, n: int) -> int:
-        out = self.one_rid
-        base = r
-        while n:
-            if n & 1:
-                out = self.mul_rid(out, base)
-            base = self.mul_rid(base, base)
-            n >>= 1
-        return out
+        return int(_pow(r, n, self.mul_rid, self.one_rid))
 
     @cached_property
     def one_rid(self) -> int:
@@ -119,89 +116,106 @@ class Modulus:
 
     @cached_property
     def unit_rids(self) -> list[int]:
-        """rids of residues coprime to q, ascending."""
-        if self.norm == 1:
-            return [0]
-        out = []
-        for r in range(self.norm):
-            rep = self.element(r)
-            if rep.is_zero():
-                continue
-            if gcd(rep, self.q).is_unit():
-                out.append(r)
-        return out
+        """rids of residues coprime to q, ascending: no prime pi | q divides them."""
+        x, y = self.rid_coords(np.arange(self.norm))
+        unit = np.ones(self.norm, dtype=bool)
+        for pi, _ in self.factorization.factors:
+            unit &= ~_divides(pi, x, y)
+        return np.flatnonzero(unit).tolist()
 
     @cached_property
     def phi(self) -> int:
-        return len(self.unit_rids) if self.norm > 1 else 1
+        return len(self.unit_rids)
 
     @cached_property
-    def unit_index(self) -> dict[int, int]:
-        return {r: i for i, r in enumerate(self.unit_rids)}
+    def coprime_index(self) -> np.ndarray:
+        """rid -> position in unit_rids, -1 off the unit group."""
+        cop = np.full(self.norm, -1, dtype=np.int64)
+        cop[self.unit_rids] = np.arange(self.phi)
+        return cop
 
     # -- unit group structure --------------------------------------------
 
     @cached_property
     def unit_group(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(generator rids, orders), an internal direct product decomposition."""
-        gens, orders, dlog = _decompose_abelian(
-            self.unit_rids if self.norm > 1 else [0], self.mul_rid, self.one_rid
+        gens, orders, self._dlog = _decompose_abelian(
+            np.array(self.unit_rids), self.mul_rid, self.one_rid, self.norm
         )
-        self._dlog = dlog
         return tuple(gens), tuple(orders)
 
     @cached_property
-    def dlog(self) -> dict[int, tuple[int, ...]]:
-        """rid of a unit residue -> exponent vector over unit_group generators."""
+    def dlog(self) -> np.ndarray:
+        """int64 (norm, r): row rid is a unit's exponent vector over the generators."""
         self.unit_group
         return self._dlog
 
+    @cached_property
+    def exponent(self) -> int:
+        """L, the exponent of the unit group: every generator order divides it."""
+        orders = self.unit_group[1]
+        return orders[0] if orders else 1
+
+    @cached_property
+    def _phase_dlog(self) -> np.ndarray:
+        """dlog scaled by L / n_i, so a character's phase is one dot product mod L."""
+        orders = np.array(self.unit_group[1], dtype=np.int64)
+        return self.dlog * (self.exponent // orders)
+
+    @cached_property
+    def circle(self) -> np.ndarray:
+        """exp(2*pi*i * k/L) for k = 0 .. L-1, computed by math for fixed bits."""
+        ts = [k / self.exponent for k in range(self.exponent)]
+        return np.array(
+            [complex(math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)) for t in ts]
+        )
+
     def coprime(self, xi: AlgInt) -> bool:
-        r = self.rid(xi)
-        if self.norm == 1:
-            return True
-        return r in self.unit_index
+        return bool(self.coprime_index[self.rid(xi)] >= 0)
 
     # -- characters --------------------------------------------------------
 
     @cached_property
     def characters(self) -> list[DirichletCharacter]:
-        gens, orders = self.unit_group
-        out = []
-        for exps in itertools.product(*(range(n) for n in orders)):
-            out.append(DirichletCharacter(self, exps))
-        return out
+        ranges = map(range, self.unit_group[1])
+        return [DirichletCharacter(self, exps) for exps in itertools.product(*ranges)]
 
     def primitive_characters(self) -> list[DirichletCharacter]:
-        return [chi for chi in self.characters if chi.is_primitive]
+        chars = self.characters
+        keep = self._primitive(np.array([chi.exponents for chi in chars], dtype=np.int64))
+        return [chi for chi, p in zip(chars, keep) if p]
 
     def character_phase_matrix(self, chars=None):
-        """Float phase table, rows = characters, columns = unit_rids order.
-
-        Bulk counterpart of DirichletCharacter.phases_on_units: one matrix
-        product instead of per-value exact rational sums.  Entries are
-        multiples of 1/n_i up to float rounding (~1e-15), ample for the
-        1e-9 orthogonality tolerances.
-        """
-        import numpy as np
-
+        """Phases k/L, rows = characters, columns = unit_rids order."""
         if chars is None:
             chars = self.characters
-        _, orders = self.unit_group
-        n_units = len(self.unit_rids)
-        if not orders:
-            return np.zeros((len(chars), n_units))
-        dl = np.array([self.dlog[r] for r in self.unit_rids], dtype=np.float64)
-        ex = np.array([chi.exponents for chi in chars], dtype=np.float64)
-        w = 1.0 / np.array(orders, dtype=np.float64)
-        return ((ex * w) @ dl.T) % 1.0
+        ex = np.array([chi.exponents for chi in chars], dtype=np.int64)  # (chars, r)
+        return ex @ self._phase_dlog[self.unit_rids].T % self.exponent / self.exponent
+
+    def _factors_mod(self, f: AlgInt, exps: np.ndarray) -> np.ndarray:
+        """Whether the characters with exponent vectors exps (..., r) factor mod f.
+
+        chi factors through (O_K/f)^* iff its phases are 0 on the kernel
+        K_f = {unit u : f | u - 1}; K_f is every unit when f is a unit.  The
+        rows are taken over every rid r with f | r - 1: off the unit group
+        the phases are 0 and do not change the test.
+        """
+        key = (f.x, f.y)
+        if key not in self._kernels:
+            x, y = self.rid_coords(np.arange(self.norm))
+            self._kernels[key] = self._phase_dlog[_divides(f, x - 1, y)]
+        return ~(exps @ self._kernels[key].T % self.exponent).any(axis=-1)
+
+    def _primitive(self, exps: np.ndarray) -> np.ndarray:
+        """Primitive iff chi factors mod no q/pi, pi a prime dividing q."""
+        keep = np.ones(exps.shape[:-1], dtype=bool)
+        for pi, _ in self.factorization.factors:
+            keep &= ~self._factors_mod(divide_exact(self.q, pi), exps)
+        return keep
 
     @cached_property
     def factorization(self):
-        from .sieve import factor, sieve_primes
-
-        table = sieve_primes(self.ring, max(self.norm, 2))
-        return factor(self.q, table)
+        return factor(self.q, primes_over(self.ring, _prime_divisors(self.norm), self.norm))
 
     @cached_property
     def divisor_classes(self) -> list[AlgInt]:
@@ -232,191 +246,160 @@ def euler_phi(m: Modulus) -> int:
     return m.phi
 
 
-def characters(m: Modulus) -> list:
-    return m.characters
-
-
-def primitive_characters(m: Modulus) -> list:
-    return m.primitive_characters()
-
-
-def _order_of(x, mul, one, group_order: int, primes: list[int]) -> int:
-    e = group_order
-    for p in primes:
-        while e % p == 0:
-            xp = _pow_generic(x, e // p, mul, one)
-            if xp != one:
-                break
-            e //= p
-    return e
-
-
-def _pow_generic(x, n, mul, one):
-    out = one
-    base = x
+def _pow(x, n: int, mul, one):
+    """x^n by squaring; x is one element or an array of them."""
+    out = np.full_like(x, one)
     while n:
         if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
+            out = mul(out, x)
         n >>= 1
+        if n:
+            x = mul(x, x)
     return out
 
 
-def _decompose_abelian(elements, mul, one):
+def _powers(g, n: int, mul, one) -> np.ndarray:
+    """[g^0, g^1, ..., g^(n-1)] by doubling."""
+    out = np.array([one], dtype=np.int64)
+    gk = g  # g^len(out)
+    while len(out) < n:
+        out = np.concatenate([out, mul(out, gk)])
+        gk = mul(gk, gk)
+    return out[:n]
+
+
+def _orders(elements: np.ndarray, mul, one, size: int) -> np.ndarray:
+    """Element orders, prime by prime: for m the part of n prime to p, x^m has
+    order p^b, b the number of p-th powers that take it to 1.  Powers are
+    lookups in one x -> x^p array per prime p | n.
+    """
+    n = len(elements)
+    pmaps = {p: np.arange(size) for p in _prime_divisors(n)}
+    for p, pmap in pmaps.items():
+        pmap[elements] = _pow(elements, p, mul, one)
+    out = np.ones(n, dtype=np.int64)
+    for p in pmaps:
+        y, m = elements, n
+        while m % p == 0:
+            m //= p
+        for p2, pmap in pmaps.items():
+            while m % p2 == 0:
+                y, m = pmap[y], m // p2
+        while (live := y != one).any():
+            out[live] *= p
+            y = pmaps[p][y]
+    return out
+
+
+def _decompose_abelian(elements: np.ndarray, mul, one, size: int):
     """Independent cyclic generators of a finite abelian group.
 
-    Constructive basis theorem: take g1 of maximal order (= the exponent),
-    decompose the quotient by <g1> recursively, and lift quotient generators
-    g to g*g1^(-s) so their order is preserved.  Orders come out in a
-    divisibility chain n1 >= n2 >= ..., and the discrete-log table expresses
-    every element as a product of generator powers.
+    Elements are ids in range(size), ascending; mul works on int64 arrays of
+    them.  Constructive basis theorem: take g1, the smallest element of
+    maximal order (= the exponent), decompose the quotient by <g1>
+    recursively, and lift quotient generators g to g*g1^(-s) so their order is
+    preserved.  Orders come out in a divisibility chain n1 >= n2 >= ..., and
+    the discrete-log array expresses every element as a product of generator
+    powers.
 
-    Returns (gens, orders, dlog) with dlog: element -> exponent tuple.
+    Returns (gens, orders, dlog) with dlog int64 (size, r): row x is the
+    exponent vector of x.
     """
     n = len(elements)
     if n == 1:
-        return [], [], {one: ()}
-    primes = _prime_factors(n)
-    orders = {x: _order_of(x, mul, one, n, primes) for x in elements}
-    lam = max(orders.values())
-    g1 = min(x for x in elements if orders[x] == lam)
+        return [], [], np.zeros((size, 0), dtype=np.int64)
+    orders = _orders(elements, mul, one, size)
+    lam = int(orders.max())
+    g1 = int(elements[np.argmax(orders)])
     # subgroup <g1> and its discrete logs
-    h_dlog = {}
-    h = one
-    for k in range(lam):
-        h_dlog[h] = k
-        h = mul(h, g1)
-    if lam == n:
-        return [g1], [lam], {x: (k,) for x, k in h_dlog.items()}
-    # quotient by <g1>: tag each coset by its first element in iteration order
-    tag_of = {}
-    q_elements = []
-    for x in elements:
-        if x in tag_of:
-            continue
-        members = []
-        y = x
-        for _ in range(lam):
-            members.append(y)
-            y = mul(y, g1)
-        t = min(members)
-        for mbr in members:
-            tag_of[mbr] = t
-        q_elements.append(t)
-    q_elements.sort()
+    h_pow = _powers(g1, lam, mul, one)
+    h_dlog = np.full(size, -1, dtype=np.int64)
+    h_dlog[h_pow] = np.arange(lam)
+    # quotient by <g1>: tag each coset by its smallest member, the minimum
+    # along the cycles of x -> x*g1 taken by pointer doubling
+    step = np.arange(size)
+    step[elements] = mul(elements, g1)
+    tag = np.arange(size)
+    span = 1
+    while span < lam:
+        tag = np.minimum(tag, tag[step])
+        step = step[step]
+        span *= 2
+    q_elements = elements[tag[elements] == elements]  # each coset's smallest member
 
     def q_mul(t1, t2):
-        return tag_of[mul(t1, t2)]
+        return tag[mul(t1, t2)]
 
-    q_one = tag_of[one]
-    q_gens, q_orders, q_dlog = _decompose_abelian(q_elements, q_mul, q_one)
+    q_gens, q_orders, q_dlog = _decompose_abelian(q_elements, q_mul, tag[one], size)
     # lift: for quotient generator g of order m, g^m lands in <g1> at g1^t
     # with m | t, so g * g1^(-t/m) has true order m and the same image
     gens = [g1]
     orders_out = [lam]
-    for g, m in zip(q_gens, q_orders):
-        t = h_dlog[_pow_generic(g, m, mul, one)]
+    q_vec = q_dlog[tag[elements]]
+    y = elements
+    for i, (g, m) in enumerate(zip(q_gens, q_orders)):
+        t = int(h_dlog[_pow(g, m, mul, one)])
         assert t % m == 0, "quotient order must divide the landing exponent"
         s = (t // m) % lam
-        lifted = mul(g, _pow_generic(g1, (lam - s) % lam, mul, one))
+        lifted = int(mul(g, h_pow[(lam - s) % lam]))
         gens.append(lifted)
         orders_out.append(m)
-    dlog = {}
-    for x in elements:
-        q_vec = q_dlog[tag_of[x]]
-        y = x
-        for g, m, a in zip(gens[1:], orders_out[1:], q_vec):
-            y = mul(y, _pow_generic(g, (m - a) % m if a else 0, mul, one))
-        dlog[x] = (h_dlog[y],) + q_vec
+        y = mul(y, _powers(lifted, m, mul, one)[(m - q_vec[:, i]) % m])
+    dlog = np.zeros((size, len(gens)), dtype=np.int64)
+    dlog[elements, 0] = h_dlog[y]
+    dlog[elements, 1:] = q_vec
     return gens, orders_out, dlog
 
 
 class DirichletCharacter:
-    """chi(xi) = prod_i exp(2*pi*i * e_i * dlog_i(xi) / n_i) on coprime residues."""
+    """chi(xi) = exp(2*pi*i * k/L) on coprime residues, k the integer phase."""
 
     def __init__(self, modulus: Modulus, exponents: tuple[int, ...]):
         self.modulus = modulus
         self.exponents = tuple(exponents)
-        self._phase_by_rid = None
 
     @property
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def phase(self, xi: AlgInt) -> Fraction | None:
-        """Exact phase in [0, 1), or None when gcd(xi, q) is not a unit."""
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """Integer phase mod L at every rid (0 off the unit group)."""
         m = self.modulus
-        r = m.rid(xi)
-        if m.norm > 1 and r not in m.unit_index:
-            return None
-        return self.phase_of_rid(r)
+        return m._phase_dlog @ np.array(self.exponents, dtype=np.int64) % m.exponent
 
-    def phase_of_rid(self, rid: int) -> Fraction:
+    def phase(self, xi: AlgInt) -> Fraction | None:
+        """Exact phase k/L in [0, 1), or None when gcd(xi, q) is not a unit."""
         m = self.modulus
-        vec = m.dlog[rid] if m.norm > 1 else ()
-        ph = Fraction(0)
-        for e, a, n in zip(self.exponents, vec, m.unit_group[1]):
-            ph += Fraction(e * a, n)
-        return ph % 1
+        if not m.coprime(xi):
+            return None
+        return Fraction(int(self.phases[m.rid(xi)]), m.exponent)
 
     def __call__(self, xi: AlgInt) -> complex:
-        ph = self.phase(xi)
-        if ph is None:
-            return 0j
-        return _unit_circle(ph)
+        return self.value_of_rid(self.modulus.rid(xi))
 
     def value_of_rid(self, rid: int) -> complex:
-        return _unit_circle(self.phase_of_rid(rid))
-
-    def phases_on_units(self) -> list[Fraction]:
-        """Exact phases at every unit residue, in unit_rids order."""
+        """chi at the residue rid, 0j off the unit group."""
         m = self.modulus
-        if self._phase_by_rid is None:
-            self._phase_by_rid = [self.phase_of_rid(r) for r in m.unit_rids]
-        return self._phase_by_rid
+        return complex(m.circle[self.phases[rid]]) if m.coprime_index[rid] >= 0 else 0j
 
     @cached_property
     def conductor(self) -> Modulus:
         """Smallest-norm divisor modulus through which the character factors."""
         m = self.modulus
+        exps = np.array(self.exponents, dtype=np.int64)
         for f_el in m.divisor_classes:
-            if self._factors_through(f_el):
-                if f_el.is_unit():
-                    return trivial_modulus(m.ring)
-                return Modulus(m.ring, f_el)
+            if m._factors_mod(f_el, exps):
+                return trivial_modulus(m.ring) if f_el.is_unit() else Modulus(m.ring, f_el)
         raise AssertionError("character must factor through its own modulus")
-
-    def _factors_through(self, f_el: AlgInt) -> bool:
-        # chi factors mod f iff chi(a) = 1 on every unit residue a = 1 (mod f)
-        m = self.modulus
-        one = m.ring.one()
-        for r in m.unit_rids:
-            a = m.element(r)
-            if divide_exact(a - one, f_el) is None:
-                continue
-            if self.phase_of_rid(r) != 0:
-                return False
-        return True
 
     @property
     def is_primitive(self) -> bool:
         m = self.modulus
-        if m.norm == 1:
-            return True  # the character mod (1) has conductor (1)
-        for pi, _ in m.factorization.factors:
-            cofactor = divide_exact(m.q, pi)
-            if self._factors_through(cofactor):
-                return False
-        return True
+        return bool(m._primitive(np.array(self.exponents, dtype=np.int64)))
 
     def __repr__(self):
         return f"DirichletCharacter(q={self.modulus.q}, e={self.exponents})"
-
-
-def _unit_circle(ph: Fraction) -> complex:
-    return complex(
-        math.cos(2.0 * math.pi * float(ph)), math.sin(2.0 * math.pi * float(ph))
-    )
 
 
 def conductor(chi: DirichletCharacter) -> Modulus:

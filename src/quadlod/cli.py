@@ -395,7 +395,7 @@ def _dispatch(args) -> int:
         cfg.params = {"f": args.f, "norm_bound": args.norm_bound}
         table = sieve_primes(ring, args.norm_bound)
         f = _build_fn(args.f, ring, args.norm_bound, table)
-        save_csv(f, cfg.out or "/dev/stdout", _config_line(cfg))
+        save_csv(f, cfg.out, _config_line(cfg))
         return 0
 
     if cmd == "convolve":
@@ -405,7 +405,7 @@ def _dispatch(args) -> int:
         f = _build_fn(args.f, ring, args.norm_bound, table)
         g = f if args.g == args.f else _build_fn(args.g, ring, args.norm_bound, table)
         h = convolve(f, g)
-        save_csv(h, cfg.out or "/dev/stdout", _config_line(cfg))
+        save_csv(h, cfg.out, _config_line(cfg))
         return 0
 
     if cmd == "lod-scan":

@@ -66,9 +66,7 @@ def _rids(m: Modulus, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _coprime_index(m: Modulus) -> np.ndarray:
-    cop = np.full(m.norm, -1, dtype=np.int64)
-    cop[m.unit_rids] = np.arange(m.phi)
-    return cop
+    return m.coprime_index
 
 
 def epsilon(f: ArithFn, m_cut: float, m: Modulus, gamma: AlgInt) -> complex:
@@ -350,10 +348,7 @@ def _twisted_sum(fv: np.ndarray, cid: np.ndarray, chi: DirichletCharacter) -> co
     value table has a trailing 0j slot, so -1 picks 0j.
     """
     m = chi.modulus
-    table = np.array(
-        [complex(v) for v in (chi.value_of_rid(r) for r in m.unit_rids)] + [0j],
-        dtype=np.complex128,
-    )
+    table = np.append(m.circle[chi.phases[m.unit_rids]], 0j)
     return complex((fv * table[cid]).sum())
 
 
@@ -524,6 +519,7 @@ def large_sieve_ratios(
     xs = np.array([z.x for z in elements], dtype=np.int64)
     ys = np.array([z.y for z in elements], dtype=np.int64)
     lhs = np.zeros(n_vec)
+    coeff_rows = np.ascontiguousarray(coeff_matrix.T)  # (element, vector)
     for q in canonical_classes(ring, int(q2)):
         nq = q.norm()
         if nq <= q1 or nq < 2:
@@ -533,10 +529,16 @@ def large_sieve_ratios(
         if not prims:
             continue
         p_mat = np.exp(2j * np.pi * m.character_phase_matrix(prims))  # (n_prim, phi)
+        # fold the coefficients onto the coprime classes, each class summed in
+        # element order (stable sort, then reduceat), and take the character
+        # sums in numpy's einsum loops: no BLAS, so no thread-dependent order
         cid = _coprime_index(m)[_rids(m, xs, ys)]
-        v = p_mat[:, np.maximum(cid, 0)]
-        v[:, cid < 0] = 0
-        s = v @ coeff_matrix.T  # (n_prim, n_vec)
+        order = np.argsort(cid, kind="stable")[np.count_nonzero(cid < 0) :]
+        cls = cid[order]
+        first = np.flatnonzero(np.diff(cls, prepend=-1))
+        folded = np.zeros((m.phi, n_vec), dtype=np.complex128)
+        folded[cls[first]] = np.add.reduceat(coeff_rows[order], first, axis=0)
+        s = np.einsum("cu,vu->cv", p_mat, folded.T.copy())  # (n_prim, n_vec)
         contrib = (np.abs(s) ** 2).sum(axis=0)
         factor = (
             1.0 / m.phi if weight is None else _weight_eval(weight, nq) * nq / m.phi

@@ -117,8 +117,17 @@ def sieve_primes(
     """Complete table of prime elements with norm <= max_norm."""
     if max_norm > guard:
         raise BoundsTooLarge(f"max_norm={max_norm} exceeds guard={guard}")
+    return primes_over(ring, rational_primes(max_norm), max_norm)
+
+
+def primes_over(ring: RingDescriptor, ps: list[int], max_norm: int) -> PrimeTable:
+    """Prime elements of norm <= max_norm above the rational primes ps, ascending.
+
+    For xi of norm n, factor(xi, primes_over(ring, primes dividing n, n)) equals
+    factor(xi, sieve_primes(ring, n)).
+    """
     entries: list[tuple[int, int, int, AlgInt, str]] = []
-    for p in rational_primes(max_norm):
+    for p in ps:
         t = splitting_type(ring, p)
         if t == INERT:
             if p * p <= max_norm:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -478,3 +479,179 @@ def loop_unit_fold_check(f, n):
     for c in canonical_classes(ring, region.hi_sq):
         cls_sum += f.values[(c.x, c.y)]
     return el_sum, ring.w_K * cls_sum
+
+
+# -- residue-ring unit groups and characters, as dict and Fraction loops ---
+#
+# The old character layer, kept as the reference: units by a gcd per residue,
+# the unit group decomposed over dicts, values as exact Fraction sums, and
+# primitivity and conductors by a divide_exact per unit residue.
+
+
+def _loop_prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _loop_order_of(x, mul, one, group_order: int, primes: list[int]) -> int:
+    e = group_order
+    for p in primes:
+        while e % p == 0:
+            xp = _loop_pow_generic(x, e // p, mul, one)
+            if xp != one:
+                break
+            e //= p
+    return e
+
+
+def _loop_pow_generic(x, n, mul, one):
+    out = one
+    base = x
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        n >>= 1
+    return out
+
+
+def loop_decompose_abelian(elements, mul, one):
+    """(gens, orders, dlog) with dlog: element -> exponent tuple."""
+    n = len(elements)
+    if n == 1:
+        return [], [], {one: ()}
+    primes = _loop_prime_factors(n)
+    orders = {x: _loop_order_of(x, mul, one, n, primes) for x in elements}
+    lam = max(orders.values())
+    g1 = min(x for x in elements if orders[x] == lam)
+    # subgroup <g1> and its discrete logs
+    h_dlog = {}
+    h = one
+    for k in range(lam):
+        h_dlog[h] = k
+        h = mul(h, g1)
+    if lam == n:
+        return [g1], [lam], {x: (k,) for x, k in h_dlog.items()}
+    # quotient by <g1>: tag each coset by its first element in iteration order
+    tag_of = {}
+    q_elements = []
+    for x in elements:
+        if x in tag_of:
+            continue
+        members = []
+        y = x
+        for _ in range(lam):
+            members.append(y)
+            y = mul(y, g1)
+        t = min(members)
+        for mbr in members:
+            tag_of[mbr] = t
+        q_elements.append(t)
+    q_elements.sort()
+
+    def q_mul(t1, t2):
+        return tag_of[mul(t1, t2)]
+
+    q_one = tag_of[one]
+    q_gens, q_orders, q_dlog = loop_decompose_abelian(q_elements, q_mul, q_one)
+    # lift: for quotient generator g of order m, g^m lands in <g1> at g1^t
+    # with m | t, so g * g1^(-t/m) has true order m and the same image
+    gens = [g1]
+    orders_out = [lam]
+    for g, m in zip(q_gens, q_orders):
+        t = h_dlog[_loop_pow_generic(g, m, mul, one)]
+        assert t % m == 0, "quotient order must divide the landing exponent"
+        s = (t // m) % lam
+        lifted = mul(g, _loop_pow_generic(g1, (lam - s) % lam, mul, one))
+        gens.append(lifted)
+        orders_out.append(m)
+    dlog = {}
+    for x in elements:
+        q_vec = q_dlog[tag_of[x]]
+        y = x
+        for g, m, a in zip(gens[1:], orders_out[1:], q_vec):
+            y = mul(y, _loop_pow_generic(g, (m - a) % m if a else 0, mul, one))
+        dlog[x] = (h_dlog[y],) + q_vec
+    return gens, orders_out, dlog
+
+
+def loop_unit_circle(ph: Fraction) -> complex:
+    return complex(
+        math.cos(2.0 * math.pi * float(ph)), math.sin(2.0 * math.pi * float(ph))
+    )
+
+
+class LoopUnitGroup:
+    """The unit group and characters of a Modulus, by the dict and Fraction loops.
+
+    Only the modulus's coset arithmetic (element, mul_rid, one_rid) and its
+    factorization and divisor list are read.
+    """
+
+    def __init__(self, m):
+        from quadlod.rings import gcd
+
+        self.m = m
+        if m.norm == 1:
+            self.unit_rids = [0]
+        else:
+            self.unit_rids = []
+            for r in range(m.norm):
+                rep = m.element(r)
+                if rep.is_zero():
+                    continue
+                if gcd(rep, m.q).is_unit():
+                    self.unit_rids.append(r)
+        gens, orders, self.dlog = loop_decompose_abelian(
+            self.unit_rids if m.norm > 1 else [0], m.mul_rid, m.one_rid
+        )
+        self.unit_group = (tuple(gens), tuple(orders))
+        self.unit_index = {r: i for i, r in enumerate(self.unit_rids)}
+
+    def phase_of_rid(self, exponents, rid: int) -> Fraction:
+        vec = self.dlog[rid] if self.m.norm > 1 else ()
+        ph = Fraction(0)
+        for e, a, n in zip(exponents, vec, self.unit_group[1]):
+            ph += Fraction(e * a, n)
+        return ph % 1
+
+    def value_of_rid(self, exponents, rid: int) -> complex:
+        return loop_unit_circle(self.phase_of_rid(exponents, rid))
+
+    def factors_through(self, exponents, f_el) -> bool:
+        # chi factors mod f iff chi(a) = 1 on every unit residue a = 1 (mod f)
+        m = self.m
+        one = m.ring.one()
+        for r in self.unit_rids:
+            a = m.element(r)
+            if divide_exact(a - one, f_el) is None:
+                continue
+            if self.phase_of_rid(exponents, r) != 0:
+                return False
+        return True
+
+    def is_primitive(self, exponents) -> bool:
+        m = self.m
+        if m.norm == 1:
+            return True  # the character mod (1) has conductor (1)
+        for pi, _ in m.factorization.factors:
+            cofactor = divide_exact(m.q, pi)
+            if self.factors_through(exponents, cofactor):
+                return False
+        return True
+
+    def conductor(self, exponents) -> AlgInt:
+        """Smallest-norm divisor class of q through which the character factors."""
+        for f_el in self.m.divisor_classes:
+            if self.factors_through(exponents, f_el):
+                return f_el
+        raise AssertionError("character must factor through its own modulus")

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import LoopUnitGroup, loop_unit_circle
 from quadlod.characters import conductor, make_modulus, trivial_modulus
 from quadlod.errors import ZeroOrUnitModulus
 from quadlod.regions import canonical_classes
@@ -208,7 +211,7 @@ def test_crt_consistency(gauss):
     assert len(m.characters) == len(m1.characters) * len(m2.characters)
     # mod-q characters are exactly the products of factor characters
     fingerprints = {
-        tuple(chi.phase_of_rid(r) for r in m.unit_rids) for chi in m.characters
+        tuple(chi.phase(m.element(r)) for r in m.unit_rids) for chi in m.characters
     }
     assert len(fingerprints) == m.phi  # distinct as functions
     products = set()
@@ -249,3 +252,45 @@ def test_coprime_matches_gcd(gauss):
     m = make_modulus(gauss, gauss.element(3, 1))
     for z in canonical_classes(gauss, 40):
         assert m.coprime(z) == gcd(z, m.q).is_unit()
+
+
+# -- the array unit group against the dict and Fraction loops ---------------
+
+_MODULI = [
+    (d, q.x, q.y)
+    for d in SUPPORTED_D
+    for q in canonical_classes(make_ring(d), 300)
+    if q.norm() >= 2
+]
+
+
+def assert_matches_loop_reference(m):
+    ref = LoopUnitGroup(m)
+    assert m.unit_rids == ref.unit_rids
+    assert m.unit_group == ref.unit_group
+    assert [tuple(m.dlog[r]) for r in m.unit_rids] == [ref.dlog[r] for r in ref.unit_rids]
+    phases = m.character_phase_matrix()
+    primitive = m.primitive_characters()
+    for row, chi in zip(phases, m.characters):
+        e = chi.exponents
+        exact = [ref.phase_of_rid(e, r) for r in m.unit_rids]
+        assert [chi.phase(m.element(r)) for r in m.unit_rids] == exact
+        assert row.tolist() == [float(ph) for ph in exact]
+        got = np.array([chi.value_of_rid(r) for r in m.unit_rids], dtype=np.complex128)
+        want = np.array([loop_unit_circle(ph) for ph in exact], dtype=np.complex128)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        assert chi.is_primitive == ref.is_primitive(e) == (chi in primitive)
+        assert chi.conductor.q == ref.conductor(e)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_MODULI))
+def test_unit_group_matches_loop_reference(modulus):
+    d, x, y = modulus
+    ring = make_ring(d)
+    assert_matches_loop_reference(make_modulus(ring, ring.element(x, y)))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_trivial_modulus_matches_loop_reference(d):
+    assert_matches_loop_reference(trivial_modulus(make_ring(d)))

@@ -1,9 +1,22 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import quadlod
 from quadlod.cli import RunConfig, default_cache_dir, main
+
+
+def run_cli(*argv, stdout=subprocess.PIPE, env=None):
+    """The CLI in a fresh interpreter, so stdout is a real file descriptor."""
+    src = os.path.dirname(os.path.dirname(quadlod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "quadlod.cli", *argv], stdout=stdout, env=env, check=True
+    )
 
 
 def run(capsys, *argv):
@@ -465,3 +478,31 @@ def test_corrupt_csv_function_is_computation_error(capsys, tmp_path, edit):
     code, _, err = run(capsys, "sw-check", "--d", "-1", "--f", f"csv:{mu}", "--N", "3", "--D", "1")
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and str(mu) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tabulate", "--d", "-1", "--f", "one", "--norm-bound", "2"],
+        ["convolve", "--d", "-1", "--f", "one", "--g", "one", "--norm-bound", "2"],
+    ],
+)
+def test_csv_to_stdout_appends(tmp_path, argv):
+    # `quadlod tabulate ... >> log` keeps what log already holds
+    log = tmp_path / "log"
+    log.write_text("hello\n")
+    with open(log, "a") as fh:
+        run_cli(*argv, stdout=fh)
+    lines = log.read_text().splitlines()
+    assert lines[0] == "hello" and lines[1].startswith("# config:")
+    assert lines[-1].startswith("1,1,2,")
+
+
+def test_large_sieve_bytes_independent_of_blas_threads():
+    argv = ["large-sieve", "--d", "-1", "--N", "30", "--Q1", "10", "--Q2", "120",
+            "--vectors", "30", "--seed", "7"]
+    outs = [
+        run_cli(*argv, env={"OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n}).stdout
+        for n in ("1", "2")
+    ]
+    assert outs[0] == outs[1]

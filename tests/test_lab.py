@@ -53,7 +53,7 @@ def brute_epsilon(ring, f, hi, m, gamma):
         v = f.values[(can.x, can.y)]
         if red == g_red:
             tot_g += v
-        if red[0] + m.hnf_a * red[1] in m.unit_index:
+        if red[0] + m.hnf_a * red[1] in m.unit_rids:
             tot_c += v
     return complex(
         tot_g.real - tot_c.real / m.phi, tot_g.imag - tot_c.imag / m.phi

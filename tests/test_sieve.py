@@ -24,6 +24,7 @@ from quadlod.sieve import (
     factor,
     is_prime,
     kronecker_disc,
+    primes_over,
     rational_primes,
     sieve_primes,
     solve_norm_equation,
@@ -173,6 +174,17 @@ def test_factor_soundness_random(d):
         for p, e in fm.factors:
             assert e >= 1 and is_prime(p)
         checked += 1
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_factor_over_primes_of_the_norm(d):
+    # the table of the primes above p | N(xi) factors xi like the full table
+    ring = make_ring(d)
+    table = sieve_primes(ring, 2000)
+    for z in canonical_classes(ring, 2000):
+        n = z.norm()
+        over = primes_over(ring, [p for p in rational_primes(n) if n % p == 0], n)
+        assert factor(z, over) == factor(z, table)
 
 
 def test_von_mangoldt_examples(gauss, gauss_table_2k):
