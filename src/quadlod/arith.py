@@ -113,9 +113,8 @@ def tabulate(
     elif name == "log_norm":
         vals = _logs(norms)
     elif name == "prime_indicator":
-        primes = [p for p in table.primes if p.norm() <= norm_bound]
         vals = np.zeros(len(norms))
-        vals[class_index(ring, norm_bound, [p.x for p in primes], [p.y for p in primes])] = 1
+        vals[table.class_indices(norm_bound)] = 1
     else:
         distinct, tau, last = _prime_chains(FactorSieve(table, norm_bound))
         if name == "moebius":

@@ -28,13 +28,9 @@ from .rings import (
     divide_exact,
     mul_xy,
 )
-from .sieve import factor, primes_over, rational_primes
+from .sieve import factor_by_norm, prime_divisors
 
 DEFAULT_MODULUS_GUARD = 1 << 20
-
-
-def _prime_divisors(n: int) -> list[int]:
-    return [p for p in rational_primes(n) if n % p == 0]
 
 
 def _divides(f: AlgInt, x, y) -> np.ndarray:
@@ -215,7 +211,7 @@ class Modulus:
 
     @cached_property
     def factorization(self):
-        return factor(self.q, primes_over(self.ring, _prime_divisors(self.norm), self.norm))
+        return factor_by_norm(self.q)
 
     @cached_property
     def divisor_classes(self) -> list[AlgInt]:
@@ -274,7 +270,7 @@ def _orders(elements: np.ndarray, mul, one, size: int) -> np.ndarray:
     lookups in one x -> x^p array per prime p | n.
     """
     n = len(elements)
-    pmaps = {p: np.arange(size) for p in _prime_divisors(n)}
+    pmaps = {p: np.arange(size) for p in prime_divisors(n)}
     for p, pmap in pmaps.items():
         pmap[elements] = _pow(elements, p, mul, one)
     out = np.ones(n, dtype=np.int64)

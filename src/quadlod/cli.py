@@ -23,7 +23,7 @@ from .characters import Modulus
 from .errors import QlodError, UsageError
 from .regions import a0, count_region, density_ratio, enumerate_region
 from .rings import AlgInt, make_ring
-from .sieve import cache_inspect, cache_load, cache_save, sieve_primes
+from .sieve import cache_inspect, cache_load, cache_save, factor_by_norm, sieve_primes
 
 CONFIG_VERSION = 1
 
@@ -349,19 +349,15 @@ def _dispatch(args) -> int:
         cfg.params = {"max_norm": args.max_norm}
         table = sieve_primes(ring, args.max_norm)
         lines = [f"# {len(table)} prime classes, norm <= {args.max_norm}", "x,y,norm,split"]
-        for pi, st in zip(table.primes, table.split_types):
-            lines.append(f"{pi.x},{pi.y},{pi.norm()},{st}")
+        rows = zip(table.xs.tolist(), table.ys.tolist(), table.norms.tolist(), table.split_types)
+        lines += [f"{x},{y},{n},{st}" for x, y, n, st in rows]
         _emit(lines, cfg)
         return 0
 
     if cmd == "factor":
         ring = make_ring(args.d)
         cfg.params = {"x": args.x, "y": args.y}
-        xi = AlgInt(ring, args.x, args.y)
-        table = sieve_primes(ring, max(xi.norm(), 2))
-        from .sieve import factor as factor_fn
-
-        fm = factor_fn(xi, table)
+        fm = factor_by_norm(AlgInt(ring, args.x, args.y))
         parts = [f"unit=({fm.unit.x},{fm.unit.y})"]
         parts += [f"({p.x},{p.y})^{e}" for p, e in fm.factors]
         _report([" * ".join(parts)], cfg)

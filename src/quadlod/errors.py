@@ -42,7 +42,7 @@ class FormatVersionMismatch(QlodError):
 
 
 class CorruptFile(QlodError):
-    """A function CSV file is malformed or does not cover its classes."""
+    """A function CSV or prime cache file is malformed or inconsistent."""
 
 
 class ZeroOrUnitModulus(QlodError):

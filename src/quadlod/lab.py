@@ -43,6 +43,7 @@ from .regions import (
     NormRegion,
     a0,
     canonical_classes,
+    class_arrays,
     class_index,
     count_region,
     element_arrays,
@@ -597,9 +598,8 @@ def mertens_sums(ring: RingDescriptor, r: int) -> MertensReport:
     """
     if r < 2:
         raise ValueError("R must be >= 2")
-    ideal_sum = math.fsum(1.0 / c.norm() for c in canonical_classes(ring, r))
-    table = sieve_primes(ring, r)
-    prime_sum = math.fsum(1.0 / p.norm() for p in table.primes)
+    ideal_sum = math.fsum((1.0 / class_arrays(ring, r)[2]).tolist())
+    prime_sum = math.fsum((1.0 / sieve_primes(ring, r).norms).tolist())
     return MertensReport(
         r,
         ideal_sum,

@@ -110,8 +110,7 @@ def count_region(region: NormRegion, guard: int = DEFAULT_GUARD) -> int:
     hi = region.hi_sq
     if hi < lo:
         return 0
-    if hi > guard:
-        raise BoundsTooLarge(f"hi_sq={hi} exceeds guard={guard}")
+    _check_guard(hi, guard)
     ring = region.ring
     total = 0
     for y in range(-_y_max(ring, hi), _y_max(ring, hi) + 1):
@@ -141,10 +140,8 @@ def element_arrays(
 @lru_cache(maxsize=8)
 def _element_arrays_cached(ring_d, lo, hi, guard):
     ring = make_ring(ring_d)
-    if hi > guard:
-        raise BoundsTooLarge(f"hi_sq={hi} exceeds guard={guard}")
-    xs_parts: list[np.ndarray] = []
-    ys_parts: list[np.ndarray] = []
+    _check_guard(hi, guard)
+    spans = []
     if hi >= lo:
         for y in range(-_y_max(ring, hi), _y_max(ring, hi) + 1):
             outer = _x_interval(ring, y, hi)
@@ -152,26 +149,31 @@ def _element_arrays_cached(ring_d, lo, hi, guard):
                 continue
             inner = _x_interval(ring, y, lo - 1)
             if inner is None:
-                spans = [outer]
+                spans.append((*outer, y))
             else:
-                spans = [(outer[0], inner[0] - 1), (inner[1] + 1, outer[1])]
-            for a, b in spans:
-                if b < a:
-                    continue
-                xs_parts.append(np.arange(a, b + 1, dtype=np.int64))
-                ys_parts.append(np.full(b - a + 1, y, dtype=np.int64))
-    if not xs_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    xs = np.concatenate(xs_parts)
-    ys = np.concatenate(ys_parts)
+                spans += [(outer[0], inner[0] - 1, y), (inner[1] + 1, outer[1], y)]
+    return _sorted_points(ring, spans)
+
+
+def _check_guard(hi: int, guard: int) -> None:
+    if hi > guard:
+        raise BoundsTooLarge(f"hi_sq={hi} exceeds guard={guard}")
+
+
+def _sorted_points(ring: RingDescriptor, spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (xs, ys, norms) of the points a <= x <= b of each span (a, b, y).
+
+    Sorted by (norm, x, y).
+    """
+    spans = [(a, b, y) for a, b, y in spans if a <= b] or [(0, -1, 0)]  # never no arrays
+    xs = np.concatenate([np.arange(a, b + 1, dtype=np.int64) for a, b, _ in spans])
+    ys = np.concatenate([np.full(b - a + 1, y, dtype=np.int64) for a, b, y in spans])
     norms = norm_xy(ring, xs, ys)
     order = np.lexsort((ys, xs, norms))
-    xs, ys, norms = xs[order], ys[order], norms[order]
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    norms.setflags(write=False)
-    return xs, ys, norms
+    out = xs[order], ys[order], norms[order]
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def enumerate_region(region: NormRegion, guard: int = DEFAULT_GUARD) -> Iterator[AlgInt]:
@@ -193,15 +195,17 @@ def class_arrays(ring: RingDescriptor, max_norm: int) -> tuple[np.ndarray, ...]:
     """(xs, ys, norms) of the canonical classes of norm 1..max_norm.
 
     Sorted by (norm, x, y); position i is class index i of every class-indexed
-    table (`arith.ArithFn.vals`, the factor sieve).
+    table (`arith.ArithFn.vals`, the factor sieve, the prime table).  The
+    canonical associates are enumerated directly, in the domain that
+    canonical_coords maps to: y > 0 or (y = 0 and x > 0) when w_K = 2, else
+    x > 0 and y >= 0.
     """
-    xs, ys, norms = element_arrays(ring.d, 1, max_norm)
-    cxs, cys = canonical_coords(ring, xs, ys)
-    keep = (cxs == xs) & (cys == ys)
-    out = xs[keep], ys[keep], norms[keep]
-    for a in out:
-        a.setflags(write=False)
-    return out
+    _check_guard(max_norm, DEFAULT_GUARD)
+    spans = []
+    for y in range(_y_max(ring, max_norm) + 1 if max_norm > 0 else 0):
+        a, b = _x_interval(ring, y, max_norm)
+        spans.append((a if ring.w_K == 2 and y > 0 else max(a, 1), b, y))
+    return _sorted_points(ring, spans)
 
 
 def _key(max_norm: int, xs, ys, norms):

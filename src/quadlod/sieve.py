@@ -2,7 +2,11 @@
 
 Splitting of a rational prime p is read off the Kronecker symbol (D_K/p):
 split for +1 (two conjugate non-associate primes of norm p), inert for -1
-(p itself, norm p^2), ramified for p | D_K (one prime of norm p).
+(p itself, norm p^2), ramified for p | D_K (one prime of norm p).  So a
+canonical class is prime iff its norm is a rational prime, or p^2 with p
+inert, and the prime table is that mask over `regions.class_arrays`.  Its
+one memory guard is `regions.DEFAULT_GUARD`, which class_arrays checks
+before it allocates anything.
 """
 
 from __future__ import annotations
@@ -10,19 +14,23 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     BoundsTooLarge,
+    CorruptFile,
     FormatVersionMismatch,
     RingMismatch,
     TableTooSmall,
     ZeroElement,
     ZeroOrUnit,
 )
-from .regions import class_arrays, class_index, class_products
-from .rings import AlgInt, RingDescriptor, canonical_associate, divide_exact
+from .regions import (
+    DEFAULT_GUARD, _key, canonical_coords, class_arrays, class_index, class_products,
+)
+from .rings import AlgInt, RingDescriptor, canonical_associate, divide_exact, norm_xy
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 _SPLIT_CODE = {SPLIT: 0, INERT: 1, RAMIFIED: 2}
@@ -30,20 +38,35 @@ _SPLIT_NAME = {v: k for k, v in _SPLIT_CODE.items()}
 
 CACHE_MAGIC = b"QLOD"
 CACHE_VERSION = 1
-DEFAULT_SIEVE_GUARD = 1 << 26
+_HEADER = struct.Struct("<4sIqQQ")
+_RECORD = np.dtype([("x", "<i8"), ("y", "<i8"), ("code", "u1")])  # packed: 17 bytes
+
+
+def _prime_flags(n: int) -> np.ndarray:
+    """flags[k] is True iff k is a rational prime, for 0 <= k <= max(n, 1)."""
+    flags = np.ones(max(n, 1) + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(len(flags) - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
 
 
 def rational_primes(n: int) -> list[int]:
-    """Primes <= n by a plain byte sieve."""
-    if n < 2:
-        return []
-    flags = bytearray(b"\x01") * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(flags) if v]
+    """Primes <= n by a byte sieve."""
+    return np.flatnonzero(_prime_flags(n)).tolist()
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The rational primes dividing n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return out + [n] if n > 1 else out
 
 
 def kronecker_disc(ring: RingDescriptor, p: int) -> int:
@@ -62,6 +85,22 @@ def kronecker_disc(ring: RingDescriptor, p: int) -> int:
 def splitting_type(ring: RingDescriptor, p: int) -> str:
     k = kronecker_disc(ring, p)
     return SPLIT if k == 1 else (INERT if k == -1 else RAMIFIED)
+
+
+def _prime_norm_codes(ring: RingDescriptor, bound: int) -> np.ndarray:
+    """Split code of the prime classes of each norm 0..bound; -1: none is prime.
+
+    A class of prime norm p is prime, ramified iff p | D_K (no class has norm
+    p when p is inert); a class of norm p^2 is prime iff p is inert.
+    """
+    flags = _prime_flags(bound)
+    codes = np.full(len(flags), -1, dtype=np.int8)
+    ps = np.flatnonzero(flags)
+    codes[ps] = np.where(ring.disc % ps == 0, _SPLIT_CODE[RAMIFIED], _SPLIT_CODE[SPLIT])
+    for p in ps[ps * ps < len(flags)].tolist():
+        if kronecker_disc(ring, p) == -1:
+            codes[p * p] = _SPLIT_CODE[INERT]
+    return codes
 
 
 def solve_norm_equation(ring: RingDescriptor, m: int) -> list[AlgInt]:
@@ -91,58 +130,84 @@ def solve_norm_equation(ring: RingDescriptor, m: int) -> list[AlgInt]:
 
 @dataclass
 class PrimeTable:
-    """Canonical prime classes of norm <= max_norm, sorted by (norm, x, y)."""
+    """Canonical prime classes of norm <= max_norm, sorted by (norm, x, y).
+
+    The table is four int64 arrays: coordinates, norms and split codes
+    (0 split, 1 inert, 2 ramified).  `primes` and `split_types` are list
+    views built from them on first use.
+    """
 
     ring: RingDescriptor
     max_norm: int
-    primes: list[AlgInt]
-    split_types: list[str]
+    xs: np.ndarray
+    ys: np.ndarray
+    norms: np.ndarray
+    codes: np.ndarray
+
+    @cached_property
+    def primes(self) -> list[AlgInt]:
+        return [AlgInt(self.ring, x, y) for x, y in zip(self.xs.tolist(), self.ys.tolist())]
+
+    @cached_property
+    def split_types(self) -> list[str]:
+        return [_SPLIT_NAME[c] for c in self.codes.tolist()]
+
+    def class_indices(self, bound: int) -> np.ndarray:
+        """Class indices (see regions.class_arrays) of the primes of norm <= bound."""
+        k = np.searchsorted(self.norms, bound, side="right")
+        return class_index(self.ring, bound, self.xs[:k], self.ys[:k])
 
     def __eq__(self, other):
         return (
             isinstance(other, PrimeTable)
             and other.ring.d == self.ring.d
             and other.max_norm == self.max_norm
-            and other.primes == self.primes
-            and other.split_types == self.split_types
+            and all(
+                np.array_equal(getattr(self, a), getattr(other, a))
+                for a in ("xs", "ys", "codes")
+            )
         )
 
     def __len__(self):
-        return len(self.primes)
+        return len(self.xs)
 
 
-def sieve_primes(
-    ring: RingDescriptor, max_norm: int, guard: int = DEFAULT_SIEVE_GUARD
-) -> PrimeTable:
-    """Complete table of prime elements with norm <= max_norm."""
-    if max_norm > guard:
-        raise BoundsTooLarge(f"max_norm={max_norm} exceeds guard={guard}")
-    return primes_over(ring, rational_primes(max_norm), max_norm)
+def sieve_primes(ring: RingDescriptor, max_norm: int) -> PrimeTable:
+    """Complete table of prime elements with norm <= max_norm.
+
+    The splitting-law mask over the canonical classes, which come out in
+    table order; above regions.DEFAULT_GUARD, class_arrays raises
+    BoundsTooLarge.
+    """
+    xs, ys, norms = class_arrays(ring, max_norm)
+    codes = _prime_norm_codes(ring, max_norm)[norms]
+    keep = codes >= 0
+    return PrimeTable(
+        ring, max_norm, xs[keep], ys[keep], norms[keep], codes[keep].astype(np.int64)
+    )
 
 
 def primes_over(ring: RingDescriptor, ps: list[int], max_norm: int) -> PrimeTable:
     """Prime elements of norm <= max_norm above the rational primes ps, ascending.
 
     For xi of norm n, factor(xi, primes_over(ring, primes dividing n, n)) equals
-    factor(xi, sieve_primes(ring, n)).
+    factor(xi, sieve_primes(ring, n)).  One norm equation per p, and no class
+    arrays: a few p per modulus must not evict the run's cached tables.
     """
-    entries: list[tuple[int, int, int, AlgInt, str]] = []
+    rows: list[tuple[int, int, int, int]] = []
     for p in ps:
         t = splitting_type(ring, p)
         if t == INERT:
             if p * p <= max_norm:
                 pi = canonical_associate(AlgInt(ring, p, 0))
-                entries.append((p * p, pi.x, pi.y, pi, INERT))
+                rows.append((p * p, pi.x, pi.y, _SPLIT_CODE[INERT]))
         else:
             sols = solve_norm_equation(ring, p)
             if t == RAMIFIED:
                 sols = sols[:1]  # conjugate generates the same ideal
-            for pi in sols:
-                entries.append((p, pi.x, pi.y, pi, t))
-    entries.sort(key=lambda e: e[:3])
-    return PrimeTable(
-        ring, max_norm, [e[3] for e in entries], [e[4] for e in entries]
-    )
+            rows += [(p, pi.x, pi.y, _SPLIT_CODE[t]) for pi in sols]
+    norms, xs, ys, codes = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
+    return PrimeTable(ring, max_norm, xs, ys, norms, codes)
 
 
 def is_prime(xi: AlgInt) -> bool:
@@ -150,26 +215,13 @@ def is_prime(xi: AlgInt) -> bool:
     n = xi.norm()
     if n <= 1:
         raise ZeroOrUnit("primality undefined for zero and units")
-    if _is_rational_prime(n):
+    if prime_divisors(n) == [n]:
         return True
     r = math.isqrt(n)
-    if r * r == n and _is_rational_prime(r) and kronecker_disc(xi.ring, r) == -1:
+    if r * r == n and prime_divisors(r) == [r] and kronecker_disc(xi.ring, r) == -1:
         # norm p^2 with p inert: only associates of p qualify
         return canonical_associate(xi) == canonical_associate(AlgInt(xi.ring, r, 0))
     return False
-
-
-def _is_rational_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass
@@ -228,6 +280,17 @@ def factor(xi: AlgInt, table: PrimeTable) -> FactorMap:
     return FactorMap(unit=rem, factors=factors)
 
 
+def factor_by_norm(xi: AlgInt) -> FactorMap:
+    """factor(xi) over the primes above the rational primes dividing N(xi).
+
+    Equal to factor(xi, sieve_primes(ring, N(xi))), with no table to N(xi).
+    """
+    n = xi.norm()
+    if n > DEFAULT_GUARD:
+        raise BoundsTooLarge(f"norm {n} exceeds guard={DEFAULT_GUARD}")
+    return factor(xi, primes_over(xi.ring, prime_divisors(n), n))
+
+
 def von_mangoldt(xi: AlgInt, table: PrimeTable) -> float:
     """log N(p) on powers of a single prime class, 0 elsewhere."""
     fm = factor(xi, table)
@@ -255,8 +318,7 @@ class FactorSieve:
         self.table = table
         n = len(class_arrays(ring, max_norm)[0])
         self.spf, self.cof = np.full((2, n), -1)
-        primes = [pi for pi in table.primes if pi.norm() <= max_norm]
-        pidx = class_index(ring, max_norm, [p.x for p in primes], [p.y for p in primes])
+        pidx = table.class_indices(max_norm)
         # pairs come in increasing prime order: a class's first hit is its smallest prime
         for i, j, k in class_products(ring, max_norm, pidx, np.arange(n)):
             k, first = np.unique(k, return_index=True)
@@ -282,56 +344,70 @@ class FactorSieve:
 
 def cache_save(table: PrimeTable, path) -> None:
     """Write the table in the versioned little-endian record format."""
+    rec = np.empty(len(table), dtype=_RECORD)
+    rec["x"], rec["y"], rec["code"] = table.xs, table.ys, table.codes
     with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(
-                "<4sIqQQ",
-                CACHE_MAGIC,
-                CACHE_VERSION,
-                table.ring.d,
-                table.max_norm,
-                len(table.primes),
-            )
-        )
-        for pi, st in zip(table.primes, table.split_types):
-            fh.write(struct.pack("<qqB", pi.x, pi.y, _SPLIT_CODE[st]))
+        fh.write(_HEADER.pack(
+            CACHE_MAGIC, CACHE_VERSION, table.ring.d, table.max_norm, len(table)
+        ))
+        fh.write(rec.tobytes())
 
 
 def cache_load(ring: RingDescriptor, path) -> PrimeTable:
-    """Read a table back; the cached ring must match the requested one."""
+    """Read a table back; the cached ring must match the requested one.
+
+    Every record must be a canonical prime class of norm <= max_norm, carry
+    the split code of its norm, and follow the one before it in (norm, x, y)
+    order; the first record that does not raises CorruptFile.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIqQQ"))
-        if len(head) < struct.calcsize("<4sIqQQ"):
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
             raise FormatVersionMismatch("truncated header")
-        magic, version, d, max_norm, count = struct.unpack("<4sIqQQ", head)
+        magic, version, d, max_norm, count = _HEADER.unpack(head)
         if magic != CACHE_MAGIC or version != CACHE_VERSION:
             raise FormatVersionMismatch(
                 f"bad magic/version {magic!r}/{version}; expected {CACHE_MAGIC!r}/{CACHE_VERSION}"
             )
         if d != ring.d:
             raise RingMismatch(f"cache holds d={d}, requested d={ring.d}")
-        rec = struct.Struct("<qqB")
-        primes = []
-        split_types = []
-        for _ in range(count):
-            chunk = fh.read(rec.size)
-            if len(chunk) < rec.size:
-                raise FormatVersionMismatch("truncated record section")
-            x, y, code = rec.unpack(chunk)
-            if code not in _SPLIT_NAME:
-                raise FormatVersionMismatch(f"unknown split code {code} in record section")
-            primes.append(AlgInt(ring, x, y))
-            split_types.append(_SPLIT_NAME[code])
-    return PrimeTable(ring, max_norm, primes, split_types)
+        body = fh.read()
+    if len(body) < count * _RECORD.itemsize:
+        raise FormatVersionMismatch("truncated record section")
+    rec = np.frombuffer(body, dtype=_RECORD, count=count)
+    if (unknown := rec["code"] > max(_SPLIT_NAME)).any():
+        code = rec["code"][unknown][0]
+        raise FormatVersionMismatch(f"unknown split code {code} in record section")
+    if max_norm > DEFAULT_GUARD:
+        raise CorruptFile(f"{path}: max_norm={max_norm} exceeds guard={DEFAULT_GUARD}")
+    xs, ys, codes = (rec[k].astype(np.int64) for k in ("x", "y", "code"))
+
+    def reject(bad: np.ndarray, what: str):
+        if bad.any():
+            raise CorruptFile(f"{path}: record {int(bad.argmax()) + 1} {what}")
+
+    # |x|, |y| <= r holds below max_norm, and keeps norm_xy and _key in int64
+    r = 2 * math.isqrt(max_norm) + 2
+    reject((xs < -r) | (xs > r) | (ys < -r) | (ys > r), f"has norm above {max_norm}")
+    norms = norm_xy(ring, xs, ys)
+    reject(norms > max_norm, f"has norm above {max_norm}")
+    cxs, cys = canonical_coords(ring, xs, ys)
+    reject((cxs != xs) | (cys != ys), "is not a canonical associate")
+    expected = _prime_norm_codes(ring, max_norm)[norms]
+    reject(expected < 0, "is not prime")
+    reject(expected != codes, "has a split code that disagrees with its norm")
+    later = np.diff(_key(max_norm, xs, ys, norms)) > 0
+    reject(np.concatenate(([False], ~later)), "is out of (norm, x, y) order")
+    return PrimeTable(ring, max_norm, xs, ys, norms, codes)
 
 
 def cache_inspect(path) -> dict:
     """Header summary without loading records."""
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIqQQ"))
-    if len(head) < struct.calcsize("<4sIqQQ"):
+        head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise FormatVersionMismatch("truncated header")
-    magic, version, d, max_norm, count = struct.unpack("<4sIqQQ", head)
+    magic, version, d, max_norm, count = _HEADER.unpack(head)
     if magic != CACHE_MAGIC:
         raise FormatVersionMismatch(f"bad magic {magic!r}")
     return {"version": version, "d": d, "max_norm": max_norm, "count": count}

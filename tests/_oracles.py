@@ -655,3 +655,69 @@ class LoopUnitGroup:
             if self.factors_through(exponents, f_el):
                 return f_el
         raise AssertionError("character must factor through its own modulus")
+
+
+# -- the prime table as one norm equation per rational prime ---------------
+#
+# The old sieve, kept as the reference for the splitting-law mask: a byte
+# sieve of rational primes, then per prime p either (p) (inert) or the
+# canonical solutions of N(xi) = p, sorted by (norm, x, y).
+
+
+@dataclass
+class LoopPrimeTable:
+    ring: object
+    max_norm: int
+    primes: list
+    split_types: list
+
+    def __len__(self):
+        return len(self.primes)
+
+
+def loop_rational_primes(n: int) -> list[int]:
+    if n < 2:
+        return []
+    flags = bytearray(b"\x01") * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            start = p * p
+            flags[start :: p] = b"\x00" * ((n - start) // p + 1)
+    return [i for i, v in enumerate(flags) if v]
+
+
+def loop_sieve_primes(ring, max_norm: int) -> LoopPrimeTable:
+    return loop_primes_over(ring, loop_rational_primes(max_norm), max_norm)
+
+
+def loop_primes_over(ring, ps: list[int], max_norm: int) -> LoopPrimeTable:
+    from quadlod.sieve import INERT, RAMIFIED, solve_norm_equation, splitting_type
+
+    entries: list[tuple[int, int, int, AlgInt, str]] = []
+    for p in ps:
+        t = splitting_type(ring, p)
+        if t == INERT:
+            if p * p <= max_norm:
+                pi = canonical_associate(AlgInt(ring, p, 0))
+                entries.append((p * p, pi.x, pi.y, pi, INERT))
+        else:
+            sols = solve_norm_equation(ring, p)
+            if t == RAMIFIED:
+                sols = sols[:1]  # conjugate generates the same ideal
+            for pi in sols:
+                entries.append((p, pi.x, pi.y, pi, t))
+    entries.sort(key=lambda e: e[:3])
+    return LoopPrimeTable(
+        ring, max_norm, [e[3] for e in entries], [e[4] for e in entries]
+    )
+
+
+def as_prime_table(loop_table: LoopPrimeTable):
+    """The loop table as a PrimeTable, for the readers of the array table."""
+    from quadlod.sieve import _SPLIT_CODE, PrimeTable
+
+    cols = [(p.x, p.y, p.norm(), _SPLIT_CODE[s])
+            for p, s in zip(loop_table.primes, loop_table.split_types)]
+    xs, ys, norms, codes = np.array(cols, dtype=np.int64).reshape(-1, 4).T
+    return PrimeTable(loop_table.ring, loop_table.max_norm, xs, ys, norms, codes)

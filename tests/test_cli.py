@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -330,6 +331,30 @@ def test_cache_unknown_split_code_is_computation_error(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and "split code 9" in err
+
+
+def test_cache_non_canonical_record_is_computation_error(capsys, tmp_path):
+    cdir = str(tmp_path / "c4")
+    run(capsys, "cache", "save", "--d", "-1", "--max-norm", "100", "--cache-dir", cdir)
+    path = os.path.join(cdir, "primes_d-1_n100.qlod")
+    raw = bytearray(open(path, "rb").read())
+    raw[32:40] = (-7).to_bytes(8, "little", signed=True)  # first record (1, 1) -> (-7, 1)
+    with open(path, "wb") as fh:
+        fh.write(bytes(raw))
+    code, _, err = run(
+        capsys, "cache", "load", "--d", "-1", "--max-norm", "100", "--cache-dir", cdir
+    )
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "record 1" in err
+
+
+def test_factor_sieves_only_the_primes_of_the_norm(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "factor", "--d", "-1", "--x", "1000", "--y", "7")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out == "unit=(0,-1) * (8,17)^1 * (48,23)^1\n"
+    code, _, err = run(capsys, "factor", "--d", "-1", "--x", "5000", "--y", "0")
+    assert code == 1 and err.startswith("error: ") and "exceeds guard" in err
 
 
 _SCAN = ["--f", "one", "--theta", "0.4", "--B", "0", "--Ngrid", "10,15"]

@@ -3,15 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlod.errors import BoundsTooLarge
 from quadlod.regions import (
+    DEFAULT_GUARD,
     NormRegion,
     a0,
     canonical_classes,
     canonical_coords,
+    class_arrays,
     count_region,
     density_ratio,
+    element_arrays,
     enumerate_region,
 )
 from quadlod.rings import SUPPORTED_D, AlgInt, canonical_associate, make_ring
@@ -140,6 +145,23 @@ def test_bounds_guard(gauss):
         count_region(a0(gauss, 10**9))
     with pytest.raises(BoundsTooLarge):
         list(enumerate_region(a0(gauss, 10**9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from(SUPPORTED_D), max_norm=st.integers(-2, 3000))
+def test_class_arrays_are_the_canonical_elements(d, max_norm):
+    ring = make_ring(d)
+    xs, ys, norms = element_arrays(d, 1, max_norm)
+    cxs, cys = canonical_coords(ring, xs, ys)
+    keep = (cxs == xs) & (cys == ys)
+    got = class_arrays(ring, max_norm)
+    for a, b in zip(got, (xs[keep], ys[keep], norms[keep])):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist() and not a.flags.writeable
+
+
+def test_class_arrays_guard(gauss):
+    with pytest.raises(BoundsTooLarge):
+        class_arrays(gauss, DEFAULT_GUARD + 1)
 
 
 def test_canonical_classes(gauss):

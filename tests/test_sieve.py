@@ -1,20 +1,30 @@
 import math
 import random
+import re
+import struct
+import time
 from collections import Counter
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlod import regions
+from quadlod.arith import BUILTIN_NAMES, tabulate
+from quadlod.characters import Modulus
+from quadlod.cli import main
 from quadlod.errors import (
+    BoundsTooLarge,
+    CorruptFile,
     FormatVersionMismatch,
     QlodError,
     RingMismatch,
     TableTooSmall,
     ZeroOrUnit,
 )
-from quadlod.regions import canonical_classes
+from quadlod.regions import DEFAULT_GUARD, canonical_classes, class_arrays
 from quadlod.rings import SUPPORTED_D, AlgInt, canonical_associate, make_ring
 from quadlod.sieve import (
     FactorSieve,
@@ -22,8 +32,10 @@ from quadlod.sieve import (
     cache_load,
     cache_save,
     factor,
+    factor_by_norm,
     is_prime,
     kronecker_disc,
+    prime_divisors,
     primes_over,
     rational_primes,
     sieve_primes,
@@ -31,12 +43,108 @@ from quadlod.sieve import (
     splitting_type,
     von_mangoldt,
 )
-from _oracles import brute_is_prime, brute_norm_solutions
+from _oracles import (
+    as_prime_table,
+    brute_is_prime,
+    brute_norm_solutions,
+    loop_primes_over,
+    loop_sieve_primes,
+    loop_tabulate,
+)
 
 
 def test_rational_primes():
     assert rational_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert rational_primes(1) == []
+    assert rational_primes(5000) == list(sympy.primerange(5001))
+
+
+def test_prime_divisors():
+    for n in range(1, 3000):
+        assert prime_divisors(n) == sympy.primefactors(n)
+
+
+def same_table(table, loop_table):
+    assert [(p.x, p.y) for p in table.primes] == [(p.x, p.y) for p in loop_table.primes]
+    assert table.split_types == loop_table.split_types
+    assert len(table) == len(loop_table)
+    assert table.norms.tolist() == [p.norm() for p in loop_table.primes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from(SUPPORTED_D), max_norm=st.integers(0, 5000))
+def test_sieve_matches_norm_equation_loop(d, max_norm):
+    ring = make_ring(d)
+    same_table(sieve_primes(ring, max_norm), loop_sieve_primes(ring, max_norm))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+@pytest.mark.parametrize("max_norm", [-1, 0, 1, 2, 3, 4])  # 2 ramified in Z[i], inert in Z[omega]
+def test_sieve_edge_bounds_match_loop(d, max_norm):
+    ring = make_ring(d)
+    same_table(sieve_primes(ring, max_norm), loop_sieve_primes(ring, max_norm))
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_sieve_matches_loop_at_paper_scale(d):
+    ring = make_ring(d)
+    same_table(sieve_primes(ring, 160_000), loop_sieve_primes(ring, 160_000))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_primes_over_matches_loop(d):
+    ring = make_ring(d)
+    for n in (2, 12, 97, 360, 1001, 4096):
+        ps = prime_divisors(n)
+        same_table(primes_over(ring, ps, n), loop_primes_over(ring, ps, n))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_readers_of_the_table_unchanged(d):
+    """The factor sieve and the six builtins read the array table as the loops did."""
+    ring = make_ring(d)
+    loop_table = loop_sieve_primes(ring, 2000)
+    table, old = sieve_primes(ring, 2000), as_prime_table(loop_table)
+    for bound in (2000, 1997, 1681):  # 1997 is prime, 1681 = 41^2
+        a, b = FactorSieve(table, bound), FactorSieve(old, bound)
+        assert a.spf.tolist() == b.spf.tolist() and a.cof.tolist() == b.cof.tolist()
+        xs, ys, _ = class_arrays(ring, bound)
+        for name in BUILTIN_NAMES:
+            want = loop_tabulate(name, ring, bound, loop_table).values
+            want = np.array([want[c] for c in zip(xs.tolist(), ys.tolist())], np.complex128)
+            got = tabulate(name, ring, bound, table).vals
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_sieve_above_the_guard_raises_at_once(gauss, capsys):
+    start = time.perf_counter()
+    with pytest.raises(BoundsTooLarge):
+        sieve_primes(gauss, DEFAULT_GUARD + 1)
+    assert main(["sieve", "--d", "-1", "--max-norm", str(DEFAULT_GUARD + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 2.0
+
+
+def test_modulus_factorization_leaves_the_class_caches_alone(gauss):
+    # a per-modulus class table would evict the run's main tables
+    def cache_state():
+        return [c.cache_info() for c in (regions.class_arrays, regions._element_arrays_cached)]
+
+    moduli = [Modulus(gauss, gauss.element(*q)) for q in [(12, 1), (7, 0), (100, 3), (2, 2)]]
+    before = cache_state()
+    factorizations = [m.factorization for m in moduli]
+    assert cache_state() == before
+    for m, fm in zip(moduli, factorizations):
+        assert fm == factor(m.q, sieve_primes(gauss, m.norm))
+
+
+def test_factor_by_norm(gauss):
+    fm = factor_by_norm(gauss.element(1000, 7))
+    assert (fm.unit.x, fm.unit.y) == (0, -1)
+    assert [((p.x, p.y), e) for p, e in fm.factors] == [((8, 17), 1), ((48, 23), 1)]
+    with pytest.raises(BoundsTooLarge):
+        factor_by_norm(gauss.element(5000, 0))
 
 
 def test_gauss_table_norm_histogram(gauss):
@@ -250,10 +358,78 @@ def cache_dir_and_bytes(tmp_path_factory):
     return cdir, (cdir / "gauss100.qlod").read_bytes()
 
 
+def write_record(raw, i, x=None, y=None, code=None):
+    # a 32-byte "<4sIqQQ" header, then 17-byte "<qqB" records
+    at = 32 + 17 * (i % ((len(raw) - 32) // 17))
+    if x is not None:
+        raw[at : at + 8] = int(x).to_bytes(8, "little", signed=True)
+    if y is not None:
+        raw[at + 8 : at + 16] = int(y).to_bytes(8, "little", signed=True)
+    if code is not None:
+        raw[at + 16] = code
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        # (-7, 1) has norm 50: not canonical and not prime
+        (lambda raw: write_record(raw, 0, x=-7), "record 1 is not a canonical associate"),
+        (lambda raw: write_record(raw, 0, x=-1), "record 1 is not a canonical associate"),
+        (lambda raw: write_record(raw, 0, x=3), "record 1 is not prime"),
+        (lambda raw: write_record(raw, 0, x=0, y=0), "record 1 is not prime"),
+        (lambda raw: write_record(raw, -1, x=10, y=1), "has norm above 100"),
+        (lambda raw: write_record(raw, 3, x=1 << 62), "record 4 has norm above 100"),
+        (lambda raw: write_record(raw, 3, x=-(1 << 63)), "record 4 has norm above 100"),
+        (lambda raw: write_record(raw, 0, code=0), "split code that disagrees"),
+        (lambda raw: write_record(raw, 4, code=2), "record 5 has a split code"),
+        # records 2 and 3 are (1, 2) and (2, 1), of norm 5
+        (lambda raw: write_record(raw, 1, x=2, y=1), "record 3 is out of (norm, x, y) order"),
+        (lambda raw: (write_record(raw, 1, x=2, y=1), write_record(raw, 2, x=1, y=2)),
+         "record 3 is out of (norm, x, y) order"),
+    ],
+)
+def test_cache_load_rejects_bad_records(tmp_path, gauss, edit, needle):
+    path = tmp_path / "bad_record.qlod"
+    cache_save(sieve_primes(gauss, 100), path)
+    raw = bytearray(path.read_bytes())
+    edit(raw)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFile, match=re.escape(needle)):
+        cache_load(gauss, path)
+
+
+def test_cache_load_rejects_a_bound_above_the_guard(tmp_path, gauss):
+    path = tmp_path / "big.qlod"
+    cache_save(sieve_primes(gauss, 100), path)
+    raw = bytearray(path.read_bytes())
+    raw[16:24] = (DEFAULT_GUARD + 1).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFile, match="exceeds guard"):
+        cache_load(gauss, path)
+
+
+def test_cache_save_bytes(tmp_path, eisen):
+    path = tmp_path / "eisen.qlod"
+    table = sieve_primes(eisen, 50)
+    cache_save(table, path)
+    want = struct.pack("<4sIqQQ", b"QLOD", 1, -3, 50, len(table))
+    for p, s in zip(table.primes, table.split_types):
+        want += struct.pack("<qqB", p.x, p.y, {"split": 0, "inert": 1, "ramified": 2}[s])
+    assert path.read_bytes() == want
+
+
+@pytest.fixture(scope="module")
+def cache_dir_and_bytes(tmp_path_factory):
+    cdir = tmp_path_factory.mktemp("cache")
+    cache_save(sieve_primes(make_ring(-1), 100), cdir / "gauss100.qlod")
+    return cdir, (cdir / "gauss100.qlod").read_bytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cache_load_fuzz(cache_dir_and_bytes, data):
-    """Truncated or bit-flipped caches load cleanly or raise a QlodError."""
+    """Truncated or bit-flipped caches raise a QlodError or load a sound table:
+    canonical primes of norm <= max_norm with their split types, in order."""
     cdir, saved = cache_dir_and_bytes
     raw = bytearray(saved)
     if data.draw(st.booleans(), label="truncate"):
@@ -269,3 +445,11 @@ def test_cache_load_fuzz(cache_dir_and_bytes, data):
     except QlodError:
         return
     assert len(table.primes) == len(table.split_types)
+    keys = [(p.norm(), p.x, p.y) for p in table.primes]
+    assert keys == sorted(set(keys))
+    for p, s in zip(table.primes, table.split_types):
+        n = p.norm()
+        assert canonical_associate(p) == p and n <= table.max_norm
+        r = n if sympy.isprime(n) else math.isqrt(n)
+        assert sympy.isprime(r) and (r == n or (r * r == n and s == "inert"))
+        assert splitting_type(p.ring, r) == s
