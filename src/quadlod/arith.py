@@ -9,6 +9,7 @@ exactly sum-of-tau(a) pairs, the same count as per-class divisor enumeration.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import math
@@ -247,7 +248,7 @@ def load_csv(path) -> ArithFn:
     """Read a save_csv file; leading `# config:` lines are skipped.
 
     Anything but one row per class, in class order as save_csv writes it,
-    with two float values, raises CorruptFile.
+    with two finite float values, raises CorruptFile.
     """
     try:
         with open(path, newline="") as fh:
@@ -270,7 +271,10 @@ def load_csv(path) -> ArithFn:
         try:
             if not (row and cls and len(row) == 5 and row[:3] == [str(c) for c in cls]):
                 raise ValueError(f"got {row}, expected (x, y, norm) = {cls}")
-            vals.append(complex(float(row[3]), float(row[4])))
+            z = complex(float(row[3]), float(row[4]))
+            if not cmath.isfinite(z):
+                raise ValueError(f"non-finite value {z}")
+            vals.append(z)
         except ValueError as exc:
             raise CorruptFile(f"{path}: data row {n}: {exc}") from None
     return ArithFn(ring, bound, vals, meta.get("name", "csv"))

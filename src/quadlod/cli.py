@@ -1,9 +1,10 @@
 """Batch command line front end: quadlod <subcommand> [flags].
 
-Every artifact embeds its run configuration (a JSON line) so it can be
-reproduced; numeric output is deterministic given config + seed, for any
-worker count.  Flags use norm-scale parameters (N, not N^2); headers print
-both to avoid off-by-square confusion.
+Every artifact starts with one `# config:` line, a RunConfig as JSON, so it
+can be reproduced; numeric output is deterministic given that line, for any
+worker count.  Each subcommand takes only the flags it reads.  Flags use
+norm-scale parameters (N, not N^2); headers print both to avoid
+off-by-square confusion.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,24 +22,26 @@ from . import lab
 from .arith import convolve, load_csv, save_csv, tabulate
 from .characters import Modulus
 from .errors import QlodError, UsageError
-from .regions import a0, count_region, density_ratio, enumerate_region
+from .regions import NormRegion, a0, count_region, density_ratio, enumerate_region
 from .rings import AlgInt, make_ring
 from .sieve import cache_inspect, cache_load, cache_save, factor_by_norm, sieve_primes
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
+
+# Not params: RunConfig's own fields, and the flags that never change the
+# numbers (a --config file is resolved into params).  Runs that differ only
+# in the output path, the worker count or the cache directory write
+# identical bytes.
+_NOT_PARAMS = {"command", "d", "out", "workers", "cache_dir", "config"}
 
 
 @dataclass
 class RunConfig:
-    """Everything needed to reproduce a run; round-trips through JSON."""
+    """Everything that fixes an artifact's numbers; round-trips through JSON."""
 
     command: str
     d: int | None = None
     params: dict = field(default_factory=dict)
-    out: str | None = None
-    seed: int = 0
-    workers: int = 1
-    cache_dir: str | None = None
     version: int = CONFIG_VERSION
 
     def to_json(self) -> str:
@@ -46,10 +49,9 @@ class RunConfig:
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
+        # version 1 lines also held out, seed, workers, cache_dir and format
         data = json.loads(text)
-        data.pop("version", None)
-        data.pop("format", None)  # written by older versions; output is always CSV
-        return RunConfig(**data)
+        return RunConfig(data["command"], data.get("d"), data.get("params", {}))
 
 
 def default_cache_dir(flag_value: str | None) -> str:
@@ -63,24 +65,22 @@ def default_cache_dir(flag_value: str | None) -> str:
 
 
 def _config_line(cfg: RunConfig) -> str:
-    # embed without out/workers: neither affects the numbers, and identical
-    # computations should produce byte-identical artifacts
-    return f"# config: {replace(cfg, out=None, workers=1).to_json()}\n"
+    return f"# config: {cfg.to_json()}\n"
 
 
-def _emit(lines: list[str], cfg: RunConfig) -> None:
+def _emit(lines: list[str], cfg: RunConfig, out: str | None = None) -> None:
     text = _config_line(cfg) + "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _report(lines: list[str], cfg: RunConfig) -> None:
+def _report(lines: list[str], cfg: RunConfig, out: str | None) -> None:
     """Print bare lines, or with --out write them as an artifact under its config line."""
-    if cfg.out:
-        _emit(lines, cfg)
+    if out:
+        _emit(lines, cfg, out)
     else:
         print("\n".join(lines))
 
@@ -103,28 +103,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _usage(fn, *args):
+    """fn(*args), where fn's only ValueError is an argument out of its range."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _build_fn(spec: str, ring, bound: int, table):
     if spec.startswith("csv:"):
         f = load_csv(spec[4:])
         if f.ring.d != ring.d or f.norm_bound < bound:
             raise QlodError(f"csv function does not cover d={ring.d}, norm {bound}")
         return f
-    try:
-        return tabulate(spec, ring, bound, table)
-    except ValueError as exc:  # tabulate's only ValueError: an unknown name
-        raise UsageError(str(exc)) from None
+    return _usage(tabulate, spec, ring, bound, table)  # ValueError: an unknown name
 
 
-def _add_common(p, need_d=True):
-    if need_d:
-        p.add_argument("--d", type=int, required=True, help="ring selector (one of the nine)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel sweep workers (default: all cores; output is identical)",
-    )
-    p.add_argument("--cache-dir", dest="cache_dir")
+def _add_common(p, out=True):
+    p.add_argument("--d", type=int, required=True, help="ring selector (one of the nine)")
+    if out:
+        p.add_argument("--out", help="output path (default: stdout)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,13 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", type=_finite_float, default=0.0)
     p.add_argument("--b", type=_finite_float, default=1.0)
 
-    p = sub.add_parser("count", help="element count of A0(N)")
-    _add_common(p)
-    p.add_argument("--N", type=_finite_float, required=True)
-
-    p = sub.add_parser("density", help="count over the 2*pi*N^2/sqrt(|D|) model")
-    _add_common(p)
-    p.add_argument("--N", type=_finite_float, required=True)
+    for name, text in (
+        ("count", "element count of A0(N)"),
+        ("density", "count over the 2*pi*N^2/sqrt(|D|) model"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--N", type=_finite_float, required=True)
 
     p = sub.add_parser("sieve", help="prime elements up to a norm bound")
     _add_common(p)
@@ -165,15 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, default=0)
 
-    p = sub.add_parser("chars", help="character group of a modulus")
-    _add_common(p)
-    p.add_argument("--qx", type=int, required=True)
-    p.add_argument("--qy", type=int, default=0)
-
-    p = sub.add_parser("conductors", help="conductor of every character mod q")
-    _add_common(p)
-    p.add_argument("--qx", type=int, required=True)
-    p.add_argument("--qy", type=int, default=0)
+    for name, text in (
+        ("chars", "character group of a modulus"),
+        ("conductors", "conductor of every character mod q"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--qx", type=int, required=True)
+        p.add_argument("--qy", type=int, default=0)
 
     p = sub.add_parser("tabulate", help="tabulate a builtin arithmetic function")
     _add_common(p)
@@ -186,13 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--norm-bound", dest="norm_bound", type=int, required=True)
 
-    p = sub.add_parser("lod-scan", help="E(N, Q) sweep over a grid of N")
-    _add_common(p)
-    p.add_argument("--f", default=None)
-    p.add_argument("--theta", type=_finite_float, default=None)
-    p.add_argument("--B", type=_finite_float, default=None)
-    p.add_argument("--Ngrid", default=None)
-    p.add_argument("--config", help="JSON config file with these parameters")
+    for name, text in (
+        ("lod-scan", "E(N, Q) sweep over a grid of N"),
+        ("conv-experiment", "normalized errors of f, g, f*g"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--f", default=None)
+        if name == "conv-experiment":
+            p.add_argument("--g", default=None)
+        p.add_argument("--theta", type=_finite_float, default=None)
+        p.add_argument("--B", type=_finite_float, default=None)
+        p.add_argument("--Ngrid", default=None)
+        p.add_argument("--config", help="JSON config file or config line with these parameters")
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="parallel sweep workers, at least 1 (default: all cores; output is identical)",
+        )
 
     p = sub.add_parser("sw-check", help="character cancellation scan")
     _add_common(p)
@@ -201,21 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=_finite_float, required=True)
     p.add_argument("--bound-power", dest="bound_power", type=_finite_float, default=None)
 
-    p = sub.add_parser("conv-experiment", help="normalized errors of f, g, f*g")
-    _add_common(p)
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--theta", type=_finite_float, default=None)
-    p.add_argument("--B", type=_finite_float, default=None)
-    p.add_argument("--Ngrid", default=None)
-    p.add_argument("--config", help="JSON config file with these parameters")
-
     p = sub.add_parser("large-sieve", help="lhs/rhs ratios for random sign vectors")
     _add_common(p)
     p.add_argument("--N", type=_finite_float, required=True)
     p.add_argument("--Q1", type=_finite_float, required=True)
     p.add_argument("--Q2", type=_finite_float, required=True)
     p.add_argument("--vectors", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random sign vectors")
 
     p = sub.add_parser("mertens", help="ideal and prime reciprocal-norm sums")
     _add_common(p)
@@ -223,27 +223,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="prime table cache management")
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
-    pc = cache_sub.add_parser("save")
-    _add_common(pc)
-    pc.add_argument("--max-norm", dest="max_norm", type=int, required=True)
-    pc = cache_sub.add_parser("load")
-    _add_common(pc)
-    pc.add_argument("--max-norm", dest="max_norm", type=int, required=True)
+    for name in ("save", "load"):
+        pc = cache_sub.add_parser(name)
+        _add_common(pc, out=False)
+        pc.add_argument("--max-norm", dest="max_norm", type=int, required=True)
+        pc.add_argument("--cache-dir", dest="cache_dir")
     pc = cache_sub.add_parser("inspect")
-    _add_common(pc, need_d=False)
     pc.add_argument("--path", required=True)
 
     return ap
 
 
-def _cache_path(cfg: RunConfig, d: int, max_norm: int) -> str:
-    cdir = default_cache_dir(cfg.cache_dir)
+def _cache_path(cache_dir: str | None, d: int, max_norm: int) -> str:
+    cdir = default_cache_dir(cache_dir)
     os.makedirs(cdir, exist_ok=True)
     return os.path.join(cdir, f"primes_d{d}_n{max_norm}.qlod")
 
 
 def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
-    """Merge --config file values with explicit flags (flags win)."""
+    """Merge --config file values with explicit flags (flags win).
+
+    The file is an artifact's config line, whose params are read, or a flat
+    object of the same keys.
+    """
     file_vals = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -251,11 +253,17 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
                 file_vals = json.load(fh)
             except ValueError as exc:
                 raise UsageError(f"--config {args.config}: not JSON ({exc})") from None
+        if isinstance(file_vals, dict) and "params" in file_vals:
+            file_vals = file_vals["params"]
         if not isinstance(file_vals, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
 
-    def pick(flag, key, default=None):
-        return flag if flag is not None else file_vals.get(key, default)
+    def pick(flag, key, default, kind=str):
+        value = flag if flag is not None else file_vals.get(key, default)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            what = "a string" if kind is str else "a number"
+            raise UsageError(f"scan config: {key} must be {what}, got {value!r}")
+        return value
 
     f_spec = pick(args.f, "f_spec", "prime_indicator")
     g_spec = pick(getattr(args, "g", None), "g_spec", f_spec) if require_g else f_spec
@@ -265,12 +273,12 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
     try:
         cfg = lab.LodScanConfig(
             d=args.d,
-            theta=float(pick(args.theta, "theta", 0.4)),
-            B=float(pick(args.B, "B", 0.0)),
+            theta=float(pick(args.theta, "theta", 0.4, (int, float))),
+            B=float(pick(args.B, "B", 0.0, (int, float))),
             N_grid=tuple(grid),
             f_spec=f_spec,
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise UsageError(f"scan config: {exc}") from None
     return cfg, f_spec, g_spec
 
@@ -292,22 +300,13 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    cfg = RunConfig(
-        command=args.command,
-        d=getattr(args, "d", None),
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        workers=workers,
-        cache_dir=getattr(args, "cache_dir", None),
-    )
     cmd = args.command
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    cfg = RunConfig(cmd, getattr(args, "d", None), params)
+    out = getattr(args, "out", None)
+    ring = make_ring(args.d) if "d" in args else None
 
     if cmd == "ring-info":
-        ring = make_ring(args.d)
-        cfg.params = {}
         info = {
             "d": ring.d,
             "disc": ring.disc,
@@ -316,56 +315,42 @@ def _dispatch(args) -> int:
             "zeta0": [ring.zeta0.x, ring.zeta0.y],
             "units": [[u.x, u.y] for u in ring.units],
         }
-        _emit([json.dumps(info, sort_keys=True)], cfg)
+        _emit([json.dumps(info, sort_keys=True)], cfg, out)
         return 0
 
     if cmd == "enumerate":
-        ring = make_ring(args.d)
-        cfg.params = {"N": args.N, "yprime": args.yprime, "Y": args.Y, "b": args.b}
-        from .regions import NormRegion
-
         region = NormRegion.from_params(ring, args.yprime, args.Y, args.N, args.b)
         lines = [f"# norms in [{region.lo_sq}, {region.hi_sq}] (N={args.N}, N^2={args.N**2})"]
         lines.append("x,y,norm")
         for xi in enumerate_region(region):
             lines.append(f"{xi.x},{xi.y},{xi.norm()}")
-        _emit(lines, cfg)
+        _emit(lines, cfg, out)
         return 0
 
     if cmd == "count":
-        ring = make_ring(args.d)
-        cfg.params = {"N": args.N}
-        _report([str(count_region(a0(ring, args.N)))], cfg)
+        _report([str(count_region(a0(ring, args.N)))], cfg, out)
         return 0
 
     if cmd == "density":
-        ring = make_ring(args.d)
-        cfg.params = {"N": args.N}
-        _report([repr(density_ratio(ring, args.N))], cfg)
+        _report([repr(_usage(density_ratio, ring, args.N))], cfg, out)
         return 0
 
     if cmd == "sieve":
-        ring = make_ring(args.d)
-        cfg.params = {"max_norm": args.max_norm}
         table = sieve_primes(ring, args.max_norm)
         lines = [f"# {len(table)} prime classes, norm <= {args.max_norm}", "x,y,norm,split"]
         rows = zip(table.xs.tolist(), table.ys.tolist(), table.norms.tolist(), table.split_types)
         lines += [f"{x},{y},{n},{st}" for x, y, n, st in rows]
-        _emit(lines, cfg)
+        _emit(lines, cfg, out)
         return 0
 
     if cmd == "factor":
-        ring = make_ring(args.d)
-        cfg.params = {"x": args.x, "y": args.y}
         fm = factor_by_norm(AlgInt(ring, args.x, args.y))
         parts = [f"unit=({fm.unit.x},{fm.unit.y})"]
         parts += [f"({p.x},{p.y})^{e}" for p, e in fm.factors]
-        _report([" * ".join(parts)], cfg)
+        _report([" * ".join(parts)], cfg, out)
         return 0
 
     if cmd in ("chars", "conductors"):
-        ring = make_ring(args.d)
-        cfg.params = {"qx": args.qx, "qy": args.qy}
         m = Modulus(ring, AlgInt(ring, args.qx, args.qy))
         gens, orders = m.unit_group
         lines = [
@@ -383,54 +368,62 @@ def _dispatch(args) -> int:
                     f"\"{list(chi.exponents)}\",{cond.q.x},{cond.q.y},{cond.norm},"
                     f"{int(chi.is_primitive)}"
                 )
-        _emit(lines, cfg)
+        _emit(lines, cfg, out)
         return 0
 
     if cmd == "tabulate":
-        ring = make_ring(args.d)
-        cfg.params = {"f": args.f, "norm_bound": args.norm_bound}
         table = sieve_primes(ring, args.norm_bound)
         f = _build_fn(args.f, ring, args.norm_bound, table)
-        save_csv(f, cfg.out, _config_line(cfg))
+        save_csv(f, out, _config_line(cfg))
         return 0
 
     if cmd == "convolve":
-        ring = make_ring(args.d)
-        cfg.params = {"f": args.f, "g": args.g, "norm_bound": args.norm_bound}
         table = sieve_primes(ring, args.norm_bound)
         f = _build_fn(args.f, ring, args.norm_bound, table)
         g = f if args.g == args.f else _build_fn(args.g, ring, args.norm_bound, table)
         h = convolve(f, g)
-        save_csv(h, cfg.out, _config_line(cfg))
+        save_csv(h, out, _config_line(cfg))
         return 0
 
-    if cmd == "lod-scan":
-        scan_cfg, f_spec, _ = _scan_config(args)
-        ring = make_ring(args.d)
+    if cmd in ("lod-scan", "conv-experiment"):
+        if args.workers is not None and args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        conv = cmd == "conv-experiment"
+        scan_cfg, f_spec, g_spec = _scan_config(args, require_g=conv)
+        cfg.params = {k: v for k, v in asdict(scan_cfg).items() if k != "d"}
         bound = max(scan_cfg.N_grid) ** 2
         table = sieve_primes(ring, bound)
         f = _build_fn(f_spec, ring, bound, table)
-        tables = lab.lod_scan(scan_cfg, f, workers=cfg.workers)
-        if cfg.out:
-            lab.write_lod_csv(tables, scan_cfg, cfg.out)
-        for t in tables:
-            flag = " (degenerate Q)" if t.degenerate else ""
+        workers = args.workers or os.cpu_count() or 1
+        if not conv:
+            tables = lab.lod_scan(scan_cfg, f, workers=workers)
+            if out:
+                lab.write_lod_csv(tables, out, _config_line(cfg))
+            for t in tables:
+                flag = " (degenerate Q)" if t.degenerate else ""
+                print(
+                    f"N={t.n} N^2={t.n**2} Q={repr(t.q_bound)} count={t.count} "
+                    f"E={repr(t.aggregate)} E/count={repr(t.normalized)}{flag}"
+                )
+            return 0
+        cfg.params["g_spec"] = g_spec
+        g = f if g_spec == f_spec else _build_fn(g_spec, ring, bound, table)
+        report = lab.convolution_experiment(f, g, scan_cfg, workers=workers)
+        if out:
+            lab.write_conv_csv(report, out, _config_line(cfg))
+        for row in report.rows:
             print(
-                f"N={t.n} N^2={t.n**2} Q={repr(t.q_bound)} count={t.count} "
-                f"E={repr(t.aggregate)} E/count={repr(t.normalized)}{flag}"
+                f"N={row['N']} E_f={repr(row['E_f_norm'])} E_g={repr(row['E_g_norm'])} "
+                f"E_conv={repr(row['E_conv_norm'])}"
             )
+        print(f"decaying: {report.decaying}")
         return 0
 
     if cmd == "sw-check":
-        ring = make_ring(args.d)
-        cfg.params = {"f": args.f, "N": args.N, "D": args.D, "bound_power": args.bound_power}
         bound = lab._floor_sq(args.N)
         table = sieve_primes(ring, bound)
         f = _build_fn(args.f, ring, bound, table)
-        try:
-            rep = lab.sw_check(f, args.N, args.D, args.bound_power)
-        except ValueError as exc:  # sw_check's only ValueError: N <= 1
-            raise UsageError(str(exc)) from None
+        rep = _usage(lab.sw_check, f, args.N, args.D, args.bound_power)  # ValueError: N <= 1
         lines = [
             f"# N={rep.n} D={rep.d_power} bound_power={rep.bound_power} "
             f"modulus_cap={repr(rep.modulus_cap)}",
@@ -442,35 +435,15 @@ def _dispatch(args) -> int:
                 f"{repr(row['abs_sum'])},{repr(row['scaled'])}"
             )
         lines.append(f"# max_scaled={repr(rep.max_scaled)}")
-        _emit(lines, cfg)
-        return 0
-
-    if cmd == "conv-experiment":
-        scan_cfg, f_spec, g_spec = _scan_config(args, require_g=True)
-        ring = make_ring(args.d)
-        bound = max(scan_cfg.N_grid) ** 2
-        table = sieve_primes(ring, bound)
-        f = _build_fn(f_spec, ring, bound, table)
-        g = f if g_spec == f_spec else _build_fn(g_spec, ring, bound, table)
-        report = lab.convolution_experiment(f, g, scan_cfg, workers=cfg.workers)
-        if cfg.out:
-            lab.write_conv_csv(report, cfg.out, g_spec)
-        for row in report.rows:
-            print(
-                f"N={row['N']} E_f={repr(row['E_f_norm'])} E_g={repr(row['E_g_norm'])} "
-                f"E_conv={repr(row['E_conv_norm'])}"
-            )
-        print(f"decaying: {report.decaying}")
+        _emit(lines, cfg, out)
         return 0
 
     if cmd == "large-sieve":
         if args.vectors < 1:
             raise UsageError(f"--vectors must be at least 1, got {args.vectors}")
-        ring = make_ring(args.d)
-        cfg.params = {"N": args.N, "Q1": args.Q1, "Q2": args.Q2, "vectors": args.vectors}
         region = a0(ring, args.N)
         els = list(enumerate_region(region))
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         mat = rng.choice([-1.0, 1.0], size=(args.vectors, len(els)))
         results = lab.large_sieve_ratios(mat, els, args.Q1, args.Q2, region)
         lines = [f"# {len(els)} elements, moduli norm in ({args.Q1}, {args.Q2}]"]
@@ -478,17 +451,15 @@ def _dispatch(args) -> int:
         for i, (l, r, ratio) in enumerate(results):
             lines.append(f"{i},{repr(l)},{repr(r)},{repr(ratio)}")
         lines.append(f"# max_ratio={repr(max(r for _, _, r in results))}")
-        _emit(lines, cfg)
+        _emit(lines, cfg, out)
         return 0
 
     if cmd == "mertens":
-        ring = make_ring(args.d)
-        cfg.params = {"R": args.R}
-        rep = lab.mertens_sums(ring, args.R)
+        rep = _usage(lab.mertens_sums, ring, args.R)  # ValueError: R < 2
         _report([
             f"R={rep.r} ideal_sum={repr(rep.ideal_sum)} prime_sum={repr(rep.prime_sum)} "
             f"ideal_ratio={repr(rep.ideal_ratio)} prime_ratio={repr(rep.prime_ratio)}"
-        ], cfg)
+        ], cfg, out)
         return 0
 
     if cmd == "cache":
@@ -496,8 +467,7 @@ def _dispatch(args) -> int:
             info = cache_inspect(args.path)
             print(json.dumps(info, sort_keys=True))
             return 0
-        ring = make_ring(args.d)
-        path = _cache_path(cfg, args.d, args.max_norm)
+        path = _cache_path(args.cache_dir, args.d, args.max_norm)
         if args.cache_command == "save":
             table = sieve_primes(ring, args.max_norm)
             cache_save(table, path)

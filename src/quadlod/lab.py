@@ -21,10 +21,9 @@ for byte stable: each class's running sum adds its elements one at a time in
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +32,7 @@ import numpy as np
 from .arith import ArithFn, convolve, tabulate
 from .characters import DirichletCharacter, Modulus
 from .errors import (
+    BoundsTooLarge,
     EmptyModulusRange,
     NotCoprime,
     PrincipalCharacter,
@@ -402,11 +402,15 @@ def sw_check(
     hi = _floor_sq(n)
     if hi > f.norm_bound:
         raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
-    cap = math.log(n) ** d_power
+    try:
+        cap, log_power = math.log(n) ** d_power, math.log(n) ** bound_power
+    except OverflowError:
+        raise BoundsTooLarge(
+            f"(log N)^D or (log N)^bound_power overflows a float at N={n}"
+        ) from None
     xs, ys, _ = element_arrays(ring.d, 1, hi)
     fv = _fvals(f, xs, ys)
     cnt = count_region(a0(ring, n))
-    log_power = math.log(n) ** bound_power
     rows = []
     max_scaled = 0.0
     for q in canonical_classes(ring, int(cap)):
@@ -612,16 +616,10 @@ def mertens_sums(ring: RingDescriptor, r: int) -> MertensReport:
 # -- CSV emission ----------------------------------------------------------
 
 
-def config_json(cfg, **extra) -> str:
-    out = {**asdict(cfg), **extra}
-    out["version"] = 1
-    return json.dumps(out, sort_keys=True, separators=(",", ":"))
-
-
-def write_lod_csv(tables: list[LodTable], cfg: LodScanConfig, path) -> None:
-    """Per-modulus rows plus one aggregate row per N."""
+def write_lod_csv(tables: list[LodTable], path, config_line: str = "") -> None:
+    """Per-modulus rows plus one aggregate row per N, under config_line."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {config_json(cfg)}\n")
+        fh.write(config_line)
         fh.write(
             "N,Q,q_x,q_y,q_norm,phi,max_eps_re,max_eps_im,max_eps_abs,"
             "argmax_M,argmax_gamma_x,argmax_gamma_y\n"
@@ -640,13 +638,10 @@ def write_lod_csv(tables: list[LodTable], cfg: LodScanConfig, path) -> None:
             )
 
 
-def write_conv_csv(
-    report: ConvolutionReport, path, g_spec: str | None = None
-) -> None:
-    """Rows under a config line that --config re-runs; g_spec None means g is f."""
-    g_spec = report.config.f_spec if g_spec is None else g_spec
+def write_conv_csv(report: ConvolutionReport, path, config_line: str = "") -> None:
+    """One row of normalized errors per N, under config_line."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {config_json(report.config, g_spec=g_spec)}\n")
+        fh.write(config_line)
         fh.write("N,E_f_norm,E_g_norm,E_conv_norm\n")
         for row in report.rows:
             fh.write(

@@ -273,6 +273,8 @@ def canonical_coords(
 
 
 def density_ratio(ring: RingDescriptor, n: float, guard: int = DEFAULT_GUARD) -> float:
-    """count(A0(N)) over the lattice-point model 2*pi*N^2/sqrt(|D_K|)."""
+    """count(A0(N)) over the lattice-point model 2*pi*N^2/sqrt(|D_K|), N > 0."""
+    if not n > 0:
+        raise ValueError(f"N must be positive, got {n}")
     cnt = count_region(a0(ring, n), guard)
     return cnt / (2.0 * math.pi * n * n / math.sqrt(abs(ring.disc)))

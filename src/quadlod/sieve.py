@@ -90,16 +90,21 @@ def splitting_type(ring: RingDescriptor, p: int) -> str:
 def _prime_norm_codes(ring: RingDescriptor, bound: int) -> np.ndarray:
     """Split code of the prime classes of each norm 0..bound; -1: none is prime.
 
-    A class of prime norm p is prime, ramified iff p | D_K (no class has norm
-    p when p is inert); a class of norm p^2 is prime iff p is inert.
+    Norm p holds two prime classes when p splits and one when p | D_K; norm
+    p^2 holds one when p is inert.  (D_K / p) depends only on p mod |D_K|, so
+    one prime per residue class gives it for all of them.
     """
     flags = _prime_flags(bound)
     codes = np.full(len(flags), -1, dtype=np.int8)
     ps = np.flatnonzero(flags)
-    codes[ps] = np.where(ring.disc % ps == 0, _SPLIT_CODE[RAMIFIED], _SPLIT_CODE[SPLIT])
-    for p in ps[ps * ps < len(flags)].tolist():
-        if kronecker_disc(ring, p) == -1:
-            codes[p * p] = _SPLIT_CODE[INERT]
+    res = ps % abs(ring.disc)
+    rep = np.zeros(abs(ring.disc), dtype=np.int64)
+    rep[res] = ps  # any one prime of each residue class; 0 where none is
+    kron = np.array([kronecker_disc(ring, p) if p else 0 for p in rep.tolist()])[res]
+    codes[ps[kron == 1]] = _SPLIT_CODE[SPLIT]
+    codes[ps[kron == 0]] = _SPLIT_CODE[RAMIFIED]
+    inert = ps[kron == -1]
+    codes[inert[inert * inert < len(flags)] ** 2] = _SPLIT_CODE[INERT]
     return codes
 
 
@@ -356,9 +361,10 @@ def cache_save(table: PrimeTable, path) -> None:
 def cache_load(ring: RingDescriptor, path) -> PrimeTable:
     """Read a table back; the cached ring must match the requested one.
 
-    Every record must be a canonical prime class of norm <= max_norm, carry
-    the split code of its norm, and follow the one before it in (norm, x, y)
-    order; the first record that does not raises CorruptFile.
+    The file must hold as many records as there are prime classes of norm
+    <= max_norm (so, all of them), each a canonical prime class of norm <=
+    max_norm with the split code of its norm, in strict (norm, x, y) order;
+    anything else raises CorruptFile.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -372,14 +378,18 @@ def cache_load(ring: RingDescriptor, path) -> PrimeTable:
         if d != ring.d:
             raise RingMismatch(f"cache holds d={d}, requested d={ring.d}")
         body = fh.read()
-    if len(body) < count * _RECORD.itemsize:
-        raise FormatVersionMismatch("truncated record section")
-    rec = np.frombuffer(body, dtype=_RECORD, count=count)
+    if len(body) != count * _RECORD.itemsize:
+        raise CorruptFile(f"{path}: {len(body)} record bytes for the header's {count} records")
+    rec = np.frombuffer(body, dtype=_RECORD)
     if (unknown := rec["code"] > max(_SPLIT_NAME)).any():
         code = rec["code"][unknown][0]
         raise FormatVersionMismatch(f"unknown split code {code} in record section")
     if max_norm > DEFAULT_GUARD:
         raise CorruptFile(f"{path}: max_norm={max_norm} exceeds guard={DEFAULT_GUARD}")
+    prime_codes = _prime_norm_codes(ring, max_norm)
+    want = (prime_codes >= 0).sum() + (prime_codes == _SPLIT_CODE[SPLIT]).sum()
+    if count != want:  # two classes of norm p per split p
+        raise CorruptFile(f"{path}: {count} records for {want} prime classes to {max_norm}")
     xs, ys, codes = (rec[k].astype(np.int64) for k in ("x", "y", "code"))
 
     def reject(bad: np.ndarray, what: str):
@@ -393,7 +403,7 @@ def cache_load(ring: RingDescriptor, path) -> PrimeTable:
     reject(norms > max_norm, f"has norm above {max_norm}")
     cxs, cys = canonical_coords(ring, xs, ys)
     reject((cxs != xs) | (cys != ys), "is not a canonical associate")
-    expected = _prime_norm_codes(ring, max_norm)[norms]
+    expected = prime_codes[norms]
     reject(expected < 0, "is not prime")
     reject(expected != codes, "has a split code that disagrees with its norm")
     later = np.diff(_key(max_norm, xs, ys, norms)) > 0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadlod
 from quadlod.cli import RunConfig, default_cache_dir, main
@@ -217,12 +221,11 @@ def test_config_file_merge(capsys, tmp_path):
 
 
 def test_run_config_round_trip():
-    cfg = RunConfig(
-        command="lod-scan", d=-1, params={"theta": 0.4}, out="x.csv",
-        seed=7, workers=2, cache_dir=None,
-    )
-    again = RunConfig.from_json(cfg.to_json())
-    assert again == cfg
+    cfg = RunConfig(command="large-sieve", d=-1, params={"N": 10.0, "seed": 7})
+    text = cfg.to_json()
+    assert sorted(json.loads(text)) == ["command", "d", "params", "version"]
+    assert json.loads(text)["version"] == 2
+    assert RunConfig.from_json(text) == cfg
 
 
 def test_run_config_reads_old_format_key():
@@ -241,14 +244,17 @@ def test_artifact_embeds_reproducible_config(capsys, tmp_path):
     first = out_file.read_bytes()
     header = first.decode().splitlines()[0]
     assert header.startswith("# config:")
-    embedded = json.loads(header[len("# config:"):])
-    # re-run from the embedded grid and compare bytes
-    grid = ",".join(str(n) for n in embedded["N_grid"])
+    embedded = RunConfig.from_json(header[len("# config:"):])
+    assert (embedded.command, embedded.d) == ("lod-scan", -1)
+    params = embedded.params
+    assert sorted(params) == ["B", "N_grid", "f_spec", "theta"]
+    # re-run from the embedded parameters, at another worker count, and compare bytes
+    grid = ",".join(str(n) for n in params["N_grid"])
     out2 = tmp_path / "scan2.csv"
     run(
-        capsys, "lod-scan", "--d", "-1", "--f", embedded["f_spec"],
-        "--theta", str(embedded["theta"]), "--B", str(embedded["B"]),
-        "--Ngrid", grid, "--out", str(out2),
+        capsys, "lod-scan", "--d", str(embedded.d), "--f", params["f_spec"],
+        "--theta", str(params["theta"]), "--B", str(params["B"]),
+        "--Ngrid", grid, "--workers", "2", "--out", str(out2),
     )
     assert out2.read_bytes() == first
 
@@ -405,7 +411,7 @@ def test_conv_experiment_reruns_from_its_config_line(capsys, tmp_path):
     )
     assert code == 0
     header = first.read_text().splitlines()[0]
-    assert json.loads(header[len("# config:"):])["g_spec"] == "moebius"
+    assert json.loads(header[len("# config:"):])["params"]["g_spec"] == "moebius"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(header[len("# config:"):])
     again = tmp_path / "again.csv"
@@ -531,3 +537,211 @@ def test_large_sieve_bytes_independent_of_blas_threads():
         for n in ("1", "2")
     ]
     assert outs[0] == outs[1]
+
+
+_ARTIFACTS = [
+    ["ring-info", "--d", "-3"],
+    ["enumerate", "--d", "-1", "--N", "3"],
+    ["count", "--d", "-1", "--N", "5"],
+    ["density", "--d", "-1", "--N", "5"],
+    ["sieve", "--d", "-1", "--max-norm", "50"],
+    ["factor", "--d", "-1", "--x", "6"],
+    ["chars", "--d", "-1", "--qx", "3"],
+    ["conductors", "--d", "-1", "--qx", "3"],
+    ["tabulate", "--d", "-1", "--f", "moebius", "--norm-bound", "50"],
+    ["convolve", "--d", "-1", "--f", "one", "--g", "one", "--norm-bound", "50"],
+    ["lod-scan", "--d", "-1", *_SCAN],
+    ["conv-experiment", "--d", "-1", *_SCAN],
+    ["sw-check", "--d", "-1", "--f", "one", "--N", "5", "--D", "2"],
+    ["large-sieve", "--d", "-1", "--N", "5", "--Q1", "2", "--Q2", "10", "--seed", "3"],
+    ["mertens", "--d", "-1", "--R", "50"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARTIFACTS, ids=lambda argv: argv[0])
+def test_every_artifact_has_one_config_schema(capsys, tmp_path, argv):
+    workers = [["--workers", "1"], ["--workers", "2"]] if "--Ngrid" in argv else [[], []]
+    paths = [tmp_path / "a.csv", tmp_path / "sub-b.csv"]
+    for path, extra in zip(paths, workers):
+        code, _, err = run(capsys, *argv, *extra, "--out", str(path))
+        assert code == 0, err
+    first = paths[0].read_text().splitlines()[0]
+    assert first.startswith('# config: {"command":')
+    cfg = json.loads(first[len("# config:"):])
+    assert sorted(cfg) == ["command", "d", "params", "version"]
+    assert (cfg["command"], cfg["d"], cfg["version"]) == (argv[0], int(argv[2]), 2)
+    # neither the --out path nor --workers is in the config line
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_large_sieve_seed_is_a_param(capsys, tmp_path):
+    out = tmp_path / "ls.csv"
+    argv = ["large-sieve", "--d", "-1", "--N", "5", "--Q1", "2", "--Q2", "10", "--seed", "3"]
+    run(capsys, *argv, "--out", str(out))
+    cfg = RunConfig.from_json(out.read_text().splitlines()[0][len("# config:"):])
+    assert cfg.params == {"N": 5.0, "Q1": 2.0, "Q2": 10.0, "seed": 3, "vectors": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--d", "-1", "--N", "5", "--seed", "1"],
+        ["count", "--d", "-1", "--N", "5", "--workers", "2"],
+        ["count", "--d", "-1", "--N", "5", "--cache-dir", "c"],
+        ["sw-check", "--d", "-1", "--f", "one", "--N", "5", "--D", "2", "--seed", "1"],
+        ["large-sieve", "--d", "-1", "--N", "5", "--Q1", "2", "--Q2", "10", "--workers", "2"],
+        ["lod-scan", "--d", "-1", *_SCAN, "--seed", "1"],
+        ["cache", "save", "--d", "-1", "--max-norm", "50", "--out", "x"],
+        ["cache", "load", "--d", "-1", "--max-norm", "50", "--seed", "1"],
+        ["cache", "inspect", "--path", "x", "--d", "-1"],
+        ["cache", "inspect", "--path", "x", "--cache-dir", "c"],
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["lod-scan", "conv-experiment"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(capsys, command, workers):
+    code, out, err = run(capsys, command, "--d", "-1", *_SCAN, "--workers", workers)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--workers" in err
+
+
+def test_lod_scan_reruns_from_its_config_line(capsys, tmp_path):
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    code, printed, _ = run(capsys, "lod-scan", "--d", "-1", *_SCAN, "--out", str(first))
+    assert code == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(first.read_text().splitlines()[0][len("# config:"):])
+    code, reprinted, _ = run(
+        capsys, "lod-scan", "--d", "-1", "--config", str(cfg_path), "--out", str(again)
+    )
+    assert code == 0 and reprinted == printed
+    assert again.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["lod-scan", "conv-experiment"])
+@pytest.mark.parametrize(
+    "values,needle",
+    [
+        ({"f_spec": 5}, "f_spec must be a string"),
+        ({"f_spec": None}, "f_spec must be a string"),
+        ({"f_spec": "one", "g_spec": ["x"]}, "g_spec must be a string"),
+        ({"f_spec": "one", "theta": "0.4"}, "theta must be a number"),
+        ({"f_spec": "one", "B": True}, "B must be a number"),
+        ({"f_spec": "one", "theta": -10**400}, "scan config"),
+        ({"params": {"f_spec": 5}}, "f_spec must be a string"),
+        ({"params": [10, 20]}, "--config"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_usage_error(capsys, tmp_path, command, values, needle):
+    if command == "lod-scan" and "g_spec" in values:
+        needle = None  # lod-scan reads no g
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps({"N_grid": [10], **values}))
+    code, _, err = run(capsys, command, "--d", "-1", "--workers", "1", "--config", str(cfg_path))
+    if needle is None:
+        assert code == 0
+        return
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+# Every object carries an N_grid, and grid values stay at N <= 12, so that
+# each example takes milliseconds (the default grid reaches N = 100).
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=12) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_non_object = _json.filter(lambda value: not isinstance(value, dict))
+_valid_scan = {
+    "N_grid": st.lists(st.integers(2, 12), min_size=1, max_size=2, unique=True).map(sorted),
+    "f_spec": st.sampled_from(["one", "prime", "moebius"]),
+    "g_spec": st.sampled_from(["one", "lambda"]),
+    "theta": st.floats(0.05, 0.5),
+    "B": st.floats(0.0, 3.0),
+}
+# a valid scan with one value replaced by any JSON, or every value drawn loosely
+_scan_values = st.sampled_from(sorted(_valid_scan)).flatmap(
+    lambda key: st.fixed_dictionaries({**_valid_scan, key: _json})
+) | st.fixed_dictionaries(
+    {"N_grid": _valid_scan["N_grid"] | st.lists(st.integers(-2, 12), max_size=3) | _json},
+    optional={
+        "f_spec": st.sampled_from(["one", "bogus", "csv:"]) | _json,
+        "g_spec": _valid_scan["g_spec"] | _json,
+        "theta": _valid_scan["theta"] | _json,
+        "B": _valid_scan["B"] | _json,
+        "A": _json,
+    },
+)
+_config_files = (
+    _scan_values
+    | st.builds(
+        lambda d, params: {"command": "lod-scan", "d": d, "params": params, "version": 2},
+        _json, _scan_values | _non_object,
+    )
+    | _non_object
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["lod-scan", "conv-experiment"]), values=_config_files)
+def test_config_file_fuzz(fuzz_dir, command, values):
+    """Any JSON in --config exits 0, 1 or 2, never with a traceback."""
+    cfg_path = fuzz_dir / "fuzz.json"
+    cfg_path.write_text(json.dumps(values))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, "--d", "-1", "--workers", "1", "--config", str(cfg_path)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(("error: ", "io error: "))
+        assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code,needle",
+    [
+        (["mertens", "--d", "-1", "--R", "1"], 2, "R must be >= 2"),
+        (["density", "--d", "-1", "--N", "0"], 2, "N must be positive"),
+        (["density", "--d", "-1", "--N", "-2"], 2, "N must be positive"),
+        (["sw-check", "--d", "-1", "--f", "one", "--N", "3", "--D", "1", "--bound-power", "1e308"],
+         1, "overflows"),
+        (["sw-check", "--d", "-1", "--f", "one", "--N", "3", "--D", "1e308"], 1, "overflows"),
+    ],
+)
+def test_out_of_range_argument_is_one_line_error(capsys, argv, code, needle):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("column", [3, 4])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_csv_value_is_computation_error(capsys, tmp_path, column, value):
+    mu = tmp_path / "mu.csv"
+    run(capsys, "tabulate", "--d", "-1", "--f", "moebius", "--norm-bound", "50", "--out", str(mu))
+    lines = mu.read_text().splitlines()
+    row = lines[5].split(",")
+    row[column] = value
+    lines[5] = ",".join(row)
+    mu.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "sw-check", "--d", "-1", "--f", f"csv:{mu}", "--N", "3", "--D", "1")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err

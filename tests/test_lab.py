@@ -191,8 +191,9 @@ def test_lod_csv_degenerate_row(gauss, one_2500, tmp_path):
     cfg = LodScanConfig(d=-1, theta=0.01, B=6.0, N_grid=(20,))
     tables = lod_scan(cfg, one_2500)
     path = tmp_path / "degenerate.csv"
-    write_lod_csv(tables, cfg, path)
+    write_lod_csv(tables, path, "# config: {}\n")
     lines = path.read_text().splitlines()
+    assert lines[0] == "# config: {}" and lines[1].startswith("N,Q,")
     assert lines[-1].split(",")[4] == "aggregate"
     assert float(lines[-1].split(",")[8]) == 0.0
 
@@ -242,8 +243,8 @@ def test_lod_scan_worker_determinism(gauss, one_2500, tmp_path):
         ra == rb for a, b in zip(t1, t2) for ra, rb in zip(a.records, b.records)
     )
     p1, p2 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-    write_lod_csv(t1, cfg, p1)
-    write_lod_csv(t2, cfg, p2)
+    write_lod_csv(t1, p1)
+    write_lod_csv(t2, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlod import regions
+from quadlod import regions, sieve
 from quadlod.arith import BUILTIN_NAMES, tabulate
 from quadlod.characters import Modulus
 from quadlod.cli import main
@@ -187,6 +187,21 @@ def test_splitting_matches_kronecker_oracle(d):
         else:
             sym = int(sympy.jacobi_symbol(ring.disc, p))
         assert kronecker_disc(ring, p) == sym
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_prime_norm_codes_follow_each_primes_splitting(d):
+    # the codes read (D_K / p) once per residue mod |D_K|; check every p
+    ring = make_ring(d)
+    codes = sieve._prime_norm_codes(ring, 5000)
+    want = np.full(5001, -1)
+    for p in rational_primes(5000):
+        kind = splitting_type(ring, p)
+        if kind != "inert":
+            want[p] = {"split": 0, "ramified": 2}[kind]
+        elif p * p <= 5000:
+            want[p * p] = 1
+    assert codes.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
@@ -395,6 +410,41 @@ def test_cache_load_rejects_bad_records(tmp_path, gauss, edit, needle):
     edit(raw)
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptFile, match=re.escape(needle)):
+        cache_load(gauss, path)
+
+
+def _edited_gauss100(tmp_path, gauss, edit):
+    path = tmp_path / "edited.qlod"
+    cache_save(sieve_primes(gauss, 100), path)
+    raw = bytearray(path.read_bytes())
+    path.write_bytes(bytes(edit(raw)))
+    return path
+
+
+def test_cache_load_rejects_a_raised_bound(tmp_path, gauss):
+    # 25 primes of norm <= 100 must not load as the table to norm 10000
+    def edit(raw):
+        raw[16:24] = (10_000).to_bytes(8, "little")
+        return raw
+
+    path = _edited_gauss100(tmp_path, gauss, edit)
+    with pytest.raises(CorruptFile, match="25 records for 1232 prime classes"):
+        cache_load(gauss, path)
+
+
+def test_cache_load_rejects_a_lowered_count(tmp_path, gauss):
+    def edit(raw):
+        raw[24:32] = (int.from_bytes(raw[24:32], "little") - 3).to_bytes(8, "little")
+        return raw
+
+    path = _edited_gauss100(tmp_path, gauss, edit)
+    with pytest.raises(CorruptFile, match="record bytes"):
+        cache_load(gauss, path)
+
+
+def test_cache_load_rejects_trailing_bytes(tmp_path, gauss):
+    path = _edited_gauss100(tmp_path, gauss, lambda raw: raw + b"junk")
+    with pytest.raises(CorruptFile, match="record bytes"):
         cache_load(gauss, path)
 
 
