@@ -319,7 +319,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "enumerate":
-        region = NormRegion.from_params(ring, args.yprime, args.Y, args.N, args.b)
+        region = _usage(NormRegion.from_params, ring, args.yprime, args.Y, args.N, args.b)
         lines = [f"# norms in [{region.lo_sq}, {region.hi_sq}] (N={args.N}, N^2={args.N**2})"]
         lines.append("x,y,norm")
         for xi in enumerate_region(region):
@@ -328,7 +328,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "count":
-        _report([str(count_region(a0(ring, args.N)))], cfg, out)
+        _report([str(count_region(_usage(a0, ring, args.N)))], cfg, out)
         return 0
 
     if cmd == "density":
@@ -441,11 +441,11 @@ def _dispatch(args) -> int:
     if cmd == "large-sieve":
         if args.vectors < 1:
             raise UsageError(f"--vectors must be at least 1, got {args.vectors}")
-        region = a0(ring, args.N)
+        region = _usage(a0, ring, args.N)
         els = list(enumerate_region(region))
         rng = np.random.default_rng(args.seed)
         mat = rng.choice([-1.0, 1.0], size=(args.vectors, len(els)))
-        results = lab.large_sieve_ratios(mat, els, args.Q1, args.Q2, region)
+        results = _usage(lab.large_sieve_ratios, mat, els, args.Q1, args.Q2, region)  # Q1 <= 0
         lines = [f"# {len(els)} elements, moduli norm in ({args.Q1}, {args.Q2}]"]
         lines.append("vector,lhs,rhs,ratio")
         for i, (l, r, ratio) in enumerate(results):
@@ -467,6 +467,8 @@ def _dispatch(args) -> int:
             info = cache_inspect(args.path)
             print(json.dumps(info, sort_keys=True))
             return 0
+        if args.max_norm < 1:
+            raise UsageError(f"--max-norm must be at least 1, got {args.max_norm}")
         path = _cache_path(args.cache_dir, args.d, args.max_norm)
         if args.cache_command == "save":
             table = sieve_primes(ring, args.max_norm)

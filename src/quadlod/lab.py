@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .arith import ArithFn, convolve, tabulate
+from .arith import ArithFn, convolve
 from .characters import DirichletCharacter, Modulus
 from .errors import (
     BoundsTooLarge,
@@ -112,7 +113,7 @@ def epsilon_sweep(f: ArithFn, n: float, m: Modulus) -> SweepResult:
         raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
     xs, ys, norms = element_arrays(f.ring.d, 1, hi)
     fv = _fvals(f, xs, ys)
-    return _sweep_arrays(m, xs, ys, norms, fv)
+    return _sweep_arrays(m, xs, ys, norms, fv)[-1]
 
 
 # Cells of one (breakpoint x class) block of the sweep: bounds its working
@@ -152,26 +153,29 @@ def _class_running_sums(va: np.ndarray, vc: np.ndarray, phi: int) -> np.ndarray:
     return np.cumsum(pad, axis=1)
 
 
-def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> SweepResult:
-    """Max over breakpoints and coprime classes of |eps|, first attained.
+def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> list[SweepResult]:
+    """Running max over breakpoints and coprime classes of |eps|, first attained.
 
-    Per breakpoint b and class c, eps = A[b, c] - T[b] / phi, where A is the
-    running sum of class c and T the running coprime total.  The float sums
-    keep the order of a per-breakpoint loop, so the result is bit-identical
-    to it for any f: A[b, c] is read from each class's sequential running
-    sums at the class's element count after b; T is a sequential running sum
-    of per-breakpoint ``.sum()`` values.  Blocks of at most ``_SWEEP_BLOCK``
-    cells are scanned in (breakpoint, class) order, and a block's maximum
-    replaces the best only when strictly larger, so ties go to the first
+    Entry 0 is the empty result, then one entry per breakpoint where the best
+    strictly grows.  Per breakpoint b and class c, eps = A[b, c] - T[b] / phi,
+    where A is the running sum of class c and T the running coprime total.
+    The float sums keep the order of a per-breakpoint loop, so each entry is
+    bit-identical to it for any f: A[b, c] is read from each class's
+    sequential running sums at the class's element count after b; T is a
+    sequential running sum of per-breakpoint ``.sum()`` values.  All are
+    prefix sums: the sweep of a prefix up to norm h is the last entry with
+    argmax_norm <= h.  Blocks of at most ``_SWEEP_BLOCK`` cells are scanned in
+    (breakpoint, class) order, and a row's maximum is an entry only when
+    strictly larger than the best before it, so ties go to the first
     breakpoint and then the first class.
     """
-    gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
+    out = [SweepResult(0.0, 0j, 0, *m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0))]
     if m.phi == 1:
-        return SweepResult(0.0, 0j, 0, gx, gy)
+        return out
     cid = _coprime_index(m)[_rids(m, xs, ys)]
     idx = np.flatnonzero((cid >= 0) & (fv != 0))
     if idx.size == 0:
-        return SweepResult(0.0, 0j, 0, gx, gy)
+        return out
     phi = m.phi
     va, vc, lvn = fv[idx], cid[idx], norms[idx]
     new_level = np.diff(lvn, prepend=0) != 0  # norms are >= 1
@@ -189,10 +193,8 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> SweepResult:
     row = np.arange(phi) * sums.shape[1]
     sums = sums.ravel()
     seen = np.zeros(phi, dtype=np.int64)  # class counts before the block
+    units = np.array(m.unit_rids)
     best_sq = 0.0  # squared magnitudes compare exactly for integer-valued f
-    best_eps = 0j
-    best_norm = 0
-    best_cid = 0
     step = max(1, _SWEEP_BLOCK // phi)
     for b0 in range(0, starts.size, step):
         b1 = min(b0 + step, starts.size)
@@ -205,15 +207,18 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> SweepResult:
         dr = acc.real - t_re[b0:b1, None]
         di = acc.imag - t_im[b0:b1, None]
         sq = dr * dr + di * di  # plain multiplies; exact for integer-valued f
-        k = int(np.argmax(sq))
-        mx = float(sq.flat[k])
-        if mx > best_sq:
-            best_sq = mx
-            best_eps = complex(dr.flat[k], di.flat[k])
-            best_norm = int(lvn[starts[b0 + k // phi]])
-            best_cid = k % phi
-    gx, gy = m.rid_coords(m.unit_rids[best_cid])
-    return SweepResult(math.sqrt(best_sq), best_eps, best_norm, gx, gy)
+        if not sq.max() > best_sq:
+            continue
+        # the rows whose maximum beats every row before them, at its first class
+        rmax = sq.max(axis=1)
+        rows = np.flatnonzero(rmax > np.maximum.accumulate(np.append(best_sq, rmax[:-1])))
+        k = sq[rows].argmax(axis=1)
+        gx, gy = m.rid_coords(units[k])
+        out += map(SweepResult, np.sqrt(rmax[rows]).tolist(),  # IEEE sqrt, as math.sqrt
+                   map(complex, dr[rows, k].tolist(), di[rows, k].tolist()),
+                   lvn[starts[b0 + rows]].tolist(), gx.tolist(), gy.tolist())
+        best_sq = float(rmax[rows[-1]])
+    return out
 
 
 # -- level-of-distribution scans -----------------------------------------
@@ -264,7 +269,10 @@ class LodTable:
     q_bound: float
     count: int
     records: list[ModulusRecord] = field(default_factory=list)
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:  # no modulus has norm <= Q (each one that has, has a record)
+        return not self.records
 
     @property
     def aggregate(self) -> float:
@@ -278,65 +286,69 @@ class LodTable:
 _SWEEP_CTX: dict = {}
 
 
-def _sweep_task(i: int) -> ModulusRecord:
-    ctx = _SWEEP_CTX
-    m = ctx["moduli"][i]
-    res = _sweep_arrays(m, ctx["xs"], ctx["ys"], ctx["norms"], ctx["fv"])
-    return ModulusRecord(
-        m.q.x, m.q.y, m.norm, m.phi,
-        res.max_abs, res.max_eps, res.argmax_norm, res.gamma_x, res.gamma_y,
-    )
+def _sweep_task(i: int) -> list[list[tuple[int, SweepResult]]]:
+    m = _SWEEP_CTX["moduli"][i]
+    grid = [(k, hi) for k, (hi, cap) in enumerate(_SWEEP_CTX["grid"]) if m.norm <= cap]
+    out = []
+    for xs, ys, norms, fv in _SWEEP_CTX["fns"]:
+        # one sweep to the largest grid N whose Q admits q; each such N reads
+        # its result off the running best, as (grid index, result)
+        cut = np.searchsorted(norms, grid[-1][1], side="right")
+        best = _sweep_arrays(m, xs[:cut], ys[:cut], norms[:cut], fv[:cut])
+        at = [r.argmax_norm for r in best]
+        out.append([(k, best[bisect_right(at, hi) - 1]) for k, hi in grid])
+    return out
 
 
-def lod_scan(
-    cfg: LodScanConfig, f: ArithFn | None = None, workers: int = 1
-) -> list[LodTable]:
-    """Run the modulus sweep for every N in the grid and aggregate E(N, Q).
+def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[LodTable]]:
+    """The E(N, Q) tables of each function, from one sweep per modulus and function.
 
-    Moduli run over one canonical associate per class with 2 <= norm(q) <= Q.
-    Each Modulus is built once, for the largest Q of the grid, and shared by
-    every N.  Parallelism is across moduli; records are assembled in
+    Moduli run over one canonical associate per class with 2 <= norm(q) <= Q,
+    each built once, for the largest Q of the grid (Q need not grow with N).
+    Parallelism is across moduli, in one pool; records are assembled in
     (norm, x, y) order regardless of worker count, so results are identical
     for any `workers`.
     """
     global _SWEEP_CTX
     ring = make_ring(cfg.d)
-    max_hi = _floor_sq(max(cfg.N_grid))
-    if f is None:
-        table = sieve_primes(ring, max_hi)
-        f = tabulate(cfg.f_spec, ring, max_hi, table)
-    if f.norm_bound < max_hi:
-        raise TableTooSmall(f"f covers norm {f.norm_bound}, grid needs {max_hi}")
+    his = [_floor_sq(n) for n in cfg.N_grid]
+    bound = min(f.norm_bound for f in fns)
+    if bound < his[-1]:
+        raise TableTooSmall(f"f covers norm {bound}, grid needs {his[-1]}")
     counts = [count_region(a0(ring, n)) for n in cfg.N_grid]
     q_bounds = [cfg.q_bound(cnt, n) for cnt, n in zip(counts, cfg.N_grid)]
-    all_moduli = [
-        Modulus(ring, q) for q in canonical_classes(ring, int(max(q_bounds)))
-        if q.norm() >= 2
-    ]
-    out = []
-    for n, cnt, q_bound in zip(cfg.N_grid, counts, q_bounds):
-        # all_moduli is in (norm, x, y) order, and so is each N's subset
-        moduli = [m for m in all_moduli if m.norm <= int(q_bound)]
-        tab = LodTable(n, q_bound, cnt, degenerate=not moduli)
-        if moduli:
-            xs, ys, norms = element_arrays(ring.d, 1, a0(ring, n).hi_sq)
-            fv = _fvals(f, xs, ys)
-            nz = fv != 0  # zeros never move eps; drop them once, not per modulus
-            _SWEEP_CTX = {
-                "moduli": moduli, "xs": xs[nz], "ys": ys[nz], "norms": norms[nz], "fv": fv[nz],
-            }
-            tasks = range(len(moduli))
-            if workers > 1:
-                mp = multiprocessing.get_context("fork")
-                with mp.Pool(workers) as pool:
-                    tab.records = pool.map(
-                        _sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))
-                    )
-            else:
-                tab.records = [_sweep_task(i) for i in tasks]
-            _SWEEP_CTX = {}
-        out.append(tab)
+    classes = canonical_classes(ring, int(max(q_bounds)))
+    moduli = [Modulus(ring, q) for q in classes if q.norm() >= 2]  # (norm, x, y) order
+    out = [[LodTable(*row) for row in zip(cfg.N_grid, q_bounds, counts)] for _ in fns]
+    if not moduli:
+        return out
+    xs, ys, norms = element_arrays(ring.d, 1, his[-1])
+    # zeros never move eps: drop them once, not per modulus; a generator, so that
+    # no full-size value array stays alive through the sweeps
+    fvs = (_fvals(f, xs, ys) for f in fns)
+    fns_nz = [(xs[fv != 0], ys[fv != 0], norms[fv != 0], fv[fv != 0]) for fv in fvs]
+    grid = [(hi, int(qb)) for hi, qb in zip(his, q_bounds)]  # hi increases with N
+    _SWEEP_CTX = {"moduli": moduli, "grid": grid, "fns": fns_nz}
+    tasks = range(len(moduli))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+    else:
+        results = [_sweep_task(i) for i in tasks]
+    _SWEEP_CTX = {}
+    for m, per_fn in zip(moduli, results):
+        for tables, res in zip(out, per_fn):
+            for k, r in res:
+                tables[k].records.append(ModulusRecord(
+                    m.q.x, m.q.y, m.norm, m.phi,
+                    r.max_abs, r.max_eps, r.argmax_norm, r.gamma_x, r.gamma_y,
+                ))
     return out
+
+
+def lod_scan(cfg: LodScanConfig, f: ArithFn, workers: int = 1) -> list[LodTable]:
+    """Run the modulus sweep for every N in the grid and aggregate E(N, Q)."""
+    return _scan(cfg, [f], workers)[0]
 
 
 # -- Siegel-Walfisz sums ---------------------------------------------------
@@ -449,19 +461,12 @@ def convolution_experiment(
 ) -> ConvolutionReport:
     """Side-by-side normalized E(N, Q) for f, g and f*g on one grid."""
     h = convolve(f, g)
-    scans_f = lod_scan(cfg, f, workers)
-    scans_g = scans_f if g is f else lod_scan(cfg, g, workers)
-    scans_h = lod_scan(cfg, h, workers)
-    rows = []
-    for tf, tg, th in zip(scans_f, scans_g, scans_h):
-        rows.append(
-            {
-                "N": tf.n,
-                "E_f_norm": tf.normalized,
-                "E_g_norm": tg.normalized,
-                "E_conv_norm": th.normalized,
-            }
-        )
+    scans = _scan(cfg, [f, h] if g is f else [f, g, h], workers)
+    rows = [
+        {"N": tf.n, "E_f_norm": tf.normalized,
+         "E_g_norm": tg.normalized, "E_conv_norm": th.normalized}
+        for tf, tg, th in zip(scans[0], scans[-2], scans[-1])  # g is f: scans[-2] is f's
+    ]
     decaying = {
         key: all(a[key] > b[key] for a, b in zip(rows, rows[1:]))
         for key in ("E_f_norm", "E_g_norm", "E_conv_norm")
@@ -509,6 +514,8 @@ def large_sieve_ratios(
     A tabulated weight w switches to the general form with factor
     w(|q|)*|q|/phi(q) and rhs = (w(Q1)(Q1^2 + |A0(N)|) + int x w(x) dx) * sum|c|^2.
     """
+    if not q1 > 0:
+        raise ValueError(f"Q1 must be positive, got {q1}")
     if not q1 < q2:
         raise EmptyModulusRange(f"need Q1 < Q2, got {q1} >= {q2}")
     if weight is not None:

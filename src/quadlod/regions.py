@@ -37,7 +37,9 @@ class NormRegion:
     def from_params(
         ring: RingDescriptor, y_prime: float, y_shift: float, n: float, b: float = 1.0
     ) -> NormRegion:
-        """Region Y' <= |embedding| <= Y + N^b, squared exactly before rounding."""
+        """Region Y' <= |embedding| <= Y + N^b, squared exactly before rounding; N > 0."""
+        if not n > 0:
+            raise ValueError(f"N must be positive, got {n}")
         lo = Fraction(y_prime) ** 2
         hi_radius = Fraction(y_shift) + _pow_exact(n, b)
         hi = hi_radius * hi_radius
@@ -274,7 +276,5 @@ def canonical_coords(
 
 def density_ratio(ring: RingDescriptor, n: float, guard: int = DEFAULT_GUARD) -> float:
     """count(A0(N)) over the lattice-point model 2*pi*N^2/sqrt(|D_K|), N > 0."""
-    if not n > 0:
-        raise ValueError(f"N must be positive, got {n}")
     cnt = count_region(a0(ring, n), guard)
     return cnt / (2.0 * math.pi * n * n / math.sqrt(abs(ring.disc)))

@@ -351,10 +351,10 @@ def cache_save(table: PrimeTable, path) -> None:
     """Write the table in the versioned little-endian record format."""
     rec = np.empty(len(table), dtype=_RECORD)
     rec["x"], rec["y"], rec["code"] = table.xs, table.ys, table.codes
+    # packed before the file is opened, so a header that does not fit leaves no file
+    head = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, table.ring.d, table.max_norm, len(table))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(
-            CACHE_MAGIC, CACHE_VERSION, table.ring.d, table.max_norm, len(table)
-        ))
+        fh.write(head)
         fh.write(rec.tobytes())
 
 

@@ -179,6 +179,17 @@ def test_cache_cycle(capsys, tmp_path):
     assert json.loads(out)["max_norm"] == 500
 
 
+@pytest.mark.parametrize("max_norm", ["-1", "0"])
+def test_cache_save_below_one_is_usage_error_and_leaves_no_file(capsys, tmp_path, max_norm):
+    cdir = tmp_path / "cache"
+    code, out, err = run(
+        capsys, "cache", "save", "--d", "-1", "--max-norm", max_norm, "--cache-dir", str(cdir)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--max-norm" in err
+    assert not cdir.exists() or not any(cdir.iterdir())
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QLOD_CACHE", str(tmp_path / "envcache"))
     assert default_cache_dir(None) == str(tmp_path / "envcache")
@@ -724,6 +735,16 @@ def test_config_file_fuzz(fuzz_dir, command, values):
         (["sw-check", "--d", "-1", "--f", "one", "--N", "3", "--D", "1", "--bound-power", "1e308"],
          1, "overflows"),
         (["sw-check", "--d", "-1", "--f", "one", "--N", "3", "--D", "1e308"], 1, "overflows"),
+        (["count", "--d", "-1", "--N", "-3"], 2, "N must be positive"),
+        (["count", "--d", "-1", "--N", "0"], 2, "N must be positive"),
+        (["enumerate", "--d", "-1", "--N", "-2"], 2, "N must be positive"),
+        (["enumerate", "--d", "-1", "--N", "-2", "--b", "0.5"], 2, "N must be positive"),
+        (["large-sieve", "--d", "-1", "--N", "-10", "--Q1", "1", "--Q2", "5"],
+         2, "N must be positive"),
+        (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "0", "--Q2", "5"],
+         2, "Q1 must be positive"),
+        (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "-2", "--Q2", "5"],
+         2, "Q1 must be positive"),
     ],
 )
 def test_out_of_range_argument_is_one_line_error(capsys, argv, code, needle):

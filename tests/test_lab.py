@@ -15,6 +15,7 @@ from quadlod.errors import (
 )
 from quadlod.lab import (
     LodScanConfig,
+    ModulusRecord,
     _fvals,
     convolution_experiment,
     epsilon,
@@ -29,7 +30,7 @@ from quadlod.lab import (
     write_lod_csv,
 )
 from quadlod.regions import a0, canonical_classes, element_arrays, enumerate_region
-from quadlod.rings import canonical_associate, gcd
+from quadlod.rings import canonical_associate, gcd, make_ring
 from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
 from _oracles import cumsum_sweep_max
@@ -261,6 +262,47 @@ def test_lod_scan_builds_each_modulus_once(one_2500, monkeypatch):
     tables = lod_scan(cfg, one_2500)
     assert len(tables[0].records) < len(tables[-1].records)
     assert len(built) == len(set(built)) == len(tables[-1].records)
+    # one scan for f, g and f*g: each modulus is built once, each function read once
+    fvals, fvals_calls = lab._fvals, []
+    monkeypatch.setattr(lab, "_fvals", lambda *a: fvals_calls.append(a) or fvals(*a))
+    mu = tabulate("moebius", one_2500.ring, 2500, sieve_primes(one_2500.ring, 2500))
+    for g, n_fns in ((one_2500, 2), (mu, 3)):
+        built.clear()
+        fvals_calls.clear()
+        convolution_experiment(one_2500, g, cfg)
+        assert len(built) == len(set(built)) == len(tables[-1].records)
+        assert len(fvals_calls) == n_fns
+
+
+@pytest.fixture(scope="module")
+def tau_scan():
+    """d = -2, theta 0.7, B 3: Q(N) = 15.05, 6.56, 4.02, 3.50, 3.70, not monotone."""
+    ring = make_ring(-2)
+    f = tabulate("tau", ring, 144, sieve_primes(ring, 144))
+    cfg = LodScanConfig(d=-2, theta=0.7, B=3.0, N_grid=(2, 3, 5, 8, 12))
+    return f, cfg, lod_scan(cfg, f)
+
+
+def test_lod_scan_on_non_monotone_q_matches_epsilon_sweep(tau_scan):
+    f, cfg, tables = tau_scan
+    qs = [int(t.q_bound) for t in tables]
+    assert qs == [15, 6, 4, 3, 3]
+    for t in tables:
+        want = []
+        for q in canonical_classes(f.ring, int(t.q_bound)):
+            if q.norm() >= 2:
+                m = make_modulus(f.ring, q)
+                r = epsilon_sweep(f, t.n, m)
+                want.append(ModulusRecord(
+                    q.x, q.y, m.norm, m.phi,
+                    r.max_abs, r.max_eps, r.argmax_norm, r.gamma_x, r.gamma_y,
+                ))
+        assert not t.degenerate and repr(t.records) == repr(want), t.n
+
+
+def test_lod_scan_on_non_monotone_q_is_worker_independent(tau_scan):
+    f, cfg, tables = tau_scan
+    assert repr(lod_scan(cfg, f, workers=2)) == repr(tables)
 
 
 def test_sw_sum_principal_counts_coprime(gauss, one_2500):
@@ -398,6 +440,9 @@ def test_large_sieve_errors(gauss):
     region = a0(gauss, 7)
     with pytest.raises(EmptyModulusRange):
         large_sieve_ratio({gauss.element(1, 0): 1.0}, 10, 10, region)
+    for q1 in (0, -2):
+        with pytest.raises(ValueError, match="Q1 must be positive"):
+            large_sieve_ratio({gauss.element(1, 0): 1.0}, q1, 10, region)
     with pytest.raises(UnsupportedWeight):
         large_sieve_ratio(
             {gauss.element(1, 0): 1.0}, 5, 20, region, weight=[(5.0, 1.0), (20.0, 2.0)]

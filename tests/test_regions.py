@@ -30,6 +30,14 @@ def test_a0_of_one_is_units(gauss, eisen):
     assert count_region(a0(eisen, 1)) == 6
 
 
+@pytest.mark.parametrize("n", [0, -3, -0.5, float("nan")])
+def test_region_rejects_n_at_most_zero(gauss, n):
+    with pytest.raises(ValueError, match="N must be positive"):
+        a0(gauss, n)
+    with pytest.raises(ValueError, match="N must be positive"):
+        NormRegion.from_params(gauss, 1.0, 0.0, n, 0.5)
+
+
 def test_a0_of_five(gauss):
     assert count_region(a0(gauss, 5)) == 80
     assert brute_region_count(gauss, 1, 25) == 80

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -335,6 +336,14 @@ def test_cache_round_trip(tmp_path, gauss):
     info = cache_inspect(path)
     assert info["d"] == -1 and info["max_norm"] == 10_000
     assert info["count"] == len(table)
+
+
+def test_cache_save_that_cannot_pack_leaves_no_file(tmp_path, gauss):
+    table = dataclasses.replace(sieve_primes(gauss, 10), max_norm=-1)  # not a u64
+    path = tmp_path / "primes.qlod"
+    with pytest.raises(struct.error):
+        cache_save(table, path)
+    assert not path.exists()
 
 
 def test_cache_bad_magic(tmp_path, gauss):

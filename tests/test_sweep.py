@@ -28,8 +28,22 @@ COMPLEX_VALUES = st.builds(
 
 
 def assert_same_sweep(m, xs, ys, norms, fv):
-    got = lab._sweep_arrays(m, xs, ys, norms, fv)
-    assert repr(got) == repr(loop_sweep_reference(m, xs, ys, norms, fv))
+    """At every prefix cut, the running best matches the loop over that prefix.
+
+    Each distinct active norm is a cut, and so is 0 (the empty prefix).
+    """
+    best = lab._sweep_arrays(m, xs, ys, norms, fv)
+    assert best[0].argmax_norm == 0
+    # |eps|^2 strictly grows; its square root may round to an equal float
+    assert all(a.max_abs <= b.max_abs and a.argmax_norm < b.argmax_norm
+               for a, b in zip(best, best[1:]))
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    cuts = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[-1:]
+    for cut in [0, *cuts.tolist()]:
+        got = [r for r in best if r.argmax_norm <= cut][-1]
+        n = np.searchsorted(norms, cut, side="right")
+        want = loop_sweep_reference(m, xs[:n], ys[:n], norms[:n], fv[:n])
+        assert repr(got) == repr(want), cut
 
 
 @settings(max_examples=200, deadline=None)
