@@ -305,6 +305,10 @@ def _dispatch(args) -> int:
     cfg = RunConfig(cmd, getattr(args, "d", None), params)
     out = getattr(args, "out", None)
     ring = make_ring(args.d) if "d" in args else None
+    for flag in ("max_norm", "norm_bound"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
 
     if cmd == "ring-info":
         info = {
@@ -320,7 +324,11 @@ def _dispatch(args) -> int:
 
     if cmd == "enumerate":
         region = _usage(NormRegion.from_params, ring, args.yprime, args.Y, args.N, args.b)
-        lines = [f"# norms in [{region.lo_sq}, {region.hi_sq}] (N={args.N}, N^2={args.N**2})"]
+        try:
+            n_sq = repr(args.N**2)
+        except OverflowError:  # N^b may be small while N^2 is beyond the float range
+            n_sq = "inf"
+        lines = [f"# norms in [{region.lo_sq}, {region.hi_sq}] (N={args.N}, N^2={n_sq})"]
         lines.append("x,y,norm")
         for xi in enumerate_region(region):
             lines.append(f"{xi.x},{xi.y},{xi.norm()}")
@@ -467,8 +475,6 @@ def _dispatch(args) -> int:
             info = cache_inspect(args.path)
             print(json.dumps(info, sort_keys=True))
             return 0
-        if args.max_norm < 1:
-            raise UsageError(f"--max-norm must be at least 1, got {args.max_norm}")
         path = _cache_path(args.cache_dir, args.d, args.max_norm)
         if args.cache_command == "save":
             table = sieve_primes(ring, args.max_norm)

@@ -499,6 +499,23 @@ def _weight_eval(weight, x: float) -> float:
     raise AssertionError
 
 
+def _fold_classes(coeffs: np.ndarray, cid: np.ndarray, phi: int) -> np.ndarray:
+    """(n_vec, phi) complex sums of each row of coeffs over its coprime classes.
+
+    cid is each element's coprime class, < 0 off the coprime set.  Each vector
+    takes one bincount per real part (real input one, complex input two), which
+    adds a class's weights one at a time in element order: every class sum is a
+    left-to-right sum.  Non-coprime elements go to the dropped sentinel class phi.
+    """
+    key = np.where(cid < 0, phi, cid)
+    parts = (coeffs.real, coeffs.imag) if np.iscomplexobj(coeffs) else (coeffs,)
+    folded = np.zeros((len(coeffs), phi), dtype=np.complex128)
+    for part, dest in zip(parts, (folded.real, folded.imag)):
+        for v, row in enumerate(part):
+            dest[v] = np.bincount(key, weights=row, minlength=phi + 1)[:phi]
+    return folded
+
+
 def large_sieve_ratios(
     coeff_matrix: np.ndarray,
     elements: list[AlgInt],
@@ -513,6 +530,7 @@ def large_sieve_ratios(
     the squared primitive character sums, rhs = (|A0(N)|/Q1 + Q2) * sum|c|^2.
     A tabulated weight w switches to the general form with factor
     w(|q|)*|q|/phi(q) and rhs = (w(Q1)(Q1^2 + |A0(N)|) + int x w(x) dx) * sum|c|^2.
+    Real coefficients are summed as float64, complex ones as complex128.
     """
     if not q1 > 0:
         raise ValueError(f"Q1 must be positive, got {q1}")
@@ -524,14 +542,14 @@ def large_sieve_ratios(
     for xi in elements:
         if not region.contains(xi):
             raise ValueError(f"coefficient support {xi} outside the region")
-    coeff_matrix = np.asarray(coeff_matrix, dtype=np.complex128)
+    dtype = np.complex128 if np.iscomplexobj(coeff_matrix) else np.float64
+    coeff_matrix = np.asarray(coeff_matrix, dtype=dtype)
     if coeff_matrix.ndim == 1:
         coeff_matrix = coeff_matrix[None, :]
     n_vec = coeff_matrix.shape[0]
     xs = np.array([z.x for z in elements], dtype=np.int64)
     ys = np.array([z.y for z in elements], dtype=np.int64)
     lhs = np.zeros(n_vec)
-    coeff_rows = np.ascontiguousarray(coeff_matrix.T)  # (element, vector)
     for q in canonical_classes(ring, int(q2)):
         nq = q.norm()
         if nq <= q1 or nq < 2:
@@ -541,16 +559,10 @@ def large_sieve_ratios(
         if not prims:
             continue
         p_mat = np.exp(2j * np.pi * m.character_phase_matrix(prims))  # (n_prim, phi)
-        # fold the coefficients onto the coprime classes, each class summed in
-        # element order (stable sort, then reduceat), and take the character
-        # sums in numpy's einsum loops: no BLAS, so no thread-dependent order
-        cid = _coprime_index(m)[_rids(m, xs, ys)]
-        order = np.argsort(cid, kind="stable")[np.count_nonzero(cid < 0) :]
-        cls = cid[order]
-        first = np.flatnonzero(np.diff(cls, prepend=-1))
-        folded = np.zeros((m.phi, n_vec), dtype=np.complex128)
-        folded[cls[first]] = np.add.reduceat(coeff_rows[order], first, axis=0)
-        s = np.einsum("cu,vu->cv", p_mat, folded.T.copy())  # (n_prim, n_vec)
+        folded = _fold_classes(coeff_matrix, _coprime_index(m)[_rids(m, xs, ys)], m.phi)
+        # the character sums run in numpy's einsum loops: no BLAS, so no
+        # thread-dependent summation order
+        s = np.einsum("cu,vu->cv", p_mat, folded)  # (n_prim, n_vec)
         contrib = (np.abs(s) ** 2).sum(axis=0)
         factor = (
             1.0 / m.phi if weight is None else _weight_eval(weight, nq) * nq / m.phi

@@ -37,11 +37,17 @@ class NormRegion:
     def from_params(
         ring: RingDescriptor, y_prime: float, y_shift: float, n: float, b: float = 1.0
     ) -> NormRegion:
-        """Region Y' <= |embedding| <= Y + N^b, squared exactly before rounding; N > 0."""
+        """Region Y' <= |embedding| <= Y + N^b, squared exactly before rounding.
+
+        N and the outer radius Y + N^b must be positive (ValueError); an N^b
+        beyond the float range is BoundsTooLarge.
+        """
         if not n > 0:
             raise ValueError(f"N must be positive, got {n}")
         lo = Fraction(y_prime) ** 2
         hi_radius = Fraction(y_shift) + _pow_exact(n, b)
+        if hi_radius <= 0:
+            raise ValueError(f"outer radius Y + N^b must be positive, got {float(hi_radius)!r}")
         hi = hi_radius * hi_radius
         return NormRegion(
             ring, _ceil_frac(lo), _floor_frac(hi), y_prime, y_shift, n, b
@@ -71,7 +77,10 @@ def a0(ring: RingDescriptor, n: float) -> NormRegion:
 def _pow_exact(n: float, b: float) -> Fraction:
     if float(b).is_integer():
         return Fraction(n) ** int(b)
-    return Fraction(math.pow(n, b))
+    try:
+        return Fraction(math.pow(n, b))
+    except OverflowError:
+        raise BoundsTooLarge(f"N^b overflows a float at N={n}, b={b}") from None
 
 
 def _floor_frac(q: Fraction) -> int:

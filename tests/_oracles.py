@@ -721,3 +721,16 @@ def as_prime_table(loop_table: LoopPrimeTable):
             for p, s in zip(loop_table.primes, loop_table.split_types)]
     xs, ys, norms, codes = np.array(cols, dtype=np.int64).reshape(-1, 4).T
     return PrimeTable(loop_table.ring, loop_table.max_norm, xs, ys, norms, codes)
+
+
+def loop_class_fold(coeffs, cid, phi):
+    """(n_vec, phi) per-class sums of each row, added left to right in element order.
+
+    Elements with cid < 0 (off the coprime set) are skipped.
+    """
+    out = [[0j] * phi for _ in range(len(coeffs))]
+    for v, row in enumerate(np.asarray(coeffs, dtype=np.complex128).tolist()):
+        for c, k in zip(row, cid.tolist()):
+            if k >= 0:
+                out[v][k] += c
+    return np.array(out, dtype=np.complex128)

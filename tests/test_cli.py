@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 import quadlod
 from quadlod.cli import RunConfig, default_cache_dir, main
+from quadlod.regions import a0, count_region
+from quadlod.rings import make_ring
 
 
 def run_cli(*argv, stdout=subprocess.PIPE, env=None):
@@ -155,6 +158,30 @@ def test_large_sieve_cli(capsys, tmp_path):
         "--Q2", "20", "--vectors", "4", "--seed", "11", "--out", str(out2),
     )
     assert out_file.read_bytes() == out2.read_bytes()
+
+
+def test_large_sieve_artifact_rows_are_pinned(capsys, tmp_path):
+    # SHA-256 of the data rows (every line not starting with '#'), recorded
+    # with the earlier sort-and-reduceat fold: the +-1 class sums are exact
+    # integers, so no fold order may move these bytes
+    out_file = tmp_path / "ls.csv"
+    code, _, _ = run(
+        capsys, "large-sieve", "--d", "-3", "--N", "30", "--Q1", "5", "--Q2", "120",
+        "--vectors", "20", "--seed", "2", "--out", str(out_file),
+    )
+    assert code == 0
+    rows = [line for line in out_file.read_text().splitlines() if not line.startswith("#")]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "17aefe5808c4366ed2892f17ebb07a4cdc83c4adfccbd02aa50f62d02f87e241"
+
+
+def test_enumerate_with_n_squared_beyond_float_range(capsys):
+    # N^b is small, so the region is enumerable; only the header's N^2 overflows
+    code, out, _ = run(capsys, "enumerate", "--d", "-1", "--N", "1e200", "--b", "0.005")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "# norms in [1, 100] (N=1e+200, N^2=inf)"
+    assert len(lines) == 3 + count_region(a0(make_ring(-1), 10))
 
 
 def test_mertens_cli(capsys):
@@ -745,6 +772,16 @@ def test_config_file_fuzz(fuzz_dir, command, values):
          2, "Q1 must be positive"),
         (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "-2", "--Q2", "5"],
          2, "Q1 must be positive"),
+        (["enumerate", "--d", "-1", "--N", "1e200", "--b", "2.5"], 1, "overflows"),
+        (["enumerate", "--d", "-1", "--N", "1e200", "--b", "2"], 1, "exceeds guard"),
+        (["enumerate", "--d", "-1", "--N", "2", "--Y", "-10"], 2, "outer radius"),
+        (["enumerate", "--d", "-1", "--N", "2", "--Y", "-2"], 2, "outer radius"),
+        (["sieve", "--d", "-1", "--max-norm", "-1"], 2, "--max-norm must be at least 1"),
+        (["sieve", "--d", "-1", "--max-norm", "0"], 2, "--max-norm must be at least 1"),
+        (["tabulate", "--d", "-1", "--f", "one", "--norm-bound", "-5"],
+         2, "--norm-bound must be at least 1"),
+        (["convolve", "--d", "-1", "--f", "one", "--g", "one", "--norm-bound", "0"],
+         2, "--norm-bound must be at least 1"),
     ],
 )
 def test_out_of_range_argument_is_one_line_error(capsys, argv, code, needle):

@@ -33,7 +33,7 @@ from quadlod.regions import a0, canonical_classes, element_arrays, enumerate_reg
 from quadlod.rings import canonical_associate, gcd, make_ring
 from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
-from _oracles import cumsum_sweep_max
+from _oracles import cumsum_sweep_max, loop_class_fold
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +488,29 @@ def test_large_sieve_random_sign_ratios(gauss):
     mat = rng.choice([-1.0, 1.0], size=(20, len(els)))
     results = large_sieve_ratios(mat, els, 8, 60, region)
     assert all(ratio <= 10 for _, _, ratio in results)
+
+
+@pytest.mark.parametrize("d,qx,qy", [(-1, 7, 4), (-3, 9, 0), (-2, 5, 3)])
+def test_fold_classes_matches_left_to_right_loop(d, qx, qy):
+    # non-integer complex coefficients: every class sum is a rounded float sum,
+    # and the fold must add each class in element order, bit for bit
+    ring = make_ring(d)
+    m = make_modulus(ring, ring.element(qx, qy))
+    xs, ys, _ = element_arrays(d, 1, 900)
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    rng = np.random.default_rng(-d)
+    coeffs = rng.normal(size=(3, len(xs))) + 1j * rng.normal(size=(3, len(xs)))
+    want = loop_class_fold(coeffs, cid, m.phi)
+    assert np.array_equal(lab._fold_classes(coeffs, cid, m.phi), want)
+    assert np.array_equal(lab._fold_classes(coeffs.real, cid, m.phi), want.real)
+
+
+def test_large_sieve_real_and_complex_input_agree(gauss):
+    region = a0(gauss, 12)
+    els = list(enumerate_region(region))
+    mat = np.random.default_rng(5).choice([-1.0, 1.0], size=(6, len(els)))
+    got = large_sieve_ratios(mat, els, 4, 60, region)
+    assert got == large_sieve_ratios(mat.astype(np.complex128), els, 4, 60, region)
 
 
 def test_mertens_examples(gauss):
