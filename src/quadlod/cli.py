@@ -428,7 +428,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "sw-check":
-        bound = lab._floor_sq(args.N)
+        bound = _usage(a0, ring, args.N).hi_sq
         table = sieve_primes(ring, bound)
         f = _build_fn(args.f, ring, bound, table)
         rep = _usage(lab.sw_check, f, args.N, args.D, args.bound_power)  # ValueError: N <= 1

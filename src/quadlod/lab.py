@@ -25,7 +25,6 @@ import math
 import multiprocessing
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -53,11 +52,6 @@ from .rings import AlgInt, RingDescriptor, make_ring
 from .sieve import sieve_primes
 
 
-def _floor_sq(m: float) -> int:
-    q = Fraction(m) ** 2
-    return q.numerator // q.denominator
-
-
 def _fvals(f: ArithFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """f at the canonical representative of each element, as complex128."""
     return f.vals[class_index(f.ring, f.norm_bound, xs, ys)]
@@ -71,25 +65,25 @@ def _coprime_index(m: Modulus) -> np.ndarray:
     return m.coprime_index
 
 
+def _a0_values(f: ArithFn, n: float) -> tuple[np.ndarray, ...]:
+    """(xs, ys, norms, f values) of the elements of A0(N), N > 0, sorted by (norm, x, y)."""
+    hi = a0(f.ring, n).hi_sq
+    if hi > f.norm_bound:
+        raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
+    xs, ys, norms = element_arrays(f.ring.d, 1, hi)
+    return xs, ys, norms, _fvals(f, xs, ys)
+
+
 def epsilon(f: ArithFn, m_cut: float, m: Modulus, gamma: AlgInt) -> complex:
     """The progression error at a single cut M."""
-    hi = _floor_sq(m_cut)
-    if hi > f.norm_bound:
-        raise TableTooSmall(f"M^2 = {hi} beyond table {f.norm_bound}")
+    xs, ys, _, fv = _a0_values(f, m_cut)
     if not m.coprime(gamma):
         raise NotCoprime(f"gamma={gamma} shares a divisor with q={m.q}")
-    if hi < 1:
-        return 0j
-    xs, ys, _ = element_arrays(f.ring.d, 1, hi)
-    fv = _fvals(f, xs, ys)
-    rid = _rids(m, xs, ys)
-    g_rid = m.rid(gamma)
-    in_class = rid == g_rid
     if m.phi == 1:
         return 0j  # the single coprime class equals the coprime set
-    cop = _coprime_index(m)[rid] >= 0
-    a_sum = fv[in_class].sum()
-    b_sum = fv[cop].sum()
+    rid = _rids(m, xs, ys)
+    a_sum = fv[rid == m.rid(gamma)].sum()
+    b_sum = fv[_coprime_index(m)[rid] >= 0].sum()
     # componentwise division: complex/int rounds differently across runtimes
     return complex(
         float(a_sum.real) - float(b_sum.real) / m.phi,
@@ -108,12 +102,7 @@ class SweepResult:
 
 def epsilon_sweep(f: ArithFn, n: float, m: Modulus) -> SweepResult:
     """Exact max over real M <= N and coprime gamma of |eps(M; q, gamma; f)|."""
-    hi = _floor_sq(n)
-    if hi > f.norm_bound:
-        raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
-    xs, ys, norms = element_arrays(f.ring.d, 1, hi)
-    fv = _fvals(f, xs, ys)
-    return _sweep_arrays(m, xs, ys, norms, fv)[-1]
+    return _sweep_arrays(m, *_a0_values(f, n))[-1]
 
 
 # Cells of one (breakpoint x class) block of the sweep: bounds its working
@@ -311,11 +300,12 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     """
     global _SWEEP_CTX
     ring = make_ring(cfg.d)
-    his = [_floor_sq(n) for n in cfg.N_grid]
+    grid_a0 = [a0(ring, n) for n in cfg.N_grid]
+    his = [r.hi_sq for r in grid_a0]
     bound = min(f.norm_bound for f in fns)
     if bound < his[-1]:
         raise TableTooSmall(f"f covers norm {bound}, grid needs {his[-1]}")
-    counts = [count_region(a0(ring, n)) for n in cfg.N_grid]
+    counts = [count_region(r) for r in grid_a0]
     q_bounds = [cfg.q_bound(cnt, n) for cnt, n in zip(counts, cfg.N_grid)]
     classes = canonical_classes(ring, int(max(q_bounds)))
     moduli = [Modulus(ring, q) for q in classes if q.norm() >= 2]  # (norm, x, y) order
@@ -367,12 +357,9 @@ def _twisted_sum(fv: np.ndarray, cid: np.ndarray, chi: DirichletCharacter) -> co
 
 def sw_sum(f: ArithFn, n: float, chi: DirichletCharacter) -> complex:
     """Character-twisted sum of f over the elements of A0(N)."""
-    hi = _floor_sq(n)
-    if hi > f.norm_bound:
-        raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
     m = chi.modulus
-    xs, ys, _ = element_arrays(f.ring.d, 1, hi)
-    return _twisted_sum(_fvals(f, xs, ys), _coprime_index(m)[_rids(m, xs, ys)], chi)
+    xs, ys, _, fv = _a0_values(f, n)
+    return _twisted_sum(fv, _coprime_index(m)[_rids(m, xs, ys)], chi)
 
 
 def sw_term(
@@ -411,18 +398,14 @@ def sw_check(
     if bound_power is None:
         bound_power = 3.0 * d_power
     ring = f.ring
-    hi = _floor_sq(n)
-    if hi > f.norm_bound:
-        raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
+    xs, ys, _, fv = _a0_values(f, n)
     try:
         cap, log_power = math.log(n) ** d_power, math.log(n) ** bound_power
     except OverflowError:
         raise BoundsTooLarge(
             f"(log N)^D or (log N)^bound_power overflows a float at N={n}"
         ) from None
-    xs, ys, _ = element_arrays(ring.d, 1, hi)
-    fv = _fvals(f, xs, ys)
-    cnt = count_region(a0(ring, n))
+    cnt = len(xs)
     rows = []
     max_scaled = 0.0
     for q in canonical_classes(ring, int(cap)):

@@ -74,9 +74,20 @@ def a0(ring: RingDescriptor, n: float) -> NormRegion:
     return NormRegion.from_params(ring, 1.0, 0.0, n, 1.0)
 
 
+# Cap on the bits of an exact power Fraction(N) ** b: |b| times floor(log2) of
+# N's numerator plus that of its denominator.  Under DEFAULT_GUARD, Y + N^b <=
+# 2^12 with a float |Y| < 2^1024, so an integer N with b >= 0 needs under 1025
+# bits.  Past the cap the rationals are too large to build whatever N^b is:
+# N = 1.0000001, b = 10^5 gives N^b ~ 1.01 from two 5-million-bit integers.
+_POW_BITS = 1 << 16
+
+
 def _pow_exact(n: float, b: float) -> Fraction:
     if float(b).is_integer():
-        return Fraction(n) ** int(b)
+        q = Fraction(n)
+        if abs(b) * (q.numerator.bit_length() + q.denominator.bit_length() - 2) > _POW_BITS:
+            raise BoundsTooLarge(f"N^b is too large to compute exactly at N={n}, b={b}")
+        return q ** int(b)
     try:
         return Fraction(math.pow(n, b))
     except OverflowError:
@@ -115,60 +126,50 @@ def _x_interval(ring: RingDescriptor, y: int, bound: int) -> tuple[int, int] | N
     return (-((s + ty) // 2), (s - ty) // 2)
 
 
-def count_region(region: NormRegion, guard: int = DEFAULT_GUARD) -> int:
-    """Number of elements in the region, without materializing them."""
-    lo = max(region.lo_sq, 1)
-    hi = region.hi_sq
+def _annulus_spans(ring: RingDescriptor, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """Spans (a, b, y), a <= b + 1: the x in [a, b] with lo <= norm(x + y*omega) <= hi.
+
+    Each row y is the disc of norm <= hi less the disc of norm <= lo - 1.
+    """
     if hi < lo:
-        return 0
-    _check_guard(hi, guard)
-    ring = region.ring
-    total = 0
+        return
+    _check_guard(hi)
     for y in range(-_y_max(ring, hi), _y_max(ring, hi) + 1):
         outer = _x_interval(ring, y, hi)
-        if outer is None:
-            continue
-        total += outer[1] - outer[0] + 1
         inner = _x_interval(ring, y, lo - 1)
-        if inner is not None:
-            total -= inner[1] - inner[0] + 1
-    # the two disc counts both include the zero element, which cancels,
-    # except when lo == 1 where the inner disc is exactly {0}
-    return total
+        if inner is None:
+            yield (*outer, y)
+        else:
+            yield outer[0], inner[0] - 1, y
+            yield inner[1] + 1, outer[1], y
+
+
+def count_region(region: NormRegion) -> int:
+    """Number of elements in the region, without materializing them."""
+    spans = _annulus_spans(region.ring, max(region.lo_sq, 1), region.hi_sq)
+    return sum(b - a + 1 for a, b, _ in spans)
 
 
 def element_arrays(
-    ring_d: int, lo_sq: int, hi_sq: int, guard: int = DEFAULT_GUARD
+    ring_d: int, lo_sq: int, hi_sq: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(xs, ys, norms) of all elements in the annulus, sorted by (norm, x, y).
 
     This is the single source of truth for enumeration order; the AlgInt
     stream and the vectorized scans both read from it.
     """
-    return _element_arrays_cached(ring_d, max(lo_sq, 1), hi_sq, guard)
+    return _element_arrays_cached(ring_d, max(lo_sq, 1), hi_sq)
 
 
 @lru_cache(maxsize=8)
-def _element_arrays_cached(ring_d, lo, hi, guard):
+def _element_arrays_cached(ring_d, lo, hi):
     ring = make_ring(ring_d)
-    _check_guard(hi, guard)
-    spans = []
-    if hi >= lo:
-        for y in range(-_y_max(ring, hi), _y_max(ring, hi) + 1):
-            outer = _x_interval(ring, y, hi)
-            if outer is None:
-                continue
-            inner = _x_interval(ring, y, lo - 1)
-            if inner is None:
-                spans.append((*outer, y))
-            else:
-                spans += [(outer[0], inner[0] - 1, y), (inner[1] + 1, outer[1], y)]
-    return _sorted_points(ring, spans)
+    return _sorted_points(ring, _annulus_spans(ring, lo, hi))
 
 
-def _check_guard(hi: int, guard: int) -> None:
-    if hi > guard:
-        raise BoundsTooLarge(f"hi_sq={hi} exceeds guard={guard}")
+def _check_guard(hi: int) -> None:
+    if hi > DEFAULT_GUARD:
+        raise BoundsTooLarge(f"hi_sq={hi} exceeds guard={DEFAULT_GUARD}")
 
 
 def _sorted_points(ring: RingDescriptor, spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,9 +188,9 @@ def _sorted_points(ring: RingDescriptor, spans) -> tuple[np.ndarray, np.ndarray,
     return out
 
 
-def enumerate_region(region: NormRegion, guard: int = DEFAULT_GUARD) -> Iterator[AlgInt]:
+def enumerate_region(region: NormRegion) -> Iterator[AlgInt]:
     """Yield the region's elements exactly once, sorted by (norm, x, y)."""
-    xs, ys, _ = element_arrays(region.ring.d, region.lo_sq, region.hi_sq, guard)
+    xs, ys, _ = element_arrays(region.ring.d, region.lo_sq, region.hi_sq)
     ring = region.ring
     for x, y in zip(xs.tolist(), ys.tolist()):
         yield AlgInt(ring, x, y)
@@ -211,7 +212,7 @@ def class_arrays(ring: RingDescriptor, max_norm: int) -> tuple[np.ndarray, ...]:
     canonical_coords maps to: y > 0 or (y = 0 and x > 0) when w_K = 2, else
     x > 0 and y >= 0.
     """
-    _check_guard(max_norm, DEFAULT_GUARD)
+    _check_guard(max_norm)
     spans = []
     for y in range(_y_max(ring, max_norm) + 1 if max_norm > 0 else 0):
         a, b = _x_interval(ring, y, max_norm)
@@ -283,7 +284,7 @@ def canonical_coords(
     return cx, cy
 
 
-def density_ratio(ring: RingDescriptor, n: float, guard: int = DEFAULT_GUARD) -> float:
+def density_ratio(ring: RingDescriptor, n: float) -> float:
     """count(A0(N)) over the lattice-point model 2*pi*N^2/sqrt(|D_K|), N > 0."""
-    cnt = count_region(a0(ring, n), guard)
+    cnt = count_region(a0(ring, n))
     return cnt / (2.0 * math.pi * n * n / math.sqrt(abs(ring.disc)))

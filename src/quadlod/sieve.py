@@ -242,12 +242,6 @@ class FactorMap:
             out = out * pi**e
         return out
 
-    def distinct_primes(self) -> int:
-        return len(self.factors)
-
-    def big_omega(self) -> int:
-        return sum(e for _, e in self.factors)
-
 
 def factor(xi: AlgInt, table: PrimeTable) -> FactorMap:
     """Factor xi over the canonical prime classes of the table."""

@@ -151,25 +151,28 @@ def cumsum_sweep_max(m, xs, ys, norms, fv):
     return math.sqrt(best_sq)
 
 
-def loop_sweep_reference(m, xs, ys, norms, fv):
+def loop_sweep_running(m, xs, ys, norms, fv):
     """The per-breakpoint loop that lab._sweep_arrays replaced, kept verbatim.
 
     One Python step per distinct active norm: np.add.at into per-class
     accumulators, the level's .sum() into the running total, then an argmax
     over classes.  Its float summation order is the one the library must
-    reproduce bit for bit.
+    reproduce bit for bit.  Yields (cut, the loop's result over the elements
+    of norm <= cut): first for the empty prefix (cut 0), then after each step
+    (cut = the step's norm).
     """
     from quadlod.lab import SweepResult, _coprime_index, _rids
 
     gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
+    yield 0, SweepResult(0.0, 0j, 0, gx, gy)
     if m.phi == 1:
-        return SweepResult(0.0, 0j, 0, gx, gy)
+        return
     rid = _rids(m, xs, ys)
     cid = _coprime_index(m)[rid]
     active = (cid >= 0) & (fv != 0)
     idx = np.flatnonzero(active)
     if idx.size == 0:
-        return SweepResult(0.0, 0j, 0, gx, gy)
+        return
     lvn = norms[idx]
     starts = np.flatnonzero(np.r_[True, lvn[1:] != lvn[:-1]])
     ends = np.r_[starts[1:], np.array([lvn.size])]
@@ -196,8 +199,8 @@ def loop_sweep_reference(m, xs, ys, norms, fv):
             best_eps = complex(dr[i_arg], di[i_arg])
             best_norm = int(lvn[s])
             best_cid = i_arg
-    gx, gy = m.rid_coords(m.unit_rids[best_cid])
-    return SweepResult(math.sqrt(best_sq), best_eps, best_norm, gx, gy)
+        gx, gy = m.rid_coords(m.unit_rids[best_cid])
+        yield int(lvn[s]), SweepResult(math.sqrt(best_sq), best_eps, best_norm, gx, gy)
 
 
 def loop_sw_check_reference(f, n, d_power, bound_power=None):
@@ -209,11 +212,11 @@ def loop_sw_check_reference(f, n, d_power, bound_power=None):
     """
     from quadlod.characters import Modulus
     from quadlod.errors import PrincipalCharacter, TableTooSmall
-    from quadlod.lab import SWReport, _coprime_index, _floor_sq, _fvals, _rids
+    from quadlod.lab import SWReport, _coprime_index, _fvals, _rids
     from quadlod.regions import a0, canonical_classes, count_region, element_arrays
 
     def sw_sum(f, n, chi):
-        hi = _floor_sq(n)
+        hi = a0(f.ring, n).hi_sq
         if hi > f.norm_bound:
             raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
         m = chi.modulus

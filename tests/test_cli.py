@@ -782,6 +782,10 @@ def test_config_file_fuzz(fuzz_dir, command, values):
          2, "--norm-bound must be at least 1"),
         (["convolve", "--d", "-1", "--f", "one", "--g", "one", "--norm-bound", "0"],
          2, "--norm-bound must be at least 1"),
+        (["enumerate", "--d", "-1", "--N", "1.0000001", "--b", "10000"],
+         1, "too large to compute exactly"),
+        (["enumerate", "--d", "-1", "--N", "1.0000001", "--b", "100000"],
+         1, "too large to compute exactly"),
     ],
 )
 def test_out_of_range_argument_is_one_line_error(capsys, argv, code, needle):

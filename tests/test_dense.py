@@ -26,7 +26,7 @@ from quadlod.arith import (
     weighted_log_sum,
 )
 from quadlod.errors import CorruptFile, QlodError, TableTooSmall
-from quadlod.regions import canonical_classes, class_arrays, class_index, element_arrays
+from quadlod.regions import a0, canonical_classes, class_arrays, class_index, element_arrays
 from quadlod.rings import SUPPORTED_D, make_ring
 from quadlod.sieve import FactorSieve, sieve_primes
 from _oracles import (
@@ -141,7 +141,7 @@ def test_convolve_builtins_match_loop_across_chunks(monkeypatch, d, f, g):
 def test_readers_match_loops(data):
     ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
     n = data.draw(st.floats(1.0, 14.0), label="N")
-    bound = lab._floor_sq(n) + data.draw(st.integers(0, 30), label="slack")
+    bound = a0(ring, n).hi_sq + data.draw(st.integers(0, 30), label="slack")
     f, g = draw_fn(data, ring, bound, "f"), draw_fn(data, ring, bound + 5, "g")
     df, dg = as_dict_fn(f), as_dict_fn(g)
 

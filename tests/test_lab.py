@@ -83,6 +83,21 @@ def test_epsilon_errors(gauss, one_2500):
         epsilon(one_2500, 51, m, gauss.element(1, 0))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_cut_at_most_zero_is_value_error(gauss, one_2500, n):
+    # every reader of A0(N) takes N > 0, as regions.a0 does: -3 is not A0(3)
+    m = make_modulus(gauss, gauss.element(3, 0))
+    chi = next(c for c in m.characters if not c.is_principal)
+    for call in (
+        lambda: epsilon(one_2500, n, m, gauss.element(1, 0)),
+        lambda: epsilon_sweep(one_2500, n, m),
+        lambda: sw_sum(one_2500, n, chi),
+        lambda: sw_term(one_2500, n, chi, 3.0),
+    ):
+        with pytest.raises(ValueError, match="N must be positive"):
+            call()
+
+
 def test_epsilon_decomposition_sums_to_zero(gauss):
     f = random_float_fn(gauss, 400, 2)
     for coords in [(3, 0), (2, 3), (1, 1)]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quadlod import lab
 from quadlod.arith import tabulate
+from quadlod.regions import a0
 from quadlod.rings import SUPPORTED_D, make_ring
 from quadlod.sieve import sieve_primes
 from _oracles import loop_sw_check_reference
@@ -36,7 +37,7 @@ F_SPECS = ["one", "lambda", "prime", int_valued, complex_valued]
 )
 def test_sw_check_bit_identical_to_loop(d, spec, n, d_power, bound_power):
     ring = make_ring(d)
-    hi = lab._floor_sq(n)
+    hi = a0(ring, n).hi_sq
     f = tabulate(spec, ring, hi, sieve_primes(ring, hi))
     got = lab.sw_check(f, n, d_power, bound_power)
     want = loop_sw_check_reference(f, n, d_power, bound_power)

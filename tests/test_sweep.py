@@ -4,6 +4,7 @@ Equality is on repr, so it is bit for bit, signed zeros included.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
 from quadlod.characters import Modulus
-from quadlod.regions import canonical_classes, element_arrays
+from quadlod.regions import a0, canonical_classes, element_arrays
 from quadlod.rings import SUPPORTED_D, make_ring
 from quadlod.sieve import sieve_primes
-from _oracles import loop_sweep_reference
+from _oracles import loop_sweep_running
 
 INTEGER_VALUES = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
 LOG_VALUES = st.one_of(
@@ -39,10 +40,12 @@ def assert_same_sweep(m, xs, ys, norms, fv):
                for a, b in zip(best, best[1:]))
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
     cuts = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[-1:]
+    # one loop pass: its result over a prefix is its running best at the cut
+    running = list(loop_sweep_running(m, xs, ys, norms, fv))
+    at = [cut for cut, _ in running]
     for cut in [0, *cuts.tolist()]:
         got = [r for r in best if r.argmax_norm <= cut][-1]
-        n = np.searchsorted(norms, cut, side="right")
-        want = loop_sweep_reference(m, xs[:n], ys[:n], norms[:n], fv[:n])
+        want = running[bisect_right(at, cut) - 1][1]
         assert repr(got) == repr(want), cut
 
 
@@ -50,7 +53,7 @@ def assert_same_sweep(m, xs, ys, norms, fv):
 @given(data=st.data())
 def test_sweep_bit_identical_to_loop(data):
     ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
-    hi = lab._floor_sq(data.draw(st.floats(1.5, 13.0), label="N"))
+    hi = a0(ring, data.draw(st.floats(1.5, 13.0), label="N")).hi_sq
     classes = canonical_classes(ring, hi)
     values = data.draw(st.sampled_from([INTEGER_VALUES, LOG_VALUES, COMPLEX_VALUES]))
     vals = data.draw(st.lists(values, min_size=len(classes), max_size=len(classes)))
