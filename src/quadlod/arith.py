@@ -31,6 +31,8 @@ from .sieve import FactorSieve, PrimeTable
 BUILTIN_NAMES = ("one", "moebius", "tau", "log_norm", "lambda", "prime_indicator")
 _ALIASES = {"prime": "prime_indicator", "mu": "moebius", "log": "log_norm"}
 _CSV_COLUMNS = ["x", "y", "norm", "re", "im"]
+_CSV_ROW = "{},{},{},{},{}\r\n".format
+_CSV_CHUNK = 1 << 13  # rows per joined write, so the text in memory stays bounded
 
 
 @dataclass(eq=False)
@@ -233,15 +235,30 @@ def growth_ratio(f: ArithFn, table: PrimeTable, c_power: float = 2.0) -> float:
 
 
 def save_csv(f: ArithFn, path, config_line: str = "") -> None:
-    """Columns x, y, norm, re, im under config_line and a `# d=` line; None: stdout."""
+    """Columns x, y, norm, re, im under config_line and a `# d=` line; None: stdout.
+
+    The bytes are those of `csv.writer` (CRLF row ends; no repr needs quoting),
+    with `repr` taken once per distinct value and one write per `_CSV_CHUNK` rows.
+    """
     xs, ys, norms = class_arrays(f.ring, f.norm_bound)
+    (re_text, re_of), (im_text, im_of) = _reprs(f.vals.real), _reprs(f.vals.imag)
     out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
         fh.write(f"{config_line}# d={f.ring.d} norm_bound={f.norm_bound} name={f.name}\n")
-        w = csv.writer(fh)
-        w.writerow(_CSV_COLUMNS)
-        re, im = map(repr, f.vals.real.tolist()), map(repr, f.vals.imag.tolist())
-        w.writerows(zip(xs.tolist(), ys.tolist(), norms.tolist(), re, im))
+        fh.write(",".join(_CSV_COLUMNS) + "\r\n")
+        for lo in range(0, len(xs), _CSV_CHUNK):
+            rows = slice(lo, lo + _CSV_CHUNK)
+            cols = (xs[rows], ys[rows], norms[rows], re_text[re_of[rows]], im_text[im_of[rows]])
+            fh.write("".join(map(_CSV_ROW, *(c.tolist() for c in cols))))
+
+
+def _reprs(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, index): parts[i] reprs as texts[index[i]], one repr per distinct value.
+
+    Values are keyed on their bits, since -0.0 and 0.0 compare equal but repr apart.
+    """
+    keys, index = np.unique(parts.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object), index
 
 
 def load_csv(path) -> ArithFn:

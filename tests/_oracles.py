@@ -7,7 +7,10 @@ fresh per-breakpoint summation.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -482,6 +485,20 @@ def loop_unit_fold_check(f, n):
     for c in canonical_classes(ring, region.hi_sq):
         cls_sum += f.values[(c.x, c.y)]
     return el_sum, ring.w_K * cls_sum
+
+
+def csv_writer_save(f, path, config_line=""):
+    """The csv.writer save_csv, verbatim: two reprs and one writer row per class."""
+    from quadlod.regions import class_arrays
+
+    xs, ys, norms = class_arrays(f.ring, f.norm_bound)
+    out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        fh.write(f"{config_line}# d={f.ring.d} norm_bound={f.norm_bound} name={f.name}\n")
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "norm", "re", "im"])
+        re, im = map(repr, f.vals.real.tolist()), map(repr, f.vals.imag.tolist())
+        w.writerows(zip(xs.tolist(), ys.tolist(), norms.tolist(), re, im))
 
 
 # -- residue-ring unit groups and characters, as dict and Fraction loops ---

@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadlod import lab
+from quadlod import arith, lab
 from quadlod.arith import (
     BUILTIN_NAMES,
     ArithFn,
@@ -32,6 +32,7 @@ from quadlod.sieve import FactorSieve, sieve_primes
 from _oracles import (
     LoopFactorSieve,
     as_dict_fn,
+    csv_writer_save,
     loop_add_pointwise,
     loop_convolve,
     loop_dirichlet_series,
@@ -40,6 +41,7 @@ from _oracles import (
     loop_unit_fold_check,
     loop_weighted_log_sum,
 )
+from test_sweep import COMPLEX_VALUES, INTEGER_VALUES, LOG_VALUES
 
 FLOATS = st.floats(-2.0, 2.0)
 VALUES = {
@@ -255,3 +257,62 @@ def test_load_csv_fuzz(mu_file, tmp_path_factory, data):
         load_csv(path)
     except QlodError:
         pass
+
+
+FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1e-300]
+FILE_VALUES = st.one_of(
+    INTEGER_VALUES, LOG_VALUES, COMPLEX_VALUES,
+    st.builds(complex, st.sampled_from(FLOAT_EDGES), st.sampled_from(FLOAT_EDGES)),
+)
+
+
+def assert_writes_like_csv_writer(f, config_line, tmp_path, capsys):
+    """save_csv gives csv.writer's bytes, to a file and to stdout."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_csv(f, got, config_line)
+    csv_writer_save(f, want, config_line)
+    assert got.read_bytes() == want.read_bytes()
+    capsys.readouterr()
+    save_csv(f, None, config_line)
+    out = capsys.readouterr().out
+    csv_writer_save(f, None, config_line)
+    assert out == capsys.readouterr().out
+    assert out.encode() == want.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_save_csv_matches_csv_writer(monkeypatch, tmp_path, capsys, chunk, data):
+    monkeypatch.setattr(arith, "_CSV_CHUNK", chunk)
+    ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
+    bound = data.draw(st.integers(0, 150), label="bound")
+    n = len(class_arrays(ring, bound)[0])
+    vals = data.draw(st.lists(FILE_VALUES, min_size=n, max_size=n), label="vals")
+    config_line = data.draw(st.sampled_from(["", "# config: {}\n"]), label="config")
+    assert_writes_like_csv_writer(ArithFn(ring, bound, vals, "drawn"), config_line,
+                                  tmp_path, capsys)
+
+
+def test_save_csv_matches_csv_writer_above_a_chunk(tmp_path, capsys):
+    ring = make_ring(-1)
+    table = sieve_primes(ring, 20_000)
+    f = convolve(tabulate("moebius", ring, 20_000, table), tabulate("log", ring, 20_000, table))
+    assert len(f.vals) > arith._CSV_CHUNK
+    assert_writes_like_csv_writer(f, "# config: {}\n", tmp_path, capsys)
+
+
+def test_save_load_round_trip_is_bitwise(tmp_path):
+    ring = make_ring(-1)
+    n = len(class_arrays(ring, 20_000)[0])
+    assert n > arith._CSV_CHUNK
+    rng = np.random.default_rng(12)
+    parts = rng.standard_normal(2 * n) * 10.0 ** rng.integers(-325, 300, 2 * n)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1e300, -1e-300]
+    parts[::7] = np.resize(edges, len(parts[::7]))
+    vals = parts.view(np.complex128)
+    path = tmp_path / "f.csv"
+    save_csv(ArithFn(ring, 20_000, vals, "edges"), path)
+    assert load_csv(path).vals.view(np.int64).tolist() == vals.view(np.int64).tolist()
