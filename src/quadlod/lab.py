@@ -48,7 +48,7 @@ from .regions import (
     count_region,
     element_arrays,
 )
-from .rings import AlgInt, RingDescriptor, make_ring
+from .rings import AlgInt, RingDescriptor, divide_exact, make_ring, norm_xy
 from .sieve import sieve_primes
 
 
@@ -236,7 +236,14 @@ class LodScanConfig:
             raise ValueError("grid values must exceed 1")
 
     def q_bound(self, count: int, n: float) -> float:
-        return count**self.theta / math.log(n) ** self.B
+        """Q(N); BoundsTooLarge when (log N)^B or Q leaves the float range."""
+        try:
+            q = count**self.theta / math.log(n) ** self.B
+        except (OverflowError, ZeroDivisionError):
+            q = math.inf
+        if q == math.inf:
+            raise BoundsTooLarge(f"(log N)^B leaves the float range at N={n}, B={self.B}")
+        return q
 
 
 @dataclass
@@ -482,20 +489,67 @@ def _weight_eval(weight, x: float) -> float:
     raise AssertionError
 
 
+def _real_parts(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Writable views of a's real and imaginary parts, or a itself when real."""
+    return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+
+
 def _fold_classes(coeffs: np.ndarray, cid: np.ndarray, phi: int) -> np.ndarray:
-    """(n_vec, phi) complex sums of each row of coeffs over its coprime classes.
+    """(n_vec, phi) sums of each row of coeffs over its coprime classes.
 
     cid is each element's coprime class, < 0 off the coprime set.  Each vector
     takes one bincount per real part (real input one, complex input two), which
     adds a class's weights one at a time in element order: every class sum is a
     left-to-right sum.  Non-coprime elements go to the dropped sentinel class phi.
+    The sums are float64 for real coeffs and complex128 for complex ones.
     """
     key = np.where(cid < 0, phi, cid)
-    parts = (coeffs.real, coeffs.imag) if np.iscomplexobj(coeffs) else (coeffs,)
-    folded = np.zeros((len(coeffs), phi), dtype=np.complex128)
-    for part, dest in zip(parts, (folded.real, folded.imag)):
+    folded = np.zeros((len(coeffs), phi), dtype=coeffs.dtype)
+    for part, dest in zip(_real_parts(coeffs), _real_parts(folded)):
         for v, row in enumerate(part):
             dest[v] = np.bincount(key, weights=row, minlength=phi + 1)[:phi]
+    return folded
+
+
+def _primitive_count(m: Modulus) -> int:
+    """Number of primitive characters mod q, prod of phi(pi^e) - phi(pi^(e-1)) over pi^e || q.
+
+    It is 0 exactly when a norm-2 prime divides q to the first power.
+    """
+    count = 1
+    for pi, e in m.factorization.factors:
+        p = pi.norm()
+        count *= p - 2 if e == 1 else p ** (e - 2) * (p - 1) ** 2
+    return count
+
+
+def _primitive_part(m: Modulus, folded: np.ndarray) -> np.ndarray:
+    """Project each row of class sums onto the span of the primitive characters mod q.
+
+    The characters that factor through q/pi span the functions constant on
+    the cosets of K_pi, the kernel of (O/q)^* -> (O/(q/pi))^*; the primitive
+    ones span what is orthogonal to all of them.  So for each prime pi | q in
+    turn, every class sum loses the mean of its K_pi coset: the coset's total
+    (one bincount per real part over (vector, class mod q/pi), in class order)
+    over k = |K_pi| = phi(q)/phi(q/pi), which is N(pi) - 1 when pi divides q
+    once and N(pi) otherwise.  By Parseval on (O/q)^*, the squared primitive
+    character sums of a row add up to phi(q) times its projection's squared
+    norm.  Works in place on folded, (n_vec, phi) in unit_rids order.
+    """
+    ux, uy = m.rid_coords(np.array(m.unit_rids, dtype=np.int64))
+    rows = np.arange(len(folded))[:, None]
+    for pi, e in m.factorization.factors:
+        qp = divide_exact(m.q, pi)
+        if qp.is_unit():
+            key, size = np.zeros(m.phi, dtype=np.int64), 1
+        else:
+            mp = Modulus(m.ring, qp)
+            key, size = mp.rid_xy(ux, uy), mp.norm
+        k = pi.norm() - 1 if e == 1 else pi.norm()
+        flat = (rows * size + key).ravel()
+        for part in _real_parts(folded):
+            sums = np.bincount(flat, weights=part.ravel(), minlength=len(folded) * size)
+            part -= sums.reshape(-1, size)[:, key] / k
     return folded
 
 
@@ -507,13 +561,17 @@ def large_sieve_ratios(
     region: NormRegion,
     weight: Sequence[tuple[float, float]] | None = None,
 ) -> list[tuple[float, float, float]]:
-    """(lhs, rhs, ratio) per coefficient vector, sharing character machinery.
+    """(lhs, rhs, ratio) per coefficient vector.
 
     Default weight None is the 1/x specialization: lhs sums (1/phi(q)) times
     the squared primitive character sums, rhs = (|A0(N)|/Q1 + Q2) * sum|c|^2.
     A tabulated weight w switches to the general form with factor
     w(|q|)*|q|/phi(q) and rhs = (w(Q1)(Q1^2 + |A0(N)|) + int x w(x) dx) * sum|c|^2.
-    Real coefficients are summed as float64, complex ones as complex128.
+    No character is built: each modulus's class sums are projected onto its
+    primitive characters (`_primitive_part`), and phi(q) times the projection's
+    squared norm is the sum of the squared primitive character sums.  Real
+    coefficients are summed as float64, complex ones as complex128, in a fixed
+    order with no BLAS.
     """
     if not q1 > 0:
         raise ValueError(f"Q1 must be positive, got {q1}")
@@ -522,35 +580,32 @@ def large_sieve_ratios(
     if weight is not None:
         _check_weight(weight)
     ring = region.ring
-    for xi in elements:
-        if not region.contains(xi):
-            raise ValueError(f"coefficient support {xi} outside the region")
+    xs = np.array([z.x for z in elements], dtype=np.int64)
+    ys = np.array([z.y for z in elements], dtype=np.int64)
+    # int64 norms are exact while every coordinate is at most 2^26 (norms up to
+    # about 2^58); support past that has norm above 2^51 and counts as outside
+    norms = norm_xy(ring, xs, ys)
+    outside = (norms < max(region.lo_sq, 1)) | (norms > region.hi_sq)
+    outside |= np.maximum(np.abs(xs), np.abs(ys)) > 1 << 26
+    if outside.any():
+        raise ValueError(f"coefficient support {elements[np.argmax(outside)]} outside the region")
     dtype = np.complex128 if np.iscomplexobj(coeff_matrix) else np.float64
     coeff_matrix = np.asarray(coeff_matrix, dtype=dtype)
     if coeff_matrix.ndim == 1:
         coeff_matrix = coeff_matrix[None, :]
     n_vec = coeff_matrix.shape[0]
-    xs = np.array([z.x for z in elements], dtype=np.int64)
-    ys = np.array([z.y for z in elements], dtype=np.int64)
     lhs = np.zeros(n_vec)
     for q in canonical_classes(ring, int(q2)):
         nq = q.norm()
         if nq <= q1 or nq < 2:
             continue
         m = Modulus(ring, q)
-        prims = m.primitive_characters()
-        if not prims:
+        if not _primitive_count(m):
             continue
-        p_mat = np.exp(2j * np.pi * m.character_phase_matrix(prims))  # (n_prim, phi)
         folded = _fold_classes(coeff_matrix, _coprime_index(m)[_rids(m, xs, ys)], m.phi)
-        # the character sums run in numpy's einsum loops: no BLAS, so no
-        # thread-dependent summation order
-        s = np.einsum("cu,vu->cv", p_mat, folded)  # (n_prim, n_vec)
-        contrib = (np.abs(s) ** 2).sum(axis=0)
-        factor = (
-            1.0 / m.phi if weight is None else _weight_eval(weight, nq) * nq / m.phi
-        )
-        lhs += factor * contrib
+        prim = _primitive_part(m, folded)
+        contrib = (prim * prim.conj()).real.sum(axis=1)  # the 1/phi(q) cancels
+        lhs += contrib if weight is None else _weight_eval(weight, nq) * nq * contrib
     c_sq = (np.abs(coeff_matrix) ** 2).sum(axis=1)
     cnt = count_region(a0(ring, region.n))
     if weight is None:

@@ -33,7 +33,7 @@ from quadlod.regions import a0, canonical_classes, element_arrays, enumerate_reg
 from quadlod.rings import canonical_associate, gcd, make_ring
 from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
-from _oracles import cumsum_sweep_max, loop_class_fold
+from _oracles import character_sum_lhs, cumsum_sweep_max, loop_class_fold
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +468,12 @@ def test_large_sieve_errors(gauss):
         )
     with pytest.raises(ValueError):
         large_sieve_ratio({gauss.element(9, 0): 1.0}, 5, 20, region)
+    els = [gauss.element(1, 0), gauss.element(0, 0), gauss.element(9, 0)]
+    with pytest.raises(ValueError, match=r"support 0\+0w outside"):
+        large_sieve_ratios(np.ones(3), els, 5, 20, region)
+    # (2^32)^2 + 1^2 wraps to 1 in int64
+    with pytest.raises(ValueError, match="outside the region"):
+        large_sieve_ratio({gauss.element(1 << 32, 1): 1.0}, 5, 20, region)
 
 
 def test_large_sieve_weighted_matches_manual(gauss):
@@ -517,7 +523,56 @@ def test_fold_classes_matches_left_to_right_loop(d, qx, qy):
     coeffs = rng.normal(size=(3, len(xs))) + 1j * rng.normal(size=(3, len(xs)))
     want = loop_class_fold(coeffs, cid, m.phi)
     assert np.array_equal(lab._fold_classes(coeffs, cid, m.phi), want)
-    assert np.array_equal(lab._fold_classes(coeffs.real, cid, m.phi), want.real)
+    real = lab._fold_classes(coeffs.real, cid, m.phi)
+    assert real.dtype == np.float64 and np.array_equal(real, want.real)
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, -163])
+def test_large_sieve_matches_primitive_character_sums(d):
+    # the projection onto the primitive characters against the characters
+    # themselves; the two sum in different orders, so they agree to rounding
+    ring = make_ring(d)
+    region = a0(ring, 6)
+    els = list(enumerate_region(region))
+    rng = np.random.default_rng(-d)
+    shape = (3, len(els))
+    inputs = [
+        rng.choice([-1.0, 1.0], size=shape),
+        rng.normal(size=shape),
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        np.full(shape, 0.1),
+    ]
+    for weight in (None, [(2.0, 1.0), (10.0, 0.5), (40.0, 0.2)]):
+        for mat in inputs:
+            rows = large_sieve_ratios(mat, els, 2, 40, region, weight)
+            want = character_sum_lhs(mat, els, 2, 40, ring, weight)
+            for (lhs, rhs, ratio), w in zip(rows, want):
+                assert lhs >= 0
+                assert lhs == pytest.approx(w, rel=1e-13, abs=0)
+                assert ratio == pytest.approx(w / rhs, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, -11, -19, -43, -67, -163])
+def test_primitive_count_matches_characters(d):
+    ring = make_ring(d)
+    for q in canonical_classes(ring, 60):
+        if q.norm() >= 2:
+            m = make_modulus(ring, q)
+            assert lab._primitive_count(m) == len(m.primitive_characters())
+
+
+@pytest.mark.parametrize("d,p", [(-1, 3), (-2, 5), (-7, 3)])
+def test_large_sieve_norm_two_prime_once_adds_zero(d, p):
+    # every modulus of norm 2p^2 is a norm-2 prime times the inert p: no
+    # primitive character, so the window adds exactly nothing
+    ring = make_ring(d)
+    region = a0(ring, 6)
+    els = list(enumerate_region(region))
+    mat = np.random.default_rng(1).normal(size=(2, len(els)))
+    nq = 2 * p * p
+    moduli = [make_modulus(ring, q) for q in canonical_classes(ring, nq) if q.norm() == nq]
+    assert moduli and not any(m.primitive_characters() for m in moduli)
+    assert [lhs for lhs, _, _ in large_sieve_ratios(mat, els, nq - 1, nq, region)] == [0.0, 0.0]
 
 
 def test_large_sieve_real_and_complex_input_agree(gauss):
