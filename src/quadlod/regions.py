@@ -226,18 +226,48 @@ def _key(max_norm: int, xs, ys, norms):
     return (norms * w + xs) * w + ys
 
 
+def _associates(ring: RingDescriptor, xs: np.ndarray, ys: np.ndarray):
+    """The w_K associates u*(xs, ys), u = omega^k when w_K > 2 (d = -1, -3), else +-1."""
+    u = (0, 1) if ring.w_K > 2 else (-1, 0)
+    for _ in range(ring.w_K):
+        yield xs, ys
+        xs, ys = mul_xy(ring, xs, ys, *u)
+
+
 @lru_cache(maxsize=8)
-def _class_keys(ring: RingDescriptor, max_norm: int) -> np.ndarray:
-    return _key(max_norm, *class_arrays(ring, max_norm))
+def _class_table(ring: RingDescriptor, max_norm: int) -> np.ndarray:
+    """Read-only int32 table of the class index (see class_arrays) of each (x, y).
+
+    The table covers the smallest box |x| <= rx, |y| <= ry that holds every
+    element of norm 1..max_norm, with (x, y) at [x + rx, y + ry], so its
+    shape is (2rx + 1, 2ry + 1).  Each such element holds its class's index
+    and every other cell, zero among them, holds -1.
+    """
+    xs, ys, _ = class_arrays(ring, max_norm)
+    rx = ry = 0
+    for ax, ay in _associates(ring, xs, ys):
+        rx = max(rx, int(np.abs(ax).max(initial=0)))
+        ry = max(ry, int(np.abs(ay).max(initial=0)))
+    table = np.full((2 * rx + 1, 2 * ry + 1), -1, dtype=np.int32)
+    idx = np.arange(len(xs), dtype=np.int32)
+    for ax, ay in _associates(ring, xs, ys):
+        table[ax + rx, ay + ry] = idx
+    table.setflags(write=False)
+    return table
 
 
 def class_index(ring: RingDescriptor, max_norm: int, xs, ys) -> np.ndarray:
     """Class index (see class_arrays) of each element; all nonzero, norm <= max_norm."""
-    cxs, cys = canonical_coords(ring, np.asarray(xs, np.int64), np.asarray(ys, np.int64))
-    norms = norm_xy(ring, cxs, cys)
-    if norms.size and (norms.min() < 1 or norms.max() > max_norm):
+    table = _class_table(ring, max_norm)
+    rx, ry = table.shape[0] // 2, table.shape[1] // 2
+    xs, ys = np.asarray(xs, np.int64), np.asarray(ys, np.int64)
+    # the box check comes first, so that the flat index cannot overflow
+    if xs.size and not (-rx <= xs.min() and xs.max() <= rx and -ry <= ys.min() and ys.max() <= ry):
         raise TableTooSmall(f"element norms outside 1..{max_norm}")
-    return np.searchsorted(_class_keys(ring, max_norm), _key(max_norm, cxs, cys, norms))
+    idx = table.ravel()[(xs + rx) * table.shape[1] + ys + ry]
+    if idx.size and idx.min() < 0:
+        raise TableTooSmall(f"element norms outside 1..{max_norm}")
+    return idx
 
 
 # Pairs per chunk of class_products: bounds its working memory to a few MB.

@@ -431,6 +431,23 @@ def loop_fvals(f, xs, ys):
     )
 
 
+def searchsorted_class_index(ring, max_norm, xs, ys):
+    """The rotate-then-binary-search class_index that the dense table replaced.
+
+    Exact for |x|, |y| <= 2^26; beyond that its int64 norms can wrap into range.
+    """
+    from quadlod.errors import TableTooSmall
+    from quadlod.regions import _key, canonical_coords, class_arrays
+    from quadlod.rings import norm_xy
+
+    cxs, cys = canonical_coords(ring, np.asarray(xs, np.int64), np.asarray(ys, np.int64))
+    norms = norm_xy(ring, cxs, cys)
+    if norms.size and (norms.min() < 1 or norms.max() > max_norm):
+        raise TableTooSmall(f"element norms outside 1..{max_norm}")
+    keys = _key(max_norm, *class_arrays(ring, max_norm))
+    return np.searchsorted(keys, _key(max_norm, cxs, cys, norms))
+
+
 def loop_add_pointwise(f, g):
     from quadlod.regions import canonical_classes
 

@@ -40,6 +40,7 @@ from _oracles import (
     loop_tabulate,
     loop_unit_fold_check,
     loop_weighted_log_sum,
+    searchsorted_class_index,
 )
 from test_sweep import COMPLEX_VALUES, INTEGER_VALUES, LOG_VALUES
 
@@ -186,6 +187,44 @@ def test_class_index(all_rings):
             class_index(ring, 300, [0], [0])
         with pytest.raises(TableTooSmall):
             class_index(ring, 3, xs, ys)
+        # int64 norms of these wrap into 1..300
+        for x, y in ((2**32, 1), (1, 2**32), (-(2**32), 1)):
+            with pytest.raises(TableTooSmall):
+                class_index(ring, 300, [x], [y])
+
+
+def _lookup_or_none(lookup, *args):
+    try:
+        return lookup(*args)
+    except TableTooSmall:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_class_index_matches_searchsorted(data):
+    d = data.draw(st.sampled_from(SUPPORTED_D), label="d")
+    max_norm = data.draw(st.integers(-2, 3000), label="max_norm")
+    ring = make_ring(d)
+    # points of norm 1..max_norm, then at most one of: norm max_norm or
+    # max_norm + 1, zero, the coordinate box's margin, or a far point within
+    # the oracle's 2^26
+    inside, rim, beyond = (
+        list(zip(*(a.tolist() for a in element_arrays(d, lo, hi)[:2])))
+        for lo, hi in ((1, max_norm), (max_norm, max_norm), (max_norm + 1, max_norm + 1))
+    )
+    r = 2 * math.isqrt(max(max_norm, 0)) + 3
+    edge = [st.just((0, 0)), st.tuples(st.integers(-r, r), st.integers(-r, r)),
+            st.tuples(st.integers(-(2**26), 2**26), st.integers(-(2**26), 2**26))]
+    edge += [st.sampled_from(group) for group in (rim, beyond) if group]
+    pts = data.draw(st.lists(st.sampled_from(inside), max_size=6) if inside else st.just([]))
+    pts += data.draw(st.lists(st.one_of(edge), max_size=1))
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    want = _lookup_or_none(searchsorted_class_index, ring, max_norm, xs, ys)
+    got = _lookup_or_none(class_index, ring, max_norm, xs, ys)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tolist() == want.tolist()
 
 
 # -- function files ------------------------------------------------------------
