@@ -71,9 +71,12 @@ class Modulus:
         """rid of x + y*omega mod (q); x and y are ints or int64 arrays.
 
         The coset representative is (x - k*b mod a, j) with y = k*c + j,
-        0 <= j < c; % and // floor alike on ints and on int64 arrays.
+        0 <= j < c; % and // floor alike on ints and on int64 arrays.  When
+        c = 1, j is 0 and k is y.
         """
         a, b, c = self.hnf_a, self.hnf_b, self.hnf_c
+        if c == 1:
+            return (x - y * b) % a
         j = y % c
         return (x - (y - j) // c * b) % a + a * j
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -102,7 +101,7 @@ class SweepResult:
 
 def epsilon_sweep(f: ArithFn, n: float, m: Modulus) -> SweepResult:
     """Exact max over real M <= N and coprime gamma of |eps(M; q, gamma; f)|."""
-    return _sweep_arrays(m, *_a0_values(f, n))[-1]
+    return _best_at(m, _sweep_arrays(m, *_a0_values(f, n)), [math.inf])[0]
 
 
 # Cells of one (breakpoint x class) block of the sweep: bounds its working
@@ -142,30 +141,30 @@ def _class_running_sums(va: np.ndarray, vc: np.ndarray, phi: int) -> np.ndarray:
     return np.cumsum(pad, axis=1)
 
 
-def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> list[SweepResult]:
-    """Running max over breakpoints and coprime classes of |eps|, first attained.
+def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> tuple[np.ndarray, ...]:
+    """The sweep's profile: per breakpoint, the max over coprime classes of |eps|^2.
 
-    Entry 0 is the empty result, then one entry per breakpoint where the best
-    strictly grows.  Per breakpoint b and class c, eps = A[b, c] - T[b] / phi,
-    where A is the running sum of class c and T the running coprime total.
-    The float sums keep the order of a per-breakpoint loop, so each entry is
-    bit-identical to it for any f: A[b, c] is read from each class's
-    sequential running sums at the class's element count after b; T is a
-    sequential running sum of per-breakpoint ``.sum()`` values.  All are
-    prefix sums: the sweep of a prefix up to norm h is the last entry with
-    argmax_norm <= h.  Blocks of at most ``_SWEEP_BLOCK`` cells are scanned in
-    (breakpoint, class) order, and a row's maximum is an entry only when
-    strictly larger than the best before it, so ties go to the first
-    breakpoint and then the first class.
+    Returns (breakpoint norms, row max of |eps|^2, the first class index at
+    it, eps.real there, eps.imag there), one entry per distinct norm of an
+    element with a nonzero coprime value, in increasing norm; all empty when
+    phi is 1 or no such element exists.  Per breakpoint b and class c,
+    eps = A[b, c] - T[b] / phi, where A is the running sum of class c and T
+    the running coprime total.  The float sums keep the order of a
+    per-breakpoint loop, so every entry is bit-identical to it for any f:
+    A[b, c] is read from each class's sequential running sums at the class's
+    element count after b; T is a sequential running sum of per-breakpoint
+    ``.sum()`` values.  All are prefix sums, so the sweep of the elements of
+    norm <= h is the maximum over the breakpoints of norm <= h (`_best_at`):
+    ties go to the first breakpoint, then the first class, and a result is
+    non-empty only when its maximum is > 0.  Blocks of at most
+    ``_SWEEP_BLOCK`` cells are scanned in (breakpoint, class) order.  When
+    every imaginary part is zero the class sums and squares run on the real
+    plane alone (eps.imag is then +0.0, as the complex sums give); the level
+    sums stay complex128, whose pairwise ``.sum()`` groups differently.
     """
-    out = [SweepResult(0.0, 0j, 0, *m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0))]
-    if m.phi == 1:
-        return out
-    cid = _coprime_index(m)[_rids(m, xs, ys)]
-    idx = np.flatnonzero((cid >= 0) & (fv != 0))
-    if idx.size == 0:
-        return out
     phi = m.phi
+    cid = _coprime_index(m)[_rids(m, xs, ys)]
+    idx = np.flatnonzero((cid >= 0) & (fv != 0) & (phi > 1))  # one class: eps is 0
     va, vc, lvn = fv[idx], cid[idx], norms[idx]
     new_level = np.diff(lvn, prepend=0) != 0  # norms are >= 1
     starts = np.flatnonzero(new_level)
@@ -178,35 +177,59 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> list[SweepResult]:
     # complex division by an integer is not identical across runtimes
     t_re = total.real / phi
     t_im = total.imag / phi
-    sums = _class_running_sums(va, vc, phi)
-    row = np.arange(phi) * sums.shape[1]
+    real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
+    sums = _class_running_sums(va.real if real else va, vc, phi)
+    # flat index into sums of each class's running sum before the block
+    at_end = np.arange(phi) * sums.shape[1]
     sums = sums.ravel()
-    seen = np.zeros(phi, dtype=np.int64)  # class counts before the block
-    units = np.array(m.unit_rids)
-    best_sq = 0.0  # squared magnitudes compare exactly for integer-valued f
+    row_sq = np.empty(starts.size)
+    row_k = np.empty(starts.size, dtype=np.int64)
+    eps_re = np.empty(starts.size)
+    eps_im = np.zeros(starts.size)
     step = max(1, _SWEEP_BLOCK // phi)
     for b0 in range(0, starts.size, step):
         b1 = min(b0 + step, starts.size)
         e0, e1 = bounds[b0], bounds[b1]
         cells = (level[e0:e1] - b0) * phi + vc[e0:e1]
-        cnt = np.bincount(cells, minlength=(b1 - b0) * phi).reshape(b1 - b0, phi)
-        cnt = np.cumsum(cnt, axis=0) + seen
-        seen = cnt[-1]
-        acc = sums[cnt + row]
+        at = np.bincount(cells, minlength=(b1 - b0) * phi).reshape(b1 - b0, phi)
+        at[0] += at_end
+        np.cumsum(at, axis=0, out=at)
+        at_end = at[-1]
+        acc = sums[at]
         dr = acc.real - t_re[b0:b1, None]
-        di = acc.imag - t_im[b0:b1, None]
-        sq = dr * dr + di * di  # plain multiplies; exact for integer-valued f
-        if not sq.max() > best_sq:
+        sq = dr * dr  # plain multiplies; exact for integer-valued f
+        if not real:
+            di = acc.imag - t_im[b0:b1, None]
+            sq += di * di
+        rows, k = np.arange(b1 - b0), sq.argmax(axis=1)
+        row_k[b0:b1] = k
+        row_sq[b0:b1] = sq[rows, k]
+        eps_re[b0:b1] = dr[rows, k]
+        if not real:
+            eps_im[b0:b1] = di[rows, k]
+    return lvn[starts], row_sq, row_k, eps_re, eps_im
+
+
+def _best_at(m: Modulus, sweep: tuple[np.ndarray, ...], cuts) -> list[SweepResult]:
+    """The sweep of the elements of norm <= h, for each cut h, read off the profile.
+
+    Each result sits at the first breakpoint of norm <= h that attains their
+    largest |eps|^2, at that row's first class; it is the empty result
+    (argmax_norm 0) when that maximum is not > 0.
+    """
+    bn, row_sq, row_k, eps_re, eps_im = sweep
+    top = np.maximum.accumulate(row_sq)  # prefix maxima, nondecreasing
+    gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
+    out = []
+    for n in np.searchsorted(bn, cuts, side="right").tolist():
+        if n == 0 or not top[n - 1] > 0.0:
+            out.append(SweepResult(0.0, 0j, 0, gx, gy))
             continue
-        # the rows whose maximum beats every row before them, at its first class
-        rmax = sq.max(axis=1)
-        rows = np.flatnonzero(rmax > np.maximum.accumulate(np.append(best_sq, rmax[:-1])))
-        k = sq[rows].argmax(axis=1)
-        gx, gy = m.rid_coords(units[k])
-        out += map(SweepResult, np.sqrt(rmax[rows]).tolist(),  # IEEE sqrt, as math.sqrt
-                   map(complex, dr[rows, k].tolist(), di[rows, k].tolist()),
-                   lvn[starts[b0 + rows]].tolist(), gx.tolist(), gy.tolist())
-        best_sq = float(rmax[rows[-1]])
+        i = int(np.searchsorted(top, top[n - 1]))  # where the prefix max first appears
+        out.append(SweepResult(
+            math.sqrt(row_sq[i]), complex(eps_re[i], eps_im[i]), int(bn[i]),
+            *m.rid_coords(m.unit_rids[row_k[i]]),
+        ))
     return out
 
 
@@ -288,11 +311,10 @@ def _sweep_task(i: int) -> list[list[tuple[int, SweepResult]]]:
     out = []
     for xs, ys, norms, fv in _SWEEP_CTX["fns"]:
         # one sweep to the largest grid N whose Q admits q; each such N reads
-        # its result off the running best, as (grid index, result)
+        # its result off the sweep's profile, as (grid index, result)
         cut = np.searchsorted(norms, grid[-1][1], side="right")
-        best = _sweep_arrays(m, xs[:cut], ys[:cut], norms[:cut], fv[:cut])
-        at = [r.argmax_norm for r in best]
-        out.append([(k, best[bisect_right(at, hi) - 1]) for k, hi in grid])
+        sweep = _sweep_arrays(m, xs[:cut], ys[:cut], norms[:cut], fv[:cut])
+        out.append(list(zip([k for k, _ in grid], _best_at(m, sweep, [hi for _, hi in grid]))))
     return out
 
 

@@ -118,6 +118,13 @@ def brute_is_prime(ring, xi, classes_by_norm):
     return True
 
 
+def hnf_rid_xy(m, x, y):
+    """Modulus.rid_xy's general HNF formula, for every c: (x - k*b mod a) + a*j with y = k*c + j."""
+    a, b, c = m.hnf_a, m.hnf_b, m.hnf_c
+    j = y % c
+    return (x - (y - j) // c * b) % a + a * j
+
+
 def cumsum_sweep_max(m, xs, ys, norms, fv):
     """Max |eps| over breakpoints and coprime classes via cumulative sums.
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import LoopUnitGroup, loop_unit_circle
-from quadlod.characters import conductor, make_modulus, trivial_modulus
+from _oracles import LoopUnitGroup, hnf_rid_xy, loop_unit_circle
+from quadlod.characters import Modulus, conductor, make_modulus, trivial_modulus
 from quadlod.errors import ZeroOrUnitModulus
 from quadlod.regions import canonical_classes
 from quadlod.rings import SUPPORTED_D, AlgInt, divide_exact, gcd, make_ring
@@ -62,6 +62,40 @@ def test_residue_system_complete(gauss):
     z = gauss.element(17, -9)
     rx, ry = m.reduce_coords(z.x, z.y)
     assert divide_exact(z - gauss.element(rx, ry), m.q) is not None
+
+
+def _moduli_to_200(d):
+    ring = make_ring(d)
+    return [Modulus(ring, q) for q in canonical_classes(ring, 200) if q.norm() >= 2]
+
+
+def test_hnf_c_is_one_and_above_one_both_occur():
+    """rid_xy's c = 1 reduction and its general formula both run below norm 200.
+
+    Over the nine rings, 793 of the 1299 canonical moduli of norm 2..200 have
+    HNF c = 1 and 506 have c > 1.
+    """
+    cs = [m.hnf_c for d in SUPPORTED_D for m in _moduli_to_200(d)]
+    assert (cs.count(1), len(cs) - cs.count(1)) == (793, 506)
+
+
+COORD = st.integers(-(1 << 20), 1 << 20)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+@settings(max_examples=10, deadline=None)
+@given(points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40))
+def test_rid_xy_matches_general_hnf_formula(d, points):
+    """Equal values in [0, norm) on int64 arrays and on Python ints, negatives included."""
+    xs, ys = zip(*points)
+    ax, ay = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    for m in _moduli_to_200(d):
+        got = m.rid_xy(ax, ay)
+        assert got.dtype == np.int64 and got.tolist() == hnf_rid_xy(m, ax, ay).tolist()
+        assert 0 <= got.min() and got.max() < m.norm
+        ring = m.ring
+        assert [m.rid(AlgInt(ring, x, y)) for x, y in zip(xs, ys)] == got.tolist()
+        assert [hnf_rid_xy(m, x, y) for x, y in zip(xs, ys)] == got.tolist()
 
 
 @pytest.mark.parametrize("d", SUPPORTED_D)

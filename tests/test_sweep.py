@@ -29,24 +29,24 @@ COMPLEX_VALUES = st.builds(
 
 
 def assert_same_sweep(m, xs, ys, norms, fv):
-    """At every prefix cut, the running best matches the loop over that prefix.
+    """At every prefix cut, the sweep's first maximum matches the loop over that prefix.
 
     Each distinct active norm is a cut, and so is 0 (the empty prefix).
+    Returns the sweep's profile.
     """
-    best = lab._sweep_arrays(m, xs, ys, norms, fv)
-    assert best[0].argmax_norm == 0
-    # |eps|^2 strictly grows; its square root may round to an equal float
-    assert all(a.max_abs <= b.max_abs and a.argmax_norm < b.argmax_norm
-               for a, b in zip(best, best[1:]))
+    sweep = lab._sweep_arrays(m, xs, ys, norms, fv)
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
-    cuts = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[-1:]
+    cuts = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[:0]
+    assert sweep[0].tolist() == cuts.tolist()  # one profile row per breakpoint
+    assert all(a.size == cuts.size for a in sweep)
     # one loop pass: its result over a prefix is its running best at the cut
     running = list(loop_sweep_running(m, xs, ys, norms, fv))
     at = [cut for cut, _ in running]
-    for cut in [0, *cuts.tolist()]:
-        got = [r for r in best if r.argmax_norm <= cut][-1]
+    cuts = [0, *cuts.tolist()]
+    for cut, got in zip(cuts, lab._best_at(m, sweep, cuts), strict=True):
         want = running[bisect_right(at, cut) - 1][1]
         assert repr(got) == repr(want), cut
+    return sweep
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,6 +75,34 @@ def test_sweep_bit_identical_across_blocks(gauss, monkeypatch, name):
             m = Modulus(gauss, q)
             assert m.phi < 64 < len(np.unique(norms[fv != 0])) * m.phi  # several blocks
             assert_same_sweep(m, xs, ys, norms, fv)
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_sweep_real_plane_matches_complex(monkeypatch, d):
+    """Real values take the float64 plane; -0.0 imaginary parts too, a 1e-300 one does not.
+
+    The switch is on whether any imaginary part is nonzero, so each variant of
+    the same log_norm values must match the loop at every cut, and the +0.0
+    and -0.0 variants must give the same profile bytes.
+    """
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
+    ring = make_ring(d)
+    f = tabulate("log_norm", ring, 400)
+    xs, ys, norms = element_arrays(d, 1, 400)
+    fv = lab._fvals(f, xs, ys)
+    assert not fv.imag.any() and not np.signbit(fv.imag).any()
+    neg = fv.copy()
+    neg.imag = -0.0
+    assert np.signbit(neg.imag).all()
+    forced = fv.copy()
+    forced.imag[0] = 1e-300  # element 0 is a unit: coprime to every q
+    for q in canonical_classes(ring, 40):
+        if q.norm() >= 2:
+            m = Modulus(ring, q)
+            plain = assert_same_sweep(m, xs, ys, norms, fv)
+            assert [a.tobytes() for a in assert_same_sweep(m, xs, ys, norms, neg)] == \
+                [a.tobytes() for a in plain]
+            assert_same_sweep(m, xs, ys, norms, forced)
 
 
 @settings(max_examples=50, deadline=None)
