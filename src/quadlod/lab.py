@@ -17,6 +17,10 @@ every float sum keeps one fixed order, which is what keeps artifacts byte
 for byte stable: each class's running sum adds its elements one at a time in
 (norm, x, y) order; each breakpoint's new elements are summed with numpy's
 ``.sum()``; the running coprime total adds those level sums one at a time.
+The one exception is real integer-valued f with sum |f| < 2^52, such as the
+builtins one, moebius, tau and prime_indicator and their convolutions: every
+partial sum is then an integer below 2^52, which float64 holds exactly, so
+any order of summation gives the same bits and the sweep sums per cell.
 """
 
 from __future__ import annotations
@@ -161,6 +165,12 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> tuple[np.ndarray, ...]:
     every imaginary part is zero the class sums and squares run on the real
     plane alone (eps.imag is then +0.0, as the complex sums give); the level
     sums stay complex128, whose pairwise ``.sum()`` groups differently.
+    When moreover every value is an integer and the sum of |f| over the
+    swept elements is below 2^52 (NaN and inf fail this guard), every sum is
+    exact in any order: each block's class sums are one weighted
+    ``bincount`` over its (breakpoint, class) cells plus a running ``cumsum``,
+    the total one weighted ``bincount`` over the breakpoints, and neither
+    class running sums nor level sums are formed.
     """
     phi = m.phi
     cid = _coprime_index(m)[_rids(m, xs, ys)]
@@ -170,18 +180,25 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> tuple[np.ndarray, ...]:
     starts = np.flatnonzero(new_level)
     bounds = np.append(starts, lvn.size)
     level = np.cumsum(new_level) - 1  # breakpoint index of each element
-    lsum = np.zeros(starts.size + 1, dtype=va.dtype)
-    lsum[1:] = _level_sums(va, starts, np.diff(bounds))
-    total = np.cumsum(lsum)[1:]  # from 0j, as a loop's `total += level sum`
-    # componentwise division: scalar float division is IEEE-unambiguous,
-    # complex division by an integer is not identical across runtimes
-    t_re = total.real / phi
-    t_im = total.imag / phi
+    vr = va.real
     real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
-    sums = _class_running_sums(va.real if real else va, vc, phi)
-    # flat index into sums of each class's running sum before the block
-    at_end = np.arange(phi) * sums.shape[1]
-    sums = sums.ravel()
+    # integers with sum |f| < 2^52: every partial sum is exact, in any order
+    exact = real and np.array_equal(vr, np.rint(vr)) and np.abs(vr).sum() < 2**52
+    if exact:
+        t_re = np.cumsum(np.bincount(level, weights=vr, minlength=starts.size)) / phi
+        end = np.zeros(phi)  # each class's running sum before the block
+    else:
+        lsum = np.zeros(starts.size + 1, dtype=va.dtype)
+        lsum[1:] = _level_sums(va, starts, np.diff(bounds))
+        total = np.cumsum(lsum)[1:]  # from 0j, as a loop's `total += level sum`
+        # componentwise division: scalar float division is IEEE-unambiguous,
+        # complex division by an integer is not identical across runtimes
+        t_re = total.real / phi
+        t_im = total.imag / phi
+        sums = _class_running_sums(vr if real else va, vc, phi)
+        # flat index into sums of each class's running sum before the block
+        end = np.arange(phi) * sums.shape[1]
+        sums = sums.ravel()
     row_sq = np.empty(starts.size)
     row_k = np.empty(starts.size, dtype=np.int64)
     eps_re = np.empty(starts.size)
@@ -191,11 +208,15 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> tuple[np.ndarray, ...]:
         b1 = min(b0 + step, starts.size)
         e0, e1 = bounds[b0], bounds[b1]
         cells = (level[e0:e1] - b0) * phi + vc[e0:e1]
-        at = np.bincount(cells, minlength=(b1 - b0) * phi).reshape(b1 - b0, phi)
-        at[0] += at_end
-        np.cumsum(at, axis=0, out=at)
-        at_end = at[-1]
-        acc = sums[at]
+        # exact: the cells' value sums; otherwise their element counts
+        acc = np.bincount(
+            cells, vr[e0:e1] if exact else None, (b1 - b0) * phi
+        ).reshape(b1 - b0, phi)
+        acc[0] += end
+        np.cumsum(acc, axis=0, out=acc)
+        end = acc[-1]
+        if not exact:
+            acc = sums[acc]
         dr = acc.real - t_re[b0:b1, None]
         sq = dr * dr  # plain multiplies; exact for integer-valued f
         if not real:
@@ -348,12 +369,17 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     fns_nz = [(xs[fv != 0], ys[fv != 0], norms[fv != 0], fv[fv != 0]) for fv in fvs]
     grid = [(hi, int(qb)) for hi, qb in zip(his, q_bounds)]  # hi increases with N
     _SWEEP_CTX = {"moduli": moduli, "grid": grid, "fns": fns_nz}
-    tasks = range(len(moduli))
     if workers > 1:
+        # longest first, one modulus per task: a sweep costs about phi times the
+        # elements up to the largest grid N that admits the modulus
+        cost = [m.phi * max(c for c, (_, cap) in zip(counts, grid) if m.norm <= cap)
+                for m in moduli]
+        order = sorted(range(len(moduli)), key=lambda i: -cost[i])
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            done = dict(zip(order, pool.map(_sweep_task, order, chunksize=1)))
+        results = [done[i] for i in range(len(moduli))]
     else:
-        results = [_sweep_task(i) for i in tasks]
+        results = [_sweep_task(i) for i in range(len(moduli))]
     _SWEEP_CTX = {}
     for m, per_fn in zip(moduli, results):
         for tables, res in zip(out, per_fn):

@@ -63,11 +63,6 @@ class NormRegion:
             lo_radius, lo_radius, hi_radius - lo_radius, 1.0,
         )
 
-    def contains(self, xi: AlgInt) -> bool:
-        if xi.is_zero():
-            return False
-        return max(self.lo_sq, 1) <= xi.norm() <= self.hi_sq
-
 
 def a0(ring: RingDescriptor, n: float) -> NormRegion:
     """The basic set 1 <= norm(xi) <= N^2."""

@@ -26,6 +26,12 @@ LOG_VALUES = st.one_of(
 COMPLEX_VALUES = st.builds(
     complex, st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 0.5, -1.25])
 )
+# real integers take the exact path while sum |f| < 2^52; four values near
+# +-2^50 reach that bound, so some large draws take the general path
+REAL_INTEGER_VALUES = st.integers(-3, 3).map(complex)
+LARGE_INTEGER_VALUES = st.one_of(
+    st.integers(-3, 3), st.integers(2**50 - 3, 2**50 + 3), st.integers(-2**50 - 3, -2**50 + 3)
+).map(complex)
 
 
 def assert_same_sweep(m, xs, ys, norms, fv):
@@ -55,7 +61,9 @@ def test_sweep_bit_identical_to_loop(data):
     ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
     hi = a0(ring, data.draw(st.floats(1.5, 13.0), label="N")).hi_sq
     classes = canonical_classes(ring, hi)
-    values = data.draw(st.sampled_from([INTEGER_VALUES, LOG_VALUES, COMPLEX_VALUES]))
+    values = data.draw(st.sampled_from(
+        [INTEGER_VALUES, REAL_INTEGER_VALUES, LARGE_INTEGER_VALUES, LOG_VALUES, COMPLEX_VALUES]
+    ))
     vals = data.draw(st.lists(values, min_size=len(classes), max_size=len(classes)))
     f = ArithFn(ring, hi, vals, "drawn")
     moduli = [q for q in canonical_classes(ring, 60) if q.norm() >= 2]
@@ -64,7 +72,7 @@ def test_sweep_bit_identical_to_loop(data):
     assert_same_sweep(m, xs, ys, norms, lab._fvals(f, xs, ys))
 
 
-@pytest.mark.parametrize("name", ["log_norm", "lambda", "moebius"])
+@pytest.mark.parametrize("name", ["log_norm", "lambda", "moebius", "prime_indicator", "tau"])
 def test_sweep_bit_identical_across_blocks(gauss, monkeypatch, name):
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
     f = tabulate(name, gauss, 900, sieve_primes(gauss, 900))
@@ -103,6 +111,51 @@ def test_sweep_real_plane_matches_complex(monkeypatch, d):
             assert [a.tobytes() for a in assert_same_sweep(m, xs, ys, norms, neg)] == \
                 [a.tobytes() for a in plain]
             assert_same_sweep(m, xs, ys, norms, forced)
+
+
+def test_sweep_exact_path_only_for_exact_integer_sums(monkeypatch):
+    """Integer f with sum |f| < 2^52 skips the class running sums; anything else takes them.
+
+    The exact path is chosen from f's values alone: a 0.5, a sum |f| of 2^52
+    or an imaginary part of 1e-300 each send the sweep back to the general
+    path.  Both paths must match the loop at every cut.
+    """
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
+    ring = make_ring(-1)
+    xs, ys, norms = element_arrays(-1, 1, 400)
+    table = sieve_primes(ring, 400)
+    fvs = [lab._fvals(tabulate(name, ring, 400, table), xs, ys) for name in ("tau", "moebius")]
+    general = lab._class_running_sums
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("the exact path takes no class running sums")
+
+    def count(*args):
+        calls.append(1)
+        return general(*args)
+
+    for q in canonical_classes(ring, 20):
+        if q.norm() < 3:  # phi is 1: eps is 0 and nothing is summed
+            continue
+        m = Modulus(ring, q)
+        kept = lab._coprime_index(m)[lab._rids(m, xs, ys)] >= 0
+        for fv in fvs:
+            # element 0 is a unit: coprime to every q
+            rest = np.abs(fv.real[kept]).sum() - abs(fv[0].real)
+            under, at_bound, half, tiny = (fv.copy() for _ in range(4))
+            under[0] = 2**52 - 1 - rest
+            at_bound[0] = 2**52 - rest
+            half[0] = 0.5
+            tiny.imag[0] = 1e-300
+            monkeypatch.setattr(lab, "_class_running_sums", refuse)
+            for exact in (fv, under):
+                assert_same_sweep(m, xs, ys, norms, exact)
+            monkeypatch.setattr(lab, "_class_running_sums", count)
+            for inexact in (at_bound, half, tiny):
+                calls.clear()
+                assert_same_sweep(m, xs, ys, norms, inexact)
+                assert calls == [1]
 
 
 @settings(max_examples=50, deadline=None)
