@@ -2,7 +2,7 @@
 in the nine imaginary quadratic rings of integers with class number one."""
 
 from .arith import ArithFn, convolve, dirichlet_series, tabulate, unit_fold_check, weighted_log_sum
-from .characters import DirichletCharacter, Modulus, conductor, euler_phi, make_modulus, trivial_modulus
+from .characters import DirichletCharacter, Modulus, make_modulus, trivial_modulus
 from .errors import QlodError
 from .lab import (
     LodScanConfig,
@@ -10,7 +10,6 @@ from .lab import (
     convolution_experiment,
     epsilon,
     epsilon_sweep,
-    large_sieve_ratio,
     large_sieve_ratios,
     lod_scan,
     mertens_sums,
@@ -41,7 +40,6 @@ __all__ = [
     "cache_save",
     "canonical_associate",
     "canonical_classes",
-    "conductor",
     "convolution_experiment",
     "convolve",
     "count_region",
@@ -51,11 +49,9 @@ __all__ = [
     "enumerate_region",
     "epsilon",
     "epsilon_sweep",
-    "euler_phi",
     "factor",
     "gcd",
     "is_prime",
-    "large_sieve_ratio",
     "large_sieve_ratios",
     "lod_scan",
     "make_modulus",

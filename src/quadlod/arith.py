@@ -174,14 +174,6 @@ def convolve(f: ArithFn, g: ArithFn) -> ArithFn:
     return ArithFn(f.ring, bound, out, f"({f.name})*({g.name})")
 
 
-def add_pointwise(f: ArithFn, g: ArithFn) -> ArithFn:
-    if f.ring.d != g.ring.d:
-        raise RingMismatch("operands in different rings")
-    bound = min(f.norm_bound, g.norm_bound)
-    n = len(class_arrays(f.ring, bound)[0])
-    return ArithFn(f.ring, bound, f.vals[:n] + g.vals[:n], f"({f.name})+({g.name})")
-
-
 def _running_sum(vals: np.ndarray) -> complex:
     # 0j + vals[0] + vals[1] + ... left to right; numpy's sum() adds pairwise
     return complex(np.cumsum(np.concatenate(([0j], vals)))[-1])
@@ -223,15 +215,6 @@ def unit_fold_check(f: ArithFn, n: float) -> tuple[complex, complex]:
     el_sum = _running_sum(f.vals[class_index(f.ring, f.norm_bound, xs, ys)])
     cls_sum = _running_sum(f.vals[: len(class_arrays(f.ring, region.hi_sq)[0])])
     return el_sum, f.ring.w_K * cls_sum
-
-
-def growth_ratio(f: ArithFn, table: PrimeTable, c_power: float = 2.0) -> float:
-    """max |f(a)| / tau(a)^C over the table; the S-W growth diagnostic."""
-    tau = tabulate("tau", f.ring, f.norm_bound, table)
-    worst = 0.0
-    for v, t in zip(f.vals.tolist(), tau.vals.real.tolist()):
-        worst = max(worst, abs(v) / t**c_power)
-    return worst
 
 
 def save_csv(f: ArithFn, path, config_line: str = "") -> None:

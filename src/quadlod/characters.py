@@ -52,10 +52,8 @@ class Modulus:
         if nq > DEFAULT_MODULUS_GUARD:
             raise BoundsTooLarge(f"modulus norm {nq} exceeds guard")
         self.ring = ring
-        self.q = canonical_associate(q) if nq else q
+        self.q = canonical_associate(q)
         self.norm = nq
-        if nq == 0:
-            raise ZeroOrUnitModulus("zero modulus")
         qw = self.q * ring.omega()
         basis = _lattice_2basis([(self.q.x, self.q.y), (qw.x, qw.y)])
         (a, _), (b, c) = basis[0], basis[1]
@@ -80,10 +78,6 @@ class Modulus:
         j = y % c
         return (x - (y - j) // c * b) % a + a * j
 
-    def reduce_coords(self, x, y):
-        """Canonical representative coordinates of x + y*omega mod (q)."""
-        return self.rid_coords(self.rid_xy(x, y))
-
     def rid(self, xi: AlgInt) -> int:
         return self.rid_xy(xi.x, xi.y)
 
@@ -101,17 +95,9 @@ class Modulus:
         x, y = mul_xy(self.ring, x1, y1, x2, y2)
         return self.rid_xy(x, y)
 
-    def pow_rid(self, r: int, n: int) -> int:
-        return int(_pow(r, n, self.mul_rid, self.one_rid))
-
     @cached_property
     def one_rid(self) -> int:
         return self.rid_xy(1, 0)
-
-    @cached_property
-    def residues(self) -> list[AlgInt]:
-        """Complete residue system in rid order."""
-        return [self.element(r) for r in range(self.norm)]
 
     @cached_property
     def unit_rids(self) -> list[int]:
@@ -239,10 +225,6 @@ def trivial_modulus(ring: RingDescriptor) -> Modulus:
 def make_modulus(ring: RingDescriptor, q: AlgInt) -> Modulus:
     """Residue ring constructor; rejects zero and unit moduli."""
     return Modulus(ring, q)
-
-
-def euler_phi(m: Modulus) -> int:
-    return m.phi
 
 
 def _pow(x, n: int, mul, one):
@@ -399,7 +381,3 @@ class DirichletCharacter:
 
     def __repr__(self):
         return f"DirichletCharacter(q={self.modulus.q}, e={self.exponents})"
-
-
-def conductor(chi: DirichletCharacter) -> Modulus:
-    return chi.conductor

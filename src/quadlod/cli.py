@@ -47,12 +47,6 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        # version 1 lines also held out, seed, workers, cache_dir and format
-        data = json.loads(text)
-        return RunConfig(data["command"], data.get("d"), data.get("params", {}))
-
 
 def default_cache_dir(flag_value: str | None) -> str:
     if flag_value:
@@ -243,8 +237,8 @@ def _cache_path(cache_dir: str | None, d: int, max_norm: int) -> str:
 def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
     """Merge --config file values with explicit flags (flags win).
 
-    The file is an artifact's config line, whose params are read, or a flat
-    object of the same keys.
+    The file is a scan artifact's config line, whose params are read, or a
+    flat object of the same keys; another command's config line is refused.
     """
     file_vals = {}
     if getattr(args, "config", None):
@@ -253,6 +247,11 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
                 file_vals = json.load(fh)
             except ValueError as exc:
                 raise UsageError(f"--config {args.config}: not JSON ({exc})") from None
+        if isinstance(file_vals, dict) and file_vals.get("command", "lod-scan") not in (
+            "lod-scan", "conv-experiment"
+        ):
+            command = file_vals["command"]
+            raise UsageError(f"--config {args.config}: a {command!r} config line, not a scan's")
         if isinstance(file_vals, dict) and "params" in file_vals:
             file_vals = file_vals["params"]
         if not isinstance(file_vals, dict):

@@ -674,19 +674,6 @@ def large_sieve_ratios(
     return out
 
 
-def large_sieve_ratio(
-    coeffs: dict[AlgInt, complex],
-    q1: float,
-    q2: float,
-    region: NormRegion,
-    weight: Sequence[tuple[float, float]] | None = None,
-) -> tuple[float, float, float]:
-    """Single-vector form of large_sieve_ratios."""
-    elements = sorted(coeffs, key=lambda z: (z.norm(), z.x, z.y))
-    vec = np.array([coeffs[z] for z in elements], dtype=np.complex128)
-    return large_sieve_ratios(vec, elements, q1, q2, region, weight)[0]
-
-
 # -- Mertens sums ----------------------------------------------------------
 
 

@@ -53,16 +53,6 @@ class NormRegion:
             ring, _ceil_frac(lo), _floor_frac(hi), y_prime, y_shift, n, b
         )
 
-    @staticmethod
-    def from_radii(ring: RingDescriptor, lo_radius: float, hi_radius: float) -> NormRegion:
-        """Region lo <= |embedding| <= hi; the two-argument annulus convention."""
-        lo = Fraction(lo_radius) ** 2
-        hi = Fraction(hi_radius) ** 2
-        return NormRegion(
-            ring, _ceil_frac(lo), _floor_frac(hi),
-            lo_radius, lo_radius, hi_radius - lo_radius, 1.0,
-        )
-
 
 def a0(ring: RingDescriptor, n: float) -> NormRegion:
     """The basic set 1 <= norm(xi) <= N^2."""

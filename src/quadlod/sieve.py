@@ -52,11 +52,6 @@ def _prime_flags(n: int) -> np.ndarray:
     return flags
 
 
-def rational_primes(n: int) -> list[int]:
-    """Primes <= n by a byte sieve."""
-    return np.flatnonzero(_prime_flags(n)).tolist()
-
-
 def prime_divisors(n: int) -> list[int]:
     """The rational primes dividing n >= 1, ascending, by trial division."""
     out, p = [], 2

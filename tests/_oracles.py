@@ -455,17 +455,6 @@ def searchsorted_class_index(ring, max_norm, xs, ys):
     return np.searchsorted(keys, _key(max_norm, cxs, cys, norms))
 
 
-def loop_add_pointwise(f, g):
-    from quadlod.regions import canonical_classes
-
-    bound = min(f.norm_bound, g.norm_bound)
-    out = {
-        (c.x, c.y): f.values[(c.x, c.y)] + g.values[(c.x, c.y)]
-        for c in canonical_classes(f.ring, bound)
-    }
-    return DictFn(f.ring, bound, out, f"({f.name})+({g.name})")
-
-
 def loop_dirichlet_series(f, s, trunc_norm):
     from quadlod.regions import canonical_classes
 

@@ -30,7 +30,7 @@ from quadlod.regions import (
     enumerate_region,
 )
 from quadlod.rings import SUPPORTED_D, AlgInt, gcd, make_ring
-from quadlod.sieve import rational_primes, sieve_primes, splitting_type
+from quadlod.sieve import sieve_primes, splitting_type
 from quadlod.arith import unit_fold_check
 from conftest import random_int_fn
 from _oracles import brute_common_divisor, cumsum_sweep_max
@@ -117,7 +117,7 @@ def test_criterion_04_splitting_census(gauss_table_10k):
     # exact, < 1 min
     for d in SUPPORTED_D:
         ring = make_ring(d)
-        for p in rational_primes(1000):
+        for p in sympy.primerange(1001):
             if p == 2:
                 expect = 0 if ring.disc % 2 == 0 else (
                     1 if ring.disc % 8 in (1, 7) else -1

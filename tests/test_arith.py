@@ -3,10 +3,9 @@ import math
 import pytest
 
 from quadlod.arith import (
-    add_pointwise,
+    ArithFn,
     convolve,
     dirichlet_series,
-    growth_ratio,
     load_csv,
     save_csv,
     tabulate,
@@ -106,8 +105,8 @@ def test_convolution_algebra(gauss):
     fg = convolve(f, g)
     gf = convolve(g, f)
     assert max(abs(fg.values[k] - gf.values[k]) for k in fg.values) <= 1e-9
-    lhs = convolve(f, add_pointwise(g, h))
-    rhs = add_pointwise(convolve(f, g), convolve(f, h))
+    lhs = convolve(f, ArithFn(gauss, bound, g.vals + h.vals, "g+h"))
+    rhs = ArithFn(gauss, bound, fg.vals + convolve(f, h).vals, "fg+fh")
     assert max(abs(lhs.values[k] - rhs.values[k]) for k in lhs.values) <= 1e-9
 
 
@@ -184,13 +183,6 @@ def test_unit_fold_float_tolerance(gauss):
     f = random_float_fn(gauss, 400, 9)
     el, folded = unit_fold_check(f, 20)
     assert abs(el - folded) <= 1e-12 * max(1.0, abs(el))
-
-
-def test_growth_ratio(gauss, gauss_table_2k):
-    tau = tabulate("tau", gauss, 500, gauss_table_2k)
-    assert growth_ratio(tau, gauss_table_2k, 1.0) == 1.0
-    one = tabulate("one", gauss, 500, gauss_table_2k)
-    assert growth_ratio(one, gauss_table_2k, 2.0) == 1.0
 
 
 def test_csv_round_trip(tmp_path, gauss, gauss_table_2k):

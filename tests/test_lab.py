@@ -20,7 +20,6 @@ from quadlod.lab import (
     convolution_experiment,
     epsilon,
     epsilon_sweep,
-    large_sieve_ratio,
     large_sieve_ratios,
     lod_scan,
     mertens_sums,
@@ -43,18 +42,18 @@ def one_2500(gauss):
 
 def brute_epsilon(ring, f, hi, m, gamma):
     """Independent double loop; integer cut hi on the squared norm."""
-    g_red = m.reduce_coords(gamma.x, gamma.y)
+    g_red = m.rid_xy(gamma.x, gamma.y)
     tot_g = 0j
     tot_c = 0j
     for xi in enumerate_region(a0(ring, math.isqrt(hi) + 1)):
         if xi.norm() > hi:
             continue
-        red = m.reduce_coords(xi.x, xi.y)
+        red = m.rid_xy(xi.x, xi.y)
         can = canonical_associate(xi)
         v = f.values[(can.x, can.y)]
         if red == g_red:
             tot_g += v
-        if red[0] + m.hnf_a * red[1] in m.unit_rids:
+        if red in m.unit_rids:
             tot_c += v
     return complex(
         tot_g.real - tot_c.real / m.phi, tot_g.imag - tot_c.imag / m.phi
@@ -170,7 +169,7 @@ def test_unit_class_indicator_closed_form(gauss):
             units_hitting = sum(
                 1
                 for u in gauss.units
-                if m.reduce_coords(u.x, u.y) == m.reduce_coords(gamma.x, gamma.y)
+                if m.rid_xy(u.x, u.y) == m.rid_xy(gamma.x, gamma.y)
             )
             expect = units_hitting - gauss.w_K / m.phi
             assert abs(epsilon(f, 20, m, gamma) - expect) < 1e-12
@@ -426,7 +425,7 @@ def test_large_sieve_zero_coeffs(gauss):
 def test_large_sieve_single_support(gauss):
     region = a0(gauss, 7)
     xi0 = gauss.element(1, 0)
-    lhs, rhs, ratio = large_sieve_ratio({xi0: 1.0 + 0j}, 3, 50, region)
+    lhs, rhs, ratio = large_sieve_ratios(np.array([[1.0 + 0j]]), [xi0], 3, 50, region)[0]
     direct = 0.0
     for q in canonical_classes(gauss, 50):
         if q.norm() <= 3:
@@ -446,34 +445,32 @@ def test_large_sieve_positivity_and_vanishing(gauss):
         assert lhs >= 0
     # support non-coprime to the only modulus in range: every character sum is 0
     sup = [z for z in els if z.norm() % 9 == 0 or (z.x % 3 == 0 and z.y % 3 == 0)]
-    coeffs = {z: 1.0 + 0j for z in sup}
-    lhs, _, _ = large_sieve_ratio(coeffs, 8.5, 9.5, region)
+    coeffs = np.ones((1, len(sup)), dtype=np.complex128)
+    lhs, _, _ = large_sieve_ratios(coeffs, sup, 8.5, 9.5, region)[0]
     assert lhs == 0.0
 
 
 def test_large_sieve_errors(gauss):
     region = a0(gauss, 7)
+    one = np.ones((1, 1))
+    unit = [gauss.element(1, 0)]
     with pytest.raises(EmptyModulusRange):
-        large_sieve_ratio({gauss.element(1, 0): 1.0}, 10, 10, region)
+        large_sieve_ratios(one, unit, 10, 10, region)
     for q1 in (0, -2):
         with pytest.raises(ValueError, match="Q1 must be positive"):
-            large_sieve_ratio({gauss.element(1, 0): 1.0}, q1, 10, region)
+            large_sieve_ratios(one, unit, q1, 10, region)
     with pytest.raises(UnsupportedWeight):
-        large_sieve_ratio(
-            {gauss.element(1, 0): 1.0}, 5, 20, region, weight=[(5.0, 1.0), (20.0, 2.0)]
-        )
+        large_sieve_ratios(one, unit, 5, 20, region, weight=[(5.0, 1.0), (20.0, 2.0)])
     with pytest.raises(UnsupportedWeight):
-        large_sieve_ratio(
-            {gauss.element(1, 0): 1.0}, 5, 20, region, weight=[(5.0, 1.0)]
-        )
+        large_sieve_ratios(one, unit, 5, 20, region, weight=[(5.0, 1.0)])
     with pytest.raises(ValueError):
-        large_sieve_ratio({gauss.element(9, 0): 1.0}, 5, 20, region)
+        large_sieve_ratios(one, [gauss.element(9, 0)], 5, 20, region)
     els = [gauss.element(1, 0), gauss.element(0, 0), gauss.element(9, 0)]
     with pytest.raises(ValueError, match=r"support 0\+0w outside"):
         large_sieve_ratios(np.ones(3), els, 5, 20, region)
     # (2^32)^2 + 1^2 wraps to 1 in int64
     with pytest.raises(ValueError, match="outside the region"):
-        large_sieve_ratio({gauss.element(1 << 32, 1): 1.0}, 5, 20, region)
+        large_sieve_ratios(one, [gauss.element(1 << 32, 1)], 5, 20, region)
 
 
 def test_large_sieve_weighted_matches_manual(gauss):

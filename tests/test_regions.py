@@ -136,7 +136,7 @@ def test_exact_rational_bounds(gauss):
     assert (region.lo_sq, region.hi_sq) == (1, 25)
     region = NormRegion.from_params(gauss, 1.5, 0.0, 2.0, 2.0)
     assert (region.lo_sq, region.hi_sq) == (3, 16)  # ceil(2.25), floor(16)
-    region = NormRegion.from_radii(gauss, 2.0, 3.5)
+    region = NormRegion.from_params(gauss, 2.0, 0.0, 3.5, 1.0)
     assert (region.lo_sq, region.hi_sq) == (4, 12)  # [4, 12.25]
 
 
