@@ -275,7 +275,6 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
             theta=float(pick(args.theta, "theta", 0.4, (int, float))),
             B=float(pick(args.B, "B", 0.0, (int, float))),
             N_grid=tuple(grid),
-            f_spec=f_spec,
         )
     except (OverflowError, ValueError) as exc:
         raise UsageError(f"scan config: {exc}") from None
@@ -398,6 +397,7 @@ def _dispatch(args) -> int:
         conv = cmd == "conv-experiment"
         scan_cfg, f_spec, g_spec = _scan_config(args, require_g=conv)
         cfg.params = {k: v for k, v in asdict(scan_cfg).items() if k != "d"}
+        cfg.params["f_spec"] = f_spec
         bound = max(scan_cfg.N_grid) ** 2
         table = sieve_primes(ring, bound)
         f = _build_fn(f_spec, ring, bound, table)

@@ -265,7 +265,6 @@ class LodScanConfig:
     theta: float
     B: float
     N_grid: tuple[int, ...]
-    f_spec: str = "one"
 
     def __post_init__(self):
         if not 0 < self.theta <= 1:
@@ -489,7 +488,6 @@ def sw_check(
 
 @dataclass
 class ConvolutionReport:
-    config: LodScanConfig
     rows: list[dict]
     decaying: dict[str, bool]
 
@@ -509,7 +507,7 @@ def convolution_experiment(
         key: all(a[key] > b[key] for a, b in zip(rows, rows[1:]))
         for key in ("E_f_norm", "E_g_norm", "E_conv_norm")
     }
-    return ConvolutionReport(cfg, rows, decaying)
+    return ConvolutionReport(rows, decaying)
 
 
 # -- large sieve -----------------------------------------------------------
@@ -559,16 +557,13 @@ def _fold_classes(coeffs: np.ndarray, cid: np.ndarray, phi: int) -> np.ndarray:
     return folded
 
 
-def _primitive_count(m: Modulus) -> int:
-    """Number of primitive characters mod q, prod of phi(pi^e) - phi(pi^(e-1)) over pi^e || q.
+def _has_primitive(m: Modulus) -> bool:
+    """Whether some character mod q is primitive.
 
-    It is 0 exactly when a norm-2 prime divides q to the first power.
+    Their number is the product of phi(pi^e) - phi(pi^(e-1)) over pi^e || q,
+    which is 0 exactly when a norm-2 prime divides q once.
     """
-    count = 1
-    for pi, e in m.factorization.factors:
-        p = pi.norm()
-        count *= p - 2 if e == 1 else p ** (e - 2) * (p - 1) ** 2
-    return count
+    return all(e > 1 or pi.norm() != 2 for pi, e in m.factorization.factors)
 
 
 def _primitive_part(m: Modulus, folded: np.ndarray) -> np.ndarray:
@@ -648,7 +643,7 @@ def large_sieve_ratios(
         if nq <= q1 or nq < 2:
             continue
         m = Modulus(ring, q)
-        if not _primitive_count(m):
+        if not _has_primitive(m):
             continue
         folded = _fold_classes(coeff_matrix, _coprime_index(m)[_rids(m, xs, ys)], m.phi)
         prim = _primitive_part(m, folded)

@@ -27,11 +27,7 @@ class NormRegion:
     ring: RingDescriptor
     lo_sq: int
     hi_sq: int
-    # original real parameters, kept for reporting
-    y_prime: float = 1.0
-    y_shift: float = 0.0
-    n: float = 1.0
-    b: float = 1.0
+    n: float = 1.0  # N, whose A0(N) count large_sieve_ratios reads
 
     @staticmethod
     def from_params(
@@ -49,9 +45,7 @@ class NormRegion:
         if hi_radius <= 0:
             raise ValueError(f"outer radius Y + N^b must be positive, got {float(hi_radius)!r}")
         hi = hi_radius * hi_radius
-        return NormRegion(
-            ring, _ceil_frac(lo), _floor_frac(hi), y_prime, y_shift, n, b
-        )
+        return NormRegion(ring, _ceil_frac(lo), _floor_frac(hi), n)
 
 
 def a0(ring: RingDescriptor, n: float) -> NormRegion:

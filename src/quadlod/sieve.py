@@ -239,7 +239,7 @@ class FactorMap:
 
 
 def factor(xi: AlgInt, table: PrimeTable) -> FactorMap:
-    """Factor xi over the canonical prime classes of the table."""
+    """Factor xi over the table's prime classes; TableTooSmall if it lacks a factor."""
     if xi.is_zero():
         raise ZeroElement("cannot factor zero")
     if xi.ring.d != table.ring.d:
@@ -268,6 +268,9 @@ def factor(xi: AlgInt, table: PrimeTable) -> FactorMap:
             factors.append((pi, e))
     if rem_norm > 1:
         pi = canonical_associate(rem)
+        lo, hi = np.searchsorted(table.norms, [rem_norm, rem_norm + 1])
+        if (pi.x, pi.y) not in zip(table.xs[lo:hi].tolist(), table.ys[lo:hi].tolist()):
+            raise TableTooSmall(f"cofactor {pi} of norm {rem_norm} is not a prime of the table")
         factors.append((pi, 1))
         rem = divide_exact(rem, pi)
     factors.sort(key=lambda t: (t[0].norm(), t[0].x, t[0].y))
@@ -299,7 +302,7 @@ class FactorSieve:
     For a class index c (see `regions.class_arrays`), spf[c] is the class of
     the smallest prime dividing it, in (norm, x, y) order, and cof[c] the class
     of the quotient; both are -1 at the unit.  Following cof lists a class's
-    primes in order, so factoring costs O(number of prime factors) per class.
+    primes in order.
     """
 
     def __init__(self, table: PrimeTable, max_norm: int):
@@ -307,33 +310,14 @@ class FactorSieve:
             raise TableTooSmall(
                 f"need primes to norm {max_norm}, table has {table.max_norm}"
             )
-        self.ring = ring = table.ring
-        self.max_norm = max_norm
-        self.table = table
-        n = len(class_arrays(ring, max_norm)[0])
+        n = len(class_arrays(table.ring, max_norm)[0])
         self.spf, self.cof = np.full((2, n), -1)
         pidx = table.class_indices(max_norm)
         # pairs come in increasing prime order: a class's first hit is its smallest prime
-        for i, j, k in class_products(ring, max_norm, pidx, np.arange(n)):
+        for i, j, k in class_products(table.ring, max_norm, pidx, np.arange(n)):
             k, first = np.unique(k, return_index=True)
             new = self.spf[k] < 0
             self.spf[k[new]], self.cof[k[new]] = pidx[i[first[new]]], j[first[new]]
-
-    def factor(self, xi: AlgInt) -> FactorMap:
-        if xi.is_zero():
-            raise ZeroElement("cannot factor zero")
-        if xi.norm() > self.max_norm:
-            raise TableTooSmall(f"norm {xi.norm()} exceeds sieve bound {self.max_norm}")
-        xs, ys, _ = class_arrays(self.ring, self.max_norm)
-        c = class_index(self.ring, self.max_norm, [xi.x], [xi.y])[0]
-        exps: dict[int, int] = {}  # insertion order is the chain's, i.e. class order
-        while self.spf[c] >= 0:
-            p, c = int(self.spf[c]), self.cof[c]
-            exps[p] = exps.get(p, 0) + 1
-        factors = [(AlgInt(self.ring, int(xs[p]), int(ys[p])), e) for p, e in exps.items()]
-        fm = FactorMap(unit=AlgInt(self.ring, 1, 0), factors=factors)
-        fm.unit = divide_exact(xi, fm.reconstruct())
-        return fm
 
 
 def cache_save(table: PrimeTable, path) -> None:
@@ -347,6 +331,14 @@ def cache_save(table: PrimeTable, path) -> None:
         fh.write(rec.tobytes())
 
 
+def _read_header(fh) -> tuple[bytes, int, int, int, int]:
+    """(magic, version, d, max_norm, count) from the start of an open cache file."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise FormatVersionMismatch("truncated header")
+    return _HEADER.unpack(head)
+
+
 def cache_load(ring: RingDescriptor, path) -> PrimeTable:
     """Read a table back; the cached ring must match the requested one.
 
@@ -356,10 +348,7 @@ def cache_load(ring: RingDescriptor, path) -> PrimeTable:
     anything else raises CorruptFile.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise FormatVersionMismatch("truncated header")
-        magic, version, d, max_norm, count = _HEADER.unpack(head)
+        magic, version, d, max_norm, count = _read_header(fh)
         if magic != CACHE_MAGIC or version != CACHE_VERSION:
             raise FormatVersionMismatch(
                 f"bad magic/version {magic!r}/{version}; expected {CACHE_MAGIC!r}/{CACHE_VERSION}"
@@ -403,10 +392,7 @@ def cache_load(ring: RingDescriptor, path) -> PrimeTable:
 def cache_inspect(path) -> dict:
     """Header summary without loading records."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise FormatVersionMismatch("truncated header")
-    magic, version, d, max_norm, count = _HEADER.unpack(head)
+        magic, version, d, max_norm, count = _read_header(fh)
     if magic != CACHE_MAGIC:
         raise FormatVersionMismatch(f"bad magic {magic!r}")
     return {"version": version, "d": d, "max_norm": max_norm, "count": count}

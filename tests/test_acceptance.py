@@ -53,9 +53,7 @@ def conv_trend_run(tmp_path_factory):
     bound = 400 * 400
     table = sieve_primes(ring, bound)
     pr = tabulate("prime_indicator", ring, bound, table)
-    cfg = LodScanConfig(
-        d=-1, theta=0.4, B=0.0, N_grid=(100, 200, 400), f_spec="prime_indicator"
-    )
+    cfg = LodScanConfig(d=-1, theta=0.4, B=0.0, N_grid=(100, 200, 400))
     report = convolution_experiment(pr, pr, cfg, workers=1)
     path = tmp_path_factory.mktemp("accept") / "conv_w1.csv"
     write_conv_csv(report, path)

@@ -27,9 +27,8 @@ from quadlod.arith import (
 from quadlod.errors import CorruptFile, QlodError, TableTooSmall
 from quadlod.regions import a0, canonical_classes, class_arrays, class_index, element_arrays
 from quadlod.rings import SUPPORTED_D, make_ring
-from quadlod.sieve import FactorSieve, sieve_primes
+from quadlod.sieve import sieve_primes
 from _oracles import (
-    LoopFactorSieve,
     as_dict_fn,
     csv_writer_save,
     loop_convolve,
@@ -89,20 +88,6 @@ def test_builtin_tables_match_loop_at_any_bound(d, bound):
     for name in BUILTIN_NAMES:
         got = tabulate(name, ring, bound, table)
         assert bits(got.vals) == bits(dict_vals(loop_tabulate(name, ring, bound, table)))
-
-
-@pytest.mark.parametrize("d", SUPPORTED_D)
-def test_factor_sieve_matches_loop(monkeypatch, d):
-    from quadlod import regions
-
-    monkeypatch.setattr(regions, "_PAIR_CHUNK", 61)
-    ring = make_ring(d)
-    table = sieve_primes(ring, 400)
-    dense, loop = FactorSieve(table, 400), LoopFactorSieve(table, 400)
-    for c in canonical_classes(ring, 400):
-        for xi in (c, c * ring.zeta0):
-            a, b = dense.factor(xi), loop.factor(xi)
-            assert a.unit == b.unit and a.factors == b.factors
 
 
 def test_logs_are_math_log():

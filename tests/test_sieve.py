@@ -275,6 +275,15 @@ def test_factor_too_small(gauss):
         factor(gauss.element(100, 0), table)
 
 
+def test_factor_cofactor_outside_a_partial_table(gauss):
+    # the primes above 2 only: 15 = 3 (2+i)(2-i) leaves a composite cofactor,
+    # 3 and 3 (1+i) leave the prime 3, which the table lacks
+    over_two = primes_over(gauss, [2], 1000)
+    for x, y in [(15, 0), (3, 0), (3, 3)]:
+        with pytest.raises(TableTooSmall, match="is not a prime of the table"):
+            factor(AlgInt(gauss, x, y), over_two)
+
+
 @pytest.mark.parametrize("d", [-1, -3, -43])
 def test_factor_soundness_random(d):
     ring = make_ring(d)
@@ -310,14 +319,6 @@ def test_von_mangoldt_examples(gauss, gauss_table_2k):
     assert von_mangoldt(gauss.element(6, 0), gauss_table_2k) == 0.0
     assert von_mangoldt(gauss.element(3, 0), gauss_table_2k) == pytest.approx(math.log(9))
     assert von_mangoldt(gauss.one(), gauss_table_2k) == 0.0
-
-
-def test_factor_sieve_agrees(gauss, gauss_table_2k):
-    fs = FactorSieve(gauss_table_2k, 500)
-    for c in canonical_classes(gauss, 500):
-        a = factor(c, gauss_table_2k)
-        b = fs.factor(c)
-        assert a.unit == b.unit and a.factors == b.factors
 
 
 def test_cache_round_trip(tmp_path, gauss):
@@ -468,13 +469,6 @@ def test_cache_save_bytes(tmp_path, eisen):
     for p, s in zip(table.primes, table.split_types):
         want += struct.pack("<qqB", p.x, p.y, {"split": 0, "inert": 1, "ramified": 2}[s])
     assert path.read_bytes() == want
-
-
-@pytest.fixture(scope="module")
-def cache_dir_and_bytes(tmp_path_factory):
-    cdir = tmp_path_factory.mktemp("cache")
-    cache_save(sieve_primes(make_ring(-1), 100), cdir / "gauss100.qlod")
-    return cdir, (cdir / "gauss100.qlod").read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
