@@ -540,21 +540,88 @@ def _real_parts(a: np.ndarray) -> tuple[np.ndarray, ...]:
     return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
 
 
-def _fold_classes(coeffs: np.ndarray, cid: np.ndarray, phi: int) -> np.ndarray:
-    """(n_vec, phi) sums of each row of coeffs over its coprime classes.
+@dataclass(frozen=True)
+class _Lanes:
+    """Coefficient rows packed `lanes` to a float64, exactly (`_pack_lanes`).
 
-    cid is each element's coprime class, < 0 off the coprime set.  Each vector
-    takes one bincount per real part (real input one, complex input two), which
-    adds a class's weights one at a time in element order: every class sum is a
-    left-to-right sum.  Non-coprime elements go to the dropped sentinel class phi.
-    The sums are float64 for real coeffs and complex128 for complex ones.
+    parts holds one (groups, n) array per real part; lane j of group g is
+    vector g * lanes + j, with weight 2^(bits * j).  With lanes 1 the parts
+    are the coefficient rows themselves.
+    """
+
+    parts: tuple[np.ndarray, ...]
+    lanes: int
+    bits: int
+    n_vec: int
+    dtype: np.dtype
+
+
+def _pack_lanes(coeffs: np.ndarray, max_lanes: int = 53) -> _Lanes:
+    """Pack the rows of coeffs (n_vec, n) several to a float64 when that is exact.
+
+    When every real part is a finite integer, let A be the largest sum of
+    |part| over one vector, b = (2A).bit_length() and L = 53 // b lanes.  Each
+    packed row is sum_j c_j * 2^(b j) over L vectors: balanced base-2^b digits
+    whose partial class sums each lie in [-A, A], so, as 2A < 2^b, every
+    partial sum of a packed row has magnitude at most
+    A (2^(bL) - 1) / (2^b - 1) < 2^52 and every lower-lane remainder is below
+    half a unit of the lane above.  float64 holds those integers exactly, so
+    packing, folding and decoding are exact in any order.  Non-integer, NaN or
+    inf parts, or L = 1, keep one row per lane.
+    Packs in place (Horner, top lane first) with no full-size temporary.
+    """
+    parts = _real_parts(coeffs)
+    a = max(  # NaN fails the rint check and inf sums to inf
+        (
+            float(np.abs(row).sum()) if np.array_equal(row, np.rint(row)) else math.inf
+            for part in parts
+            for row in part
+        ),
+        default=0.0,
+    )
+    bits = max((2 * int(a)).bit_length(), 1) if math.isfinite(a) else 53
+    lanes = min(max_lanes, 53 // bits)
+    if lanes < 2:
+        return _Lanes(parts, 1, 0, len(coeffs), coeffs.dtype)
+    packed = []
+    for part in parts:
+        out = np.zeros((-(-len(part) // lanes), part.shape[1]))
+        for j in reversed(range(lanes)):
+            out *= 2.0**bits
+            lane = part[j::lanes]
+            out[: len(lane)] += lane
+        packed.append(out)
+    return _Lanes(tuple(packed), lanes, bits, len(coeffs), coeffs.dtype)
+
+
+def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
+    """(n_vec, phi) sums of each coefficient row over its coprime classes.
+
+    cid is each element's coprime class, < 0 off the coprime set.  Each packed
+    row takes one bincount per real part, which adds a class's weights one at
+    a time in element order: with one lane every class sum is a left-to-right
+    sum.  With L lanes the sums are exact integers (`_pack_lanes`), which is
+    what the left-to-right sum of integer coefficients gives too, so the bits
+    match; the digits decode top lane first, d = rint(W / 2^(bj)) and
+    W -= d * 2^(bj), and + 0.0 turns rint's -0.0 into the 0.0 a sum gives.
+    Non-coprime elements go to the dropped sentinel class phi.  The sums are
+    float64 for real coeffs and complex128 for complex ones.
     """
     key = np.where(cid < 0, phi, cid)
-    folded = np.zeros((len(coeffs), phi), dtype=coeffs.dtype)
-    for part, dest in zip(_real_parts(coeffs), _real_parts(folded)):
-        for v, row in enumerate(part):
-            dest[v] = np.bincount(key, weights=row, minlength=phi + 1)[:phi]
-    return folded
+    groups = len(pack.parts[0])
+    folded = np.zeros((groups * pack.lanes, phi), dtype=pack.dtype)
+    for part, dest in zip(pack.parts, _real_parts(folded)):
+        w = np.empty((groups, phi))
+        for g, row in enumerate(part):
+            w[g] = np.bincount(key, weights=row, minlength=phi + 1)[:phi]
+        digits = dest.reshape(groups, pack.lanes, phi)
+        for j in reversed(range(1, pack.lanes)):
+            scale = 2.0 ** (pack.bits * j)
+            d = np.rint(w / scale)
+            w -= d * scale
+            digits[:, j] = d + 0.0
+        digits[:, 0] = w
+    return folded[: pack.n_vec]
 
 
 def _has_primitive(m: Modulus) -> bool:
@@ -614,7 +681,12 @@ def large_sieve_ratios(
     primitive characters (`_primitive_part`), and phi(q) times the projection's
     squared norm is the sum of the squared primitive character sums.  Real
     coefficients are summed as float64, complex ones as complex128, in a fixed
-    order with no BLAS.
+    order with no BLAS.  When every coefficient (every real part) is a finite
+    integer, as the CLI's signs are, each class sum is an exact integer: the
+    rows are packed several to a float64 once, before the moduli
+    (`_pack_lanes`), and one bincount folds a whole group, with the same bits
+    as one bincount per vector.  coeff_matrix is (vectors, len(elements)) or
+    one vector of len(elements); any other shape is a ValueError.
     """
     if not q1 > 0:
         raise ValueError(f"Q1 must be positive, got {q1}")
@@ -622,6 +694,15 @@ def large_sieve_ratios(
         raise EmptyModulusRange(f"need Q1 < Q2, got {q1} >= {q2}")
     if weight is not None:
         _check_weight(weight)
+    dtype = np.complex128 if np.iscomplexobj(coeff_matrix) else np.float64
+    coeff_matrix = np.asarray(coeff_matrix, dtype=dtype)
+    if coeff_matrix.ndim == 1:
+        coeff_matrix = coeff_matrix[None, :]
+    if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] != len(elements):
+        raise ValueError(
+            f"coefficient matrix of shape {coeff_matrix.shape} does not match "
+            f"{len(elements)} elements: need (vectors, {len(elements)})"
+        )
     ring = region.ring
     xs = np.array([z.x for z in elements], dtype=np.int64)
     ys = np.array([z.y for z in elements], dtype=np.int64)
@@ -632,10 +713,8 @@ def large_sieve_ratios(
     outside |= np.maximum(np.abs(xs), np.abs(ys)) > 1 << 26
     if outside.any():
         raise ValueError(f"coefficient support {elements[np.argmax(outside)]} outside the region")
-    dtype = np.complex128 if np.iscomplexobj(coeff_matrix) else np.float64
-    coeff_matrix = np.asarray(coeff_matrix, dtype=dtype)
-    if coeff_matrix.ndim == 1:
-        coeff_matrix = coeff_matrix[None, :]
+    c_sq = (np.abs(coeff_matrix) ** 2).sum(axis=1)  # before packing: lower peak RSS
+    pack = _pack_lanes(coeff_matrix)
     n_vec = coeff_matrix.shape[0]
     lhs = np.zeros(n_vec)
     for q in canonical_classes(ring, int(q2)):
@@ -645,11 +724,10 @@ def large_sieve_ratios(
         m = Modulus(ring, q)
         if not _has_primitive(m):
             continue
-        folded = _fold_classes(coeff_matrix, _coprime_index(m)[_rids(m, xs, ys)], m.phi)
+        folded = _fold_classes(pack, _coprime_index(m)[_rids(m, xs, ys)], m.phi)
         prim = _primitive_part(m, folded)
         contrib = (prim * prim.conj()).real.sum(axis=1)  # the 1/phi(q) cancels
         lhs += contrib if weight is None else _weight_eval(weight, nq) * nq * contrib
-    c_sq = (np.abs(coeff_matrix) ** 2).sum(axis=1)
     cnt = count_region(a0(ring, region.n))
     if weight is None:
         rhs_factor = cnt / q1 + q2

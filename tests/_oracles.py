@@ -772,13 +772,13 @@ def loop_class_fold(coeffs, cid, phi):
 def character_sum_lhs(coeff_matrix, elements, q1, q2, ring, weight=None):
     """large_sieve_ratios' lhs per vector, from the primitive characters themselves.
 
-    For each modulus of norm in (q1, q2]: the class sums, one complex
-    character sum per primitive character (numpy's einsum, no BLAS), and
-    factor times the sum of their squared magnitudes, factor 1/phi(q) or
-    w(N q) * N q / phi(q).
+    For each modulus of norm in (q1, q2]: the class sums (`loop_class_fold`,
+    not the library's packed fold), one complex character sum per primitive
+    character (numpy's einsum, no BLAS), and factor times the sum of their
+    squared magnitudes, factor 1/phi(q) or w(N q) * N q / phi(q).
     """
     from quadlod.characters import Modulus
-    from quadlod.lab import _fold_classes, _weight_eval
+    from quadlod.lab import _weight_eval
     from quadlod.regions import canonical_classes
 
     coeff_matrix = np.atleast_2d(coeff_matrix)
@@ -794,7 +794,7 @@ def character_sum_lhs(coeff_matrix, elements, q1, q2, ring, weight=None):
         if not prims:
             continue
         p_mat = np.exp(2j * np.pi * m.character_phase_matrix(prims))  # (n_prim, phi)
-        folded = _fold_classes(coeff_matrix, m.coprime_index[m.rid_xy(xs, ys)], m.phi)
+        folded = loop_class_fold(coeff_matrix, m.coprime_index[m.rid_xy(xs, ys)], m.phi)
         s = np.einsum("cu,vu->cv", p_mat, folded)  # (n_prim, n_vec)
         contrib = (np.abs(s) ** 2).sum(axis=0)
         factor = (

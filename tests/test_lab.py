@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
@@ -29,7 +31,7 @@ from quadlod.lab import (
     write_lod_csv,
 )
 from quadlod.regions import a0, canonical_classes, element_arrays, enumerate_region
-from quadlod.rings import canonical_associate, gcd, make_ring
+from quadlod.rings import SUPPORTED_D, canonical_associate, gcd, make_ring
 from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
 from _oracles import character_sum_lhs, cumsum_sweep_max, loop_class_fold
@@ -519,9 +521,153 @@ def test_fold_classes_matches_left_to_right_loop(d, qx, qy):
     rng = np.random.default_rng(-d)
     coeffs = rng.normal(size=(3, len(xs))) + 1j * rng.normal(size=(3, len(xs)))
     want = loop_class_fold(coeffs, cid, m.phi)
-    assert np.array_equal(lab._fold_classes(coeffs, cid, m.phi), want)
-    real = lab._fold_classes(coeffs.real, cid, m.phi)
+    assert lab._pack_lanes(coeffs).lanes == 1
+    assert np.array_equal(lab._fold_classes(lab._pack_lanes(coeffs), cid, m.phi), want)
+    real = lab._fold_classes(lab._pack_lanes(coeffs.real), cid, m.phi)
     assert real.dtype == np.float64 and np.array_equal(real, want.real)
+
+
+def _fold_bits(coeffs, cid, phi, max_lanes=53):
+    """The fold as int64 bit patterns, so that -0.0 and 0.0 differ."""
+    pack = lab._pack_lanes(coeffs, max_lanes)
+    return pack.lanes, lab._fold_classes(pack, cid, phi).view(np.int64)
+
+
+def _gauss_classes():
+    ring = make_ring(-1)
+    m = make_modulus(ring, ring.element(7, 4))
+    xs, ys, _ = element_arrays(-1, 1, 900)
+    return lab._coprime_index(m)[lab._rids(m, xs, ys)], m.phi
+
+
+@pytest.mark.parametrize("rows", [1, 2, "L", "L+1", 100])
+def test_packed_fold_matches_one_lane(rows):
+    cid, phi = _gauss_classes()
+    n = len(cid)
+    lanes = 53 // (2 * n).bit_length()  # signs: A = n
+    assert lanes > 2
+    rows = {"L": lanes, "L+1": lanes + 1}.get(rows, rows)
+    coeffs = np.random.default_rng(rows).choice([-1.0, 1.0], size=(rows, n))
+    got_lanes, got = _fold_bits(coeffs, cid, phi)
+    assert got_lanes == lanes
+    want_lanes, want = _fold_bits(coeffs, cid, phi, max_lanes=1)
+    assert want_lanes == 1 and np.array_equal(got, want)
+    assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).real.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "a,lanes,bits", [(65535, 3, 17), (65536, 2, 18), (2**25 - 1, 2, 26), (2**25, 1, 27)]
+)
+def test_packed_fold_at_a_lane_width_step(a, lanes, bits):
+    # the largest per-vector sum |c| is exactly a: in rows 0-6 one class takes
+    # all of it, +a or -a, the extreme digits; rows 7-13 are random
+    cid, phi = _gauss_classes()
+    rng = np.random.default_rng(a)
+    coeffs = rng.integers(-3, 4, size=(14, len(cid))).astype(np.float64)
+    coeffs[:, -1] = 0.0
+    coeffs[:, -1] = a - np.abs(coeffs).sum(axis=1)
+    signs = [1, 1, 1, -1, -1, -1, 1]
+    i, j = np.flatnonzero(cid == 0)[:2]
+    coeffs[:7] = 0.0
+    coeffs[:7, i] = np.multiply(signs, a - 5)
+    coeffs[:7, j] = np.multiply(signs, 5)
+    assert np.abs(coeffs).sum(axis=1).max() == a
+    pack = lab._pack_lanes(coeffs)
+    assert pack.lanes == lanes and (lanes == 1 or pack.bits == bits)
+    folded = lab._fold_classes(pack, cid, phi)
+    assert list(folded[:7, 0]) == [s * a for s in signs]
+    want = _fold_bits(coeffs, cid, phi, max_lanes=1)[1]
+    assert np.array_equal(folded.view(np.int64), want)
+
+
+def test_packed_fold_negative_zero_and_complex():
+    cid, phi = _gauss_classes()
+    rng = np.random.default_rng(5)
+    values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]
+    shape = (9, len(cid))
+    coeffs = rng.choice(values, size=shape) + 1j * rng.choice(values, size=shape)
+    coeffs[0] = complex(-0.0, -0.0)
+    coeffs[1].real = -0.0
+    lanes, got = _fold_bits(coeffs, cid, phi)
+    assert lanes > 1
+    assert np.array_equal(got, _fold_bits(coeffs, cid, phi, max_lanes=1)[1])
+    assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).view(np.int64))
+    real = coeffs.real.copy()
+    lanes, got = _fold_bits(real, cid, phi)
+    assert lanes > 1
+    assert np.array_equal(got, _fold_bits(real, cid, phi, max_lanes=1)[1])
+
+
+@pytest.mark.parametrize(
+    "bad", [0.5, np.nan, np.inf, -np.inf, 2.0**26, 1e300, complex(1, 0.5), complex(0, np.nan)]
+)
+def test_packed_fold_falls_back_to_one_lane(bad):
+    cid, phi = _gauss_classes()
+    coeffs = np.random.default_rng(11).choice([-1.0, 1.0], size=(4, len(cid)))
+    coeffs = coeffs + 0j if isinstance(bad, complex) else coeffs
+    coeffs[2, 17] = bad
+    pack = lab._pack_lanes(coeffs)
+    assert pack.lanes == 1 and np.shares_memory(pack.parts[0], coeffs)
+    want = loop_class_fold(coeffs, cid, phi)
+    want = want if np.iscomplexobj(coeffs) else want.real
+    assert np.array_equal(lab._fold_classes(pack, cid, phi).view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from(SUPPORTED_D),
+    q_index=st.integers(0, 30),
+    n_vec=st.integers(0, 12),
+    scale=st.sampled_from([1, 30, 10**4, 10**6, 10**8]),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_fold_matches_one_lane_on_every_ring(d, q_index, n_vec, scale, is_complex, seed):
+    ring = make_ring(d)
+    qs = [q for q in canonical_classes(ring, 60) if q.norm() >= 2]
+    m = make_modulus(ring, qs[q_index % len(qs)])
+    xs, ys, _ = element_arrays(d, 1, 400)
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(-scale, scale + 1, size=(n_vec, len(xs))).astype(np.float64)
+    if is_complex:
+        coeffs = coeffs + 1j * rng.integers(-scale, scale + 1, size=coeffs.shape)
+    lanes, got = _fold_bits(coeffs, cid, m.phi)
+    assert got.shape[0] == n_vec and (lanes > 1 or scale >= 10**4)
+    assert np.array_equal(got, _fold_bits(coeffs, cid, m.phi, max_lanes=1)[1])
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_large_sieve_packed_matches_one_lane(d, monkeypatch):
+    ring = make_ring(d)
+    region = a0(ring, 8)
+    els = list(enumerate_region(region))
+    rng = np.random.default_rng(-d)
+    inputs = [
+        rng.choice([-1.0, 1.0], size=len(els)),
+        rng.choice([-1.0, 1.0], size=(7, len(els))),
+        rng.integers(-5, 6, size=(4, len(els))) + 1j * rng.integers(-5, 6, size=(4, len(els))),
+    ]
+    packed = [large_sieve_ratios(c, els, 2, 40, region) for c in inputs]
+    unpack = lab._pack_lanes
+    monkeypatch.setattr(lab, "_pack_lanes", lambda c: unpack(c, max_lanes=1))
+    for c, rows in zip(inputs, packed):
+        assert rows == large_sieve_ratios(c, els, 2, 40, region)
+
+
+def test_large_sieve_checks_the_coefficient_shape(gauss):
+    region = a0(gauss, 7)
+    els = list(enumerate_region(region))
+    assert len(els) == 148
+    # no modulus of norm in (17, 18] has a primitive character, so nothing
+    # reads the coefficients but sum |c|^2: 153 of them gave a silent rhs
+    bad_shapes = [(1, 153), (153,), (2, 1, 148), (1, 147), ()]
+    for bad in map(np.ones, bad_shapes):
+        with pytest.raises(ValueError, match="does not match 148 elements"):
+            large_sieve_ratios(bad, els, 17, 18, region)
+    with pytest.raises(ValueError, match="does not match 148 elements"):
+        large_sieve_ratios(np.ones((3, 147)), els, 4, 30, region)
+    assert large_sieve_ratios(np.zeros((0, 148)), els, 4, 30, region) == []
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -7, -163])
