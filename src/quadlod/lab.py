@@ -544,19 +544,18 @@ def _real_parts(a: np.ndarray) -> tuple[np.ndarray, ...]:
 class _Lanes:
     """Coefficient rows packed `lanes` to a float64, exactly (`_pack_lanes`).
 
-    parts holds one (groups, n) array per real part; lane j of group g is
-    vector g * lanes + j, with weight 2^(bits * j).  With lanes 1 the parts
-    are the coefficient rows themselves.
+    parts holds one (groups, n) array per real part, two for complex
+    coefficients; lane j of group g is vector g * lanes + j, with weight
+    2^(bits * j).  With lanes 1 the parts are the coefficient rows themselves.
     """
 
     parts: tuple[np.ndarray, ...]
     lanes: int
     bits: int
     n_vec: int
-    dtype: np.dtype
 
 
-def _pack_lanes(coeffs: np.ndarray, max_lanes: int = 53) -> _Lanes:
+def _pack_lanes(coeffs: np.ndarray) -> _Lanes:
     """Pack the rows of coeffs (n_vec, n) several to a float64 when that is exact.
 
     When every real part is a finite integer, let A be the largest sum of
@@ -567,22 +566,22 @@ def _pack_lanes(coeffs: np.ndarray, max_lanes: int = 53) -> _Lanes:
     A (2^(bL) - 1) / (2^b - 1) < 2^52 and every lower-lane remainder is below
     half a unit of the lane above.  float64 holds those integers exactly, so
     packing, folding and decoding are exact in any order.  Non-integer, NaN or
-    inf parts, or L = 1, keep one row per lane.
+    inf parts, or L = 1, keep one row per lane; the row check stops at the
+    first non-integer row.
     Packs in place (Horner, top lane first) with no full-size temporary.
     """
     parts = _real_parts(coeffs)
-    a = max(  # NaN fails the rint check and inf sums to inf
-        (
-            float(np.abs(row).sum()) if np.array_equal(row, np.rint(row)) else math.inf
-            for part in parts
-            for row in part
-        ),
-        default=0.0,
-    )
+    one_lane = _Lanes(parts, 1, 0, len(coeffs))
+    a = 0.0
+    for part in parts:
+        for row in part:
+            if not np.array_equal(row, np.rint(row)):  # NaN fails too; inf sums to inf
+                return one_lane
+            a = max(a, float(np.abs(row).sum()))
     bits = max((2 * int(a)).bit_length(), 1) if math.isfinite(a) else 53
-    lanes = min(max_lanes, 53 // bits)
+    lanes = 53 // bits
     if lanes < 2:
-        return _Lanes(parts, 1, 0, len(coeffs), coeffs.dtype)
+        return one_lane
     packed = []
     for part in parts:
         out = np.zeros((-(-len(part) // lanes), part.shape[1]))
@@ -591,7 +590,7 @@ def _pack_lanes(coeffs: np.ndarray, max_lanes: int = 53) -> _Lanes:
             lane = part[j::lanes]
             out[: len(lane)] += lane
         packed.append(out)
-    return _Lanes(tuple(packed), lanes, bits, len(coeffs), coeffs.dtype)
+    return _Lanes(tuple(packed), lanes, bits, len(coeffs))
 
 
 def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
@@ -605,15 +604,19 @@ def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
     match; the digits decode top lane first, d = rint(W / 2^(bj)) and
     W -= d * 2^(bj), and + 0.0 turns rint's -0.0 into the 0.0 a sum gives.
     Non-coprime elements go to the dropped sentinel class phi.  The sums are
-    float64 for real coeffs and complex128 for complex ones.
+    float64 for one real part and complex128 for two.  With one lane each
+    bincount goes straight into the result.
     """
     key = np.where(cid < 0, phi, cid)
     groups = len(pack.parts[0])
-    folded = np.zeros((groups * pack.lanes, phi), dtype=pack.dtype)
+    dtype = np.complex128 if len(pack.parts) == 2 else np.float64
+    folded = np.zeros((groups * pack.lanes, phi), dtype=dtype)
     for part, dest in zip(pack.parts, _real_parts(folded)):
-        w = np.empty((groups, phi))
+        w = dest if pack.lanes == 1 else np.empty((groups, phi))
         for g, row in enumerate(part):
             w[g] = np.bincount(key, weights=row, minlength=phi + 1)[:phi]
+        if pack.lanes == 1:
+            continue
         digits = dest.reshape(groups, pack.lanes, phi)
         for j in reversed(range(1, pack.lanes)):
             scale = 2.0 ** (pack.bits * j)

@@ -527,9 +527,13 @@ def test_fold_classes_matches_left_to_right_loop(d, qx, qy):
     assert real.dtype == np.float64 and np.array_equal(real, want.real)
 
 
-def _fold_bits(coeffs, cid, phi, max_lanes=53):
+def _one_lane(coeffs):
+    """coeffs unpacked, one vector per bincount: the fold's reference."""
+    return lab._Lanes(lab._real_parts(coeffs), 1, 0, len(coeffs))
+
+
+def _fold_bits(pack, cid, phi):
     """The fold as int64 bit patterns, so that -0.0 and 0.0 differ."""
-    pack = lab._pack_lanes(coeffs, max_lanes)
     return pack.lanes, lab._fold_classes(pack, cid, phi).view(np.int64)
 
 
@@ -548,9 +552,9 @@ def test_packed_fold_matches_one_lane(rows):
     assert lanes > 2
     rows = {"L": lanes, "L+1": lanes + 1}.get(rows, rows)
     coeffs = np.random.default_rng(rows).choice([-1.0, 1.0], size=(rows, n))
-    got_lanes, got = _fold_bits(coeffs, cid, phi)
+    got_lanes, got = _fold_bits(lab._pack_lanes(coeffs), cid, phi)
     assert got_lanes == lanes
-    want_lanes, want = _fold_bits(coeffs, cid, phi, max_lanes=1)
+    want_lanes, want = _fold_bits(_one_lane(coeffs), cid, phi)
     assert want_lanes == 1 and np.array_equal(got, want)
     assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).real.view(np.int64))
 
@@ -576,7 +580,7 @@ def test_packed_fold_at_a_lane_width_step(a, lanes, bits):
     assert pack.lanes == lanes and (lanes == 1 or pack.bits == bits)
     folded = lab._fold_classes(pack, cid, phi)
     assert list(folded[:7, 0]) == [s * a for s in signs]
-    want = _fold_bits(coeffs, cid, phi, max_lanes=1)[1]
+    want = _fold_bits(_one_lane(coeffs), cid, phi)[1]
     assert np.array_equal(folded.view(np.int64), want)
 
 
@@ -588,14 +592,14 @@ def test_packed_fold_negative_zero_and_complex():
     coeffs = rng.choice(values, size=shape) + 1j * rng.choice(values, size=shape)
     coeffs[0] = complex(-0.0, -0.0)
     coeffs[1].real = -0.0
-    lanes, got = _fold_bits(coeffs, cid, phi)
+    lanes, got = _fold_bits(lab._pack_lanes(coeffs), cid, phi)
     assert lanes > 1
-    assert np.array_equal(got, _fold_bits(coeffs, cid, phi, max_lanes=1)[1])
+    assert np.array_equal(got, _fold_bits(_one_lane(coeffs), cid, phi)[1])
     assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).view(np.int64))
     real = coeffs.real.copy()
-    lanes, got = _fold_bits(real, cid, phi)
+    lanes, got = _fold_bits(lab._pack_lanes(real), cid, phi)
     assert lanes > 1
-    assert np.array_equal(got, _fold_bits(real, cid, phi, max_lanes=1)[1])
+    assert np.array_equal(got, _fold_bits(_one_lane(real), cid, phi)[1])
 
 
 @pytest.mark.parametrize(
@@ -632,9 +636,9 @@ def test_packed_fold_matches_one_lane_on_every_ring(d, q_index, n_vec, scale, is
     coeffs = rng.integers(-scale, scale + 1, size=(n_vec, len(xs))).astype(np.float64)
     if is_complex:
         coeffs = coeffs + 1j * rng.integers(-scale, scale + 1, size=coeffs.shape)
-    lanes, got = _fold_bits(coeffs, cid, m.phi)
+    lanes, got = _fold_bits(lab._pack_lanes(coeffs), cid, m.phi)
     assert got.shape[0] == n_vec and (lanes > 1 or scale >= 10**4)
-    assert np.array_equal(got, _fold_bits(coeffs, cid, m.phi, max_lanes=1)[1])
+    assert np.array_equal(got, _fold_bits(_one_lane(coeffs), cid, m.phi)[1])
 
 
 @pytest.mark.parametrize("d", [-1, -3])
@@ -649,8 +653,7 @@ def test_large_sieve_packed_matches_one_lane(d, monkeypatch):
         rng.integers(-5, 6, size=(4, len(els))) + 1j * rng.integers(-5, 6, size=(4, len(els))),
     ]
     packed = [large_sieve_ratios(c, els, 2, 40, region) for c in inputs]
-    unpack = lab._pack_lanes
-    monkeypatch.setattr(lab, "_pack_lanes", lambda c: unpack(c, max_lanes=1))
+    monkeypatch.setattr(lab, "_pack_lanes", _one_lane)
     for c, rows in zip(inputs, packed):
         assert rows == large_sieve_ratios(c, els, 2, 40, region)
 
