@@ -31,7 +31,6 @@ from .sieve import FactorSieve, PrimeTable
 BUILTIN_NAMES = ("one", "moebius", "tau", "log_norm", "lambda", "prime_indicator")
 _ALIASES = {"prime": "prime_indicator", "mu": "moebius", "log": "log_norm"}
 _CSV_COLUMNS = ["x", "y", "norm", "re", "im"]
-_CSV_ROW = "{},{},{},{},{}\r\n".format
 _CSV_CHUNK = 1 << 13  # rows per joined write, so the text in memory stays bounded
 
 
@@ -138,19 +137,25 @@ def _logs(norms: np.ndarray) -> np.ndarray:
 def _prime_chains(sieve: FactorSieve):
     """Per class: number of distinct primes, tau, and the last prime.
 
-    Walks every smallest-prime chain at once; primes come out in class order,
-    so a run of equal primes is one prime's exponent.
+    Follows the smallest-prime chains one prime a step, stepping only the
+    classes cls whose chain is still live (cur: the class each has reached).
+    Primes come out in class order, so a run of equal primes is one prime's
+    exponent.
     """
     n = len(sieve.spf)
-    cur, last = np.arange(n), np.full(n, -1)
+    last = np.full(n, -1)
     run, distinct, tau = np.zeros(n, np.int64), np.zeros(n, np.int64), np.ones(n, np.int64)
-    while (live := sieve.spf[cur] >= 0).any():
+    cls = cur = np.flatnonzero(sieve.spf >= 0)
+    while cls.size:
         p = sieve.spf[cur]
-        new = live & (p != last)
+        new = cls[p != last[cls]]  # classes whose next prime is not the last one
         tau[new] *= run[new] + 1
-        run = np.where(new, 1, run + live)
-        distinct += new
-        last, cur = np.where(live, p, last), np.where(live, sieve.cof[cur], cur)
+        run[cls] += 1
+        run[new] = 1
+        distinct[new] += 1
+        last[cls], cur = p, sieve.cof[cur]
+        live = sieve.spf[cur] >= 0
+        cls, cur = cls[live], cur[live]
     return distinct, tau * (run + 1), last
 
 
@@ -220,28 +225,28 @@ def unit_fold_check(f: ArithFn, n: float) -> tuple[complex, complex]:
 def save_csv(f: ArithFn, path, config_line: str = "") -> None:
     """Columns x, y, norm, re, im under config_line and a `# d=` line; None: stdout.
 
-    The bytes are those of `csv.writer` (CRLF row ends; no repr needs quoting),
-    with `repr` taken once per distinct value and one write per `_CSV_CHUNK` rows.
+    The bytes are those of `csv.writer` (CRLF row ends; no repr needs quoting).
+    Each `_CSV_CHUNK` rows are one join of their columns' texts, rendered once
+    per distinct value in the chunk (`_texts`), and one write.
     """
-    xs, ys, norms = class_arrays(f.ring, f.norm_bound)
-    (re_text, re_of), (im_text, im_of) = _reprs(f.vals.real), _reprs(f.vals.imag)
+    cols = (*class_arrays(f.ring, f.norm_bound), f.vals.real, f.vals.imag)
     out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
         fh.write(f"{config_line}# d={f.ring.d} norm_bound={f.norm_bound} name={f.name}\n")
         fh.write(",".join(_CSV_COLUMNS) + "\r\n")
-        for lo in range(0, len(xs), _CSV_CHUNK):
-            rows = slice(lo, lo + _CSV_CHUNK)
-            cols = (xs[rows], ys[rows], norms[rows], re_text[re_of[rows]], im_text[im_of[rows]])
-            fh.write("".join(map(_CSV_ROW, *(c.tolist() for c in cols))))
+        for lo in range(0, len(f.vals), _CSV_CHUNK):
+            fields = (_texts(c[lo : lo + _CSV_CHUNK]) for c in cols)
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
-def _reprs(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(texts, index): parts[i] reprs as texts[index[i]], one repr per distinct value.
+def _texts(col: np.ndarray) -> list[str]:
+    """repr of each entry of an int64 or float64 column, taken once per distinct value.
 
     Values are keyed on their bits, since -0.0 and 0.0 compare equal but repr apart.
     """
-    keys, index = np.unique(parts.view(np.int64), return_inverse=True)
-    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object), index
+    keys, index = np.unique(col.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(col.dtype).tolist()], dtype=object)
+    return texts[index].tolist()
 
 
 def load_csv(path) -> ArithFn:

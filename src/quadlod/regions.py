@@ -257,15 +257,22 @@ def class_products(ring: RingDescriptor, bound: int, left: np.ndarray, right: np
     """Chunks (i, j, k) of the pairs (left[i], right[j]) with norm product <= bound.
 
     left and right are increasing class indices below bound.  Pairs come
-    i-major with j ascending; k is the class index of the product.
+    i-major with j ascending; k is the class index of the product.  Norms
+    increase with class index, so left[i] pairs with the first caps[i] entries
+    of right, and a chunk's i is one np.repeat over its slice of caps.
     """
     xs, ys, norms = class_arrays(ring, bound)
     caps = np.searchsorted(norms[right], bound // norms[left], side="right")
     ends = np.cumsum(caps)
-    for lo in range(0, int(ends[-1]) if ends.size else 0, _PAIR_CHUNK):
-        pair = np.arange(lo, min(lo + _PAIR_CHUNK, ends[-1]))
-        i = np.searchsorted(ends, pair, side="right")
-        j = pair - (ends[i] - caps[i])
+    firsts = ends - caps  # pair number of left[i]'s first pair
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, total)
+        # left indices i0..i1 - 1 have pairs in [lo, hi); their runs clipped to it
+        i0, i1 = np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1]
+        counts = np.minimum(ends[i0:i1], hi) - np.maximum(firsts[i0:i1], lo)
+        i = np.repeat(np.arange(i0, i1), counts)
+        j = np.arange(lo, hi) - firsts[i]
         a, b = left[i], right[j]
         yield i, j, class_index(ring, bound, *mul_xy(ring, xs[a], ys[a], xs[b], ys[b]))
 

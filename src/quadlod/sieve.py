@@ -302,7 +302,10 @@ class FactorSieve:
     For a class index c (see `regions.class_arrays`), spf[c] is the class of
     the smallest prime dividing it, in (norm, x, y) order, and cof[c] the class
     of the quotient; both are -1 at the unit.  Following cof lists a class's
-    primes in order.
+    primes in order.  Each chunk of (prime, class) pairs takes one
+    np.minimum.at for the smallest prime that hits each class; a prime hits a
+    class at most once, so exactly one pair attains that minimum, and it
+    writes the cofactor.
     """
 
     def __init__(self, table: PrimeTable, max_norm: int):
@@ -311,13 +314,15 @@ class FactorSieve:
                 f"need primes to norm {max_norm}, table has {table.max_norm}"
             )
         n = len(class_arrays(table.ring, max_norm)[0])
-        self.spf, self.cof = np.full((2, n), -1)
         pidx = table.class_indices(max_norm)
-        # pairs come in increasing prime order: a class's first hit is its smallest prime
+        first = np.full(n, len(pidx))  # position in pidx of the smallest prime; none
+        self.cof = np.full(n, -1)
+        # pairs come in increasing prime order: no later chunk lowers a minimum
         for i, j, k in class_products(table.ring, max_norm, pidx, np.arange(n)):
-            k, first = np.unique(k, return_index=True)
-            new = self.spf[k] < 0
-            self.spf[k[new]], self.cof[k[new]] = pidx[i[first[new]]], j[first[new]]
+            np.minimum.at(first, k, i)
+            hit = first[k] == i
+            self.cof[k[hit]] = j[hit]
+        self.spf = np.append(pidx, -1).astype(np.int64)[first]
 
 
 def cache_save(table: PrimeTable, path) -> None:

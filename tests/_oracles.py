@@ -342,6 +342,62 @@ class LoopFactorSieve:
         return fm
 
 
+def loop_class_products(ring, bound, left, right):
+    """(i, j, k) of every pair (left[i], right[j]) of norm product <= bound.
+
+    One AlgInt product per pair of a double loop, i-major with j ascending;
+    k is the position of the product's canonical associate among the classes.
+    """
+    from quadlod.regions import canonical_classes
+
+    classes = canonical_classes(ring, bound)
+    position = {(c.x, c.y): n for n, c in enumerate(classes)}
+    out = []
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            prod = classes[a] * classes[b]
+            if prod.norm() <= bound:
+                c = canonical_associate(prod)
+                out.append((i, j, position[(c.x, c.y)]))
+    return out
+
+
+class UniqueFactorSieve:
+    """The FactorSieve that took np.unique of each chunk's classes, verbatim."""
+
+    def __init__(self, table, max_norm: int):
+        from quadlod.errors import TableTooSmall
+        from quadlod.regions import class_arrays, class_products
+
+        if max_norm > table.max_norm:
+            raise TableTooSmall(
+                f"need primes to norm {max_norm}, table has {table.max_norm}"
+            )
+        n = len(class_arrays(table.ring, max_norm)[0])
+        self.spf, self.cof = np.full((2, n), -1)
+        pidx = table.class_indices(max_norm)
+        # pairs come in increasing prime order: a class's first hit is its smallest prime
+        for i, j, k in class_products(table.ring, max_norm, pidx, np.arange(n)):
+            k, first = np.unique(k, return_index=True)
+            new = self.spf[k] < 0
+            self.spf[k[new]], self.cof[k[new]] = pidx[i[first[new]]], j[first[new]]
+
+
+def full_walk_prime_chains(sieve):
+    """The _prime_chains that stepped all n classes at every step, verbatim."""
+    n = len(sieve.spf)
+    cur, last = np.arange(n), np.full(n, -1)
+    run, distinct, tau = np.zeros(n, np.int64), np.zeros(n, np.int64), np.ones(n, np.int64)
+    while (live := sieve.spf[cur] >= 0).any():
+        p = sieve.spf[cur]
+        new = live & (p != last)
+        tau[new] *= run[new] + 1
+        run = np.where(new, 1, run + live)
+        distinct += new
+        last, cur = np.where(live, p, last), np.where(live, sieve.cof[cur], cur)
+    return distinct, tau * (run + 1), last
+
+
 def loop_tabulate(builtin, ring, norm_bound, table=None):
     """The per-class tabulate, verbatim apart from returning a DictFn."""
     from quadlod.arith import _ALIASES, BUILTIN_NAMES

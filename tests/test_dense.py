@@ -8,14 +8,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quadlod import arith, lab
+from quadlod import arith, lab, regions
 from quadlod.arith import (
     BUILTIN_NAMES,
     ArithFn,
     _logs,
+    _prime_chains,
     convolve,
     dirichlet_series,
     load_csv,
@@ -25,12 +26,17 @@ from quadlod.arith import (
     weighted_log_sum,
 )
 from quadlod.errors import CorruptFile, QlodError, TableTooSmall
-from quadlod.regions import a0, canonical_classes, class_arrays, class_index, element_arrays
+from quadlod.regions import (
+    a0, canonical_classes, class_arrays, class_index, class_products, element_arrays,
+)
 from quadlod.rings import SUPPORTED_D, make_ring
-from quadlod.sieve import sieve_primes
+from quadlod.sieve import FactorSieve, sieve_primes
 from _oracles import (
+    UniqueFactorSieve,
     as_dict_fn,
     csv_writer_save,
+    full_walk_prime_chains,
+    loop_class_products,
     loop_convolve,
     loop_dirichlet_series,
     loop_fvals,
@@ -70,8 +76,6 @@ def draw_fn(data, ring, bound, label):
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
 def test_builtin_tables_match_loop(monkeypatch, d):
-    from quadlod import regions
-
     monkeypatch.setattr(regions, "_PAIR_CHUNK", 997)  # the factor sieve spans many chunks
     ring = make_ring(d)
     table = sieve_primes(ring, 2000)
@@ -112,8 +116,6 @@ def test_convolve_matches_loop(data):
 @pytest.mark.parametrize(("d", "f", "g"), [(-1, "moebius", "log"), (-3, "tau", "lambda"),
                                            (-7, "prime", "moebius")])
 def test_convolve_builtins_match_loop_across_chunks(monkeypatch, d, f, g):
-    from quadlod import regions
-
     monkeypatch.setattr(regions, "_PAIR_CHUNK", 97)
     ring = make_ring(d)
     table = sieve_primes(ring, 1500)
@@ -207,6 +209,81 @@ def test_class_index_matches_searchsorted(data):
     assert (got is None) == (want is None)
     if want is not None:
         assert got.tolist() == want.tolist()
+
+
+def assert_products_match_loop(ring, bound, left, right, chunk):
+    chunks = list(class_products(ring, bound, left, right))
+    got = [t for i, j, k in chunks for t in zip(i.tolist(), j.tolist(), k.tolist())]
+    assert got == loop_class_products(ring, bound, left.tolist(), right.tolist())
+    assert [len(k) for *_, k in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert all(len(k) for *_, k in chunks)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 20])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_class_products_matches_pair_loop(monkeypatch, chunk, data):
+    monkeypatch.setattr(regions, "_PAIR_CHUNK", chunk)
+    ring = make_ring(data.draw(st.sampled_from(SUPPORTED_D), label="d"))
+    bound = data.draw(st.integers(0, 120), label="bound")
+    n = len(class_arrays(ring, bound)[0])
+    subset = st.lists(st.booleans(), min_size=n, max_size=n).map(np.flatnonzero)
+    left, right = data.draw(subset, label="left"), data.draw(subset, label="right")
+    assert_products_match_loop(ring, bound, left, right, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 20])
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_class_products_edges(monkeypatch, chunk, d):
+    """Empty sides, and left indices with no partner (a suffix of left) after a chunk edge."""
+    monkeypatch.setattr(regions, "_PAIR_CHUNK", chunk)
+    ring, bound = make_ring(d), 60
+    norms = class_arrays(ring, bound)[2]
+    every, none = np.arange(len(norms)), np.arange(0)
+    far = np.flatnonzero(norms > bound // 2)  # no partner of norm >= 2
+    for left, right in ((none, every), (every, none), (none, none), (every, every[1:]),
+                        (far, every[1:]), (every, far)):
+        assert_products_match_loop(ring, bound, left, right, chunk)
+
+
+def assert_sieve_matches_old_walks(ring, bound):
+    """FactorSieve and _prime_chains equal the np.unique sieve and full walk, bit for bit."""
+    table = sieve_primes(ring, max(bound, 2))
+    got, want = FactorSieve(table, bound), UniqueFactorSieve(table, bound)
+    pairs = [(got.spf, want.spf), (got.cof, want.cof),
+             *zip(_prime_chains(got), full_walk_prime_chains(want))]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    return got
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.sampled_from(SUPPORTED_D), bound=st.integers(0, 3000))
+@example(d=-1, bound=0)
+@example(d=-3, bound=1)
+@example(d=-163, bound=3000)
+def test_factor_sieve_and_chains_match_old_walks(monkeypatch, chunk, d, bound):
+    monkeypatch.setattr(regions, "_PAIR_CHUNK", chunk)
+    assert_sieve_matches_old_walks(make_ring(d), bound)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+def test_deepest_chain(monkeypatch, gauss, chunk):
+    """(1 + i)^11, of norm 2048: the deepest chain to 3000 on d = -1, 11 steps of 1 + i."""
+    monkeypatch.setattr(regions, "_PAIR_CHUNK", chunk)
+    sieve = assert_sieve_matches_old_walks(gauss, 3000)
+    power = gauss.element(1, 1) ** 11
+    top = c = class_index(gauss, 3000, [power.x], [power.y])[0]
+    chain = []
+    while sieve.spf[c] >= 0:
+        chain.append(sieve.spf[c])
+        c = sieve.cof[c]
+    assert chain == [class_index(gauss, 3000, [1], [1])[0]] * 11
+    distinct, tau, last = _prime_chains(sieve)
+    assert (distinct[top], tau[top], last[top]) == (1, 12, chain[0])
 
 
 # -- function files ------------------------------------------------------------
