@@ -69,14 +69,20 @@ class Modulus:
         """rid of x + y*omega mod (q); x and y are ints or int64 arrays.
 
         The coset representative is (x - k*b mod a, j) with y = k*c + j,
-        0 <= j < c; % and // floor alike on ints and on int64 arrays.  When
-        c = 1, j is 0 and k is y.
+        0 <= j < c; // floors alike on ints and on int64 arrays.  When c = 1,
+        j is 0 and k is y.  The remainder is v - v // a * a, in place: numpy
+        divides int64 arrays by a scalar several times faster than it takes
+        ``%``, and no more temporaries are alive at once than with ``%``.
         """
         a, b, c = self.hnf_a, self.hnf_b, self.hnf_c
-        if c == 1:
-            return (x - y * b) % a
-        j = y % c
-        return (x - (y - j) // c * b) % a + a * j
+        k = y if c == 1 else y // c
+        v = x - k * b
+        v -= v // a * a
+        if c > 1:
+            k *= -c
+            k += y  # j, in place of k
+            v += a * k
+        return v
 
     def rid(self, xi: AlgInt) -> int:
         return self.rid_xy(xi.x, xi.y)

@@ -12,8 +12,10 @@ changes when floor(M^2) crosses the norm of an element carrying a nonzero
 coprime contribution, so the exact maximum over all real M <= N is found by
 evaluating eps at each of those breakpoints for every coprime class.
 
-The sweep evaluates a bounded (breakpoint x class) block per numpy call, but
-every float sum keeps one fixed order, which is what keeps artifacts byte
+The sweep evaluates a bounded (class x breakpoint) block per numpy call and
+keeps only each breakpoint's maximum over the classes; the first class and
+eps are read back at the one breakpoint a cut picks.  Every float sum keeps
+one fixed order, which is what keeps artifacts byte
 for byte stable: each class's running sum adds its elements one at a time in
 (norm, x, y) order; each breakpoint's new elements are summed with numpy's
 ``.sum()``; the running coprime total adds those level sums one at a time.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,9 +110,11 @@ def epsilon_sweep(f: ArithFn, n: float, m: Modulus) -> SweepResult:
     return _best_at(m, _sweep_arrays(m, *_a0_values(f, n)), [math.inf])[0]
 
 
-# Cells of one (breakpoint x class) block of the sweep: bounds its working
-# memory to a few hundred kB whatever the modulus and N.
-_SWEEP_BLOCK = 1 << 12
+# Cells of one (class x breakpoint) block of the sweep: bounds its working
+# memory to a few hundred kB whatever the modulus and N.  Each block costs a
+# fixed number of numpy calls, so at paper scale, where moebius makes nearly
+# every norm a breakpoint, larger blocks pay.
+_SWEEP_BLOCK = 1 << 14
 
 
 def _level_sums(va: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -145,111 +149,144 @@ def _class_running_sums(va: np.ndarray, vc: np.ndarray, phi: int) -> np.ndarray:
     return np.cumsum(pad, axis=1)
 
 
-def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> tuple[np.ndarray, ...]:
+class _SweepProfile(NamedTuple):
+    """`_sweep_arrays`' result: row maxima, and what `_best_at` reads a row back from.
+
+    ``norms`` to ``t_im`` hold one entry per breakpoint.  ``vc`` is the
+    class of each swept element; ``w`` their values on the exact path, else
+    None; ``sums`` the class running sums (`_class_running_sums`) on the
+    general path, else None.
+    """
+
+    norms: np.ndarray  # breakpoint norms, increasing
+    row_sq: np.ndarray  # max over coprime classes of |eps|^2
+    ends: np.ndarray  # swept elements of norm <= the breakpoint
+    t_re: np.ndarray  # running coprime total / phi, real part
+    t_im: np.ndarray | None  # its imaginary part; None when f is real
+    vc: np.ndarray
+    w: np.ndarray | None
+    sums: np.ndarray | None
+
+
+def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
     """The sweep's profile: per breakpoint, the max over coprime classes of |eps|^2.
 
-    Returns (breakpoint norms, row max of |eps|^2, the first class index at
-    it, eps.real there, eps.imag there), one entry per distinct norm of an
-    element with a nonzero coprime value, in increasing norm; all empty when
-    phi is 1 or no such element exists.  Per breakpoint b and class c,
-    eps = A[b, c] - T[b] / phi, where A is the running sum of class c and T
-    the running coprime total.  The float sums keep the order of a
-    per-breakpoint loop, so every entry is bit-identical to it for any f:
-    A[b, c] is read from each class's sequential running sums at the class's
-    element count after b; T is a sequential running sum of per-breakpoint
-    ``.sum()`` values.  All are prefix sums, so the sweep of the elements of
-    norm <= h is the maximum over the breakpoints of norm <= h (`_best_at`):
-    ties go to the first breakpoint, then the first class, and a result is
-    non-empty only when its maximum is > 0.  Blocks of at most
-    ``_SWEEP_BLOCK`` cells are scanned in (breakpoint, class) order.  When
-    every imaginary part is zero the class sums and squares run on the real
-    plane alone (eps.imag is then +0.0, as the complex sums give); the level
-    sums stay complex128, whose pairwise ``.sum()`` groups differently.
-    When moreover every value is an integer and the sum of |f| over the
-    swept elements is below 2^52 (NaN and inf fail this guard), every sum is
-    exact in any order: each block's class sums are one weighted
-    ``bincount`` over its (breakpoint, class) cells plus a running ``cumsum``,
-    the total one weighted ``bincount`` over the breakpoints, and neither
-    class running sums nor level sums are formed.
+    One entry per distinct norm of an element with a nonzero coprime value,
+    in increasing norm; all empty when phi is 1 or no such element exists.
+    Per breakpoint b and class c, eps = A[b, c] - T[b] / phi, where A is the
+    running sum of class c and T the running coprime total.  The float sums
+    keep the order of a per-breakpoint loop, so every entry is bit-identical
+    to it for any f: A[b, c] is read from each class's sequential running
+    sums at the class's element count after b; T is a sequential running sum
+    of per-breakpoint ``.sum()`` values.  All are prefix sums, so the sweep of
+    the elements of norm <= h is the maximum over the breakpoints of
+    norm <= h; `_best_at` finds that row and only there reads back its first
+    class and eps.  Blocks of at most ``_SWEEP_BLOCK`` cells are laid out
+    class-major, (class, breakpoint), so each block's running sums are one
+    ``cumsum`` along contiguous rows.  When every imaginary part is zero the
+    class sums and squares run on the real plane alone (eps.imag is then
+    +0.0, as the complex sums give); the level sums stay complex128 whatever
+    dtype fv has, since a float64 pairwise ``.sum()`` groups differently.  When
+    moreover every value is an integer and the sum of |f| over the swept
+    elements is below 2^52 (NaN and inf fail this guard), every sum is exact
+    in any order: each block's class sums are one weighted ``bincount`` over
+    its cells plus a running ``cumsum``, the total one weighted ``bincount``
+    over the breakpoints, and neither class running sums nor level sums are
+    formed.
     """
     phi = m.phi
     cid = _coprime_index(m)[_rids(m, xs, ys)]
     idx = np.flatnonzero((cid >= 0) & (fv != 0) & (phi > 1))  # one class: eps is 0
     va, vc, lvn = fv[idx], cid[idx], norms[idx]
-    new_level = np.diff(lvn, prepend=0) != 0  # norms are >= 1
+    new_level = np.ones(lvn.size, dtype=bool)
+    np.not_equal(lvn[1:], lvn[:-1], out=new_level[1:])
     starts = np.flatnonzero(new_level)
+    nb = starts.size
     bounds = np.append(starts, lvn.size)
     level = np.cumsum(new_level) - 1  # breakpoint index of each element
     vr = va.real
     real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
     # integers with sum |f| < 2^52: every partial sum is exact, in any order
     exact = real and np.array_equal(vr, np.rint(vr)) and np.abs(vr).sum() < 2**52
+    t_im = sums = None
     if exact:
-        t_re = np.cumsum(np.bincount(level, weights=vr, minlength=starts.size)) / phi
+        w = vr.astype(np.float64)
+        t_re = np.cumsum(np.bincount(level, weights=w, minlength=nb)) / phi
         end = np.zeros(phi)  # each class's running sum before the block
     else:
-        lsum = np.zeros(starts.size + 1, dtype=va.dtype)
-        lsum[1:] = _level_sums(va, starts, np.diff(bounds))
+        w = None
+        lsum = np.zeros(nb + 1, dtype=np.complex128)
+        lsum[1:] = _level_sums(va.astype(np.complex128, copy=False), starts, np.diff(bounds))
         total = np.cumsum(lsum)[1:]  # from 0j, as a loop's `total += level sum`
         # componentwise division: scalar float division is IEEE-unambiguous,
         # complex division by an integer is not identical across runtimes
         t_re = total.real / phi
-        t_im = total.imag / phi
+        if not real:
+            t_im = total.imag / phi
         sums = _class_running_sums(vr if real else va, vc, phi)
+        flat = sums.ravel()
         # flat index into sums of each class's running sum before the block
         end = np.arange(phi) * sums.shape[1]
-        sums = sums.ravel()
-    row_sq = np.empty(starts.size)
-    row_k = np.empty(starts.size, dtype=np.int64)
-    eps_re = np.empty(starts.size)
-    eps_im = np.zeros(starts.size)
+    row_sq = np.empty(nb)
     step = max(1, _SWEEP_BLOCK // phi)
-    for b0 in range(0, starts.size, step):
-        b1 = min(b0 + step, starts.size)
+    for b0 in range(0, nb, step):
+        b1 = min(b0 + step, nb)
+        r = b1 - b0
         e0, e1 = bounds[b0], bounds[b1]
-        cells = (level[e0:e1] - b0) * phi + vc[e0:e1]
+        cells = vc[e0:e1] * r + (level[e0:e1] - b0)
         # exact: the cells' value sums; otherwise their element counts
-        acc = np.bincount(
-            cells, vr[e0:e1] if exact else None, (b1 - b0) * phi
-        ).reshape(b1 - b0, phi)
-        acc[0] += end
-        np.cumsum(acc, axis=0, out=acc)
-        end = acc[-1]
+        acc = np.bincount(cells, w[e0:e1] if exact else None, phi * r).reshape(phi, r)
+        acc[:, 0] += end
+        np.cumsum(acc, axis=1, out=acc)
+        end = acc[:, -1].copy()
         if not exact:
-            acc = sums[acc]
-        dr = acc.real - t_re[b0:b1, None]
-        sq = dr * dr  # plain multiplies; exact for integer-valued f
-        if not real:
-            di = acc.imag - t_im[b0:b1, None]
-            sq += di * di
-        rows, k = np.arange(b1 - b0), sq.argmax(axis=1)
-        row_k[b0:b1] = k
-        row_sq[b0:b1] = sq[rows, k]
-        eps_re[b0:b1] = dr[rows, k]
-        if not real:
-            eps_im[b0:b1] = di[rows, k]
-    return lvn[starts], row_sq, row_k, eps_re, eps_im
+            acc = flat[acc]
+        if real:
+            acc -= t_re[b0:b1]
+            acc *= acc  # plain multiplies; exact for integer-valued f
+        else:
+            di = acc.imag - t_im[b0:b1]
+            acc = acc.real - t_re[b0:b1]
+            acc *= acc
+            di *= di
+            acc += di
+        acc.max(axis=0, out=row_sq[b0:b1])
+    return _SweepProfile(lvn[starts], row_sq, bounds[1:], t_re, t_im, vc, w, sums)
 
 
-def _best_at(m: Modulus, sweep: tuple[np.ndarray, ...], cuts) -> list[SweepResult]:
+def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[SweepResult]:
     """The sweep of the elements of norm <= h, for each cut h, read off the profile.
 
     Each result sits at the first breakpoint of norm <= h that attains their
     largest |eps|^2, at that row's first class; it is the empty result
-    (argmax_norm 0) when that maximum is not > 0.
+    (argmax_norm 0) when that maximum is not > 0.  Only that row's class sums
+    are rebuilt, from the swept elements up to it, with the block loop's own
+    arithmetic: exact integers on the exact path, the class running sums at
+    each class's element count otherwise, so the row's |eps|^2 comes out
+    bit for bit and its first argmax is the first class that attains it.
     """
-    bn, row_sq, row_k, eps_re, eps_im = sweep
-    top = np.maximum.accumulate(row_sq)  # prefix maxima, nondecreasing
+    top = np.maximum.accumulate(p.row_sq)  # prefix maxima, nondecreasing
     gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
     out = []
-    for n in np.searchsorted(bn, cuts, side="right").tolist():
+    for n in np.searchsorted(p.norms, cuts, side="right").tolist():
         if n == 0 or not top[n - 1] > 0.0:
             out.append(SweepResult(0.0, 0j, 0, gx, gy))
             continue
         i = int(np.searchsorted(top, top[n - 1]))  # where the prefix max first appears
+        e, phi = p.ends[i], m.phi
+        if p.sums is None:
+            a = np.bincount(p.vc[:e], p.w[:e], phi)
+        else:
+            a = p.sums[np.arange(phi), np.bincount(p.vc[:e], minlength=phi)]
+        dr, di = a.real - p.t_re[i], np.zeros(phi)
+        sq = dr * dr
+        if p.t_im is not None:
+            di = a.imag - p.t_im[i]
+            sq += di * di
+        k = int(sq.argmax())  # the first class: sq[k] is row_sq[i], bit for bit
         out.append(SweepResult(
-            math.sqrt(row_sq[i]), complex(eps_re[i], eps_im[i]), int(bn[i]),
-            *m.rid_coords(m.unit_rids[row_k[i]]),
+            math.sqrt(sq[k]), complex(dr[k], di[k]), int(p.norms[i]),
+            *m.rid_coords(m.unit_rids[k]),
         ))
     return out
 
@@ -335,6 +372,7 @@ def _sweep_task(i: int) -> list[list[tuple[int, SweepResult]]]:
         cut = np.searchsorted(norms, grid[-1][1], side="right")
         sweep = _sweep_arrays(m, xs[:cut], ys[:cut], norms[:cut], fv[:cut])
         out.append(list(zip([k for k, _ in grid], _best_at(m, sweep, [hi for _, hi in grid]))))
+        del sweep  # it holds per-element arrays: free them before the next sweep
     return out
 
 

@@ -80,7 +80,10 @@ def norm_xy(ring: RingDescriptor, x, y):
 
 def mul_xy(ring: RingDescriptor, a, b, c, e):
     """Coordinates of (a + b*omega)(c + e*omega); ints or int64 arrays."""
-    return a * c + ring.n * b * e, a * e + b * c + ring.t * b * e
+    y = a * e + b * c
+    if ring.t:  # t is 0 for d = -1, -2: the term is all zeros
+        y += ring.t * b * e
+    return a * c + ring.n * b * e, y
 
 
 def make_ring(d: int) -> RingDescriptor:

@@ -15,7 +15,7 @@ from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
 from quadlod.characters import Modulus
 from quadlod.regions import a0, canonical_classes, element_arrays
-from quadlod.rings import SUPPORTED_D, make_ring
+from quadlod.rings import SUPPORTED_D, AlgInt, make_ring
 from quadlod.sieve import sieve_primes
 from _oracles import loop_sweep_running
 
@@ -34,6 +34,10 @@ LARGE_INTEGER_VALUES = st.one_of(
 ).map(complex)
 
 
+def profile_bytes(sweep):
+    return [None if a is None else a.tobytes() for a in sweep]
+
+
 def assert_same_sweep(m, xs, ys, norms, fv):
     """At every prefix cut, the sweep's first maximum matches the loop over that prefix.
 
@@ -43,8 +47,9 @@ def assert_same_sweep(m, xs, ys, norms, fv):
     sweep = lab._sweep_arrays(m, xs, ys, norms, fv)
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
     cuts = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[:0]
-    assert sweep[0].tolist() == cuts.tolist()  # one profile row per breakpoint
-    assert all(a.size == cuts.size for a in sweep)
+    assert sweep.norms.tolist() == cuts.tolist()  # one profile row per breakpoint
+    # norms to t_im hold one entry per breakpoint; t_im is None for real f
+    assert all(a.size == cuts.size for a in sweep[:5] if a is not None)
     # one loop pass: its result over a prefix is its running best at the cut
     running = list(loop_sweep_running(m, xs, ys, norms, fv))
     at = [cut for cut, _ in running]
@@ -108,8 +113,8 @@ def test_sweep_real_plane_matches_complex(monkeypatch, d):
         if q.norm() >= 2:
             m = Modulus(ring, q)
             plain = assert_same_sweep(m, xs, ys, norms, fv)
-            assert [a.tobytes() for a in assert_same_sweep(m, xs, ys, norms, neg)] == \
-                [a.tobytes() for a in plain]
+            assert profile_bytes(assert_same_sweep(m, xs, ys, norms, neg)) == \
+                profile_bytes(plain)
             assert_same_sweep(m, xs, ys, norms, forced)
 
 
@@ -156,6 +161,89 @@ def test_sweep_exact_path_only_for_exact_integer_sums(monkeypatch):
                 calls.clear()
                 assert_same_sweep(m, xs, ys, norms, inexact)
                 assert calls == [1]
+
+
+def tied_fv(m, xs, ys, norms, scale):
+    """f whose maximum is a tie of opposite signs at norm 1, met again at a later norm.
+
+    At norm 1 the unit of the lowest coprime class carries -scale and the unit
+    of the highest +scale, so the two classes tie for the row maximum with
+    eps = -scale and +scale.  Four later elements, in increasing norm, undo
+    both values and set them again: the last breakpoint's row maximum equals
+    the first one's, with the same tie.
+    """
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    units = np.flatnonzero(norms == 1)
+    lo, hi = cid[units].min(), cid[units].max()
+    fv = np.zeros(xs.size, dtype=np.complex128)
+    fv[units[cid[units] == lo]] = -scale
+    fv[units[cid[units] == hi]] = scale
+    later = np.flatnonzero(norms > 1)
+    for c, v in ((lo, scale), (hi, -scale), (lo, -scale), (hi, scale)):
+        e = later[cid[later] == c][0]
+        fv[e] = v
+        later = later[norms[later] > norms[e]]
+    return fv, lo
+
+
+@pytest.mark.parametrize("block", [64, 1])  # 1: one row per block
+@pytest.mark.parametrize("scale", [1.0, 1 / 3])  # 1/3 takes the general path
+def test_readback_first_class_and_first_row(gauss, monkeypatch, block, scale):
+    """`_best_at` reads the first class, with its sign, at the first row of a repeated maximum."""
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", block)
+    xs, ys, norms = element_arrays(-1, 1, 100)
+    m = Modulus(gauss, AlgInt(gauss, 1, 2))  # phi = 4: the four units are coprime, apart
+    fv, lo = tied_fv(m, xs, ys, norms, scale)
+    sweep = assert_same_sweep(m, xs, ys, norms, fv)
+    assert (sweep.w is None, sweep.sums is None) == (scale != 1, scale == 1)
+    assert sweep.norms.size == 5
+    assert np.flatnonzero(sweep.row_sq == sweep.row_sq.max()).tolist() == [0, 4]
+    (got,) = lab._best_at(m, sweep, [math.inf])
+    assert repr(got.max_eps) == repr(complex(-scale, 0.0))
+    assert (got.argmax_norm, got.gamma_x, got.gamma_y) == (1, *m.rid_coords(m.unit_rids[lo]))
+
+
+@pytest.mark.parametrize("block", [64, 1])
+@pytest.mark.parametrize("scale", [1.0, 1 / 3])
+def test_readback_without_breakpoints(gauss, monkeypatch, block, scale):
+    """phi = 1, and an f that is nonzero only off the coprime classes: every cut is empty."""
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", block)
+    xs, ys, norms = element_arrays(-1, 1, 100)
+    one = Modulus(gauss, AlgInt(gauss, 1, 1))
+    assert one.phi == 1
+    fv = np.full(xs.size, scale, dtype=np.complex128)
+    m = Modulus(gauss, AlgInt(gauss, 1, 2))
+    off = np.where(lab._coprime_index(m)[lab._rids(m, xs, ys)] < 0, fv, 0)
+    assert off.any()
+    for mod, f in ((one, fv), (m, off)):
+        sweep = assert_same_sweep(mod, xs, ys, norms, f)
+        assert sweep.norms.size == 0
+        assert all(r.argmax_norm == 0 for r in lab._best_at(mod, sweep, [0, 50, math.inf]))
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+@pytest.mark.parametrize("name", ["log_norm", "tau"])
+def test_sweep_dtype_does_not_change_bytes(monkeypatch, d, name):
+    """A real f gives the same results at every cut as float64 and as complex128.
+
+    The general path's level sums stay complex128 for float64 input: a
+    float64 pairwise ``.sum()`` groups differently and can change a row.
+    """
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
+    ring = make_ring(d)
+    f = tabulate(name, ring, 400, sieve_primes(ring, 400))
+    xs, ys, norms = element_arrays(d, 1, 400)
+    wide = lab._fvals(f, xs, ys)
+    assert not wide.imag.any()
+    real = wide.real.copy()
+    for q in canonical_classes(ring, 40):
+        if q.norm() >= 2:
+            m = Modulus(ring, q)
+            want = lab._sweep_arrays(m, xs, ys, norms, wide)
+            got = lab._sweep_arrays(m, xs, ys, norms, real)
+            cuts = [0, *want.norms.tolist()]
+            assert [repr(r) for r in lab._best_at(m, got, cuts)] == \
+                [repr(r) for r in lab._best_at(m, want, cuts)]
 
 
 @settings(max_examples=50, deadline=None)
