@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import lab
+from . import lab, regions
 from .arith import convolve, load_csv, save_csv, tabulate
 from .characters import Modulus
 from .errors import QlodError, UsageError
@@ -449,11 +449,11 @@ def _dispatch(args) -> int:
         if args.vectors < 1:
             raise UsageError(f"--vectors must be at least 1, got {args.vectors}")
         region = _usage(a0, ring, args.N)
-        els = list(enumerate_region(region))
+        xs, ys, _ = regions.element_arrays(ring.d, region.lo_sq, region.hi_sq)
         rng = np.random.default_rng(args.seed)
-        mat = rng.choice([-1.0, 1.0], size=(args.vectors, len(els)))
-        results = _usage(lab.large_sieve_ratios, mat, els, args.Q1, args.Q2, region)  # Q1 <= 0
-        lines = [f"# {len(els)} elements, moduli norm in ({args.Q1}, {args.Q2}]"]
+        mat = rng.choice([-1.0, 1.0], size=(args.vectors, len(xs)))
+        results = _usage(lab.large_sieve_ratios, mat, xs, ys, args.Q1, args.Q2, region)  # Q1 <= 0
+        lines = [f"# {len(xs)} elements, moduli norm in ({args.Q1}, {args.Q2}]"]
         lines.append("vector,lhs,rhs,ratio")
         for i, (l, r, ratio) in enumerate(results):
             lines.append(f"{i},{repr(l)},{repr(r)},{repr(ratio)}")

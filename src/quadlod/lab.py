@@ -584,51 +584,79 @@ class _Lanes:
 
     parts holds one (groups, n) array per real part, two for complex
     coefficients; lane j of group g is vector g * lanes + j, with weight
-    2^(bits * j).  With lanes 1 the parts are the coefficient rows themselves.
+    2^(bits * j) for bits = 53 // lanes.  With lanes 1 the parts are the
+    coefficient rows themselves.
     """
 
     parts: tuple[np.ndarray, ...]
     lanes: int
-    bits: int
     n_vec: int
 
+    @property
+    def bits(self) -> int:
+        return 53 // self.lanes
 
-def _pack_lanes(coeffs: np.ndarray) -> _Lanes:
-    """Pack the rows of coeffs (n_vec, n) several to a float64 when that is exact.
 
-    When every real part is a finite integer, let A be the largest sum of
-    |part| over one vector, b = (2A).bit_length() and L = 53 // b lanes.  Each
-    packed row is sum_j c_j * 2^(b j) over L vectors: balanced base-2^b digits
-    whose partial class sums each lie in [-A, A], so, as 2A < 2^b, every
-    partial sum of a packed row has magnitude at most
-    A (2^(bL) - 1) / (2^b - 1) < 2^52 and every lower-lane remainder is below
-    half a unit of the lane above.  float64 holds those integers exactly, so
-    packing, folding and decoding are exact in any order.  Non-integer, NaN or
-    inf parts, or L = 1, keep one row per lane; the row check stops at the
-    first non-integer row.
-    Packs in place (Horner, top lane first) with no full-size temporary.
+def _coeff_bounds(coeffs: np.ndarray) -> tuple[float, float]:
+    """(A, amax): the largest sum of |part| over one vector and the largest |part|.
+
+    (inf, inf) when some real part is not an integer or is NaN; the row check
+    stops at the first such row.  An inf part makes A inf.
     """
-    parts = _real_parts(coeffs)
-    one_lane = _Lanes(parts, 1, 0, len(coeffs))
-    a = 0.0
-    for part in parts:
+    a = amax = 0.0
+    for part in _real_parts(coeffs):
         for row in part:
             if not np.array_equal(row, np.rint(row)):  # NaN fails too; inf sums to inf
-                return one_lane
-            a = max(a, float(np.abs(row).sum()))
-    bits = max((2 * int(a)).bit_length(), 1) if math.isfinite(a) else 53
-    lanes = 53 // bits
-    if lanes < 2:
-        return one_lane
+                return math.inf, math.inf
+            mag = np.abs(row)
+            a = max(a, float(mag.sum()))
+            amax = max(amax, float(mag.max(initial=0.0)))
+    return a, amax
+
+
+def _lanes_for(a: float) -> int:
+    """Lanes per float64 when every partial class sum of a vector lies in [-a, a].
+
+    53 // b for b = (2a).bit_length() (`_pack_lanes`); 1 when that is below 2
+    or a is not finite.
+    """
+    if not math.isfinite(a):
+        return 1
+    return max(53 // max((2 * int(a)).bit_length(), 1), 1)
+
+
+def _pack_lanes(coeffs: np.ndarray, lanes: int, buf: np.ndarray | None = None) -> _Lanes:
+    """Pack the rows of coeffs (n_vec, n) `lanes` to a float64, b = 53 // lanes bits apart.
+
+    Each packed row is sum_j c_j * 2^(b j) over L = lanes vectors: balanced
+    base-2^b digits.  The pack is exact for a fold whose partial class sums
+    of one vector all lie in [-a, a], where a is an integer with
+    53 // (2a).bit_length() >= L (`_lanes_for`): then 2a < 2^b and bL <= 53,
+    so every partial sum of a packed row has magnitude at most
+    a (2^(bL) - 1) / (2^b - 1) < 2^52 and every lower-lane remainder is below
+    half a unit of the lane above.  float64 holds those integers exactly, so
+    packing, folding and decoding are exact in any order.  With lanes 1 the
+    parts are views of coeffs.  Packs in place (Horner, top lane first) into
+    buf, (real parts, groups or more, n), when it is given; no other
+    full-size array.
+    """
+    parts = _real_parts(coeffs)
+    if lanes == 1:
+        return _Lanes(parts, 1, len(coeffs))
+    groups = -(-len(coeffs) // lanes)
+    if buf is None:
+        buf = np.empty((len(parts), groups, coeffs.shape[1]))
+    scale = 2.0 ** (53 // lanes)
     packed = []
-    for part in parts:
-        out = np.zeros((-(-len(part) // lanes), part.shape[1]))
+    for part, out in zip(parts, buf):
+        out = out[:groups]
+        out.fill(0.0)
         for j in reversed(range(lanes)):
-            out *= 2.0**bits
+            out *= scale
             lane = part[j::lanes]
             out[: len(lane)] += lane
         packed.append(out)
-    return _Lanes(tuple(packed), lanes, bits, len(coeffs))
+    return _Lanes(tuple(packed), lanes, len(coeffs))
 
 
 def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
@@ -637,11 +665,13 @@ def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
     cid is each element's coprime class, < 0 off the coprime set.  Each packed
     row takes one bincount per real part, which adds a class's weights one at
     a time in element order: with one lane every class sum is a left-to-right
-    sum.  With L lanes the sums are exact integers (`_pack_lanes`), which is
-    what the left-to-right sum of integer coefficients gives too, so the bits
-    match; the digits decode top lane first, d = rint(W / 2^(bj)) and
-    W -= d * 2^(bj), and + 0.0 turns rint's -0.0 into the 0.0 a sum gives.
-    Non-coprime elements go to the dropped sentinel class phi.  The sums are
+    sum.  Bins never interact, so with L lanes the class sums are exact
+    integers as long as each coprime class's own partial sums fit the lanes
+    (`_pack_lanes`); that is what the left-to-right sum of integer
+    coefficients gives too, so the bits match.  The digits decode top lane
+    first, d = rint(W / 2^(bj)) and W -= d * 2^(bj), and + 0.0 turns rint's
+    -0.0 into the 0.0 a sum gives.  Non-coprime elements go to the sentinel
+    class phi, which is dropped and need not be exact.  The sums are
     float64 for one real part and complex128 for two.  With one lane each
     bincount goes straight into the result.
     """
@@ -706,13 +736,14 @@ def _primitive_part(m: Modulus, folded: np.ndarray) -> np.ndarray:
 
 def large_sieve_ratios(
     coeff_matrix: np.ndarray,
-    elements: list[AlgInt],
+    xs: np.ndarray,
+    ys: np.ndarray,
     q1: float,
     q2: float,
     region: NormRegion,
     weight: Sequence[tuple[float, float]] | None = None,
 ) -> list[tuple[float, float, float]]:
-    """(lhs, rhs, ratio) per coefficient vector.
+    """(lhs, rhs, ratio) per coefficient vector over the elements (xs, ys).
 
     Default weight None is the 1/x specialization: lhs sums (1/phi(q)) times
     the squared primitive character sums, rhs = (|A0(N)|/Q1 + Q2) * sum|c|^2.
@@ -723,11 +754,17 @@ def large_sieve_ratios(
     squared norm is the sum of the squared primitive character sums.  Real
     coefficients are summed as float64, complex ones as complex128, in a fixed
     order with no BLAS.  When every coefficient (every real part) is a finite
-    integer, as the CLI's signs are, each class sum is an exact integer: the
-    rows are packed several to a float64 once, before the moduli
-    (`_pack_lanes`), and one bincount folds a whole group, with the same bits
-    as one bincount per vector.  coeff_matrix is (vectors, len(elements)) or
-    one vector of len(elements); any other shape is a ValueError.
+    integer, as the CLI's signs are, each class sum is an exact integer, and
+    one bincount folds several packed vectors (`_pack_lanes`) with the same
+    bits as one bincount per vector.  Each modulus takes the lanes that its
+    own classes allow: a partial class sum is at most min(A, amax * cmax),
+    for A the largest per-vector sum |c|, amax the largest |c| and cmax the
+    largest coprime class count.  The moduli come in canonical order, so the
+    lane count changes rarely; the rows are repacked, into one buffer sized
+    for A alone, only when it does.  Input with A too large for 2 lanes keeps
+    one lane.  xs and ys are the elements' coordinates, one per column;
+    coeff_matrix is (vectors, len(xs)) or one vector of len(xs); any other
+    shape is a ValueError.
     """
     if not q1 > 0:
         raise ValueError(f"Q1 must be positive, got {q1}")
@@ -735,28 +772,36 @@ def large_sieve_ratios(
         raise EmptyModulusRange(f"need Q1 < Q2, got {q1} >= {q2}")
     if weight is not None:
         _check_weight(weight)
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"coordinate arrays of shapes {xs.shape} and {ys.shape}: need equal 1-D")
+    n = len(xs)
     dtype = np.complex128 if np.iscomplexobj(coeff_matrix) else np.float64
     coeff_matrix = np.asarray(coeff_matrix, dtype=dtype)
     if coeff_matrix.ndim == 1:
         coeff_matrix = coeff_matrix[None, :]
-    if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] != len(elements):
+    if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] != n:
         raise ValueError(
             f"coefficient matrix of shape {coeff_matrix.shape} does not match "
-            f"{len(elements)} elements: need (vectors, {len(elements)})"
+            f"{n} elements: need (vectors, {n})"
         )
     ring = region.ring
-    xs = np.array([z.x for z in elements], dtype=np.int64)
-    ys = np.array([z.y for z in elements], dtype=np.int64)
     # int64 norms are exact while every coordinate is at most 2^26 (norms up to
     # about 2^58); support past that has norm above 2^51 and counts as outside
     norms = norm_xy(ring, xs, ys)
     outside = (norms < max(region.lo_sq, 1)) | (norms > region.hi_sq)
     outside |= np.maximum(np.abs(xs), np.abs(ys)) > 1 << 26
     if outside.any():
-        raise ValueError(f"coefficient support {elements[np.argmax(outside)]} outside the region")
+        i = np.argmax(outside)
+        z = AlgInt(ring, int(xs[i]), int(ys[i]))
+        raise ValueError(f"coefficient support {z} outside the region")
     c_sq = (np.abs(coeff_matrix) ** 2).sum(axis=1)  # before packing: lower peak RSS
-    pack = _pack_lanes(coeff_matrix)
     n_vec = coeff_matrix.shape[0]
+    a, amax = _coeff_bounds(coeff_matrix)
+    lanes = _lanes_for(a)  # no modulus takes fewer
+    pack = _pack_lanes(coeff_matrix, 1)
+    buf = np.empty((len(pack.parts), -(-n_vec // lanes), n)) if lanes > 1 else None
     lhs = np.zeros(n_vec)
     for q in canonical_classes(ring, int(q2)):
         nq = q.norm()
@@ -765,7 +810,13 @@ def large_sieve_ratios(
         m = Modulus(ring, q)
         if not _has_primitive(m):
             continue
-        folded = _fold_classes(pack, _coprime_index(m)[_rids(m, xs, ys)], m.phi)
+        cid = _coprime_index(m)[_rids(m, xs, ys)]
+        if buf is not None:
+            cmax = int(np.bincount(cid[cid >= 0]).max(initial=0))
+            lanes_q = _lanes_for(min(a, amax * cmax))
+            if lanes_q != pack.lanes:
+                pack = _pack_lanes(coeff_matrix, lanes_q, buf)
+        folded = _fold_classes(pack, cid, m.phi)
         prim = _primitive_part(m, folded)
         contrib = (prim * prim.conj()).real.sum(axis=1)  # the 1/phi(q) cancels
         lhs += contrib if weight is None else _weight_eval(weight, nq) * nq * contrib

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -191,23 +191,30 @@ def primes_over(ring: RingDescriptor, ps: list[int], max_norm: int) -> PrimeTabl
     """Prime elements of norm <= max_norm above the rational primes ps, ascending.
 
     For xi of norm n, factor(xi, primes_over(ring, primes dividing n, n)) equals
-    factor(xi, sieve_primes(ring, n)).  One norm equation per p, and no class
-    arrays: a few p per modulus must not evict the run's cached tables.
+    factor(xi, sieve_primes(ring, n)).  One norm equation per ring and p for
+    the whole run (`_primes_above`), and no class arrays: a few p per modulus
+    must not evict the run's cached tables.
     """
-    rows: list[tuple[int, int, int, int]] = []
-    for p in ps:
-        t = splitting_type(ring, p)
-        if t == INERT:
-            if p * p <= max_norm:
-                pi = canonical_associate(AlgInt(ring, p, 0))
-                rows.append((p * p, pi.x, pi.y, _SPLIT_CODE[INERT]))
-        else:
-            sols = solve_norm_equation(ring, p)
-            if t == RAMIFIED:
-                sols = sols[:1]  # conjugate generates the same ideal
-            rows += [(p, pi.x, pi.y, _SPLIT_CODE[t]) for pi in sols]
+    # an inert p's one prime has norm p^2
+    rows = [r for p in ps for r in _primes_above(ring, p) if r[0] == p or r[0] <= max_norm]
     norms, xs, ys, codes = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
     return PrimeTable(ring, max_norm, xs, ys, norms, codes)
+
+
+@lru_cache(maxsize=4096)
+def _primes_above(ring: RingDescriptor, p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(norm, x, y, split code) of each canonical prime above the rational prime p.
+
+    Memoized per ring and p, as an immutable tuple that callers copy.
+    """
+    t = splitting_type(ring, p)
+    if t == INERT:
+        pi = canonical_associate(AlgInt(ring, p, 0))
+        return ((p * p, pi.x, pi.y, _SPLIT_CODE[INERT]),)
+    sols = solve_norm_equation(ring, p)
+    if t == RAMIFIED:
+        sols = sols[:1]  # conjugate generates the same ideal
+    return tuple((p, pi.x, pi.y, _SPLIT_CODE[t]) for pi in sols)
 
 
 def is_prime(xi: AlgInt) -> bool:

@@ -27,7 +27,6 @@ from quadlod.regions import (
     canonical_classes,
     density_ratio,
     element_arrays,
-    enumerate_region,
 )
 from quadlod.rings import SUPPORTED_D, AlgInt, gcd, make_ring
 from quadlod.sieve import sieve_primes, splitting_type
@@ -214,10 +213,10 @@ def test_criterion_09_large_sieve_ratio():
     # ratio <= 10 for each of 100 seeded sign vectors, < 2 min
     ring = make_ring(-1)
     region = a0(ring, 50)
-    els = list(enumerate_region(region))
+    xs, ys, _ = element_arrays(-1, 1, region.hi_sq)
     rng = np.random.default_rng(2025)
-    mat = rng.choice([-1.0, 1.0], size=(100, len(els)))
-    results = large_sieve_ratios(mat, els, 10, 100, region)
+    mat = rng.choice([-1.0, 1.0], size=(100, len(xs)))
+    results = large_sieve_ratios(mat, xs, ys, 10, 100, region)
     worst = max(r for _, _, r in results)
     assert all(ratio <= 10 for _, _, ratio in results), worst
     ok(9, f"large-sieve lhs/rhs <= 10 on 100 sign vectors (max {worst:.3f})")

@@ -1,4 +1,6 @@
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -417,17 +419,23 @@ def test_zero_convolution_experiment(gauss):
     )
 
 
+def _xy(els):
+    """The coordinate arrays that large_sieve_ratios takes, of a list of elements."""
+    xs = np.array([z.x for z in els], dtype=np.int64)
+    return xs, np.array([z.y for z in els], dtype=np.int64)
+
+
 def test_large_sieve_zero_coeffs(gauss):
     region = a0(gauss, 7)
     els = list(enumerate_region(region))
-    res = large_sieve_ratios(np.zeros((1, len(els))), els, 5, 30, region)
+    res = large_sieve_ratios(np.zeros((1, len(els))), *_xy(els), 5, 30, region)
     assert res[0] == (0.0, 0.0, 0.0)
 
 
 def test_large_sieve_single_support(gauss):
     region = a0(gauss, 7)
     xi0 = gauss.element(1, 0)
-    lhs, rhs, ratio = large_sieve_ratios(np.array([[1.0 + 0j]]), [xi0], 3, 50, region)[0]
+    lhs, rhs, ratio = large_sieve_ratios(np.array([[1.0 + 0j]]), *_xy([xi0]), 3, 50, region)[0]
     direct = 0.0
     for q in canonical_classes(gauss, 50):
         if q.norm() <= 3:
@@ -443,12 +451,12 @@ def test_large_sieve_positivity_and_vanishing(gauss):
     els = list(enumerate_region(region))
     rng = np.random.default_rng(0)
     mat = rng.normal(size=(4, len(els)))
-    for lhs, _, _ in large_sieve_ratios(mat, els, 4, 30, region):
+    for lhs, _, _ in large_sieve_ratios(mat, *_xy(els), 4, 30, region):
         assert lhs >= 0
     # support non-coprime to the only modulus in range: every character sum is 0
     sup = [z for z in els if z.norm() % 9 == 0 or (z.x % 3 == 0 and z.y % 3 == 0)]
     coeffs = np.ones((1, len(sup)), dtype=np.complex128)
-    lhs, _, _ = large_sieve_ratios(coeffs, sup, 8.5, 9.5, region)[0]
+    lhs, _, _ = large_sieve_ratios(coeffs, *_xy(sup), 8.5, 9.5, region)[0]
     assert lhs == 0.0
 
 
@@ -457,22 +465,26 @@ def test_large_sieve_errors(gauss):
     one = np.ones((1, 1))
     unit = [gauss.element(1, 0)]
     with pytest.raises(EmptyModulusRange):
-        large_sieve_ratios(one, unit, 10, 10, region)
+        large_sieve_ratios(one, *_xy(unit), 10, 10, region)
     for q1 in (0, -2):
         with pytest.raises(ValueError, match="Q1 must be positive"):
-            large_sieve_ratios(one, unit, q1, 10, region)
+            large_sieve_ratios(one, *_xy(unit), q1, 10, region)
     with pytest.raises(UnsupportedWeight):
-        large_sieve_ratios(one, unit, 5, 20, region, weight=[(5.0, 1.0), (20.0, 2.0)])
+        large_sieve_ratios(one, *_xy(unit), 5, 20, region, weight=[(5.0, 1.0), (20.0, 2.0)])
     with pytest.raises(UnsupportedWeight):
-        large_sieve_ratios(one, unit, 5, 20, region, weight=[(5.0, 1.0)])
+        large_sieve_ratios(one, *_xy(unit), 5, 20, region, weight=[(5.0, 1.0)])
     with pytest.raises(ValueError):
-        large_sieve_ratios(one, [gauss.element(9, 0)], 5, 20, region)
+        large_sieve_ratios(one, *_xy([gauss.element(9, 0)]), 5, 20, region)
     els = [gauss.element(1, 0), gauss.element(0, 0), gauss.element(9, 0)]
     with pytest.raises(ValueError, match=r"support 0\+0w outside"):
-        large_sieve_ratios(np.ones(3), els, 5, 20, region)
+        large_sieve_ratios(np.ones(3), *_xy(els), 5, 20, region)
     # (2^32)^2 + 1^2 wraps to 1 in int64
     with pytest.raises(ValueError, match="outside the region"):
-        large_sieve_ratios(one, [gauss.element(1 << 32, 1)], 5, 20, region)
+        large_sieve_ratios(one, *_xy([gauss.element(1 << 32, 1)]), 5, 20, region)
+    xs, ys = _xy(els)
+    for bad_xs, bad_ys in [(xs, ys[:2]), (xs[None], ys[None])]:
+        with pytest.raises(ValueError, match="coordinate arrays of shapes"):
+            large_sieve_ratios(np.ones(3), bad_xs, bad_ys, 5, 20, region)
 
 
 def test_large_sieve_weighted_matches_manual(gauss):
@@ -481,7 +493,7 @@ def test_large_sieve_weighted_matches_manual(gauss):
     rng = np.random.default_rng(3)
     vec = rng.choice([-1.0, 1.0], size=len(els))
     weight = [(4.0, 1.0), (30.0, 1.0)]  # constant weight 1
-    lhs_w, rhs_w, _ = large_sieve_ratios(vec, els, 4, 30, region, weight=weight)[0]
+    lhs_w, rhs_w, _ = large_sieve_ratios(vec, *_xy(els), 4, 30, region, weight=weight)[0]
     # manual: same sums with factor w(|q|)*|q|/phi = |q|/phi
     lhs = 0.0
     for q in canonical_classes(gauss, 30):
@@ -506,7 +518,7 @@ def test_large_sieve_random_sign_ratios(gauss):
     els = list(enumerate_region(region))
     rng = np.random.default_rng(42)
     mat = rng.choice([-1.0, 1.0], size=(20, len(els)))
-    results = large_sieve_ratios(mat, els, 8, 60, region)
+    results = large_sieve_ratios(mat, *_xy(els), 8, 60, region)
     assert all(ratio <= 10 for _, _, ratio in results)
 
 
@@ -521,15 +533,20 @@ def test_fold_classes_matches_left_to_right_loop(d, qx, qy):
     rng = np.random.default_rng(-d)
     coeffs = rng.normal(size=(3, len(xs))) + 1j * rng.normal(size=(3, len(xs)))
     want = loop_class_fold(coeffs, cid, m.phi)
-    assert lab._pack_lanes(coeffs).lanes == 1
-    assert np.array_equal(lab._fold_classes(lab._pack_lanes(coeffs), cid, m.phi), want)
-    real = lab._fold_classes(lab._pack_lanes(coeffs.real), cid, m.phi)
+    assert _pack(coeffs).lanes == 1
+    assert np.array_equal(lab._fold_classes(_pack(coeffs), cid, m.phi), want)
+    real = lab._fold_classes(_pack(coeffs.real), cid, m.phi)
     assert real.dtype == np.float64 and np.array_equal(real, want.real)
+
+
+def _pack(coeffs):
+    """coeffs packed whole, at the lanes its largest per-vector sum |c| allows."""
+    return lab._pack_lanes(coeffs, lab._lanes_for(lab._coeff_bounds(coeffs)[0]))
 
 
 def _one_lane(coeffs):
     """coeffs unpacked, one vector per bincount: the fold's reference."""
-    return lab._Lanes(lab._real_parts(coeffs), 1, 0, len(coeffs))
+    return lab._Lanes(lab._real_parts(coeffs), 1, len(coeffs))
 
 
 def _fold_bits(pack, cid, phi):
@@ -552,7 +569,7 @@ def test_packed_fold_matches_one_lane(rows):
     assert lanes > 2
     rows = {"L": lanes, "L+1": lanes + 1}.get(rows, rows)
     coeffs = np.random.default_rng(rows).choice([-1.0, 1.0], size=(rows, n))
-    got_lanes, got = _fold_bits(lab._pack_lanes(coeffs), cid, phi)
+    got_lanes, got = _fold_bits(_pack(coeffs), cid, phi)
     assert got_lanes == lanes
     want_lanes, want = _fold_bits(_one_lane(coeffs), cid, phi)
     assert want_lanes == 1 and np.array_equal(got, want)
@@ -575,9 +592,9 @@ def test_packed_fold_at_a_lane_width_step(a, lanes, bits):
     coeffs[:7] = 0.0
     coeffs[:7, i] = np.multiply(signs, a - 5)
     coeffs[:7, j] = np.multiply(signs, 5)
-    assert np.abs(coeffs).sum(axis=1).max() == a
-    pack = lab._pack_lanes(coeffs)
-    assert pack.lanes == lanes and (lanes == 1 or pack.bits == bits)
+    assert np.abs(coeffs).sum(axis=1).max() == a and (2 * a).bit_length() == bits
+    pack = _pack(coeffs)
+    assert pack.lanes == lanes and pack.bits == 53 // lanes
     folded = lab._fold_classes(pack, cid, phi)
     assert list(folded[:7, 0]) == [s * a for s in signs]
     want = _fold_bits(_one_lane(coeffs), cid, phi)[1]
@@ -592,12 +609,12 @@ def test_packed_fold_negative_zero_and_complex():
     coeffs = rng.choice(values, size=shape) + 1j * rng.choice(values, size=shape)
     coeffs[0] = complex(-0.0, -0.0)
     coeffs[1].real = -0.0
-    lanes, got = _fold_bits(lab._pack_lanes(coeffs), cid, phi)
+    lanes, got = _fold_bits(_pack(coeffs), cid, phi)
     assert lanes > 1
     assert np.array_equal(got, _fold_bits(_one_lane(coeffs), cid, phi)[1])
     assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).view(np.int64))
     real = coeffs.real.copy()
-    lanes, got = _fold_bits(lab._pack_lanes(real), cid, phi)
+    lanes, got = _fold_bits(_pack(real), cid, phi)
     assert lanes > 1
     assert np.array_equal(got, _fold_bits(_one_lane(real), cid, phi)[1])
 
@@ -610,7 +627,7 @@ def test_packed_fold_falls_back_to_one_lane(bad):
     coeffs = np.random.default_rng(11).choice([-1.0, 1.0], size=(4, len(cid)))
     coeffs = coeffs + 0j if isinstance(bad, complex) else coeffs
     coeffs[2, 17] = bad
-    pack = lab._pack_lanes(coeffs)
+    pack = _pack(coeffs)
     assert pack.lanes == 1 and np.shares_memory(pack.parts[0], coeffs)
     want = loop_class_fold(coeffs, cid, phi)
     want = want if np.iscomplexobj(coeffs) else want.real
@@ -636,26 +653,155 @@ def test_packed_fold_matches_one_lane_on_every_ring(d, q_index, n_vec, scale, is
     coeffs = rng.integers(-scale, scale + 1, size=(n_vec, len(xs))).astype(np.float64)
     if is_complex:
         coeffs = coeffs + 1j * rng.integers(-scale, scale + 1, size=coeffs.shape)
-    lanes, got = _fold_bits(lab._pack_lanes(coeffs), cid, m.phi)
+    lanes, got = _fold_bits(_pack(coeffs), cid, m.phi)
     assert got.shape[0] == n_vec and (lanes > 1 or scale >= 10**4)
     assert np.array_equal(got, _fold_bits(_one_lane(coeffs), cid, m.phi)[1])
 
 
+_PACK, _FOLD = lab._pack_lanes, lab._fold_classes
+
+
+@contextmanager
+def _spied_folds(one_lane):
+    """(lanes, class sums) of each fold large_sieve_ratios makes, in modulus order.
+
+    With one_lane every pack it asks for comes back as one lane.
+    """
+    folds = []
+
+    def pack(coeffs, lanes, buf=None):
+        return _one_lane(coeffs) if one_lane else _PACK(coeffs, lanes, buf)
+
+    def fold(p, cid, phi):
+        out = _FOLD(p, cid, phi)
+        folds.append((p.lanes, out.copy()))  # the projection then works in place
+        return out
+
+    with mock.patch.object(lab, "_pack_lanes", pack), mock.patch.object(lab, "_fold_classes", fold):
+        yield folds
+
+
+def _packed_against_one_lane(coeffs, xs, ys, q1, q2, region):
+    """Lanes of each packed fold, after checking rows and fold bits against one lane."""
+    runs = []
+    for one_lane in (False, True):
+        with _spied_folds(one_lane) as folds:
+            runs.append((large_sieve_ratios(coeffs, xs, ys, q1, q2, region), folds))
+    (rows, folds), (want_rows, want_folds) = runs
+    assert rows == want_rows
+    assert len(folds) == len(want_folds) and {lanes for lanes, _ in want_folds} <= {1}
+    for (_, got), (_, want) in zip(folds, want_folds):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return [lanes for lanes, _ in folds]
+
+
 @pytest.mark.parametrize("d", [-1, -3])
-def test_large_sieve_packed_matches_one_lane(d, monkeypatch):
+def test_large_sieve_packed_matches_one_lane(d):
     ring = make_ring(d)
     region = a0(ring, 8)
-    els = list(enumerate_region(region))
+    xs, ys, _ = element_arrays(d, 1, region.hi_sq)
     rng = np.random.default_rng(-d)
     inputs = [
-        rng.choice([-1.0, 1.0], size=len(els)),
-        rng.choice([-1.0, 1.0], size=(7, len(els))),
-        rng.integers(-5, 6, size=(4, len(els))) + 1j * rng.integers(-5, 6, size=(4, len(els))),
+        rng.choice([-1.0, 1.0], size=len(xs)),
+        rng.choice([-1.0, 1.0], size=(7, len(xs))),
+        rng.integers(-5, 6, size=(4, len(xs))) + 1j * rng.integers(-5, 6, size=(4, len(xs))),
     ]
-    packed = [large_sieve_ratios(c, els, 2, 40, region) for c in inputs]
-    monkeypatch.setattr(lab, "_pack_lanes", _one_lane)
-    for c, rows in zip(inputs, packed):
-        assert rows == large_sieve_ratios(c, els, 2, 40, region)
+    for c in inputs:
+        lanes = _packed_against_one_lane(c, xs, ys, 2, 40, region)
+        assert lanes and min(lanes) > 1
+
+
+def _class_counts(m, xs, ys):
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    return np.bincount(cid[cid >= 0], minlength=m.phi)
+
+
+def test_large_sieve_bench_moduli_take_more_lanes():
+    # the bench's elements and signs: A = n gives 3 lanes for the whole matrix,
+    # and each modulus takes the lanes its largest coprime class allows
+    ring = make_ring(-1)
+    region = a0(ring, 50)
+    xs, ys, _ = element_arrays(-1, 1, region.hi_sq)
+    n = len(xs)
+    assert n == 7844 and 53 // (2 * n).bit_length() == 3
+    coeffs = np.random.default_rng(7).choice([-1.0, 1.0], size=(8, n))
+    lanes = _packed_against_one_lane(coeffs, xs, ys, 10, 20, region)
+    moduli = [make_modulus(ring, q) for q in canonical_classes(ring, 20) if 10 < q.norm()]
+    moduli = [m for m in moduli if lab._has_primitive(m)]
+    want = [53 // (2 * int(_class_counts(m, xs, ys).max())).bit_length() for m in moduli]
+    assert lanes == want and min(want) > 3
+
+
+@pytest.mark.parametrize("cmax,amax,lanes", [(7, 73, 5), (8, 64, 4), (15, 4369, 3), (16, 4096, 2)])
+def test_large_sieve_class_sum_at_a_lane_width_step(cmax, amax, lanes):
+    # q = 3 is the one Gaussian modulus of norm in (8.5, 9.5]; two of its
+    # classes hold cmax elements each, so amax * cmax is the per-class bound,
+    # half of A, and it sits on one side of a lane-width step; each vector's
+    # two class sums are +-amax * cmax, the extreme digits
+    ring = make_ring(-1)
+    region = a0(ring, 12)
+    m = make_modulus(ring, ring.element(3, 0))
+    all_xs, all_ys, _ = element_arrays(-1, 1, region.hi_sq)
+    cid = lab._coprime_index(m)[lab._rids(m, all_xs, all_ys)]
+    pick = np.concatenate([np.flatnonzero(cid == 0)[:cmax], np.flatnonzero(cid == 5)[:cmax]])
+    xs, ys = all_xs[pick], all_ys[pick]
+    assert _class_counts(m, xs, ys).max() == cmax
+    signs = np.array([1, 1, 1, -1, -1, 1, -1, 1, 1, -1, -1, -1, 1], dtype=np.float64)
+    coeffs = np.repeat(signs[:, None] * amax, 2 * cmax, axis=1)
+    coeffs[:, cmax:] *= -1
+    bound = amax * cmax
+    assert lab._lanes_for(bound) == lanes and lab._lanes_for(bound - 1) > lab._lanes_for(bound + 1)
+    with _spied_folds(False) as folds:
+        large_sieve_ratios(coeffs, xs, ys, 8.5, 9.5, region)
+    ((got_lanes, folded),) = folds
+    assert got_lanes == lanes
+    assert list(folded[:, 0]) == list(signs * amax * cmax)
+    assert list(folded[:, 5]) == list(-signs * amax * cmax)
+    assert _packed_against_one_lane(coeffs, xs, ys, 8.5, 9.5, region) == [lanes]
+
+
+def test_large_sieve_huge_coefficient_leaves_the_lanes_to_a():
+    # one coefficient 2^10 among signs: amax * cmax is above A on every
+    # modulus, so the vector sum A, not the class bound, sets the lanes
+    ring = make_ring(-1)
+    region = a0(ring, 8)
+    xs, ys, _ = element_arrays(-1, 1, region.hi_sq)
+    coeffs = np.random.default_rng(3).choice([-1.0, 1.0], size=(9, len(xs)))
+    coeffs[4, 17] = 2.0**10
+    a = 2**10 + len(xs) - 1
+    moduli = [make_modulus(ring, q) for q in canonical_classes(ring, 40) if 2 < q.norm()]
+    moduli = [m for m in moduli if lab._has_primitive(m)]
+    assert all(2**10 * _class_counts(m, xs, ys).max() > a for m in moduli)
+    lanes = _packed_against_one_lane(coeffs, xs, ys, 2, 40, region)
+    assert lanes == [lab._lanes_for(a)] * len(moduli) and lab._lanes_for(a) == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from(SUPPORTED_D),
+    n=st.integers(2, 9),
+    q1=st.integers(1, 20),
+    width=st.integers(1, 30),
+    n_vec=st.integers(0, 9),
+    scale=st.sampled_from([1, 7, 300, 10**4, 10**6]),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_large_sieve_packed_matches_one_lane_on_every_ring(
+    d, n, q1, width, n_vec, scale, is_complex, seed
+):
+    ring = make_ring(d)
+    region = a0(ring, n)
+    xs, ys, _ = element_arrays(d, 1, region.hi_sq)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(xs)) < 0.8
+    xs, ys = xs[keep], ys[keep]
+    coeffs = rng.integers(-scale, scale + 1, size=(n_vec, len(xs))).astype(np.float64)
+    if is_complex:
+        coeffs = coeffs + 1j * rng.integers(-scale, scale + 1, size=coeffs.shape)
+    lanes = _packed_against_one_lane(coeffs, xs, ys, q1, q1 + width, region)
+    a = lab._coeff_bounds(coeffs)[0]
+    assert all(q >= lab._lanes_for(a) for q in lanes)
 
 
 def test_large_sieve_checks_the_coefficient_shape(gauss):
@@ -667,10 +813,10 @@ def test_large_sieve_checks_the_coefficient_shape(gauss):
     bad_shapes = [(1, 153), (153,), (2, 1, 148), (1, 147), ()]
     for bad in map(np.ones, bad_shapes):
         with pytest.raises(ValueError, match="does not match 148 elements"):
-            large_sieve_ratios(bad, els, 17, 18, region)
+            large_sieve_ratios(bad, *_xy(els), 17, 18, region)
     with pytest.raises(ValueError, match="does not match 148 elements"):
-        large_sieve_ratios(np.ones((3, 147)), els, 4, 30, region)
-    assert large_sieve_ratios(np.zeros((0, 148)), els, 4, 30, region) == []
+        large_sieve_ratios(np.ones((3, 147)), *_xy(els), 4, 30, region)
+    assert large_sieve_ratios(np.zeros((0, 148)), *_xy(els), 4, 30, region) == []
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -7, -163])
@@ -690,7 +836,7 @@ def test_large_sieve_matches_primitive_character_sums(d):
     ]
     for weight in (None, [(2.0, 1.0), (10.0, 0.5), (40.0, 0.2)]):
         for mat in inputs:
-            rows = large_sieve_ratios(mat, els, 2, 40, region, weight)
+            rows = large_sieve_ratios(mat, *_xy(els), 2, 40, region, weight)
             want = character_sum_lhs(mat, els, 2, 40, ring, weight)
             for (lhs, rhs, ratio), w in zip(rows, want):
                 assert lhs >= 0
@@ -718,15 +864,15 @@ def test_large_sieve_norm_two_prime_once_adds_zero(d, p):
     nq = 2 * p * p
     moduli = [make_modulus(ring, q) for q in canonical_classes(ring, nq) if q.norm() == nq]
     assert moduli and not any(m.primitive_characters() for m in moduli)
-    assert [lhs for lhs, _, _ in large_sieve_ratios(mat, els, nq - 1, nq, region)] == [0.0, 0.0]
+    assert [lhs for lhs, _, _ in large_sieve_ratios(mat, *_xy(els), nq - 1, nq, region)] == [0.0, 0.0]
 
 
 def test_large_sieve_real_and_complex_input_agree(gauss):
     region = a0(gauss, 12)
     els = list(enumerate_region(region))
     mat = np.random.default_rng(5).choice([-1.0, 1.0], size=(6, len(els)))
-    got = large_sieve_ratios(mat, els, 4, 60, region)
-    assert got == large_sieve_ratios(mat.astype(np.complex128), els, 4, 60, region)
+    got = large_sieve_ratios(mat, *_xy(els), 4, 60, region)
+    assert got == large_sieve_ratios(mat.astype(np.complex128), *_xy(els), 4, 60, region)
 
 
 def test_mertens_examples(gauss):

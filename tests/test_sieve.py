@@ -93,6 +93,28 @@ def test_primes_over_matches_loop(d):
         same_table(primes_over(ring, ps, n), loop_primes_over(ring, ps, n))
 
 
+def test_primes_over_solves_each_norm_equation_once(monkeypatch):
+    # the primes above p are memoized per ring and p; each table is a fresh copy
+    from quadlod import sieve
+
+    ps = [2, 3, 5, 7, 11, 13]
+    cases = [(make_ring(d), n) for d in (-1, -7) for n in (4, 50, 10**4)]
+    loops = [loop_primes_over(ring, ps, n) for ring, n in cases]
+    sieve._primes_above.cache_clear()
+    calls = []
+    solve = sieve.solve_norm_equation
+    monkeypatch.setattr(
+        sieve, "solve_norm_equation", lambda ring, m: calls.append((ring.d, m)) or solve(ring, m)
+    )
+    for _ in range(3):
+        for (ring, n), loop in zip(cases, loops):
+            table = primes_over(ring, ps, n)
+            same_table(table, loop)
+            table.xs[:] = 0
+    want = [(d, p) for d in (-1, -7) for p in ps if splitting_type(make_ring(d), p) != "inert"]
+    assert sorted(calls) == sorted(want)
+
+
 @pytest.mark.parametrize("d", SUPPORTED_D)
 def test_readers_of_the_table_unchanged(d):
     """The factor sieve and the six builtins read the array table as the loops did."""
