@@ -598,10 +598,9 @@ class _Lanes:
 
 
 def _coeff_bounds(coeffs: np.ndarray) -> tuple[float, float]:
-    """(A, amax): the largest sum of |part| over one vector and the largest |part|.
+    """(A, amax): the largest sum of |part| over one vector, and the largest |part|.
 
-    (inf, inf) when some real part is not an integer or is NaN; the row check
-    stops at the first such row.  An inf part makes A inf.
+    (inf, inf) as soon as a row is not integer (NaN included); inf makes A inf.
     """
     a = amax = 0.0
     for part in _real_parts(coeffs):
@@ -615,11 +614,7 @@ def _coeff_bounds(coeffs: np.ndarray) -> tuple[float, float]:
 
 
 def _lanes_for(a: float) -> int:
-    """Lanes per float64 when every partial class sum of a vector lies in [-a, a].
-
-    53 // b for b = (2a).bit_length() (`_pack_lanes`); 1 when that is below 2
-    or a is not finite.
-    """
+    """53 // (2a).bit_length() lanes (`_pack_lanes`), and 1 for inf or past 2^25."""
     if not math.isfinite(a):
         return 1
     return max(53 // max((2 * int(a)).bit_length(), 1), 1)
@@ -629,16 +624,14 @@ def _pack_lanes(coeffs: np.ndarray, lanes: int, buf: np.ndarray | None = None) -
     """Pack the rows of coeffs (n_vec, n) `lanes` to a float64, b = 53 // lanes bits apart.
 
     Each packed row is sum_j c_j * 2^(b j) over L = lanes vectors: balanced
-    base-2^b digits.  The pack is exact for a fold whose partial class sums
-    of one vector all lie in [-a, a], where a is an integer with
-    53 // (2a).bit_length() >= L (`_lanes_for`): then 2a < 2^b and bL <= 53,
-    so every partial sum of a packed row has magnitude at most
-    a (2^(bL) - 1) / (2^b - 1) < 2^52 and every lower-lane remainder is below
-    half a unit of the lane above.  float64 holds those integers exactly, so
-    packing, folding and decoding are exact in any order.  With lanes 1 the
-    parts are views of coeffs.  Packs in place (Horner, top lane first) into
-    buf, (real parts, groups or more, n), when it is given; no other
-    full-size array.
+    base-2^b digits.  If every partial class sum of a vector lies in [-a, a]
+    and L <= `_lanes_for(a)`, then 2a < 2^b and bL <= 53, so every partial
+    sum of a packed row has magnitude at most a (2^(bL) - 1) / (2^b - 1) <
+    2^52 and every lower-lane remainder is below half a unit of the lane
+    above: float64 holds those integers exactly, so packing, folding and
+    decoding are exact in any order.  With lanes 1 the parts are views of
+    coeffs.  Packs in place (Horner, top lane first) into buf, (real parts,
+    groups or more, n), when given.
     """
     parts = _real_parts(coeffs)
     if lanes == 1:
@@ -754,17 +747,14 @@ def large_sieve_ratios(
     squared norm is the sum of the squared primitive character sums.  Real
     coefficients are summed as float64, complex ones as complex128, in a fixed
     order with no BLAS.  When every coefficient (every real part) is a finite
-    integer, as the CLI's signs are, each class sum is an exact integer, and
-    one bincount folds several packed vectors (`_pack_lanes`) with the same
-    bits as one bincount per vector.  Each modulus takes the lanes that its
-    own classes allow: a partial class sum is at most min(A, amax * cmax),
-    for A the largest per-vector sum |c|, amax the largest |c| and cmax the
-    largest coprime class count.  The moduli come in canonical order, so the
-    lane count changes rarely; the rows are repacked, into one buffer sized
-    for A alone, only when it does.  Input with A too large for 2 lanes keeps
-    one lane.  xs and ys are the elements' coordinates, one per column;
-    coeff_matrix is (vectors, len(xs)) or one vector of len(xs); any other
-    shape is a ValueError.
+    integer, as the CLI's signs are, one bincount folds several packed
+    vectors (`_pack_lanes`) with the bits of one bincount per vector.  A
+    modulus packs as many as min(A, amax * cmax) allows (`_lanes_for`), for
+    A the largest sum |c| of a vector, amax the largest |c| and cmax the
+    largest coprime class count, at least as many as A alone; the rows are
+    repacked, into one buffer, only when that count changes.  coeff_matrix
+    is (vectors, len(xs)) or one vector of len(xs); any other shape is a
+    ValueError.
     """
     if not q1 > 0:
         raise ValueError(f"Q1 must be positive, got {q1}")
