@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -84,15 +83,8 @@ class Modulus:
             v += a * k
         return v
 
-    def rid(self, xi: AlgInt) -> int:
-        return self.rid_xy(xi.x, xi.y)
-
     def rid_coords(self, rid):
         return (rid % self.hnf_a, rid // self.hnf_a)
-
-    def element(self, rid: int) -> AlgInt:
-        x, j = self.rid_coords(rid)
-        return AlgInt(self.ring, x, j)
 
     def mul_rid(self, r1, r2):
         """rid of the product; ints or int64 arrays."""
@@ -161,27 +153,12 @@ class Modulus:
             [complex(math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)) for t in ts]
         )
 
-    def coprime(self, xi: AlgInt) -> bool:
-        return bool(self.coprime_index[self.rid(xi)] >= 0)
-
     # -- characters --------------------------------------------------------
 
     @cached_property
     def characters(self) -> list[DirichletCharacter]:
         ranges = map(range, self.unit_group[1])
         return [DirichletCharacter(self, exps) for exps in itertools.product(*ranges)]
-
-    def primitive_characters(self) -> list[DirichletCharacter]:
-        chars = self.characters
-        keep = self._primitive(np.array([chi.exponents for chi in chars], dtype=np.int64))
-        return [chi for chi, p in zip(chars, keep) if p]
-
-    def character_phase_matrix(self, chars=None):
-        """Phases k/L, rows = characters, columns = unit_rids order."""
-        if chars is None:
-            chars = self.characters
-        ex = np.array([chi.exponents for chi in chars], dtype=np.int64)  # (chars, r)
-        return ex @ self._phase_dlog[self.unit_rids].T % self.exponent / self.exponent
 
     def _factors_mod(self, f: AlgInt, exps: np.ndarray) -> np.ndarray:
         """Whether the characters with exponent vectors exps (..., r) factor mod f.
@@ -226,11 +203,6 @@ class Modulus:
 def trivial_modulus(ring: RingDescriptor) -> Modulus:
     """The norm-1 modulus (1): one residue class, one (principal) character."""
     return Modulus(ring, ring.one(), _allow_trivial=True)
-
-
-def make_modulus(ring: RingDescriptor, q: AlgInt) -> Modulus:
-    """Residue ring constructor; rejects zero and unit moduli."""
-    return Modulus(ring, q)
 
 
 def _pow(x, n: int, mul, one):
@@ -354,21 +326,6 @@ class DirichletCharacter:
         """Integer phase mod L at every rid (0 off the unit group)."""
         m = self.modulus
         return m._phase_dlog @ np.array(self.exponents, dtype=np.int64) % m.exponent
-
-    def phase(self, xi: AlgInt) -> Fraction | None:
-        """Exact phase k/L in [0, 1), or None when gcd(xi, q) is not a unit."""
-        m = self.modulus
-        if not m.coprime(xi):
-            return None
-        return Fraction(int(self.phases[m.rid(xi)]), m.exponent)
-
-    def __call__(self, xi: AlgInt) -> complex:
-        return self.value_of_rid(self.modulus.rid(xi))
-
-    def value_of_rid(self, rid: int) -> complex:
-        """chi at the residue rid, 0j off the unit group."""
-        m = self.modulus
-        return complex(m.circle[self.phases[rid]]) if m.coprime_index[rid] >= 0 else 0j
 
     @cached_property
     def conductor(self) -> Modulus:

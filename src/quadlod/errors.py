@@ -25,10 +25,6 @@ class BothZero(QlodError):
     """gcd(0, 0) requested."""
 
 
-class ZeroOrUnit(QlodError):
-    """Primality is undefined for zero and units."""
-
-
 class BoundsTooLarge(QlodError):
     """Requested bound exceeds the configured memory guard."""
 
@@ -47,14 +43,6 @@ class CorruptFile(QlodError):
 
 class ZeroOrUnitModulus(QlodError):
     """Moduli must have norm at least 2."""
-
-
-class NotCoprime(QlodError):
-    """Residue parameter shares a non-unit divisor with the modulus."""
-
-
-class PrincipalCharacter(QlodError):
-    """The cancellation bound is only defined for non-principal characters."""
 
 
 class EmptyModulusRange(QlodError):

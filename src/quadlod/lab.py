@@ -39,8 +39,6 @@ from .characters import DirichletCharacter, Modulus
 from .errors import (
     BoundsTooLarge,
     EmptyModulusRange,
-    NotCoprime,
-    PrincipalCharacter,
     TableTooSmall,
     UnsupportedWeight,
 )
@@ -79,23 +77,6 @@ def _a0_values(f: ArithFn, n: float) -> tuple[np.ndarray, ...]:
     return xs, ys, norms, _fvals(f, xs, ys)
 
 
-def epsilon(f: ArithFn, m_cut: float, m: Modulus, gamma: AlgInt) -> complex:
-    """The progression error at a single cut M."""
-    xs, ys, _, fv = _a0_values(f, m_cut)
-    if not m.coprime(gamma):
-        raise NotCoprime(f"gamma={gamma} shares a divisor with q={m.q}")
-    if m.phi == 1:
-        return 0j  # the single coprime class equals the coprime set
-    rid = _rids(m, xs, ys)
-    a_sum = fv[rid == m.rid(gamma)].sum()
-    b_sum = fv[_coprime_index(m)[rid] >= 0].sum()
-    # componentwise division: complex/int rounds differently across runtimes
-    return complex(
-        float(a_sum.real) - float(b_sum.real) / m.phi,
-        float(a_sum.imag) - float(b_sum.imag) / m.phi,
-    )
-
-
 @dataclass
 class SweepResult:
     max_abs: float
@@ -103,11 +84,6 @@ class SweepResult:
     argmax_norm: int  # squared-norm breakpoint where the max is first attained
     gamma_x: int
     gamma_y: int
-
-
-def epsilon_sweep(f: ArithFn, n: float, m: Modulus) -> SweepResult:
-    """Exact max over real M <= N and coprime gamma of |eps(M; q, gamma; f)|."""
-    return _best_at(m, _sweep_arrays(m, *_a0_values(f, n)), [math.inf])[0]
 
 
 # Cells of one (class x breakpoint) block of the sweep: bounds its working
@@ -436,7 +412,7 @@ def lod_scan(cfg: LodScanConfig, f: ArithFn, workers: int = 1) -> list[LodTable]
 # -- Siegel-Walfisz sums ---------------------------------------------------
 
 
-def _twisted_sum(fv: np.ndarray, cid: np.ndarray, chi: DirichletCharacter) -> complex:
+def sw_term(fv: np.ndarray, cid: np.ndarray, chi: DirichletCharacter) -> complex:
     """sum of fv * chi over the elements, in element order.
 
     cid is each element's coprime class index (-1 off the unit group); the
@@ -445,24 +421,6 @@ def _twisted_sum(fv: np.ndarray, cid: np.ndarray, chi: DirichletCharacter) -> co
     m = chi.modulus
     table = np.append(m.circle[chi.phases[m.unit_rids]], 0j)
     return complex((fv * table[cid]).sum())
-
-
-def sw_sum(f: ArithFn, n: float, chi: DirichletCharacter) -> complex:
-    """Character-twisted sum of f over the elements of A0(N)."""
-    m = chi.modulus
-    xs, ys, _, fv = _a0_values(f, n)
-    return _twisted_sum(fv, _coprime_index(m)[_rids(m, xs, ys)], chi)
-
-
-def sw_term(
-    f: ArithFn, n: float, chi: DirichletCharacter, bound_power: float
-) -> tuple[complex, float]:
-    """(twisted sum, |sum| * (log N)^bound_power / count); non-principal only."""
-    if chi.is_principal:
-        raise PrincipalCharacter("the cancellation bound needs a non-principal chi")
-    s = sw_sum(f, n, chi)
-    cnt = count_region(a0(f.ring, n))
-    return s, abs(s) * math.log(n) ** bound_power / cnt
 
 
 @dataclass
@@ -508,7 +466,7 @@ def sw_check(
         for chi in m.characters:
             if chi.is_principal:
                 continue
-            s = _twisted_sum(fv, cid, chi)
+            s = sw_term(fv, cid, chi)
             scaled = abs(s) * log_power / cnt
             rows.append(
                 {

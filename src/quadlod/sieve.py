@@ -25,7 +25,6 @@ from .errors import (
     RingMismatch,
     TableTooSmall,
     ZeroElement,
-    ZeroOrUnit,
 )
 from .regions import (
     DEFAULT_GUARD, _key, canonical_coords, class_arrays, class_index, class_products,
@@ -217,32 +216,12 @@ def _primes_above(ring: RingDescriptor, p: int) -> tuple[tuple[int, int, int, in
     return tuple((p, pi.x, pi.y, _SPLIT_CODE[t]) for pi in sols)
 
 
-def is_prime(xi: AlgInt) -> bool:
-    """True iff the principal ideal (xi) is a prime ideal."""
-    n = xi.norm()
-    if n <= 1:
-        raise ZeroOrUnit("primality undefined for zero and units")
-    if prime_divisors(n) == [n]:
-        return True
-    r = math.isqrt(n)
-    if r * r == n and prime_divisors(r) == [r] and kronecker_disc(xi.ring, r) == -1:
-        # norm p^2 with p inert: only associates of p qualify
-        return canonical_associate(xi) == canonical_associate(AlgInt(xi.ring, r, 0))
-    return False
-
-
 @dataclass
 class FactorMap:
     """unit * prod(prime^exp) == the factored element, factors sorted."""
 
     unit: AlgInt
     factors: list[tuple[AlgInt, int]] = field(default_factory=list)
-
-    def reconstruct(self) -> AlgInt:
-        out = self.unit
-        for pi, e in self.factors:
-            out = out * pi**e
-        return out
 
 
 def factor(xi: AlgInt, table: PrimeTable) -> FactorMap:
@@ -293,14 +272,6 @@ def factor_by_norm(xi: AlgInt) -> FactorMap:
     if n > DEFAULT_GUARD:
         raise BoundsTooLarge(f"norm {n} exceeds guard={DEFAULT_GUARD}")
     return factor(xi, primes_over(xi.ring, prime_divisors(n), n))
-
-
-def von_mangoldt(xi: AlgInt, table: PrimeTable) -> float:
-    """log N(p) on powers of a single prime class, 0 elsewhere."""
-    fm = factor(xi, table)
-    if len(fm.factors) != 1:
-        return 0.0
-    return math.log(fm.factors[0][0].norm())
 
 
 class FactorSieve:

@@ -214,14 +214,17 @@ def loop_sweep_running(m, xs, ys, norms, fv):
 
 
 def loop_sw_check_reference(f, n, d_power, bound_power=None):
-    """The sw_check -> sw_term -> sw_sum loop that lab.sw_check replaced, verbatim.
+    """The sw_check -> sw_term -> sw_sum loop that lab.sw_check replaced.
 
-    Every non-principal character rebuilds the element arrays, f's values,
-    the residue ids and the coprime index, then sums over all of A0(N).  Its
-    float summation order is the one the library must reproduce bit for bit.
+    It is kept as it was, except that chi_of_rid reads each character value
+    and the principal characters, which the scan skips, are not checked
+    again.  Every non-principal character rebuilds the element arrays, f's
+    values, the residue ids and the coprime index, then sums over all of
+    A0(N).  Its float summation order is the one the library must reproduce
+    bit for bit.
     """
     from quadlod.characters import Modulus
-    from quadlod.errors import PrincipalCharacter, TableTooSmall
+    from quadlod.errors import TableTooSmall
     from quadlod.lab import SWReport, _coprime_index, _fvals, _rids
     from quadlod.regions import a0, canonical_classes, count_region, element_arrays
 
@@ -235,15 +238,13 @@ def loop_sw_check_reference(f, n, d_power, bound_power=None):
         rid = _rids(m, xs, ys)
         cid = _coprime_index(m)[rid] if m.norm > 1 else np.zeros(len(rid), dtype=np.int64)
         table = np.array(
-            [complex(v) for v in (chi.value_of_rid(r) for r in m.unit_rids)],
+            [complex(v) for v in (chi_of_rid(chi, r) for r in m.unit_rids)],
             dtype=np.complex128,
         )
         chi_vals = np.where(cid >= 0, table[np.maximum(cid, 0)], 0j)
         return complex((fv * chi_vals).sum())
 
     def sw_term(f, n, chi, bound_power):
-        if chi.is_principal:
-            raise PrincipalCharacter("the cancellation bound needs a non-principal chi")
         s = sw_sum(f, n, chi)
         cnt = count_region(a0(f.ring, n))
         return s, abs(s) * math.log(n) ** bound_power / cnt
@@ -337,7 +338,7 @@ class LoopFactorSieve:
                 exps[key] = (pi, 1)
         factors = sorted(exps.values(), key=lambda t: (t[0].norm(), t[0].x, t[0].y))
         fm = FactorMap(unit=AlgInt(self.ring, 1, 0), factors=factors)
-        unit = divide_exact(xi, fm.reconstruct())
+        unit = divide_exact(xi, reconstruct(fm))
         fm.unit = unit
         return fm
 
@@ -682,7 +683,7 @@ def loop_unit_circle(ph: Fraction) -> complex:
 class LoopUnitGroup:
     """The unit group and characters of a Modulus, by the dict and Fraction loops.
 
-    Only the modulus's coset arithmetic (element, mul_rid, one_rid) and its
+    Only the modulus's coset arithmetic (rid_coords, mul_rid, one_rid) and its
     factorization and divisor list are read.
     """
 
@@ -695,7 +696,7 @@ class LoopUnitGroup:
         else:
             self.unit_rids = []
             for r in range(m.norm):
-                rep = m.element(r)
+                rep = residue(m, r)
                 if rep.is_zero():
                     continue
                 if gcd(rep, m.q).is_unit():
@@ -721,7 +722,7 @@ class LoopUnitGroup:
         m = self.m
         one = m.ring.one()
         for r in self.unit_rids:
-            a = m.element(r)
+            a = residue(m, r)
             if divide_exact(a - one, f_el) is None:
                 continue
             if self.phase_of_rid(exponents, r) != 0:
@@ -846,10 +847,10 @@ def character_sum_lhs(coeff_matrix, elements, q1, q2, ring, weight=None):
         if nq <= q1 or nq < 2:
             continue
         m = Modulus(ring, q)
-        prims = m.primitive_characters()
+        prims = primitive_characters(m)
         if not prims:
             continue
-        p_mat = np.exp(2j * np.pi * m.character_phase_matrix(prims))  # (n_prim, phi)
+        p_mat = np.exp(2j * np.pi * phase_matrix(m, prims))  # (n_prim, phi)
         folded = loop_class_fold(coeff_matrix, m.coprime_index[m.rid_xy(xs, ys)], m.phi)
         s = np.einsum("cu,vu->cv", p_mat, folded)  # (n_prim, n_vec)
         contrib = (np.abs(s) ** 2).sum(axis=0)
@@ -858,3 +859,88 @@ def character_sum_lhs(coeff_matrix, elements, q1, q2, ring, weight=None):
         )
         lhs += factor * contrib
     return lhs
+
+
+# -- element-level readers and single-cut sums that the library dropped ------
+#
+# quadlod reduces whole coordinate arrays (Modulus.rid_xy, coprime_index,
+# DirichletCharacter.phases); these read one element, one residue or one cut.
+
+
+def residue(m, rid):
+    """The representative x + j*omega of the residue rid mod q."""
+    return AlgInt(m.ring, *m.rid_coords(rid))
+
+
+def rid_of(m, xi):
+    return m.rid_xy(xi.x, xi.y)
+
+
+def is_coprime(m, xi):
+    return bool(m.coprime_index[rid_of(m, xi)] >= 0)
+
+
+def chi_of_rid(chi, rid):
+    """chi at the residue rid, 0j off the unit group."""
+    m = chi.modulus
+    return complex(m.circle[chi.phases[rid]]) if m.coprime_index[rid] >= 0 else 0j
+
+
+def chi_at(chi, xi):
+    """chi at the element xi, 0j when gcd(xi, q) is not a unit."""
+    return chi_of_rid(chi, rid_of(chi.modulus, xi))
+
+
+def chi_phase(chi, rid):
+    """The exact phase k/L in [0, 1) at a coprime residue rid."""
+    return Fraction(int(chi.phases[rid]), chi.modulus.exponent)
+
+
+def primitive_characters(m):
+    return [chi for chi in m.characters if chi.is_primitive]
+
+
+def phase_matrix(m, chars):
+    """Phases k/L, rows = characters, columns = unit_rids order."""
+    return np.array([chi.phases[m.unit_rids] for chi in chars]) / m.exponent
+
+
+def reconstruct(fm):
+    """unit * prod(prime^exp) of a FactorMap."""
+    out = fm.unit
+    for pi, e in fm.factors:
+        out = out * pi**e
+    return out
+
+
+def epsilon(f, m_cut, m, gamma):
+    """The progression error eps(M; q, gamma; f) at the single cut M = m_cut."""
+    from quadlod.lab import _a0_values
+
+    xs, ys, _, fv = _a0_values(f, m_cut)
+    if m.phi == 1:
+        return 0j  # the single coprime class equals the coprime set
+    rid = m.rid_xy(xs, ys)
+    a_sum = fv[rid == rid_of(m, gamma)].sum()
+    b_sum = fv[m.coprime_index[rid] >= 0].sum()
+    # componentwise division: complex/int rounds differently across runtimes
+    return complex(
+        float(a_sum.real) - float(b_sum.real) / m.phi,
+        float(a_sum.imag) - float(b_sum.imag) / m.phi,
+    )
+
+
+def epsilon_sweep(f, n, m):
+    """The library sweep's exact max over real M <= N and coprime gamma, for one modulus."""
+    from quadlod.lab import _a0_values, _best_at, _sweep_arrays
+
+    return _best_at(m, _sweep_arrays(m, *_a0_values(f, n)), [math.inf])[0]
+
+
+def sw_sum(f, n, chi):
+    """Character-twisted sum of f over the elements of A0(N), through lab.sw_term."""
+    from quadlod.lab import _a0_values, sw_term
+
+    m = chi.modulus
+    xs, ys, _, fv = _a0_values(f, n)
+    return sw_term(fv, m.coprime_index[m.rid_xy(xs, ys)], chi)

@@ -12,12 +12,11 @@ import pytest
 import sympy
 
 from quadlod.arith import convolve, tabulate
-from quadlod.characters import make_modulus
+from quadlod.characters import Modulus
 from quadlod.lab import (
     LodScanConfig,
     _fvals,
     convolution_experiment,
-    epsilon_sweep,
     large_sieve_ratios,
     mertens_sums,
     write_conv_csv,
@@ -32,7 +31,7 @@ from quadlod.rings import SUPPORTED_D, AlgInt, gcd, make_ring
 from quadlod.sieve import sieve_primes, splitting_type
 from quadlod.arith import unit_fold_check
 from conftest import random_int_fn
-from _oracles import brute_common_divisor, cumsum_sweep_max
+from _oracles import brute_common_divisor, cumsum_sweep_max, epsilon_sweep, phase_matrix
 from quadlod.rings import divide_exact
 
 
@@ -151,8 +150,8 @@ def test_criterion_05_character_orthogonality():
         for q in canonical_classes(ring, 500):
             if q.norm() < 2:
                 continue
-            m = make_modulus(ring, q)
-            u = np.exp(2j * np.pi * m.character_phase_matrix()) / math.sqrt(m.phi)
+            m = Modulus(ring, q)
+            u = np.exp(2j * np.pi * phase_matrix(m, m.characters)) / math.sqrt(m.phi)
             eye = np.eye(m.phi)
             worst = max(worst, float(np.max(np.abs(u @ u.conj().T - eye))))
             worst = max(worst, float(np.max(np.abs(u.conj().T @ u - eye))))
@@ -202,7 +201,7 @@ def test_criterion_08_sweep_exactness():
         f = random_int_fn(ring, 400, seed=800 + seed)
         fv = _fvals(f, xs, ys)
         for q in moduli:
-            m = make_modulus(ring, q)
+            m = Modulus(ring, q)
             got = epsilon_sweep(f, 20, m).max_abs
             expect = cumsum_sweep_max(m, xs, ys, norms, fv)
             assert got == expect, (seed, q)

@@ -7,48 +7,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import LoopUnitGroup, hnf_rid_xy, loop_unit_circle
-from quadlod.characters import Modulus, make_modulus, trivial_modulus
+from _oracles import (
+    LoopUnitGroup,
+    chi_at,
+    chi_of_rid,
+    chi_phase,
+    hnf_rid_xy,
+    is_coprime,
+    loop_unit_circle,
+    phase_matrix,
+    primitive_characters,
+    residue,
+    rid_of,
+)
+from quadlod.characters import Modulus, trivial_modulus
 from quadlod.errors import ZeroOrUnitModulus
 from quadlod.regions import canonical_classes
-from quadlod.rings import SUPPORTED_D, AlgInt, divide_exact, gcd, make_ring
+from quadlod.rings import SUPPORTED_D, divide_exact, gcd, make_ring
 
 
 def unit_char_matrix(m):
     """Rows chi, columns unit residues; built from exact phases."""
     rows = []
     for chi in m.characters:
-        rows.append([complex(chi.value_of_rid(r)) for r in m.unit_rids])
+        rows.append([chi_of_rid(chi, r) for r in m.unit_rids])
     return np.array(rows, dtype=np.complex128)
 
 
 def test_modulus_examples(gauss):
-    m = make_modulus(gauss, gauss.element(3, 0))
+    m = Modulus(gauss, gauss.element(3, 0))
     assert m.norm == 9 and m.phi == 8
     assert m.unit_group[1] == (8,)  # (Z[i]/3)* is F_9*, cyclic
 
-    m = make_modulus(gauss, gauss.element(1, 1))
+    m = Modulus(gauss, gauss.element(1, 1))
     assert m.norm == 2 and m.phi == 1
 
-    m = make_modulus(gauss, gauss.element(5, 0))
+    m = Modulus(gauss, gauss.element(5, 0))
     assert m.phi == 16 and tuple(sorted(m.unit_group[1])) == (4, 4)
 
 
 def test_modulus_rejects_units(gauss):
     with pytest.raises(ZeroOrUnitModulus):
-        make_modulus(gauss, gauss.element(1, 0))
+        Modulus(gauss, gauss.element(1, 0))
     with pytest.raises(ZeroOrUnitModulus):
-        make_modulus(gauss, gauss.element(0, 1))
+        Modulus(gauss, gauss.element(0, 1))
 
 
 def test_modulus_canonicalizes_q(gauss):
-    m = make_modulus(gauss, gauss.element(0, 3))  # 3i, associate of 3
+    m = Modulus(gauss, gauss.element(0, 3))  # 3i, associate of 3
     assert m.q == gauss.element(3, 0)
 
 
 def test_residue_system_complete(gauss):
-    m = make_modulus(gauss, gauss.element(2, 3))
-    residues = [m.element(r) for r in range(m.norm)]
+    m = Modulus(gauss, gauss.element(2, 3))
+    residues = [residue(m, r) for r in range(m.norm)]
     assert len(residues) == m.norm == 13
     # pairwise incongruent and reduction is idempotent
     seen = set()
@@ -94,8 +106,7 @@ def test_rid_xy_matches_general_hnf_formula(d, points):
         got = m.rid_xy(ax, ay)
         assert got.dtype == np.int64 and got.tolist() == hnf_rid_xy(m, ax, ay).tolist()
         assert 0 <= got.min() and got.max() < m.norm
-        ring = m.ring
-        assert [m.rid(AlgInt(ring, x, y)) for x, y in zip(xs, ys)] == got.tolist()
+        assert [m.rid_xy(x, y) for x, y in zip(xs, ys)] == got.tolist()
         assert [hnf_rid_xy(m, x, y) for x, y in zip(xs, ys)] == got.tolist()
 
 
@@ -104,10 +115,10 @@ def test_array_reduction_matches_scalar(d):
     ring = make_ring(d)
     rng = random.Random(d * 5)
     for q in ((7, 2), (6, 0), (3, -5)):
-        m = make_modulus(ring, ring.element(*q))
+        m = Modulus(ring, ring.element(*q))
         xs = np.array([rng.randint(-500, 500) for _ in range(200)], dtype=np.int64)
         ys = np.array([rng.randint(-500, 500) for _ in range(200)], dtype=np.int64)
-        want = [m.rid(AlgInt(ring, x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
+        want = [m.rid_xy(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
         assert m.rid_xy(xs, ys).tolist() == want
         rx, ry = m.rid_coords(m.rid_xy(xs, ys))
         for x, y, cx, cy in zip(xs.tolist(), ys.tolist(), rx.tolist(), ry.tolist()):
@@ -115,16 +126,16 @@ def test_array_reduction_matches_scalar(d):
             assert divide_exact(ring.element(x - cx, y - cy), m.q) is not None
         # products of residues reduce like the products of their elements
         for r1, r2 in zip(want[:40], want[40:80]):
-            prod = m.element(r1) * m.element(r2)
-            assert m.mul_rid(r1, r2) == m.rid(prod)
+            prod = residue(m, r1) * residue(m, r2)
+            assert m.mul_rid(r1, r2) == rid_of(m, prod)
 
 
 def test_euler_phi_examples(gauss):
-    assert make_modulus(gauss, gauss.element(3, 0)).phi == 8
+    assert Modulus(gauss, gauss.element(3, 0)).phi == 8
     q8 = gauss.element(1, 1) ** 3
-    assert make_modulus(gauss, q8).phi == 4
+    assert Modulus(gauss, q8).phi == 4
     for prime_el in (gauss.element(1, 1), gauss.element(2, 1), gauss.element(3, 0)):
-        m = make_modulus(gauss, prime_el)
+        m = Modulus(gauss, prime_el)
         assert m.phi == m.norm - 1
 
 
@@ -137,7 +148,7 @@ def test_phi_by_product_formula(gauss, eisen):
         for q in canonical_classes(ring, 60):
             if q.norm() < 2:
                 continue
-            m = make_modulus(ring, q)
+            m = Modulus(ring, q)
             expect = Fraction(m.norm)
             for p, _ in factor(q, table).factors:
                 expect *= 1 - Fraction(1, p.norm())
@@ -145,10 +156,10 @@ def test_phi_by_product_formula(gauss, eisen):
 
 
 def test_character_counts(gauss):
-    m = make_modulus(gauss, gauss.element(3, 0))
+    m = Modulus(gauss, gauss.element(3, 0))
     assert len(m.characters) == 8
     assert sum(1 for c in m.characters if c.is_principal) == 1
-    m2 = make_modulus(gauss, gauss.element(1, 1))
+    m2 = Modulus(gauss, gauss.element(1, 1))
     assert len(m2.characters) == 1 and m2.characters[0].is_principal
 
 
@@ -158,7 +169,7 @@ def test_character_counts(gauss):
 )
 def test_orthogonality_unitary(d, coords):
     ring = make_ring(d)
-    m = make_modulus(ring, ring.element(*coords))
+    m = Modulus(ring, ring.element(*coords))
     u = unit_char_matrix(m) / math.sqrt(m.phi)
     eye = np.eye(m.phi)
     assert np.max(np.abs(u @ u.conj().T - eye)) < 1e-9
@@ -166,7 +177,7 @@ def test_orthogonality_unitary(d, coords):
 
 
 def test_multiplicativity(gauss):
-    m = make_modulus(gauss, gauss.element(4, 1))
+    m = Modulus(gauss, gauss.element(4, 1))
     rng = random.Random(3)
     chars = m.characters
     units = m.unit_rids
@@ -175,29 +186,29 @@ def test_multiplicativity(gauss):
         ra, rb = rng.choice(units), rng.choice(units)
         prod = m.mul_rid(ra, rb)
         assert abs(
-            chi.value_of_rid(ra) * chi.value_of_rid(rb) - chi.value_of_rid(prod)
+            chi_of_rid(chi, ra) * chi_of_rid(chi, rb) - chi_of_rid(chi, prod)
         ) < 1e-12
 
 
 def test_characters_see_units(gauss):
     # chi(u*xi) = chi(u) * chi(xi): no unit invariance is imposed
-    m = make_modulus(gauss, gauss.element(3, 0))
+    m = Modulus(gauss, gauss.element(3, 0))
     z = gauss.element(2, 1)
     i_unit = gauss.element(0, 1)
     for chi in m.characters:
-        assert abs(chi(i_unit * z) - chi(i_unit) * chi(z)) < 1e-12
-    assert any(abs(chi(i_unit) - 1) > 0.1 for chi in m.characters)
+        assert abs(chi_at(chi, i_unit * z) - chi_at(chi, i_unit) * chi_at(chi, z)) < 1e-12
+    assert any(abs(chi_at(chi, i_unit) - 1) > 0.1 for chi in m.characters)
 
 
 def test_zero_on_non_coprime(gauss):
-    m = make_modulus(gauss, gauss.element(3, 0))
+    m = Modulus(gauss, gauss.element(3, 0))
     for chi in m.characters:
-        assert chi(gauss.element(3, 0)) == 0j
-        assert chi(gauss.element(6, 3)) == 0j
+        assert chi_at(chi, gauss.element(3, 0)) == 0j
+        assert chi_at(chi, gauss.element(6, 3)) == 0j
 
 
 def test_conductor_principal_is_trivial(gauss):
-    m = make_modulus(gauss, gauss.element(3, 2))
+    m = Modulus(gauss, gauss.element(3, 2))
     prin = [c for c in m.characters if c.is_principal][0]
     assert prin.conductor.norm == 1
     assert not prin.is_primitive
@@ -207,7 +218,7 @@ def test_conductor_lifted_character(gauss):
     # q = 3*(1+i): phi(q) = phi(3)*phi(1+i) = 8, so every character mod q
     # factors through (O_K/3)*; the non-principal ones have conductor 3
     q = gauss.element(3, 0) * gauss.element(1, 1)
-    m = make_modulus(gauss, q)
+    m = Modulus(gauss, q)
     assert m.phi == 8
     for chi in m.characters:
         cond = chi.conductor
@@ -219,7 +230,7 @@ def test_conductor_lifted_character(gauss):
 
 
 def test_conductor_prime_modulus(gauss):
-    m = make_modulus(gauss, gauss.element(2, 1))
+    m = Modulus(gauss, gauss.element(2, 1))
     for chi in m.characters:
         if chi.is_principal:
             assert chi.conductor.norm == 1
@@ -229,11 +240,11 @@ def test_conductor_prime_modulus(gauss):
 
 
 def test_primitive_counts(gauss):
-    assert len(make_modulus(gauss, gauss.element(3, 0)).primitive_characters()) == 7
-    m9 = make_modulus(gauss, gauss.element(9, 0))
+    assert len(primitive_characters(Modulus(gauss, gauss.element(3, 0)))) == 7
+    m9 = Modulus(gauss, gauss.element(9, 0))
     assert m9.phi == 72
-    assert len(m9.primitive_characters()) == 72 - 8
-    assert len(make_modulus(gauss, gauss.element(1, 1)).primitive_characters()) == 0
+    assert len(primitive_characters(m9)) == 72 - 8
+    assert len(primitive_characters(Modulus(gauss, gauss.element(1, 1)))) == 0
 
 
 def test_crt_consistency(gauss):
@@ -241,12 +252,12 @@ def test_crt_consistency(gauss):
     q1 = gauss.element(1, 1) ** 2
     q2 = gauss.element(2, 1)
     q = q1 * q2
-    m, m1, m2 = (make_modulus(gauss, z) for z in (q, q1, q2))
+    m, m1, m2 = (Modulus(gauss, z) for z in (q, q1, q2))
     assert m.phi == m1.phi * m2.phi
     assert len(m.characters) == len(m1.characters) * len(m2.characters)
     # mod-q characters are exactly the products of factor characters
     fingerprints = {
-        tuple(chi.phase(m.element(r)) for r in m.unit_rids) for chi in m.characters
+        tuple(chi_phase(chi, r) for r in m.unit_rids) for chi in m.characters
     }
     assert len(fingerprints) == m.phi  # distinct as functions
     products = set()
@@ -254,8 +265,8 @@ def test_crt_consistency(gauss):
         for c2 in m2.characters:
             products.add(
                 tuple(
-                    (c1.phase(m.element(r)) + c2.phase(m.element(r))) % 1
-                    for r in m.unit_rids
+                    (chi_phase(c1, rid_of(m1, z)) + chi_phase(c2, rid_of(m2, z))) % 1
+                    for z in (residue(m, r) for r in m.unit_rids)
                 )
             )
     assert products == fingerprints
@@ -263,7 +274,7 @@ def test_crt_consistency(gauss):
 
 def test_dlog_inverts(gauss, eisen):
     for ring, coords in [(gauss, (5, 0)), (gauss, (1, 1)), (eisen, (4, 1)), (eisen, (6, 0))]:
-        m = make_modulus(ring, ring.element(*coords))
+        m = Modulus(ring, ring.element(*coords))
         gens, orders = m.unit_group
         assert math.prod(orders) == m.phi if orders else m.phi == 1
         for r in m.unit_rids:
@@ -281,13 +292,13 @@ def test_trivial_modulus(gauss):
     t = trivial_modulus(gauss)
     assert t.norm == 1 and t.phi == 1
     assert len(t.characters) == 1 and t.characters[0].is_principal
-    assert t.coprime(gauss.element(7, 3))
+    assert is_coprime(t, gauss.element(7, 3))
 
 
 def test_coprime_matches_gcd(gauss):
-    m = make_modulus(gauss, gauss.element(3, 1))
+    m = Modulus(gauss, gauss.element(3, 1))
     for z in canonical_classes(gauss, 40):
-        assert m.coprime(z) == gcd(z, m.q).is_unit()
+        assert is_coprime(m, z) == gcd(z, m.q).is_unit()
 
 
 # -- the array unit group against the dict and Fraction loops ---------------
@@ -305,14 +316,14 @@ def assert_matches_loop_reference(m):
     assert m.unit_rids == ref.unit_rids
     assert m.unit_group == ref.unit_group
     assert [tuple(m.dlog[r]) for r in m.unit_rids] == [ref.dlog[r] for r in ref.unit_rids]
-    phases = m.character_phase_matrix()
-    primitive = m.primitive_characters()
+    phases = phase_matrix(m, m.characters)
+    primitive = primitive_characters(m)
     for row, chi in zip(phases, m.characters):
         e = chi.exponents
         exact = [ref.phase_of_rid(e, r) for r in m.unit_rids]
-        assert [chi.phase(m.element(r)) for r in m.unit_rids] == exact
+        assert [chi_phase(chi, r) for r in m.unit_rids] == exact
         assert row.tolist() == [float(ph) for ph in exact]
-        got = np.array([chi.value_of_rid(r) for r in m.unit_rids], dtype=np.complex128)
+        got = np.array([chi_of_rid(chi, r) for r in m.unit_rids], dtype=np.complex128)
         want = np.array([loop_unit_circle(ph) for ph in exact], dtype=np.complex128)
         assert (got.view(np.uint64) == want.view(np.uint64)).all()
         assert chi.is_primitive == ref.is_primitive(e) == (chi in primitive)
@@ -324,7 +335,7 @@ def assert_matches_loop_reference(m):
 def test_unit_group_matches_loop_reference(modulus):
     d, x, y = modulus
     ring = make_ring(d)
-    assert_matches_loop_reference(make_modulus(ring, ring.element(x, y)))
+    assert_matches_loop_reference(Modulus(ring, ring.element(x, y)))
 
 
 @pytest.mark.parametrize("d", SUPPORTED_D)

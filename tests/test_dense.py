@@ -18,12 +18,10 @@ from quadlod.arith import (
     _logs,
     _prime_chains,
     convolve,
-    dirichlet_series,
     load_csv,
     save_csv,
     tabulate,
     unit_fold_check,
-    weighted_log_sum,
 )
 from quadlod.errors import CorruptFile, QlodError, TableTooSmall
 from quadlod.regions import (
@@ -38,11 +36,9 @@ from _oracles import (
     full_walk_prime_chains,
     loop_class_products,
     loop_convolve,
-    loop_dirichlet_series,
     loop_fvals,
     loop_tabulate,
     loop_unit_fold_check,
-    loop_weighted_log_sum,
     searchsorted_class_index,
 )
 from test_sweep import COMPLEX_VALUES, INTEGER_VALUES, LOG_VALUES
@@ -136,11 +132,6 @@ def test_readers_match_loops(data):
     xs, ys, _ = element_arrays(ring.d, 1, bound)
     assert bits(lab._fvals(f, xs, ys)) == bits(loop_fvals(df, xs, ys))
     assert bits(unit_fold_check(f, n)) == bits(loop_unit_fold_check(df, n))
-    k = data.draw(st.integers(0, 3), label="k")
-    assert bits([weighted_log_sum(f, n, k)]) == bits([loop_weighted_log_sum(df, n, k)])
-    s = data.draw(st.sampled_from([2, 1.5, 1.7 + 0.3j, -0.5j]), label="s")
-    trunc = data.draw(st.integers(0, bound), label="trunc")
-    assert bits([dirichlet_series(f, s, trunc)]) == bits([loop_dirichlet_series(df, s, trunc)])
 
 
 def test_values_view(gauss, gauss_table_2k):

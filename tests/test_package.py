@@ -1,9 +1,11 @@
-"""The package's exported surface, the names the benchmark probes, and its imports."""
+"""The package's exported surface, the names the benchmark probes, its imports
+and its definitions."""
 
 import ast
 import functools
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import quadlod
@@ -54,3 +56,32 @@ def test_every_module_import_is_read():
                     if name not in read:
                         unread.append(f"{path.name}:{node.lineno} {name}")
     assert unread == []
+
+
+def _reads(node) -> Counter:
+    """Names and attribute names read anywhere under node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_library_definition_is_read():
+    # a module-level function or class needs a reader outside its own body and
+    # __init__.py; arith.unit_fold_check is read by tests alone, but it keeps
+    # arith reading element_arrays, which the benchmark probes patch there
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and read[node.name] == _reads(node)[node.name]
+    ]
+    assert unread == ["arith.unit_fold_check"]

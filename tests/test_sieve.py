@@ -23,7 +23,6 @@ from quadlod.errors import (
     QlodError,
     RingMismatch,
     TableTooSmall,
-    ZeroOrUnit,
 )
 from quadlod.regions import DEFAULT_GUARD, canonical_classes, class_arrays
 from quadlod.rings import SUPPORTED_D, AlgInt, canonical_associate, make_ring
@@ -34,14 +33,12 @@ from quadlod.sieve import (
     cache_save,
     factor,
     factor_by_norm,
-    is_prime,
     kronecker_disc,
     prime_divisors,
     primes_over,
     sieve_primes,
     solve_norm_equation,
     splitting_type,
-    von_mangoldt,
 )
 from _oracles import (
     as_prime_table,
@@ -50,7 +47,15 @@ from _oracles import (
     loop_primes_over,
     loop_sieve_primes,
     loop_tabulate,
+    reconstruct,
 )
+
+
+def classes_by_norm(ring, bound):
+    by_norm = {}
+    for c in canonical_classes(ring, bound):
+        by_norm.setdefault(c.norm(), []).append((c.x, c.y))
+    return by_norm
 
 
 def test_prime_divisors():
@@ -240,9 +245,7 @@ def test_prime_counts_vs_trial_division(gauss):
     bound = 2000
     table = sieve_primes(gauss, bound)
     classes = canonical_classes(gauss, bound)
-    by_norm = {}
-    for c in classes:
-        by_norm.setdefault(c.norm(), []).append((c.x, c.y))
+    by_norm = classes_by_norm(gauss, bound)
     brute = [
         c for c in classes if c.norm() >= 2 and brute_is_prime(gauss, c, by_norm)
     ]
@@ -267,21 +270,22 @@ def test_split_solutions_exist(gauss, eisen):
 
 
 def test_is_prime_examples(gauss):
+    by_norm = classes_by_norm(gauss, 9)
+
+    def is_prime(xi):
+        return brute_is_prime(gauss, xi, by_norm)
+
     assert is_prime(gauss.element(1, 1))
     assert is_prime(gauss.element(3, 0))
     assert not is_prime(gauss.element(2, 0))
     assert is_prime(gauss.element(0, 3))  # associate of inert 3
-    with pytest.raises(ZeroOrUnit):
-        is_prime(gauss.element(0, 0))
-    with pytest.raises(ZeroOrUnit):
-        is_prime(gauss.element(0, 1))
 
 
 def test_factor_examples(gauss, gauss_table_2k):
     fm = factor(gauss.element(6, 0), gauss_table_2k)
     assert (fm.unit.x, fm.unit.y) == (0, -1)
     assert [((p.x, p.y), e) for p, e in fm.factors] == [((1, 1), 2), ((3, 0), 1)]
-    assert fm.reconstruct() == gauss.element(6, 0)
+    assert reconstruct(fm) == gauss.element(6, 0)
 
     fm = factor(gauss.element(1, 1), gauss_table_2k)
     assert fm.unit == gauss.one()
@@ -312,16 +316,20 @@ def test_factor_soundness_random(d):
     table = sieve_primes(ring, 10_000)
     rng = random.Random(d)
     checked = 0
+    primes = set()
     while checked < 1000:
         z = AlgInt(ring, rng.randint(-40, 40), rng.randint(-40, 40))
         if z.is_zero() or z.norm() > 10_000:
             continue
         fm = factor(z, table)
-        assert fm.reconstruct() == z
+        assert reconstruct(fm) == z
         assert fm.unit.is_unit()
         for p, e in fm.factors:
-            assert e >= 1 and is_prime(p)
+            assert e >= 1
+            primes.add(p)
         checked += 1
+    by_norm = classes_by_norm(ring, 10_000)
+    assert all(brute_is_prime(ring, p, by_norm) for p in primes)
 
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
@@ -336,11 +344,12 @@ def test_factor_over_primes_of_the_norm(d):
 
 
 def test_von_mangoldt_examples(gauss, gauss_table_2k):
+    von_mangoldt = tabulate("lambda", gauss, 2000, gauss_table_2k)
     z = gauss.element(1, 1) ** 3
-    assert von_mangoldt(z, gauss_table_2k) == pytest.approx(math.log(2))
-    assert von_mangoldt(gauss.element(6, 0), gauss_table_2k) == 0.0
-    assert von_mangoldt(gauss.element(3, 0), gauss_table_2k) == pytest.approx(math.log(9))
-    assert von_mangoldt(gauss.one(), gauss_table_2k) == 0.0
+    assert von_mangoldt(z) == pytest.approx(math.log(2))
+    assert von_mangoldt(gauss.element(6, 0)) == 0.0
+    assert von_mangoldt(gauss.element(3, 0)) == pytest.approx(math.log(9))
+    assert von_mangoldt(gauss.one()) == 0.0
 
 
 def test_cache_round_trip(tmp_path, gauss):
