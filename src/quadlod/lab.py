@@ -12,13 +12,18 @@ changes when floor(M^2) crosses the norm of an element carrying a nonzero
 coprime contribution, so the exact maximum over all real M <= N is found by
 evaluating eps at each of those breakpoints for every coprime class.
 
-The sweep evaluates a bounded (class x breakpoint) block per numpy call and
-keeps only each breakpoint's maximum over the classes; the first class and
-eps are read back at the one breakpoint a cut picks.  Every float sum keeps
-one fixed order, which is what keeps artifacts byte
-for byte stable: each class's running sum adds its elements one at a time in
-(norm, x, y) order; each breakpoint's new elements are summed with numpy's
-``.sum()``; the running coprime total adds those level sums one at a time.
+The sweep's rows are the function's, not the modulus's: one per distinct
+norm of an element with f != 0 (`_levels`), which holds every breakpoint of
+every modulus, built once per function and cut of a scan.  Per modulus,
+elements not coprime to q go to a dump class that is dropped, so a row
+without a breakpoint repeats the row before it bit for bit.  The sweep
+evaluates a bounded (class x row) block per numpy call and keeps only each
+row's maximum over the classes; the first class and eps are read back at
+the one row a cut picks.  Every float sum keeps one fixed order, which is
+what keeps artifacts byte for byte stable: each class's running sum adds
+its elements one at a time in (norm, x, y) order; each row's new coprime
+elements are summed with numpy's ``.sum()``; the running coprime total adds
+those level sums one at a time.
 The one exception is real integer-valued f with sum |f| < 2^52, such as the
 builtins one, moebius, tau and prime_indicator and their convolutions: every
 partial sum is then an integer below 2^52, which float64 holds exactly, so
@@ -125,18 +130,56 @@ def _class_running_sums(va: np.ndarray, vc: np.ndarray, phi: int) -> np.ndarray:
     return np.cumsum(pad, axis=1)
 
 
+class _Levels(NamedTuple):
+    """One function's sweep rows (`_levels`): what does not depend on the modulus.
+
+    ``level`` and ``w`` hold one entry per nonzero element, in (norm, x, y)
+    order; ``norms`` and ``row_w`` one per row and ``bounds`` one more.
+    """
+
+    nz: np.ndarray | slice  # the nonzero elements among the arguments; all of them: slice(None)
+    norms: np.ndarray  # row norms: the distinct norms of the nonzero elements, increasing
+    bounds: np.ndarray  # row b holds the elements bounds[b]:bounds[b + 1]
+    level: np.ndarray  # each element's row
+    real: bool  # every imaginary part is zero
+    exact: bool  # real integers with sum |f| < 2^52: every partial sum is exact
+    w: np.ndarray | None  # the values as float64 when exact, else None
+    row_w: np.ndarray | None  # each row's sum of w when exact, else None
+
+
+def _levels(norms: np.ndarray, fv: np.ndarray) -> _Levels:
+    """The rows of f's sweep: one per distinct norm of an element with f != 0."""
+    nz = fv != 0
+    nz = slice(None) if nz.all() else np.flatnonzero(nz)  # a slice keeps views
+    va, lvn = fv[nz], norms[nz]
+    new_level = np.ones(lvn.size, dtype=bool)
+    np.not_equal(lvn[1:], lvn[:-1], out=new_level[1:])
+    starts = np.flatnonzero(new_level)
+    vr = va.real
+    real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
+    # integers with sum |f| < 2^52: every partial sum is exact, in any order
+    exact = real and np.array_equal(vr, np.rint(vr)) and np.abs(vr).sum() < 2**52
+    level = np.cumsum(new_level) - 1
+    w = vr.astype(np.float64) if exact else None
+    return _Levels(
+        nz, lvn[starts], np.append(starts, lvn.size), level, real, exact,
+        w, np.bincount(level, w, starts.size) if exact else None,
+    )
+
+
 class _SweepProfile(NamedTuple):
     """`_sweep_arrays`' result: row maxima, and what `_best_at` reads a row back from.
 
-    ``norms`` to ``t_im`` hold one entry per breakpoint.  ``vc`` is the
-    class of each swept element; ``w`` their values on the exact path, else
-    None; ``sums`` the class running sums (`_class_running_sums`) on the
-    general path, else None.
+    ``norms`` to ``t_im`` hold one entry per row (`_levels`).  ``vc`` is the
+    class of each of f's nonzero elements, phi for the dump class of the
+    elements not coprime to q; ``w`` their values on the exact path, else
+    None; ``sums`` the class running sums (`_class_running_sums`) of the
+    coprime elements on the general path, else None.
     """
 
-    norms: np.ndarray  # breakpoint norms, increasing
+    norms: np.ndarray  # row norms, increasing
     row_sq: np.ndarray  # max over coprime classes of |eps|^2
-    ends: np.ndarray  # swept elements of norm <= the breakpoint
+    ends: np.ndarray  # nonzero elements of norm <= the row's
     t_re: np.ndarray  # running coprime total / phi, real part
     t_im: np.ndarray | None  # its imaginary part; None when f is real
     vc: np.ndarray
@@ -145,61 +188,67 @@ class _SweepProfile(NamedTuple):
 
 
 def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
-    """The sweep's profile: per breakpoint, the max over coprime classes of |eps|^2.
+    """The sweep's profile: per row, the max over coprime classes of |eps|^2.
 
-    One entry per distinct norm of an element with a nonzero coprime value,
-    in increasing norm; all empty when phi is 1 or no such element exists.
-    Per breakpoint b and class c, eps = A[b, c] - T[b] / phi, where A is the
+    The rows are f's (`_levels`): one per distinct norm of an element with
+    f != 0, in increasing norm, whatever q is.  Inside `_scan` they come from
+    the table it builds once per function and cut before the pool forks
+    (``_SWEEP_CTX["levels"]``, keyed by ``id(fv)`` and confirmed with
+    ``is``); any other fv builds its own.  Per modulus only each element's
+    class, T and the blocks are computed.  Elements not coprime to q go to a
+    dump class phi, which the blocks lay out as row phi of (phi + 1, rows)
+    and drop before the square; with phi 1 every element does (one class:
+    eps is 0).
+    Per row b and class c, eps = A[b, c] - T[b] / phi, where A is the
     running sum of class c and T the running coprime total.  The float sums
-    keep the order of a per-breakpoint loop, so every entry is bit-identical
-    to it for any f: A[b, c] is read from each class's sequential running
-    sums at the class's element count after b; T is a sequential running sum
-    of per-breakpoint ``.sum()`` values.  All are prefix sums, so the sweep of
-    the elements of norm <= h is the maximum over the breakpoints of
-    norm <= h; `_best_at` finds that row and only there reads back its first
-    class and eps.  Blocks of at most ``_SWEEP_BLOCK`` cells are laid out
-    class-major, (class, breakpoint), so each block's running sums are one
-    ``cumsum`` along contiguous rows.  When every imaginary part is zero the
-    class sums and squares run on the real plane alone (eps.imag is then
+    keep the order of a per-breakpoint loop over the coprime elements, so
+    every entry is bit-identical to it for any f: A[b, c] is read from each
+    class's sequential running sums at the class's element count after b; T
+    is a sequential running sum of per-row ``.sum()`` values over the row's
+    coprime elements.  A row with no coprime element adds 0j to T, which
+    starts at +0.0 and so never turns -0.0: the row repeats the row before it
+    bit for bit.  All are prefix sums, so the sweep of the elements of norm
+    <= h is the maximum over the rows of norm <= h; `_best_at` finds the
+    first row that attains it and only there reads back its first class and
+    eps.  Blocks of at most ``_SWEEP_BLOCK`` coprime cells are laid out
+    class-major, (class, row), so each block's running sums are one
+    ``cumsum`` along contiguous rows.  When every imaginary part of f is zero
+    the class sums and squares run on the real plane alone (eps.imag is then
     +0.0, as the complex sums give); the level sums stay complex128 whatever
-    dtype fv has, since a float64 pairwise ``.sum()`` groups differently.  When
-    moreover every value is an integer and the sum of |f| over the swept
-    elements is below 2^52 (NaN and inf fail this guard), every sum is exact
-    in any order: each block's class sums are one weighted ``bincount`` over
-    its cells plus a running ``cumsum``, the total one weighted ``bincount``
-    over the breakpoints, and neither class running sums nor level sums are
-    formed.
+    dtype fv has, since a float64 pairwise ``.sum()`` groups differently.
+    When moreover every value is an integer and the sum of |f| is below 2^52
+    (NaN and inf fail this guard), every sum is exact in any order: each
+    block's class sums are one weighted ``bincount`` over its cells plus a
+    running ``cumsum``, T the running sum of f's row sums less one weighted
+    ``bincount`` of the non-coprime elements, and neither class running sums
+    nor level sums are formed.
     """
-    phi = m.phi
-    cid = _coprime_index(m)[_rids(m, xs, ys)]
-    idx = np.flatnonzero((cid >= 0) & (fv != 0) & (phi > 1))  # one class: eps is 0
-    va, vc, lvn = fv[idx], cid[idx], norms[idx]
-    new_level = np.ones(lvn.size, dtype=bool)
-    np.not_equal(lvn[1:], lvn[:-1], out=new_level[1:])
-    starts = np.flatnonzero(new_level)
-    nb = starts.size
-    bounds = np.append(starts, lvn.size)
-    level = np.cumsum(new_level) - 1  # breakpoint index of each element
-    vr = va.real
-    real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
-    # integers with sum |f| < 2^52: every partial sum is exact, in any order
-    exact = real and np.array_equal(vr, np.rint(vr)) and np.abs(vr).sum() < 2**52
+    hit = _SWEEP_CTX.get("levels", {}).get(id(fv))
+    lv = hit[1] if hit is not None and hit[0] is fv else _levels(norms, fv)
+    phi, nb, level = m.phi, lv.norms.size, lv.level
+    ci = _coprime_index(m)
+    # rid -> class, and the dump class phi off the unit group (everywhere when phi is 1)
+    vc = np.where((ci >= 0) & (phi > 1), ci, phi)[_rids(m, xs[lv.nz], ys[lv.nz])]
     t_im = sums = None
-    if exact:
-        w = vr.astype(np.float64)
-        t_re = np.cumsum(np.bincount(level, weights=w, minlength=nb)) / phi
+    if lv.exact:
+        # a row's coprime sum is its sum less its non-coprime sum, exactly
+        nc = np.flatnonzero(vc == phi)
+        t_re = np.cumsum(lv.row_w - np.bincount(level[nc], lv.w[nc], nb)) / phi
         end = np.zeros(phi)  # each class's running sum before the block
     else:
-        w = None
+        cp = np.flatnonzero(vc < phi)  # the coprime elements
+        va = fv[lv.nz][cp]
+        sizes = np.bincount(level[cp], minlength=nb)
         lsum = np.zeros(nb + 1, dtype=np.complex128)
-        lsum[1:] = _level_sums(va.astype(np.complex128, copy=False), starts, np.diff(bounds))
+        starts = np.cumsum(sizes) - sizes
+        lsum[1:] = _level_sums(va.astype(np.complex128, copy=False), starts, sizes)
         total = np.cumsum(lsum)[1:]  # from 0j, as a loop's `total += level sum`
         # componentwise division: scalar float division is IEEE-unambiguous,
         # complex division by an integer is not identical across runtimes
         t_re = total.real / phi
-        if not real:
+        if not lv.real:
             t_im = total.imag / phi
-        sums = _class_running_sums(vr if real else va, vc, phi)
+        sums = _class_running_sums(va.real if lv.real else va, vc[cp], phi)
         flat = sums.ravel()
         # flat index into sums of each class's running sum before the block
         end = np.arange(phi) * sums.shape[1]
@@ -208,16 +257,17 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
     for b0 in range(0, nb, step):
         b1 = min(b0 + step, nb)
         r = b1 - b0
-        e0, e1 = bounds[b0], bounds[b1]
+        e0, e1 = lv.bounds[b0], lv.bounds[b1]
         cells = vc[e0:e1] * r + (level[e0:e1] - b0)
         # exact: the cells' value sums; otherwise their element counts
-        acc = np.bincount(cells, w[e0:e1] if exact else None, phi * r).reshape(phi, r)
+        acc = np.bincount(cells, lv.w[e0:e1] if lv.exact else None, (phi + 1) * r)
+        acc = acc.reshape(phi + 1, r)[:phi]  # the dump class goes
         acc[:, 0] += end
         np.cumsum(acc, axis=1, out=acc)
         end = acc[:, -1].copy()
-        if not exact:
+        if not lv.exact:
             acc = flat[acc]
-        if real:
+        if lv.real:
             acc -= t_re[b0:b1]
             acc *= acc  # plain multiplies; exact for integer-valued f
         else:
@@ -227,13 +277,13 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
             di *= di
             acc += di
         acc.max(axis=0, out=row_sq[b0:b1])
-    return _SweepProfile(lvn[starts], row_sq, bounds[1:], t_re, t_im, vc, w, sums)
+    return _SweepProfile(lv.norms, row_sq, lv.bounds[1:], t_re, t_im, vc, lv.w, sums)
 
 
 def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[SweepResult]:
     """The sweep of the elements of norm <= h, for each cut h, read off the profile.
 
-    Each result sits at the first breakpoint of norm <= h that attains their
+    Each result sits at the first row of norm <= h that attains their
     largest |eps|^2, at that row's first class; it is the empty result
     (argmax_norm 0) when that maximum is not > 0.  Only that row's class sums
     are rebuilt, from the swept elements up to it, with the block loop's own
@@ -251,9 +301,9 @@ def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[SweepResult]:
         i = int(np.searchsorted(top, top[n - 1]))  # where the prefix max first appears
         e, phi = p.ends[i], m.phi
         if p.sums is None:
-            a = np.bincount(p.vc[:e], p.w[:e], phi)
+            a = np.bincount(p.vc[:e], p.w[:e], phi + 1)[:phi]  # the dump class goes
         else:
-            a = p.sums[np.arange(phi), np.bincount(p.vc[:e], minlength=phi)]
+            a = p.sums[np.arange(phi), np.bincount(p.vc[:e], minlength=phi + 1)[:phi]]
         dr, di = a.real - p.t_re[i], np.zeros(phi)
         sq = dr * dr
         if p.t_im is not None:
@@ -342,11 +392,10 @@ def _sweep_task(i: int) -> list[list[tuple[int, SweepResult]]]:
     m = _SWEEP_CTX["moduli"][i]
     grid = [(k, hi) for k, (hi, cap) in enumerate(_SWEEP_CTX["grid"]) if m.norm <= cap]
     out = []
-    for xs, ys, norms, fv in _SWEEP_CTX["fns"]:
+    for prefixes in _SWEEP_CTX["fns"]:
         # one sweep to the largest grid N whose Q admits q; each such N reads
         # its result off the sweep's profile, as (grid index, result)
-        cut = np.searchsorted(norms, grid[-1][1], side="right")
-        sweep = _sweep_arrays(m, xs[:cut], ys[:cut], norms[:cut], fv[:cut])
+        sweep = _sweep_arrays(m, *prefixes[grid[-1][1]])
         out.append(list(zip([k for k, _ in grid], _best_at(m, sweep, [hi for _, hi in grid]))))
         del sweep  # it holds per-element arrays: free them before the next sweep
     return out
@@ -357,6 +406,9 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
 
     Moduli run over one canonical associate per class with 2 <= norm(q) <= Q,
     each built once, for the largest Q of the grid (Q need not grow with N).
+    A modulus sweeps each function's elements up to the largest grid N whose
+    Q admits it; each function's rows (`_levels`) are built once per such
+    cut, before the pool forks, and every modulus with that cut reads them.
     Parallelism is across moduli, in one pool; records are assembled in
     (norm, x, y) order regardless of worker count, so results are identical
     for any `workers`.
@@ -376,24 +428,36 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     if not moduli:
         return out
     xs, ys, norms = element_arrays(ring.d, 1, his[-1])
-    # zeros never move eps: drop them once, not per modulus; a generator, so that
-    # no full-size value array stays alive through the sweeps
-    fvs = (_fvals(f, xs, ys) for f in fns)
-    fns_nz = [(xs[fv != 0], ys[fv != 0], norms[fv != 0], fv[fv != 0]) for fv in fvs]
     grid = [(hi, int(qb)) for hi, qb in zip(his, q_bounds)]  # hi increases with N
-    _SWEEP_CTX = {"moduli": moduli, "grid": grid, "fns": fns_nz}
-    if workers > 1:
-        # longest first, one modulus per task: a sweep costs about phi times the
-        # elements up to the largest grid N that admits the modulus
-        cost = [m.phi * max(c for c, (_, cap) in zip(counts, grid) if m.norm <= cap)
-                for m in moduli]
-        order = sorted(range(len(moduli)), key=lambda i: -cost[i])
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            done = dict(zip(order, pool.map(_sweep_task, order, chunksize=1)))
-        results = [done[i] for i in range(len(moduli))]
-    else:
-        results = [_sweep_task(i) for i in range(len(moduli))]
-    _SWEEP_CTX = {}
+    cuts = {max(hi for hi, cap in grid if m.norm <= cap) for m in moduli}
+    fns_cut, levels = [], {}
+    for f in fns:
+        # zeros never move eps: drop them once, not per modulus
+        fv = _fvals(f, xs, ys)
+        nz = fv != 0
+        arrays = (xs[nz], ys[nz], norms[nz], fv[nz])
+        del fv, nz  # no full-size value array stays alive through the sweeps
+        prefixes = {}
+        for hi in cuts:
+            cut = np.searchsorted(arrays[2], hi, side="right")
+            *_, cut_norms, cut_fv = prefixes[hi] = tuple(a[:cut] for a in arrays)
+            levels[id(cut_fv)] = (cut_fv, _levels(cut_norms, cut_fv))
+        fns_cut.append(prefixes)
+    _SWEEP_CTX = {"moduli": moduli, "grid": grid, "fns": fns_cut, "levels": levels}
+    try:
+        if workers > 1:
+            # longest first, one modulus per task: a sweep costs about phi times the
+            # elements up to the largest grid N that admits the modulus
+            cost = [m.phi * max(c for c, (_, cap) in zip(counts, grid) if m.norm <= cap)
+                    for m in moduli]
+            order = sorted(range(len(moduli)), key=lambda i: -cost[i])
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                done = dict(zip(order, pool.map(_sweep_task, order, chunksize=1)))
+            results = [done[i] for i in range(len(moduli))]
+        else:
+            results = [_sweep_task(i) for i in range(len(moduli))]
+    finally:
+        _SWEEP_CTX = {}
     for m, per_fn in zip(moduli, results):
         for tables, res in zip(out, per_fn):
             for k, r in res:

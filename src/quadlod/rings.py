@@ -4,8 +4,7 @@ Elements are written x + y*omega with integer coordinates, where omega = sqrt(d)
 for d = -1, -2 and omega = (1 + sqrt(d))/2 for the seven d = 1 (mod 4) values.
 Either way omega^2 = t*omega + n for two integers (t, n) of the ring, and every
 norm and product below is one formula in (t, n) (Cohen, GTM 138, 5.1-5.2).
-Everything here is exact integer arithmetic; floats appear only in the optional
-complex embedding used for reporting.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ class RingDescriptor:
 
     def omega(self) -> AlgInt:
         return AlgInt(self, 0, 1)
-
-    def omega_complex(self) -> complex:
-        r = math.sqrt(-self.d)
-        return complex(0.5, 0.5 * r) if self.d % 4 == 1 else complex(0.0, r)
 
     def __eq__(self, other):
         return isinstance(other, RingDescriptor) and other.d == self.d
@@ -118,10 +113,6 @@ class AlgInt:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def embedding(self) -> complex:
-        """The complex embedding with Im(omega) > 0; |embedding|^2 == norm."""
-        return self.x + self.y * self.ring.omega_complex()
-
     def _check_ring(self, other: AlgInt):
         if self.ring.d != other.ring.d:
             raise RingMismatch(f"d={self.ring.d} vs d={other.ring.d}")
@@ -170,9 +161,6 @@ class AlgInt:
 
     def __str__(self):
         return f"{self.x}{self.y:+d}w"
-
-    def canonical(self) -> AlgInt:
-        return canonical_associate(self)
 
 
 def _in_canonical_sector(ring: RingDescriptor, x: int, y: int) -> bool:

@@ -27,6 +27,17 @@ def oracle_norm(d, x, y):
     return x * x - d * y * y
 
 
+def omega_complex(ring):
+    """omega in the complex embedding with Im(omega) > 0."""
+    r = math.sqrt(-ring.d)
+    return complex(0.5, 0.5 * r) if ring.d % 4 == 1 else complex(0.0, r)
+
+
+def embedding(z):
+    """The complex embedding of z = x + y*omega with Im(omega) > 0; |embedding|^2 == norm."""
+    return z.x + z.y * omega_complex(z.ring)
+
+
 def _coordinate_box(ring, bound):
     # |y| <= sqrt(4*bound/|D|); |x| <= sqrt(bound) + |y| covers both conventions
     yspan = math.isqrt(4 * bound // abs(ring.disc)) + 2

@@ -27,7 +27,7 @@ from quadlod.errors import CorruptFile, QlodError, TableTooSmall
 from quadlod.regions import (
     a0, canonical_classes, class_arrays, class_index, class_products, element_arrays,
 )
-from quadlod.rings import SUPPORTED_D, make_ring
+from quadlod.rings import SUPPORTED_D, canonical_associate, make_ring
 from quadlod.sieve import FactorSieve, sieve_primes
 from _oracles import (
     UniqueFactorSieve,
@@ -156,7 +156,7 @@ def test_class_index(all_rings):
         idx = class_index(ring, 300, xs, ys)
         cxs, cys, _ = class_arrays(ring, 300)
         for x, y, i in zip(xs.tolist(), ys.tolist(), idx.tolist()):
-            c = ring.element(x, y).canonical()
+            c = canonical_associate(ring.element(x, y))
             assert (c.x, c.y) == (cxs[i], cys[i])
         with pytest.raises(TableTooSmall):
             class_index(ring, 300, [0], [0])

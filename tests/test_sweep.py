@@ -41,19 +41,28 @@ def profile_bytes(sweep):
 def assert_same_sweep(m, xs, ys, norms, fv):
     """At every prefix cut, the sweep's first maximum matches the loop over that prefix.
 
-    Each distinct active norm is a cut, and so is 0 (the empty prefix).
-    Returns the sweep's profile.
+    The profile has one row per distinct norm of f's nonzero elements, which
+    holds every coprime breakpoint; a row with no coprime element repeats
+    the row before it bit for bit (the empty prefix's zeros for row 0).
+    Each row's norm is a cut, and so is 0 (the empty prefix).  Returns the
+    sweep's profile.
     """
     sweep = lab._sweep_arrays(m, xs, ys, norms, fv)
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
-    cuts = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[:0]
-    assert sweep.norms.tolist() == cuts.tolist()  # one profile row per breakpoint
-    # norms to t_im hold one entry per breakpoint; t_im is None for real f
-    assert all(a.size == cuts.size for a in sweep[:5] if a is not None)
+    rows = np.unique(norms[fv != 0])
+    breakpoints = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[:0]
+    assert sweep.norms.tolist() == rows.tolist()  # one profile row per norm of f's support
+    assert np.isin(breakpoints, rows).all()
+    # norms to t_im hold one entry per row; t_im is None for real f
+    assert all(a.size == rows.size for a in sweep[:5] if a is not None)
+    for i in np.flatnonzero(~np.isin(rows, breakpoints)).tolist():
+        for a in (sweep.row_sq, sweep.t_re, sweep.t_im):
+            if a is not None:
+                assert a[i].tobytes() == (a[i - 1] if i else np.float64(0.0)).tobytes()
     # one loop pass: its result over a prefix is its running best at the cut
     running = list(loop_sweep_running(m, xs, ys, norms, fv))
     at = [cut for cut, _ in running]
-    cuts = [0, *cuts.tolist()]
+    cuts = [0, *rows.tolist()]
     for cut, got in zip(cuts, lab._best_at(m, sweep, cuts), strict=True):
         want = running[bisect_right(at, cut) - 1][1]
         assert repr(got) == repr(want), cut
@@ -121,9 +130,10 @@ def test_sweep_real_plane_matches_complex(monkeypatch, d):
 def test_sweep_exact_path_only_for_exact_integer_sums(monkeypatch):
     """Integer f with sum |f| < 2^52 skips the class running sums; anything else takes them.
 
-    The exact path is chosen from f's values alone: a 0.5, a sum |f| of 2^52
-    or an imaginary part of 1e-300 each send the sweep back to the general
-    path.  Both paths must match the loop at every cut.
+    The exact path is chosen from f's values alone, over all of its nonzero
+    elements, coprime to q or not: a 0.5, a sum |f| of 2^52 or an imaginary
+    part of 1e-300 each send the sweep back to the general path.  Both paths
+    must match the loop at every cut.
     """
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
     ring = make_ring(-1)
@@ -144,10 +154,9 @@ def test_sweep_exact_path_only_for_exact_integer_sums(monkeypatch):
         if q.norm() < 3:  # phi is 1: eps is 0 and nothing is summed
             continue
         m = Modulus(ring, q)
-        kept = lab._coprime_index(m)[lab._rids(m, xs, ys)] >= 0
         for fv in fvs:
-            # element 0 is a unit: coprime to every q
-            rest = np.abs(fv.real[kept]).sum() - abs(fv[0].real)
+            # the guard sums over all of f's elements; element 0 is a unit
+            rest = np.abs(fv.real).sum() - abs(fv[0].real)
             under, at_bound, half, tiny = (fv.copy() for _ in range(4))
             under[0] = 2**52 - 1 - rest
             at_bound[0] = 2**52 - rest
@@ -206,7 +215,10 @@ def test_readback_first_class_and_first_row(gauss, monkeypatch, block, scale):
 @pytest.mark.parametrize("block", [64, 1])
 @pytest.mark.parametrize("scale", [1.0, 1 / 3])
 def test_readback_without_breakpoints(gauss, monkeypatch, block, scale):
-    """phi = 1, and an f that is nonzero only off the coprime classes: every cut is empty."""
+    """phi = 1, and an f that is nonzero only off the coprime classes: every cut is empty.
+
+    The rows are still f's norms, but every one repeats the empty prefix.
+    """
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", block)
     xs, ys, norms = element_arrays(-1, 1, 100)
     one = Modulus(gauss, AlgInt(gauss, 1, 1))
@@ -217,8 +229,124 @@ def test_readback_without_breakpoints(gauss, monkeypatch, block, scale):
     assert off.any()
     for mod, f in ((one, fv), (m, off)):
         sweep = assert_same_sweep(mod, xs, ys, norms, f)
-        assert sweep.norms.size == 0
+        assert sweep.norms.size > 0 and not sweep.row_sq.any()
         assert all(r.argmax_norm == 0 for r in lab._best_at(mod, sweep, [0, 50, math.inf]))
+
+
+def sparse_coprime_fv(m, xs, ys, norms, values):
+    """values on every element not coprime to q, and on one in twenty coprime ones past norm 10.
+
+    Most of f's elements are then not coprime to q, many rows hold no
+    coprime element, and the first rows come before the first coprime one.
+    """
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    keep = cid < 0
+    keep[np.flatnonzero((cid >= 0) & (norms > 10))[::20]] = True
+    return np.where(keep, values, 0), cid >= 0
+
+
+@pytest.mark.parametrize("block", [16, 1])
+@pytest.mark.parametrize("q", [(3, 0), (3, 3)])  # phi 8: 3 is prime; 3 + 3i = 3 (1 + i)
+def test_rows_without_coprime_change(gauss, monkeypatch, block, q):
+    """f mostly on multiples of a prime dividing q: most rows add nothing coprime.
+
+    Such a row repeats the row before it, and every cut, at a row norm with
+    only non-coprime elements or before the first coprime element, matches
+    the loop: on the exact path, the general path, a complex f with -0.0
+    imaginary parts, and a real f whose only nonzero imaginary parts sit off
+    the coprime classes, which takes the complex path and gives the real
+    f's results.
+    """
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", block)
+    xs, ys, norms = element_arrays(-1, 1, 300)
+    m = Modulus(gauss, AlgInt(gauss, *q))
+    rng = np.random.default_rng(7)
+    n = xs.size
+    integers = rng.choice([-3, -2, -1, 1, 2, 3], n).astype(np.complex128)
+    floats = rng.standard_normal(n).astype(np.complex128)
+    signed_zero = rng.standard_normal(n) + 1j * rng.choice([0.0, -0.0, 0.5], n)
+    fvs = {}
+    for name, values in (("exact", integers), ("general", floats), ("complex", signed_zero)):
+        fv, coprime = sparse_coprime_fv(m, xs, ys, norms, values)
+        fvs[name] = fv
+        sweep = assert_same_sweep(m, xs, ys, norms, fv)
+        assert sweep.w is not None if name == "exact" else sweep.sums is not None
+        assert (sweep.t_im is not None) == (name == "complex")
+        first = norms[coprime & (fv != 0)].min()
+        assert sweep.norms[0] < first  # rows before the first coprime element
+        assert (fv[coprime] != 0).sum() < (fv[~coprime] != 0).sum()
+        assert (~np.isin(sweep.norms, norms[coprime & (fv != 0)])).sum() >= 10
+    off_imag = fvs["general"].copy()
+    off_imag[(off_imag != 0) & ~coprime] += 0.25j
+    off_imag.imag[coprime] = -0.0
+    assert np.signbit(off_imag[coprime].imag).all()
+    cuts = [0, *np.unique(norms[fvs["general"] != 0]).tolist()]
+    want = lab._best_at(m, lab._sweep_arrays(m, xs, ys, norms, fvs["general"]), cuts)
+    sweep = assert_same_sweep(m, xs, ys, norms, off_imag)
+    assert sweep.t_im is not None
+    assert [repr(r) for r in lab._best_at(m, sweep, cuts)] == [repr(r) for r in want]
+
+
+def small_scan(gauss):
+    """Two functions and a grid whose Q falls with N: three grid N are the largest for some q."""
+    table = sieve_primes(gauss, 400)
+    fns = [tabulate(name, gauss, 400, table) for name in ("prime_indicator", "log_norm")]
+    return lab.LodScanConfig(d=-1, theta=0.7, B=3.0, N_grid=(2, 3, 5, 8, 12)), fns
+
+
+def test_scan_builds_rows_once_per_function_and_cut(gauss, monkeypatch):
+    """`_scan` builds each function's rows once per cut, before the sweeps; no modulus builds."""
+    build = lab._levels
+    calls = []
+
+    def count(norms, fv):
+        calls.append((id(fv.base), norms.size))  # (function, cut)
+        return build(norms, fv)
+
+    monkeypatch.setattr(lab, "_levels", count)
+    cfg, fns = small_scan(gauss)
+    tables = lab._scan(cfg, fns, workers=1)
+    # each modulus sweeps to the largest grid N whose table holds its record
+    last = {}
+    for k, table in enumerate(tables[0]):
+        for r in table.records:
+            last[r.q_x, r.q_y] = k
+    cuts = set(last.values())
+    assert len(cuts) == 3 and len(last) > 2 * len(cuts)
+    assert len(set(calls)) == len(calls) == len(fns) * len(cuts)
+
+
+def test_prefix_copy_sweeps_like_the_scan_rows(gauss, monkeypatch):
+    """Inside a scan, a copy of a prefix (same values, another object) builds its own rows.
+
+    Its profile has the same bytes as the sweep of the scan's prefix, whose
+    rows the scan's table supplies.
+    """
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
+    build, sweep = lab._levels, lab._sweep_arrays
+    built, checked = [], []
+
+    def count(norms, fv):
+        built.append(1)
+        return build(norms, fv)
+
+    def both(m, xs, ys, norms, fv):
+        before = len(built)
+        got = sweep(m, xs, ys, norms, fv)
+        assert len(built) == before  # read from the table
+        copy = sweep(m, xs.copy(), ys.copy(), norms.copy(), fv.copy())
+        assert len(built) == before + 1
+        assert profile_bytes(copy) == profile_bytes(got)
+        checked.append(1)
+        return got
+
+    cfg, fns = small_scan(gauss)
+    monkeypatch.setattr(lab, "_levels", count)
+    monkeypatch.setattr(lab, "_sweep_arrays", both)
+    tables = lab._scan(cfg, fns, workers=1)
+    moduli = {(r.q_x, r.q_y) for table in tables[0] for r in table.records}
+    assert len(checked) == len(fns) * len(moduli)
+    assert lab._SWEEP_CTX == {}
 
 
 @pytest.mark.parametrize("d", [-1, -3])
