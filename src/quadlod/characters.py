@@ -27,7 +27,7 @@ from .rings import (
     divide_exact,
     mul_xy,
 )
-from .sieve import factor_by_norm, prime_divisors
+from .sieve import factor, prime_divisors
 
 DEFAULT_MODULUS_GUARD = 1 << 20
 
@@ -183,7 +183,7 @@ class Modulus:
 
     @cached_property
     def factorization(self):
-        return factor_by_norm(self.q)
+        return factor(self.q)
 
     @cached_property
     def divisor_classes(self) -> list[AlgInt]:

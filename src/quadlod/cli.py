@@ -24,7 +24,7 @@ from .characters import Modulus
 from .errors import QlodError, UsageError
 from .regions import NormRegion, a0, count_region, density_ratio, enumerate_region
 from .rings import AlgInt, make_ring
-from .sieve import cache_inspect, cache_load, cache_save, factor_by_norm, sieve_primes
+from .sieve import cache_inspect, cache_load, cache_save, factor, sieve_primes
 
 CONFIG_VERSION = 2
 
@@ -241,7 +241,7 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
     flat object of the same keys; another command's config line is refused.
     """
     file_vals = {}
-    if getattr(args, "config", None):
+    if args.config is not None:
         with open(args.config) as fh:
             try:
                 file_vals = json.load(fh)
@@ -266,7 +266,7 @@ def _scan_config(args, require_g=False) -> tuple[lab.LodScanConfig, str, str]:
 
     f_spec = pick(args.f, "f_spec", "prime_indicator")
     g_spec = pick(getattr(args, "g", None), "g_spec", f_spec) if require_g else f_spec
-    grid = _grid(args.Ngrid) if args.Ngrid else file_vals.get("N_grid", (50, 100))
+    grid = _grid(args.Ngrid) if args.Ngrid is not None else file_vals.get("N_grid", (50, 100))
     if not isinstance(grid, (list, tuple)) or not all(type(n) is int for n in grid):
         raise UsageError(f"scan config: N_grid must be a list of integers, got {grid!r}")
     try:
@@ -350,7 +350,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "factor":
-        fm = factor_by_norm(AlgInt(ring, args.x, args.y))
+        fm = factor(AlgInt(ring, args.x, args.y))
         parts = [f"unit=({fm.unit.x},{fm.unit.y})"]
         parts += [f"({p.x},{p.y})^{e}" for p, e in fm.factors]
         _report([" * ".join(parts)], cfg, out)

@@ -47,7 +47,3 @@ class ZeroOrUnitModulus(QlodError):
 
 class EmptyModulusRange(QlodError):
     """Large-sieve modulus range requires Q1 < Q2."""
-
-
-class UnsupportedWeight(QlodError):
-    """Large-sieve weight tabulation must be positive and non-increasing."""

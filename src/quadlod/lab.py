@@ -35,18 +35,13 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import ArithFn, convolve
 from .characters import DirichletCharacter, Modulus
-from .errors import (
-    BoundsTooLarge,
-    EmptyModulusRange,
-    TableTooSmall,
-    UnsupportedWeight,
-)
+from .errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
 from .regions import (
     NormRegion,
     a0,
@@ -573,44 +568,16 @@ def convolution_experiment(
 # -- large sieve -----------------------------------------------------------
 
 
-def _check_weight(weight: Sequence[tuple[float, float]]):
-    xs = [w[0] for w in weight]
-    ys = [w[1] for w in weight]
-    if len(weight) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise UnsupportedWeight("weight knots must have strictly increasing x")
-    if any(v <= 0 for v in ys) or any(b > a for a, b in zip(ys, ys[1:])):
-        raise UnsupportedWeight("weight must be positive and non-increasing")
-
-
-def _weight_eval(weight, x: float) -> float:
-    xs = [w[0] for w in weight]
-    ys = [w[1] for w in weight]
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    for (x0, y0), (x1, y1) in zip(weight, weight[1:]):
-        if x0 <= x <= x1:
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    raise AssertionError
-
-
-def _real_parts(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Writable views of a's real and imaginary parts, or a itself when real."""
-    return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-
-
 @dataclass(frozen=True)
 class _Lanes:
     """Coefficient rows packed `lanes` to a float64, exactly (`_pack_lanes`).
 
-    parts holds one (groups, n) array per real part, two for complex
-    coefficients; lane j of group g is vector g * lanes + j, with weight
-    2^(bits * j) for bits = 53 // lanes.  With lanes 1 the parts are the
-    coefficient rows themselves.
+    rows is (groups, n); lane j of group g is vector g * lanes + j, with
+    weight 2^(bits * j) for bits = 53 // lanes.  With lanes 1 the rows are
+    the coefficient rows themselves.
     """
 
-    parts: tuple[np.ndarray, ...]
+    rows: np.ndarray
     lanes: int
     n_vec: int
 
@@ -620,18 +587,17 @@ class _Lanes:
 
 
 def _coeff_bounds(coeffs: np.ndarray) -> tuple[float, float]:
-    """(A, amax): the largest sum of |part| over one vector, and the largest |part|.
+    """(A, amax): the largest sum of |c| over one vector, and the largest |c|.
 
     (inf, inf) as soon as a row is not integer (NaN included); inf makes A inf.
     """
     a = amax = 0.0
-    for part in _real_parts(coeffs):
-        for row in part:
-            if not np.array_equal(row, np.rint(row)):  # NaN fails too; inf sums to inf
-                return math.inf, math.inf
-            mag = np.abs(row)
-            a = max(a, float(mag.sum()))
-            amax = max(amax, float(mag.max(initial=0.0)))
+    for row in coeffs:
+        if not np.array_equal(row, np.rint(row)):  # NaN fails too; inf sums to inf
+            return math.inf, math.inf
+        mag = np.abs(row)
+        a = max(a, float(mag.sum()))
+        amax = max(amax, float(mag.max(initial=0.0)))
     return a, amax
 
 
@@ -651,56 +617,46 @@ def _pack_lanes(coeffs: np.ndarray, lanes: int, buf: np.ndarray | None = None) -
     sum of a packed row has magnitude at most a (2^(bL) - 1) / (2^b - 1) <
     2^52 and every lower-lane remainder is below half a unit of the lane
     above: float64 holds those integers exactly, so packing, folding and
-    decoding are exact in any order.  With lanes 1 the parts are views of
-    coeffs.  Packs in place (Horner, top lane first) into buf, (real parts,
-    groups or more, n), when given.
+    decoding are exact in any order.  With lanes 1 the rows are coeffs
+    itself.  Packs in place (Horner, top lane first) into buf, (groups or
+    more, n), when given.
     """
-    parts = _real_parts(coeffs)
     if lanes == 1:
-        return _Lanes(parts, 1, len(coeffs))
+        return _Lanes(coeffs, 1, len(coeffs))
     groups = -(-len(coeffs) // lanes)
-    if buf is None:
-        buf = np.empty((len(parts), groups, coeffs.shape[1]))
+    out = (np.empty((groups, coeffs.shape[1])) if buf is None else buf)[:groups]
+    out.fill(0.0)
     scale = 2.0 ** (53 // lanes)
-    packed = []
-    for part, out in zip(parts, buf):
-        out = out[:groups]
-        out.fill(0.0)
-        for j in reversed(range(lanes)):
-            out *= scale
-            lane = part[j::lanes]
-            out[: len(lane)] += lane
-        packed.append(out)
-    return _Lanes(tuple(packed), lanes, len(coeffs))
+    for j in reversed(range(lanes)):
+        out *= scale
+        lane = coeffs[j::lanes]
+        out[: len(lane)] += lane
+    return _Lanes(out, lanes, len(coeffs))
 
 
 def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
     """(n_vec, phi) sums of each coefficient row over its coprime classes.
 
     cid is each element's coprime class, < 0 off the coprime set.  Each packed
-    row takes one bincount per real part, which adds a class's weights one at
-    a time in element order: with one lane every class sum is a left-to-right
-    sum.  Bins never interact, so with L lanes the class sums are exact
-    integers as long as each coprime class's own partial sums fit the lanes
+    row takes one bincount, which adds a class's weights one at a time in
+    element order: with one lane every class sum is a left-to-right sum.
+    Bins never interact, so with L lanes the class sums are exact integers
+    as long as each coprime class's own partial sums fit the lanes
     (`_pack_lanes`); that is what the left-to-right sum of integer
     coefficients gives too, so the bits match.  The digits decode top lane
     first, d = rint(W / 2^(bj)) and W -= d * 2^(bj), and + 0.0 turns rint's
     -0.0 into the 0.0 a sum gives.  Non-coprime elements go to the sentinel
-    class phi, which is dropped and need not be exact.  The sums are
-    float64 for one real part and complex128 for two.  With one lane each
+    class phi, which is dropped and need not be exact.  With one lane each
     bincount goes straight into the result.
     """
     key = np.where(cid < 0, phi, cid)
-    groups = len(pack.parts[0])
-    dtype = np.complex128 if len(pack.parts) == 2 else np.float64
-    folded = np.zeros((groups * pack.lanes, phi), dtype=dtype)
-    for part, dest in zip(pack.parts, _real_parts(folded)):
-        w = dest if pack.lanes == 1 else np.empty((groups, phi))
-        for g, row in enumerate(part):
-            w[g] = np.bincount(key, weights=row, minlength=phi + 1)[:phi]
-        if pack.lanes == 1:
-            continue
-        digits = dest.reshape(groups, pack.lanes, phi)
+    groups = len(pack.rows)
+    folded = np.zeros((groups * pack.lanes, phi))
+    w = folded if pack.lanes == 1 else np.empty((groups, phi))
+    for g, row in enumerate(pack.rows):
+        w[g] = np.bincount(key, weights=row, minlength=phi + 1)[:phi]
+    if pack.lanes > 1:
+        digits = folded.reshape(groups, pack.lanes, phi)
         for j in reversed(range(1, pack.lanes)):
             scale = 2.0 ** (pack.bits * j)
             d = np.rint(w / scale)
@@ -726,7 +682,7 @@ def _primitive_part(m: Modulus, folded: np.ndarray) -> np.ndarray:
     the cosets of K_pi, the kernel of (O/q)^* -> (O/(q/pi))^*; the primitive
     ones span what is orthogonal to all of them.  So for each prime pi | q in
     turn, every class sum loses the mean of its K_pi coset: the coset's total
-    (one bincount per real part over (vector, class mod q/pi), in class order)
+    (one bincount over (vector, class mod q/pi), in class order)
     over k = |K_pi| = phi(q)/phi(q/pi), which is N(pi) - 1 when pi divides q
     once and N(pi) otherwise.  By Parseval on (O/q)^*, the squared primitive
     character sums of a row add up to phi(q) times its projection's squared
@@ -743,9 +699,8 @@ def _primitive_part(m: Modulus, folded: np.ndarray) -> np.ndarray:
             key, size = mp.rid_xy(ux, uy), mp.norm
         k = pi.norm() - 1 if e == 1 else pi.norm()
         flat = (rows * size + key).ravel()
-        for part in _real_parts(folded):
-            sums = np.bincount(flat, weights=part.ravel(), minlength=len(folded) * size)
-            part -= sums.reshape(-1, size)[:, key] / k
+        sums = np.bincount(flat, weights=folded.ravel(), minlength=len(folded) * size)
+        folded -= sums.reshape(-1, size)[:, key] / k
     return folded
 
 
@@ -756,41 +711,36 @@ def large_sieve_ratios(
     q1: float,
     q2: float,
     region: NormRegion,
-    weight: Sequence[tuple[float, float]] | None = None,
 ) -> list[tuple[float, float, float]]:
     """(lhs, rhs, ratio) per coefficient vector over the elements (xs, ys).
 
-    Default weight None is the 1/x specialization: lhs sums (1/phi(q)) times
-    the squared primitive character sums, rhs = (|A0(N)|/Q1 + Q2) * sum|c|^2.
-    A tabulated weight w switches to the general form with factor
-    w(|q|)*|q|/phi(q) and rhs = (w(Q1)(Q1^2 + |A0(N)|) + int x w(x) dx) * sum|c|^2.
+    The large sieve with the 1/x weight: lhs sums (1/phi(q)) times the
+    squared primitive character sums, rhs = (|A0(N)|/Q1 + Q2) * sum c^2.
     No character is built: each modulus's class sums are projected onto its
     primitive characters (`_primitive_part`), and phi(q) times the projection's
-    squared norm is the sum of the squared primitive character sums.  Real
-    coefficients are summed as float64, complex ones as complex128, in a fixed
-    order with no BLAS.  When every coefficient (every real part) is a finite
-    integer, as the CLI's signs are, one bincount folds several packed
-    vectors (`_pack_lanes`) with the bits of one bincount per vector.  A
-    modulus packs as many as min(A, amax * cmax) allows (`_lanes_for`), for
-    A the largest sum |c| of a vector, amax the largest |c| and cmax the
-    largest coprime class count, at least as many as A alone; the rows are
-    repacked, into one buffer, only when that count changes.  coeff_matrix
-    is (vectors, len(xs)) or one vector of len(xs); any other shape is a
-    ValueError.
+    squared norm is the sum of the squared primitive character sums.  The
+    coefficients are summed as float64 in a fixed order with no BLAS.  When
+    every coefficient is an integer, as the CLI's signs are, one bincount
+    folds several packed vectors (`_pack_lanes`) with the bits of one
+    bincount per vector.  A modulus packs as many as min(A, amax * cmax)
+    allows (`_lanes_for`), for A the largest sum |c| of a vector, amax the
+    largest |c| and cmax the largest coprime class count, at least as many
+    as A alone; the rows are repacked, into one buffer, only when that count
+    changes.  coeff_matrix is real and finite, (vectors, len(xs)) or one
+    vector of len(xs); anything else is a ValueError.
     """
     if not q1 > 0:
         raise ValueError(f"Q1 must be positive, got {q1}")
     if not q1 < q2:
         raise EmptyModulusRange(f"need Q1 < Q2, got {q1} >= {q2}")
-    if weight is not None:
-        _check_weight(weight)
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise ValueError(f"coordinate arrays of shapes {xs.shape} and {ys.shape}: need equal 1-D")
     n = len(xs)
-    dtype = np.complex128 if np.iscomplexobj(coeff_matrix) else np.float64
-    coeff_matrix = np.asarray(coeff_matrix, dtype=dtype)
+    if np.iscomplexobj(coeff_matrix):
+        raise ValueError("coefficients must be real, got a complex array")
+    coeff_matrix = np.asarray(coeff_matrix, dtype=np.float64)
     if coeff_matrix.ndim == 1:
         coeff_matrix = coeff_matrix[None, :]
     if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] != n:
@@ -798,6 +748,8 @@ def large_sieve_ratios(
             f"coefficient matrix of shape {coeff_matrix.shape} does not match "
             f"{n} elements: need (vectors, {n})"
         )
+    if not np.isfinite(coeff_matrix).all():
+        raise ValueError("coefficients must be finite")
     ring = region.ring
     # int64 norms are exact while every coordinate is at most 2^26 (norms up to
     # about 2^58); support past that has norm above 2^51 and counts as outside
@@ -808,12 +760,12 @@ def large_sieve_ratios(
         i = np.argmax(outside)
         z = AlgInt(ring, int(xs[i]), int(ys[i]))
         raise ValueError(f"coefficient support {z} outside the region")
-    c_sq = (np.abs(coeff_matrix) ** 2).sum(axis=1)  # before packing: lower peak RSS
+    c_sq = (coeff_matrix**2).sum(axis=1)  # before packing: lower peak RSS
     n_vec = coeff_matrix.shape[0]
     a, amax = _coeff_bounds(coeff_matrix)
     lanes = _lanes_for(a)  # no modulus takes fewer
     pack = _pack_lanes(coeff_matrix, 1)
-    buf = np.empty((len(pack.parts), -(-n_vec // lanes), n)) if lanes > 1 else None
+    buf = np.empty((-(-n_vec // lanes), n)) if lanes > 1 else None
     lhs = np.zeros(n_vec)
     for q in canonical_classes(ring, int(q2)):
         nq = q.norm()
@@ -830,19 +782,8 @@ def large_sieve_ratios(
                 pack = _pack_lanes(coeff_matrix, lanes_q, buf)
         folded = _fold_classes(pack, cid, m.phi)
         prim = _primitive_part(m, folded)
-        contrib = (prim * prim.conj()).real.sum(axis=1)  # the 1/phi(q) cancels
-        lhs += contrib if weight is None else _weight_eval(weight, nq) * nq * contrib
-    cnt = count_region(a0(ring, region.n))
-    if weight is None:
-        rhs_factor = cnt / q1 + q2
-    else:
-        grid = sorted({q1, q2, *(x for x, _ in weight if q1 < x < q2)})
-        integral = 0.0
-        for x0, x1 in zip(grid, grid[1:]):
-            y0 = x0 * _weight_eval(weight, x0)
-            y1 = x1 * _weight_eval(weight, x1)
-            integral += 0.5 * (y0 + y1) * (x1 - x0)
-        rhs_factor = _weight_eval(weight, q1) * (q1 * q1 + cnt) + integral
+        lhs += (prim * prim).sum(axis=1)  # the 1/phi(q) cancels
+    rhs_factor = count_region(a0(ring, region.n)) / q1 + q2
     out = []
     for i in range(n_vec):
         rhs = rhs_factor * float(c_sq[i])

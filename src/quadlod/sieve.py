@@ -132,8 +132,8 @@ class PrimeTable:
     """Canonical prime classes of norm <= max_norm, sorted by (norm, x, y).
 
     The table is four int64 arrays: coordinates, norms and split codes
-    (0 split, 1 inert, 2 ramified).  `primes` and `split_types` are list
-    views built from them on first use.
+    (0 split, 1 inert, 2 ramified).  `split_types` is a list view of the
+    codes built on first use.
     """
 
     ring: RingDescriptor
@@ -142,10 +142,6 @@ class PrimeTable:
     ys: np.ndarray
     norms: np.ndarray
     codes: np.ndarray
-
-    @cached_property
-    def primes(self) -> list[AlgInt]:
-        return [AlgInt(self.ring, x, y) for x, y in zip(self.xs.tolist(), self.ys.tolist())]
 
     @cached_property
     def split_types(self) -> list[str]:
@@ -186,25 +182,13 @@ def sieve_primes(ring: RingDescriptor, max_norm: int) -> PrimeTable:
     )
 
 
-def primes_over(ring: RingDescriptor, ps: list[int], max_norm: int) -> PrimeTable:
-    """Prime elements of norm <= max_norm above the rational primes ps, ascending.
-
-    For xi of norm n, factor(xi, primes_over(ring, primes dividing n, n)) equals
-    factor(xi, sieve_primes(ring, n)).  One norm equation per ring and p for
-    the whole run (`_primes_above`), and no class arrays: a few p per modulus
-    must not evict the run's cached tables.
-    """
-    # an inert p's one prime has norm p^2
-    rows = [r for p in ps for r in _primes_above(ring, p) if r[0] == p or r[0] <= max_norm]
-    norms, xs, ys, codes = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
-    return PrimeTable(ring, max_norm, xs, ys, norms, codes)
-
-
 @lru_cache(maxsize=4096)
 def _primes_above(ring: RingDescriptor, p: int) -> tuple[tuple[int, int, int, int], ...]:
     """(norm, x, y, split code) of each canonical prime above the rational prime p.
 
-    Memoized per ring and p, as an immutable tuple that callers copy.
+    Memoized per ring and p, as an immutable tuple: one norm equation per
+    ring and p for the whole run, and no class arrays, so factoring a few
+    moduli does not evict the run's cached tables.
     """
     t = splitting_type(ring, p)
     if t == INERT:
@@ -224,54 +208,28 @@ class FactorMap:
     factors: list[tuple[AlgInt, int]] = field(default_factory=list)
 
 
-def factor(xi: AlgInt, table: PrimeTable) -> FactorMap:
-    """Factor xi over the table's prime classes; TableTooSmall if it lacks a factor."""
+def factor(xi: AlgInt) -> FactorMap:
+    """Factor xi over the primes above the rational primes dividing N(xi).
+
+    Each such prime is divided out as often as it goes; what is left has
+    norm 1, the unit.  The factors are sorted by (norm, x, y).
+    """
     if xi.is_zero():
         raise ZeroElement("cannot factor zero")
-    if xi.ring.d != table.ring.d:
-        raise RingMismatch("element and table belong to different rings")
-    n = xi.norm()
-    if n > table.max_norm:
-        raise TableTooSmall(f"norm {n} exceeds table coverage {table.max_norm}")
-    rem = xi
-    rem_norm = n
-    factors: list[tuple[AlgInt, int]] = []
-    for pi in table.primes:
-        pn = pi.norm()
-        if pn * pn > rem_norm:
-            break
-        if rem_norm % pn:
-            continue
-        e = 0
-        while True:
-            q = divide_exact(rem, pi)
-            if q is None:
-                break
-            rem = q
-            rem_norm //= pn
-            e += 1
-        if e:
-            factors.append((pi, e))
-    if rem_norm > 1:
-        pi = canonical_associate(rem)
-        lo, hi = np.searchsorted(table.norms, [rem_norm, rem_norm + 1])
-        if (pi.x, pi.y) not in zip(table.xs[lo:hi].tolist(), table.ys[lo:hi].tolist()):
-            raise TableTooSmall(f"cofactor {pi} of norm {rem_norm} is not a prime of the table")
-        factors.append((pi, 1))
-        rem = divide_exact(rem, pi)
-    factors.sort(key=lambda t: (t[0].norm(), t[0].x, t[0].y))
-    return FactorMap(unit=rem, factors=factors)
-
-
-def factor_by_norm(xi: AlgInt) -> FactorMap:
-    """factor(xi) over the primes above the rational primes dividing N(xi).
-
-    Equal to factor(xi, sieve_primes(ring, N(xi))), with no table to N(xi).
-    """
     n = xi.norm()
     if n > DEFAULT_GUARD:
         raise BoundsTooLarge(f"norm {n} exceeds guard={DEFAULT_GUARD}")
-    return factor(xi, primes_over(xi.ring, prime_divisors(n), n))
+    rem = xi
+    factors: list[tuple[AlgInt, int]] = []
+    for p in prime_divisors(n):
+        for _, x, y, _ in _primes_above(xi.ring, p):
+            pi, e = AlgInt(xi.ring, x, y), 0
+            while (q := divide_exact(rem, pi)) is not None:
+                rem, e = q, e + 1
+            if e:
+                factors.append((pi, e))
+    factors.sort(key=lambda t: (t[0].norm(), t[0].x, t[0].y))
+    return FactorMap(unit=rem, factors=factors)
 
 
 class FactorSieve:

@@ -302,6 +302,60 @@ def as_dict_fn(f):
     return DictFn(f.ring, f.norm_bound, dict(f.values.items()), f.name)
 
 
+def primes_of(table):
+    """The table's primes as AlgInts in table order, of a PrimeTable or a LoopPrimeTable."""
+    if isinstance(table, LoopPrimeTable):
+        return table.primes
+    return [AlgInt(table.ring, x, y) for x, y in zip(table.xs.tolist(), table.ys.tolist())]
+
+
+def table_factor(xi, table):
+    """The table-walking sieve.factor, verbatim apart from reading primes_of(table).
+
+    Trial division by the table's primes in (norm, x, y) order until the
+    smallest untried norm squared passes the cofactor's norm; a cofactor of
+    norm > 1 left then must be a prime of the table, else TableTooSmall.
+    """
+    from quadlod.errors import RingMismatch, TableTooSmall, ZeroElement
+    from quadlod.sieve import FactorMap
+
+    if xi.is_zero():
+        raise ZeroElement("cannot factor zero")
+    if xi.ring.d != table.ring.d:
+        raise RingMismatch("element and table belong to different rings")
+    n = xi.norm()
+    if n > table.max_norm:
+        raise TableTooSmall(f"norm {n} exceeds table coverage {table.max_norm}")
+    rem = xi
+    rem_norm = n
+    factors = []
+    for pi in primes_of(table):
+        pn = pi.norm()
+        if pn * pn > rem_norm:
+            break
+        if rem_norm % pn:
+            continue
+        e = 0
+        while True:
+            q = divide_exact(rem, pi)
+            if q is None:
+                break
+            rem = q
+            rem_norm //= pn
+            e += 1
+        if e:
+            factors.append((pi, e))
+    if rem_norm > 1:
+        pi = canonical_associate(rem)
+        lo, hi = np.searchsorted(table.norms, [rem_norm, rem_norm + 1])
+        if (pi.x, pi.y) not in zip(table.xs[lo:hi].tolist(), table.ys[lo:hi].tolist()):
+            raise TableTooSmall(f"cofactor {pi} of norm {rem_norm} is not a prime of the table")
+        factors.append((pi, 1))
+        rem = divide_exact(rem, pi)
+    factors.sort(key=lambda t: (t[0].norm(), t[0].x, t[0].y))
+    return FactorMap(unit=rem, factors=factors)
+
+
 class LoopFactorSieve:
     """The per-class link-dict FactorSieve, verbatim."""
 
@@ -318,7 +372,7 @@ class LoopFactorSieve:
         self.table = table
         self.classes = canonical_classes(table.ring, max_norm)
         link: dict[tuple[int, int], tuple[AlgInt, tuple[int, int]]] = {}
-        for pi in table.primes:
+        for pi in primes_of(table):
             pn = pi.norm()
             if pn > max_norm:
                 break
@@ -456,7 +510,7 @@ def loop_tabulate(builtin, ring, norm_bound, table=None):
         if table is None or table.max_norm < norm_bound:
             raise TableTooSmall("prime_indicator needs a covering PrimeTable")
         prime_set = {
-            (p.x, p.y) for p in table.primes if p.norm() <= norm_bound
+            (p.x, p.y) for p in primes_of(table) if p.norm() <= norm_bound
         }
         for c in classes:
             values[(c.x, c.y)] = 1 + 0j if (c.x, c.y) in prime_set else 0j
@@ -829,24 +883,23 @@ def loop_class_fold(coeffs, cid, phi):
 
     Elements with cid < 0 (off the coprime set) are skipped.
     """
-    out = [[0j] * phi for _ in range(len(coeffs))]
-    for v, row in enumerate(np.asarray(coeffs, dtype=np.complex128).tolist()):
+    out = [[0.0] * phi for _ in range(len(coeffs))]
+    for v, row in enumerate(np.asarray(coeffs, dtype=np.float64).tolist()):
         for c, k in zip(row, cid.tolist()):
             if k >= 0:
                 out[v][k] += c
-    return np.array(out, dtype=np.complex128)
+    return np.array(out, dtype=np.float64)
 
 
-def character_sum_lhs(coeff_matrix, elements, q1, q2, ring, weight=None):
+def character_sum_lhs(coeff_matrix, elements, q1, q2, ring):
     """large_sieve_ratios' lhs per vector, from the primitive characters themselves.
 
     For each modulus of norm in (q1, q2]: the class sums (`loop_class_fold`,
     not the library's packed fold), one complex character sum per primitive
-    character (numpy's einsum, no BLAS), and factor times the sum of their
-    squared magnitudes, factor 1/phi(q) or w(N q) * N q / phi(q).
+    character (numpy's einsum, no BLAS), and 1/phi(q) times the sum of their
+    squared magnitudes.
     """
     from quadlod.characters import Modulus
-    from quadlod.lab import _weight_eval
     from quadlod.regions import canonical_classes
 
     coeff_matrix = np.atleast_2d(coeff_matrix)
@@ -864,11 +917,7 @@ def character_sum_lhs(coeff_matrix, elements, q1, q2, ring, weight=None):
         p_mat = np.exp(2j * np.pi * phase_matrix(m, prims))  # (n_prim, phi)
         folded = loop_class_fold(coeff_matrix, m.coprime_index[m.rid_xy(xs, ys)], m.phi)
         s = np.einsum("cu,vu->cv", p_mat, folded)  # (n_prim, n_vec)
-        contrib = (np.abs(s) ** 2).sum(axis=0)
-        factor = (
-            1.0 / m.phi if weight is None else _weight_eval(weight, nq) * nq / m.phi
-        )
-        lhs += factor * contrib
+        lhs += (np.abs(s) ** 2).sum(axis=0) / m.phi
     return lhs
 
 

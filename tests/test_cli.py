@@ -75,6 +75,14 @@ def test_sieve_and_factor(capsys):
     code, out, _ = run(capsys, "factor", "--d", "-1", "--x", "6", "--y", "0")
     assert code == 0
     assert out.strip() == "unit=(0,-1) * (1,1)^2 * (3,0)^1"
+    # ramified and split, inert and ramified, a ramified power, a unit
+    for argv, want in [
+        (["--d", "-7", "--x", "14"], "unit=(1,0) * (-1,1)^1 * (0,1)^1 * (-1,2)^2"),
+        (["--d", "-2", "--x", "12", "--y", "3"], "unit=(1,0) * (0,1)^1 * (-1,1)^1 * (1,1)^3"),
+        (["--d", "-11", "--x", "121"], "unit=(1,0) * (-1,2)^4"),
+        (["--d", "-163", "--x", "1"], "unit=(1,0)"),
+    ]:
+        assert run(capsys, "factor", *argv) == (0, want + "\n", "")
 
 
 def test_chars_and_conductors(capsys):
@@ -325,6 +333,9 @@ def test_large_sieve_zero_vectors_is_usage_error(capsys):
         ("conv-experiment", ["--Ngrid", "20,10"], "N_grid"),
         ("lod-scan", ["--Ngrid", "10,abc"], "--Ngrid"),
         ("conv-experiment", ["--Ngrid", "10,abc"], "--Ngrid"),
+        # an empty value once read as no value, and the default grid ran
+        ("lod-scan", ["--Ngrid", ""], "--Ngrid"),
+        ("conv-experiment", ["--Ngrid", ""], "--Ngrid"),
     ],
 )
 def test_bad_scan_flags_are_usage_errors(capsys, command, flags, needle):
@@ -391,6 +402,13 @@ def test_cache_non_canonical_record_is_computation_error(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and "record 1" in err
+
+
+@pytest.mark.parametrize("command", ["lod-scan", "conv-experiment"])
+def test_empty_config_path_is_an_io_error(capsys, command):
+    # an empty --config once read as no file, and the default grid ran
+    code, _, err = run(capsys, command, "--d", "-1", "--config", "", "--workers", "1")
+    assert code == 1 and err.startswith("io error: ") and err.count("\n") == 1
 
 
 def test_factor_sieves_only_the_primes_of_the_norm(capsys):

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
 from quadlod.characters import Modulus
-from quadlod.errors import (
-    EmptyModulusRange,
-    TableTooSmall,
-    UnsupportedWeight,
-)
+from quadlod.errors import EmptyModulusRange, TableTooSmall
 from quadlod.lab import (
     LodScanConfig,
     ModulusRecord,
@@ -32,7 +28,6 @@ from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
 from _oracles import (
     character_sum_lhs,
-    chi_at,
     cumsum_sweep_max,
     epsilon,
     epsilon_sweep,
@@ -431,7 +426,7 @@ def test_large_sieve_zero_coeffs(gauss):
 def test_large_sieve_single_support(gauss):
     region = a0(gauss, 7)
     xi0 = gauss.element(1, 0)
-    lhs, rhs, ratio = large_sieve_ratios(np.array([[1.0 + 0j]]), *_xy([xi0]), 3, 50, region)[0]
+    lhs, rhs, ratio = large_sieve_ratios(np.array([[1.0]]), *_xy([xi0]), 3, 50, region)[0]
     direct = 0.0
     for q in canonical_classes(gauss, 50):
         if q.norm() <= 3:
@@ -451,7 +446,7 @@ def test_large_sieve_positivity_and_vanishing(gauss):
         assert lhs >= 0
     # support non-coprime to the only modulus in range: every character sum is 0
     sup = [z for z in els if z.norm() % 9 == 0 or (z.x % 3 == 0 and z.y % 3 == 0)]
-    coeffs = np.ones((1, len(sup)), dtype=np.complex128)
+    coeffs = np.ones((1, len(sup)))
     lhs, _, _ = large_sieve_ratios(coeffs, *_xy(sup), 8.5, 9.5, region)[0]
     assert lhs == 0.0
 
@@ -465,10 +460,6 @@ def test_large_sieve_errors(gauss):
     for q1 in (0, -2):
         with pytest.raises(ValueError, match="Q1 must be positive"):
             large_sieve_ratios(one, *_xy(unit), q1, 10, region)
-    with pytest.raises(UnsupportedWeight):
-        large_sieve_ratios(one, *_xy(unit), 5, 20, region, weight=[(5.0, 1.0), (20.0, 2.0)])
-    with pytest.raises(UnsupportedWeight):
-        large_sieve_ratios(one, *_xy(unit), 5, 20, region, weight=[(5.0, 1.0)])
     with pytest.raises(ValueError):
         large_sieve_ratios(one, *_xy([gauss.element(9, 0)]), 5, 20, region)
     els = [gauss.element(1, 0), gauss.element(0, 0), gauss.element(9, 0)]
@@ -481,32 +472,17 @@ def test_large_sieve_errors(gauss):
     for bad_xs, bad_ys in [(xs, ys[:2]), (xs[None], ys[None])]:
         with pytest.raises(ValueError, match="coordinate arrays of shapes"):
             large_sieve_ratios(np.ones(3), bad_xs, bad_ys, 5, 20, region)
-
-
-def test_large_sieve_weighted_matches_manual(gauss):
-    region = a0(gauss, 6)
+    # a NaN coefficient gave the row (nan, nan, 0.0), a ratio that reads as a
+    # pass, and an inf one (nan, inf, nan)
     els = list(enumerate_region(region))
-    rng = np.random.default_rng(3)
-    vec = rng.choice([-1.0, 1.0], size=len(els))
-    weight = [(4.0, 1.0), (30.0, 1.0)]  # constant weight 1
-    lhs_w, rhs_w, _ = large_sieve_ratios(vec, *_xy(els), 4, 30, region, weight=weight)[0]
-    # manual: same sums with factor w(|q|)*|q|/phi = |q|/phi
-    lhs = 0.0
-    for q in canonical_classes(gauss, 30):
-        nq = q.norm()
-        if nq <= 4:
-            continue
-        m = Modulus(gauss, q)
-        prims = primitive_characters(m)
-        for chi in prims:
-            s = sum(
-                c * chi_at(chi, z) for c, z in zip(vec.tolist(), els)
-            )
-            lhs += (nq / m.phi) * abs(s) ** 2
-    assert lhs_w == pytest.approx(lhs, rel=1e-9)
-    count = len(list(enumerate_region(a0(gauss, region.n))))
-    integral = 0.5 * (4.0 + 30.0) * 26.0  # trapezoid of x*1 on [4, 30]
-    assert rhs_w == pytest.approx((1.0 * (16 + count) + integral) * len(els))
+    for bad in (np.nan, np.inf, -np.inf):
+        coeffs = np.ones((2, len(els)))
+        coeffs[1, 5] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            large_sieve_ratios(coeffs, *_xy(els), 4, 30, region)
+    for coeffs in (np.ones((1, len(els)), dtype=np.complex128), [1j] * len(els)):
+        with pytest.raises(ValueError, match="coefficients must be real"):
+            large_sieve_ratios(coeffs, *_xy(els), 4, 30, region)
 
 
 def test_large_sieve_random_sign_ratios(gauss):
@@ -520,19 +496,17 @@ def test_large_sieve_random_sign_ratios(gauss):
 
 @pytest.mark.parametrize("d,qx,qy", [(-1, 7, 4), (-3, 9, 0), (-2, 5, 3)])
 def test_fold_classes_matches_left_to_right_loop(d, qx, qy):
-    # non-integer complex coefficients: every class sum is a rounded float sum,
-    # and the fold must add each class in element order, bit for bit
+    # non-integer coefficients: every class sum is a rounded float sum, and
+    # the fold must add each class in element order, bit for bit
     ring = make_ring(d)
     m = Modulus(ring, ring.element(qx, qy))
     xs, ys, _ = element_arrays(d, 1, 900)
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
-    rng = np.random.default_rng(-d)
-    coeffs = rng.normal(size=(3, len(xs))) + 1j * rng.normal(size=(3, len(xs)))
-    want = loop_class_fold(coeffs, cid, m.phi)
+    coeffs = np.random.default_rng(-d).normal(size=(6, len(xs)))
     assert _pack(coeffs).lanes == 1
-    assert np.array_equal(lab._fold_classes(_pack(coeffs), cid, m.phi), want)
-    real = lab._fold_classes(_pack(coeffs.real), cid, m.phi)
-    assert real.dtype == np.float64 and np.array_equal(real, want.real)
+    folded = lab._fold_classes(_pack(coeffs), cid, m.phi)
+    assert folded.dtype == np.float64
+    assert np.array_equal(folded, loop_class_fold(coeffs, cid, m.phi))
 
 
 def _pack(coeffs):
@@ -542,7 +516,7 @@ def _pack(coeffs):
 
 def _one_lane(coeffs):
     """coeffs unpacked, one vector per bincount: the fold's reference."""
-    return lab._Lanes(lab._real_parts(coeffs), 1, len(coeffs))
+    return lab._Lanes(coeffs, 1, len(coeffs))
 
 
 def _fold_bits(pack, cid, phi):
@@ -569,7 +543,7 @@ def test_packed_fold_matches_one_lane(rows):
     assert got_lanes == lanes
     want_lanes, want = _fold_bits(_one_lane(coeffs), cid, phi)
     assert want_lanes == 1 and np.array_equal(got, want)
-    assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).real.view(np.int64))
+    assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -597,36 +571,25 @@ def test_packed_fold_at_a_lane_width_step(a, lanes, bits):
     assert np.array_equal(folded.view(np.int64), want)
 
 
-def test_packed_fold_negative_zero_and_complex():
+def test_packed_fold_negative_zero():
+    # rows 0 and 1 are all -0.0: their class sums are the 0.0 a sum gives
     cid, phi = _gauss_classes()
-    rng = np.random.default_rng(5)
-    values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]
-    shape = (9, len(cid))
-    coeffs = rng.choice(values, size=shape) + 1j * rng.choice(values, size=shape)
-    coeffs[0] = complex(-0.0, -0.0)
-    coeffs[1].real = -0.0
+    coeffs = np.random.default_rng(5).choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(9, len(cid)))
+    coeffs[:2] = -0.0
     lanes, got = _fold_bits(_pack(coeffs), cid, phi)
     assert lanes > 1
     assert np.array_equal(got, _fold_bits(_one_lane(coeffs), cid, phi)[1])
     assert np.array_equal(got, loop_class_fold(coeffs, cid, phi).view(np.int64))
-    real = coeffs.real.copy()
-    lanes, got = _fold_bits(_pack(real), cid, phi)
-    assert lanes > 1
-    assert np.array_equal(got, _fold_bits(_one_lane(real), cid, phi)[1])
 
 
-@pytest.mark.parametrize(
-    "bad", [0.5, np.nan, np.inf, -np.inf, 2.0**26, 1e300, complex(1, 0.5), complex(0, np.nan)]
-)
+@pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf, 2.0**26, 1e300])
 def test_packed_fold_falls_back_to_one_lane(bad):
     cid, phi = _gauss_classes()
     coeffs = np.random.default_rng(11).choice([-1.0, 1.0], size=(4, len(cid)))
-    coeffs = coeffs + 0j if isinstance(bad, complex) else coeffs
     coeffs[2, 17] = bad
     pack = _pack(coeffs)
-    assert pack.lanes == 1 and np.shares_memory(pack.parts[0], coeffs)
+    assert pack.lanes == 1 and pack.rows is coeffs
     want = loop_class_fold(coeffs, cid, phi)
-    want = want if np.iscomplexobj(coeffs) else want.real
     assert np.array_equal(lab._fold_classes(pack, cid, phi).view(np.int64), want.view(np.int64))
 
 
@@ -636,10 +599,9 @@ def test_packed_fold_falls_back_to_one_lane(bad):
     q_index=st.integers(0, 30),
     n_vec=st.integers(0, 12),
     scale=st.sampled_from([1, 30, 10**4, 10**6, 10**8]),
-    is_complex=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_packed_fold_matches_one_lane_on_every_ring(d, q_index, n_vec, scale, is_complex, seed):
+def test_packed_fold_matches_one_lane_on_every_ring(d, q_index, n_vec, scale, seed):
     ring = make_ring(d)
     qs = [q for q in canonical_classes(ring, 60) if q.norm() >= 2]
     m = Modulus(ring, qs[q_index % len(qs)])
@@ -647,8 +609,6 @@ def test_packed_fold_matches_one_lane_on_every_ring(d, q_index, n_vec, scale, is
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(-scale, scale + 1, size=(n_vec, len(xs))).astype(np.float64)
-    if is_complex:
-        coeffs = coeffs + 1j * rng.integers(-scale, scale + 1, size=coeffs.shape)
     lanes, got = _fold_bits(_pack(coeffs), cid, m.phi)
     assert got.shape[0] == n_vec and (lanes > 1 or scale >= 10**4)
     assert np.array_equal(got, _fold_bits(_one_lane(coeffs), cid, m.phi)[1])
@@ -700,7 +660,7 @@ def test_large_sieve_packed_matches_one_lane(d):
     inputs = [
         rng.choice([-1.0, 1.0], size=len(xs)),
         rng.choice([-1.0, 1.0], size=(7, len(xs))),
-        rng.integers(-5, 6, size=(4, len(xs))) + 1j * rng.integers(-5, 6, size=(4, len(xs))),
+        rng.integers(-5, 6, size=(4, len(xs))).astype(np.float64),
     ]
     for c in inputs:
         lanes = _packed_against_one_lane(c, xs, ys, 2, 40, region)
@@ -780,12 +740,9 @@ def test_large_sieve_huge_coefficient_leaves_the_lanes_to_a():
     width=st.integers(1, 30),
     n_vec=st.integers(0, 9),
     scale=st.sampled_from([1, 7, 300, 10**4, 10**6]),
-    is_complex=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_large_sieve_packed_matches_one_lane_on_every_ring(
-    d, n, q1, width, n_vec, scale, is_complex, seed
-):
+def test_large_sieve_packed_matches_one_lane_on_every_ring(d, n, q1, width, n_vec, scale, seed):
     ring = make_ring(d)
     region = a0(ring, n)
     xs, ys, _ = element_arrays(d, 1, region.hi_sq)
@@ -793,8 +750,6 @@ def test_large_sieve_packed_matches_one_lane_on_every_ring(
     keep = rng.random(len(xs)) < 0.8
     xs, ys = xs[keep], ys[keep]
     coeffs = rng.integers(-scale, scale + 1, size=(n_vec, len(xs))).astype(np.float64)
-    if is_complex:
-        coeffs = coeffs + 1j * rng.integers(-scale, scale + 1, size=coeffs.shape)
     lanes = _packed_against_one_lane(coeffs, xs, ys, q1, q1 + width, region)
     a = lab._coeff_bounds(coeffs)[0]
     assert all(q >= lab._lanes_for(a) for q in lanes)
@@ -827,17 +782,15 @@ def test_large_sieve_matches_primitive_character_sums(d):
     inputs = [
         rng.choice([-1.0, 1.0], size=shape),
         rng.normal(size=shape),
-        rng.normal(size=shape) + 1j * rng.normal(size=shape),
         np.full(shape, 0.1),
     ]
-    for weight in (None, [(2.0, 1.0), (10.0, 0.5), (40.0, 0.2)]):
-        for mat in inputs:
-            rows = large_sieve_ratios(mat, *_xy(els), 2, 40, region, weight)
-            want = character_sum_lhs(mat, els, 2, 40, ring, weight)
-            for (lhs, rhs, ratio), w in zip(rows, want):
-                assert lhs >= 0
-                assert lhs == pytest.approx(w, rel=1e-13, abs=0)
-                assert ratio == pytest.approx(w / rhs, rel=1e-13, abs=0)
+    for mat in inputs:
+        rows = large_sieve_ratios(mat, *_xy(els), 2, 40, region)
+        want = character_sum_lhs(mat, els, 2, 40, ring)
+        for (lhs, rhs, ratio), w in zip(rows, want):
+            assert lhs >= 0
+            assert lhs == pytest.approx(w, rel=1e-13, abs=0)
+            assert ratio == pytest.approx(w / rhs, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -7, -11, -19, -43, -67, -163])
@@ -861,14 +814,6 @@ def test_large_sieve_norm_two_prime_once_adds_zero(d, p):
     moduli = [Modulus(ring, q) for q in canonical_classes(ring, nq) if q.norm() == nq]
     assert moduli and not any(primitive_characters(m) for m in moduli)
     assert [lhs for lhs, _, _ in large_sieve_ratios(mat, *_xy(els), nq - 1, nq, region)] == [0.0, 0.0]
-
-
-def test_large_sieve_real_and_complex_input_agree(gauss):
-    region = a0(gauss, 12)
-    els = list(enumerate_region(region))
-    mat = np.random.default_rng(5).choice([-1.0, 1.0], size=(6, len(els)))
-    got = large_sieve_ratios(mat, *_xy(els), 4, 60, region)
-    assert got == large_sieve_ratios(mat.astype(np.complex128), *_xy(els), 4, 60, region)
 
 
 def test_mertens_examples(gauss):

@@ -22,7 +22,6 @@ from quadlod.errors import (
     FormatVersionMismatch,
     QlodError,
     RingMismatch,
-    TableTooSmall,
 )
 from quadlod.regions import DEFAULT_GUARD, canonical_classes, class_arrays
 from quadlod.rings import SUPPORTED_D, AlgInt, canonical_associate, make_ring
@@ -32,10 +31,8 @@ from quadlod.sieve import (
     cache_load,
     cache_save,
     factor,
-    factor_by_norm,
     kronecker_disc,
     prime_divisors,
-    primes_over,
     sieve_primes,
     solve_norm_equation,
     splitting_type,
@@ -47,7 +44,9 @@ from _oracles import (
     loop_primes_over,
     loop_sieve_primes,
     loop_tabulate,
+    primes_of,
     reconstruct,
+    table_factor,
 )
 
 
@@ -64,7 +63,7 @@ def test_prime_divisors():
 
 
 def same_table(table, loop_table):
-    assert [(p.x, p.y) for p in table.primes] == [(p.x, p.y) for p in loop_table.primes]
+    assert [(p.x, p.y) for p in primes_of(table)] == [(p.x, p.y) for p in loop_table.primes]
     assert table.split_types == loop_table.split_types
     assert len(table) == len(loop_table)
     assert table.norms.tolist() == [p.norm() for p in loop_table.primes]
@@ -92,19 +91,21 @@ def test_sieve_matches_loop_at_paper_scale(d):
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
 def test_primes_over_matches_loop(d):
+    # the primes above each p, as factor reads them, against the norm-equation loop
     ring = make_ring(d)
-    for n in (2, 12, 97, 360, 1001, 4096):
-        ps = prime_divisors(n)
-        same_table(primes_over(ring, ps, n), loop_primes_over(ring, ps, n))
+    for p in sympy.primerange(200):
+        loop = loop_primes_over(ring, [p], p * p)
+        want = [(pi.norm(), pi.x, pi.y, sieve._SPLIT_CODE[t])
+                for pi, t in zip(loop.primes, loop.split_types)]
+        assert list(sieve._primes_above(ring, p)) == want
 
 
 def test_primes_over_solves_each_norm_equation_once(monkeypatch):
-    # the primes above p are memoized per ring and p; each table is a fresh copy
-    from quadlod import sieve
-
+    # factor memoizes the primes above p per ring and p
     ps = [2, 3, 5, 7, 11, 13]
-    cases = [(make_ring(d), n) for d in (-1, -7) for n in (4, 50, 10**4)]
-    loops = [loop_primes_over(ring, ps, n) for ring, n in cases]
+    rings = [make_ring(d) for d in (-1, -7)]
+    elements = [AlgInt(ring, x, 0) for ring in rings for x in (2 * 3 * 5, 7 * 11, 13, 6)]
+    want_fms = [table_factor(z, sieve_primes(z.ring, z.norm())) for z in elements]
     sieve._primes_above.cache_clear()
     calls = []
     solve = sieve.solve_norm_equation
@@ -112,11 +113,8 @@ def test_primes_over_solves_each_norm_equation_once(monkeypatch):
         sieve, "solve_norm_equation", lambda ring, m: calls.append((ring.d, m)) or solve(ring, m)
     )
     for _ in range(3):
-        for (ring, n), loop in zip(cases, loops):
-            table = primes_over(ring, ps, n)
-            same_table(table, loop)
-            table.xs[:] = 0
-    want = [(d, p) for d in (-1, -7) for p in ps if splitting_type(make_ring(d), p) != "inert"]
+        assert [factor(z) for z in elements] == want_fms
+    want = [(r.d, p) for r in rings for p in ps if splitting_type(r, p) != "inert"]
     assert sorted(calls) == sorted(want)
 
 
@@ -157,36 +155,36 @@ def test_modulus_factorization_leaves_the_class_caches_alone(gauss):
     factorizations = [m.factorization for m in moduli]
     assert cache_state() == before
     for m, fm in zip(moduli, factorizations):
-        assert fm == factor(m.q, sieve_primes(gauss, m.norm))
+        assert fm == table_factor(m.q, sieve_primes(gauss, m.norm))
 
 
 def test_factor_by_norm(gauss):
-    fm = factor_by_norm(gauss.element(1000, 7))
+    fm = factor(gauss.element(1000, 7))
     assert (fm.unit.x, fm.unit.y) == (0, -1)
     assert [((p.x, p.y), e) for p, e in fm.factors] == [((8, 17), 1), ((48, 23), 1)]
     with pytest.raises(BoundsTooLarge):
-        factor_by_norm(gauss.element(5000, 0))
+        factor(gauss.element(5000, 0))
 
 
 def test_gauss_table_norm_histogram(gauss):
     table = sieve_primes(gauss, 25)
-    hist = Counter(p.norm() for p in table.primes)
+    hist = Counter(p.norm() for p in primes_of(table))
     assert len(table) == 8
     assert dict(hist) == {2: 1, 5: 2, 9: 1, 13: 2, 17: 2}
-    assert not any((p.x, p.y) == (5, 0) for p in table.primes)
-    assert any((p.x, p.y) == (2, 1) for p in table.primes)
+    assert not any((p.x, p.y) == (5, 0) for p in primes_of(table))
+    assert any((p.x, p.y) == (2, 1) for p in primes_of(table))
 
 
 def test_eisenstein_small_table(eisen):
     table = sieve_primes(eisen, 9)
-    entries = [(p.norm(), s) for p, s in zip(table.primes, table.split_types)]
+    entries = [(p.norm(), s) for p, s in zip(primes_of(table), table.split_types)]
     assert entries == [(3, "ramified"), (4, "inert"), (7, "split"), (7, "split")]
 
 
 def test_split_pairs_are_conjugate_non_associate(gauss):
     table = sieve_primes(gauss, 200)
     by_norm = {}
-    for p, s in zip(table.primes, table.split_types):
+    for p, s in zip(primes_of(table), table.split_types):
         if s == "split":
             by_norm.setdefault(p.norm(), []).append(p)
     for n, pair in by_norm.items():
@@ -229,7 +227,7 @@ def test_prime_norm_codes_follow_each_primes_splitting(d):
 def test_table_invariants(d):
     ring = make_ring(d)
     table = sieve_primes(ring, 300)
-    for p, s in zip(table.primes, table.split_types):
+    for p, s in zip(primes_of(table), table.split_types):
         n = p.norm()
         if s == "inert":
             r = math.isqrt(n)
@@ -237,7 +235,7 @@ def test_table_invariants(d):
         else:
             assert sympy.isprime(n)
             assert splitting_type(ring, n) == s
-    keys = [(p.norm(), p.x, p.y) for p in table.primes]
+    keys = [(p.norm(), p.x, p.y) for p in primes_of(table)]
     assert keys == sorted(keys)
 
 
@@ -250,7 +248,7 @@ def test_prime_counts_vs_trial_division(gauss):
         c for c in classes if c.norm() >= 2 and brute_is_prime(gauss, c, by_norm)
     ]
     assert len(brute) == len(table)
-    assert {(p.x, p.y) for p in table.primes} == {(c.x, c.y) for c in brute}
+    assert {(p.x, p.y) for p in primes_of(table)} == {(c.x, c.y) for c in brute}
 
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
@@ -281,39 +279,23 @@ def test_is_prime_examples(gauss):
     assert is_prime(gauss.element(0, 3))  # associate of inert 3
 
 
-def test_factor_examples(gauss, gauss_table_2k):
-    fm = factor(gauss.element(6, 0), gauss_table_2k)
+def test_factor_examples(gauss):
+    fm = factor(gauss.element(6, 0))
     assert (fm.unit.x, fm.unit.y) == (0, -1)
     assert [((p.x, p.y), e) for p, e in fm.factors] == [((1, 1), 2), ((3, 0), 1)]
     assert reconstruct(fm) == gauss.element(6, 0)
 
-    fm = factor(gauss.element(1, 1), gauss_table_2k)
+    fm = factor(gauss.element(1, 1))
     assert fm.unit == gauss.one()
     assert [((p.x, p.y), e) for p, e in fm.factors] == [((1, 1), 1)]
 
-    fm = factor(gauss.element(1, 0), gauss_table_2k)
+    fm = factor(gauss.element(1, 0))
     assert fm.unit == gauss.one() and fm.factors == []
-
-
-def test_factor_too_small(gauss):
-    table = sieve_primes(gauss, 10)
-    with pytest.raises(TableTooSmall):
-        factor(gauss.element(100, 0), table)
-
-
-def test_factor_cofactor_outside_a_partial_table(gauss):
-    # the primes above 2 only: 15 = 3 (2+i)(2-i) leaves a composite cofactor,
-    # 3 and 3 (1+i) leave the prime 3, which the table lacks
-    over_two = primes_over(gauss, [2], 1000)
-    for x, y in [(15, 0), (3, 0), (3, 3)]:
-        with pytest.raises(TableTooSmall, match="is not a prime of the table"):
-            factor(AlgInt(gauss, x, y), over_two)
 
 
 @pytest.mark.parametrize("d", [-1, -3, -43])
 def test_factor_soundness_random(d):
     ring = make_ring(d)
-    table = sieve_primes(ring, 10_000)
     rng = random.Random(d)
     checked = 0
     primes = set()
@@ -321,7 +303,7 @@ def test_factor_soundness_random(d):
         z = AlgInt(ring, rng.randint(-40, 40), rng.randint(-40, 40))
         if z.is_zero() or z.norm() > 10_000:
             continue
-        fm = factor(z, table)
+        fm = factor(z)
         assert reconstruct(fm) == z
         assert fm.unit.is_unit()
         for p, e in fm.factors:
@@ -334,13 +316,11 @@ def test_factor_soundness_random(d):
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
 def test_factor_over_primes_of_the_norm(d):
-    # the table of the primes above p | N(xi) factors xi like the full table
+    # the primes above p | N(xi) factor xi like trial division by the full table
     ring = make_ring(d)
     table = sieve_primes(ring, 2000)
     for z in canonical_classes(ring, 2000):
-        n = z.norm()
-        over = primes_over(ring, [p for p in sympy.primerange(n + 1) if n % p == 0], n)
-        assert factor(z, over) == factor(z, table)
+        assert factor(z) == table_factor(z, table)
 
 
 def test_von_mangoldt_examples(gauss, gauss_table_2k):
@@ -497,7 +477,7 @@ def test_cache_save_bytes(tmp_path, eisen):
     table = sieve_primes(eisen, 50)
     cache_save(table, path)
     want = struct.pack("<4sIqQQ", b"QLOD", 1, -3, 50, len(table))
-    for p, s in zip(table.primes, table.split_types):
+    for p, s in zip(primes_of(table), table.split_types):
         want += struct.pack("<qqB", p.x, p.y, {"split": 0, "inert": 1, "ramified": 2}[s])
     assert path.read_bytes() == want
 
@@ -521,10 +501,10 @@ def test_cache_load_fuzz(cache_dir_and_bytes, data):
         table = cache_load(make_ring(-1), path)
     except QlodError:
         return
-    assert len(table.primes) == len(table.split_types)
-    keys = [(p.norm(), p.x, p.y) for p in table.primes]
+    assert len(primes_of(table)) == len(table.split_types)
+    keys = [(p.norm(), p.x, p.y) for p in primes_of(table)]
     assert keys == sorted(set(keys))
-    for p, s in zip(table.primes, table.split_types):
+    for p, s in zip(primes_of(table), table.split_types):
         n = p.norm()
         assert canonical_associate(p) == p and n <= table.max_norm
         r = n if sympy.isprime(n) else math.isqrt(n)
