@@ -2,7 +2,7 @@
 in the nine imaginary quadratic rings of integers with class number one."""
 
 from .arith import ArithFn, convolve, tabulate, unit_fold_check
-from .characters import DirichletCharacter, Modulus, trivial_modulus
+from .characters import DirichletCharacter, Modulus
 from .errors import QlodError
 from .lab import (
     LodScanConfig,
@@ -52,6 +52,5 @@ __all__ = [
     "sieve_primes",
     "sw_check",
     "tabulate",
-    "trivial_modulus",
     "unit_fold_check",
 ]

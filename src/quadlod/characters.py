@@ -42,11 +42,11 @@ def _divides(f: AlgInt, x, y) -> np.ndarray:
 class Modulus:
     """The residue ring O_K/(q) for a canonical q of norm >= 2."""
 
-    def __init__(self, ring: RingDescriptor, q: AlgInt, _allow_trivial: bool = False):
+    def __init__(self, ring: RingDescriptor, q: AlgInt):
         if q.ring.d != ring.d:
             q._check_ring(ring.one())
         nq = q.norm()
-        if nq < 2 and not _allow_trivial:
+        if nq < 2:
             raise ZeroOrUnitModulus(f"modulus must have norm >= 2, got {nq}")
         if nq > DEFAULT_MODULUS_GUARD:
             raise BoundsTooLarge(f"modulus norm {nq} exceeds guard")
@@ -174,35 +174,12 @@ class Modulus:
             self._kernels[key] = self._phase_dlog[_divides(f, x - 1, y)]
         return ~(exps @ self._kernels[key].T % self.exponent).any(axis=-1)
 
-    def _primitive(self, exps: np.ndarray) -> np.ndarray:
-        """Primitive iff chi factors mod no q/pi, pi a prime dividing q."""
-        keep = np.ones(exps.shape[:-1], dtype=bool)
-        for pi, _ in self.factorization.factors:
-            keep &= ~self._factors_mod(divide_exact(self.q, pi), exps)
-        return keep
-
     @cached_property
     def factorization(self):
         return factor(self.q)
 
-    @cached_property
-    def divisor_classes(self) -> list[AlgInt]:
-        """Canonical divisors of q ordered by (norm, x, y), from (1) to q."""
-        divs = [self.ring.one()]
-        for pi, e in self.factorization.factors:
-            divs = [
-                canonical_associate(d_ * pi**k) for d_ in divs for k in range(e + 1)
-            ]
-        divs.sort(key=lambda z: (z.norm(), z.x, z.y))
-        return divs
-
     def __repr__(self):
         return f"Modulus(d={self.ring.d}, q={self.q}, norm={self.norm})"
-
-
-def trivial_modulus(ring: RingDescriptor) -> Modulus:
-    """The norm-1 modulus (1): one residue class, one (principal) character."""
-    return Modulus(ring, ring.one(), _allow_trivial=True)
 
 
 def _pow(x, n: int, mul, one):
@@ -328,19 +305,23 @@ class DirichletCharacter:
         return m._phase_dlog @ np.array(self.exponents, dtype=np.int64) % m.exponent
 
     @cached_property
-    def conductor(self) -> Modulus:
-        """Smallest-norm divisor modulus through which the character factors."""
+    def conductor(self) -> AlgInt:
+        """The canonical generator of the conductor, found by descent from q.
+
+        chi factors mod f exactly when the conductor divides f, so dividing f
+        by each prime pi | q while chi still factors mod f/pi stops at it.
+        """
         m = self.modulus
         exps = np.array(self.exponents, dtype=np.int64)
-        for f_el in m.divisor_classes:
-            if m._factors_mod(f_el, exps):
-                return trivial_modulus(m.ring) if f_el.is_unit() else Modulus(m.ring, f_el)
-        raise AssertionError("character must factor through its own modulus")
+        f = m.q
+        for pi, _ in m.factorization.factors:
+            while (g := divide_exact(f, pi)) is not None and m._factors_mod(g, exps):
+                f = g
+        return canonical_associate(f)
 
     @property
     def is_primitive(self) -> bool:
-        m = self.modulus
-        return bool(m._primitive(np.array(self.exponents, dtype=np.int64)))
+        return self.conductor == self.modulus.q
 
     def __repr__(self):
         return f"DirichletCharacter(q={self.modulus.q}, e={self.exponents})"

@@ -371,7 +371,7 @@ def _dispatch(args) -> int:
             for chi in m.characters:
                 cond = chi.conductor
                 lines.append(
-                    f"\"{list(chi.exponents)}\",{cond.q.x},{cond.q.y},{cond.norm},"
+                    f"\"{list(chi.exponents)}\",{cond.x},{cond.y},{cond.norm()},"
                     f"{int(chi.is_primitive)}"
                 )
         _emit(lines, cfg, out)

@@ -143,7 +143,12 @@ class _Levels(NamedTuple):
 
 
 def _levels(norms: np.ndarray, fv: np.ndarray) -> _Levels:
-    """The rows of f's sweep: one per distinct norm of an element with f != 0."""
+    """The rows of f's sweep: one per distinct norm of an element with f != 0.
+
+    BoundsTooLarge unless sum |re f| + |im f| < 2^510 (NaN and inf fail too):
+    every class sum and T / phi is then at most that sum, so |eps| < 2^511
+    and |eps|^2 < 2^1022 stay finite.
+    """
     nz = fv != 0
     nz = slice(None) if nz.all() else np.flatnonzero(nz)  # a slice keeps views
     va, lvn = fv[nz], norms[nz]
@@ -152,8 +157,12 @@ def _levels(norms: np.ndarray, fv: np.ndarray) -> _Levels:
     starts = np.flatnonzero(new_level)
     vr = va.real
     real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
+    with np.errstate(over="ignore"):  # a sum past the float range is inf: it fails below
+        mass = np.abs(vr).sum() + (0.0 if real else np.abs(va.imag).sum())
+    if not mass < 2.0**510:
+        raise BoundsTooLarge(f"sum of |f| over the swept elements is {float(mass)!r}: need < 2^510")
     # integers with sum |f| < 2^52: every partial sum is exact, in any order
-    exact = real and np.array_equal(vr, np.rint(vr)) and np.abs(vr).sum() < 2**52
+    exact = real and mass < 2**52 and np.array_equal(vr, np.rint(vr))
     level = np.cumsum(new_level) - 1
     w = vr.astype(np.float64) if exact else None
     return _Levels(
@@ -287,7 +296,7 @@ def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[SweepResult]:
     bit for bit and its first argmax is the first class that attains it.
     """
     top = np.maximum.accumulate(p.row_sq)  # prefix maxima, nondecreasing
-    gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
+    gx, gy = m.rid_coords(m.unit_rids[0])
     out = []
     for n in np.searchsorted(p.norms, cuts, side="right").tolist():
         if n == 0 or not top[n - 1] > 0.0:
@@ -586,19 +595,19 @@ class _Lanes:
         return 53 // self.lanes
 
 
-def _coeff_bounds(coeffs: np.ndarray) -> tuple[float, float]:
-    """(A, amax): the largest sum of |c| over one vector, and the largest |c|.
-
-    (inf, inf) as soon as a row is not integer (NaN included); inf makes A inf.
+def _coeff_bounds(coeffs: np.ndarray) -> tuple[float, float, bool]:
+    """(A, amax, integer): the largest sum of |c| over one vector, the largest
+    |c|, and whether every c is an integer.
     """
     a = amax = 0.0
+    integer = True
     for row in coeffs:
-        if not np.array_equal(row, np.rint(row)):  # NaN fails too; inf sums to inf
-            return math.inf, math.inf
+        integer = integer and np.array_equal(row, np.rint(row))
         mag = np.abs(row)
-        a = max(a, float(mag.sum()))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            a = max(a, float(mag.sum()))
         amax = max(amax, float(mag.max(initial=0.0)))
-    return a, amax
+    return a, amax, integer
 
 
 def _lanes_for(a: float) -> int:
@@ -727,7 +736,10 @@ def large_sieve_ratios(
     largest |c| and cmax the largest coprime class count, at least as many
     as A alone; the rows are repacked, into one buffer, only when that count
     changes.  coeff_matrix is real and finite, (vectors, len(xs)) or one
-    vector of len(xs); anything else is a ValueError.
+    vector of len(xs); anything else is a ValueError.  Before any modulus,
+    A must be below 2^500 and (|A0(N)|/Q1 + Q2) times the largest sum c^2
+    finite, else BoundsTooLarge: a modulus's squared class sums then add up
+    to at most A^2 < 2^1000, so every lhs stays finite too.
     """
     if not q1 > 0:
         raise ValueError(f"Q1 must be positive, got {q1}")
@@ -760,10 +772,15 @@ def large_sieve_ratios(
         i = np.argmax(outside)
         z = AlgInt(ring, int(xs[i]), int(ys[i]))
         raise ValueError(f"coefficient support {z} outside the region")
-    c_sq = (coeff_matrix**2).sum(axis=1)  # before packing: lower peak RSS
     n_vec = coeff_matrix.shape[0]
-    a, amax = _coeff_bounds(coeff_matrix)
-    lanes = _lanes_for(a)  # no modulus takes fewer
+    a, amax, integer = _coeff_bounds(coeff_matrix)
+    if not a < 2.0**500:
+        raise BoundsTooLarge(f"a coefficient vector's sum of |c| is {a!r}: need < 2^500")
+    c_sq = (coeff_matrix**2).sum(axis=1)  # before packing: lower peak RSS
+    rhs_factor = count_region(a0(ring, region.n)) / q1 + q2
+    if not math.isfinite(rhs_factor * float(c_sq.max(initial=0.0))):
+        raise BoundsTooLarge(f"rhs = (|A0(N)|/Q1 + Q2) * sum c^2 overflows at Q1={q1}, Q2={q2}")
+    lanes = _lanes_for(a) if integer else 1  # no modulus takes fewer
     pack = _pack_lanes(coeff_matrix, 1)
     buf = np.empty((-(-n_vec // lanes), n)) if lanes > 1 else None
     lhs = np.zeros(n_vec)
@@ -783,7 +800,6 @@ def large_sieve_ratios(
         folded = _fold_classes(pack, cid, m.phi)
         prim = _primitive_part(m, folded)
         lhs += (prim * prim).sum(axis=1)  # the 1/phi(q) cancels
-    rhs_factor = count_region(a0(ring, region.n)) / q1 + q2
     out = []
     for i in range(n_vec):
         rhs = rhs_factor * float(c_sq[i])

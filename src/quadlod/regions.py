@@ -45,7 +45,7 @@ class NormRegion:
         if hi_radius <= 0:
             raise ValueError(f"outer radius Y + N^b must be positive, got {float(hi_radius)!r}")
         hi = hi_radius * hi_radius
-        return NormRegion(ring, _ceil_frac(lo), _floor_frac(hi), n)
+        return NormRegion(ring, math.ceil(lo), math.floor(hi), n)
 
 
 def a0(ring: RingDescriptor, n: float) -> NormRegion:
@@ -71,14 +71,6 @@ def _pow_exact(n: float, b: float) -> Fraction:
         return Fraction(math.pow(n, b))
     except OverflowError:
         raise BoundsTooLarge(f"N^b overflows a float at N={n}, b={b}") from None
-
-
-def _floor_frac(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 def _y_max(ring: RingDescriptor, hi_sq: int) -> int:

@@ -247,7 +247,7 @@ def loop_sw_check_reference(f, n, d_power, bound_power=None):
         xs, ys, _ = element_arrays(f.ring.d, 1, hi)
         fv = _fvals(f, xs, ys)
         rid = _rids(m, xs, ys)
-        cid = _coprime_index(m)[rid] if m.norm > 1 else np.zeros(len(rid), dtype=np.int64)
+        cid = _coprime_index(m)[rid]
         table = np.array(
             [complex(v) for v in (chi_of_rid(chi, r) for r in m.unit_rids)],
             dtype=np.complex128,
@@ -745,35 +745,43 @@ def loop_unit_circle(ph: Fraction) -> complex:
     )
 
 
+def divisor_classes(m) -> list[AlgInt]:
+    """Canonical divisors of q ordered by (norm, x, y), from (1) to q."""
+    divs = [m.ring.one()]
+    for pi, e in m.factorization.factors:
+        divs = [
+            canonical_associate(d_ * pi**k) for d_ in divs for k in range(e + 1)
+        ]
+    divs.sort(key=lambda z: (z.norm(), z.x, z.y))
+    return divs
+
+
 class LoopUnitGroup:
     """The unit group and characters of a Modulus, by the dict and Fraction loops.
 
     Only the modulus's coset arithmetic (rid_coords, mul_rid, one_rid) and its
-    factorization and divisor list are read.
+    factorization are read.
     """
 
     def __init__(self, m):
         from quadlod.rings import gcd
 
         self.m = m
-        if m.norm == 1:
-            self.unit_rids = [0]
-        else:
-            self.unit_rids = []
-            for r in range(m.norm):
-                rep = residue(m, r)
-                if rep.is_zero():
-                    continue
-                if gcd(rep, m.q).is_unit():
-                    self.unit_rids.append(r)
+        self.unit_rids = []
+        for r in range(m.norm):
+            rep = residue(m, r)
+            if rep.is_zero():
+                continue
+            if gcd(rep, m.q).is_unit():
+                self.unit_rids.append(r)
         gens, orders, self.dlog = loop_decompose_abelian(
-            self.unit_rids if m.norm > 1 else [0], m.mul_rid, m.one_rid
+            self.unit_rids, m.mul_rid, m.one_rid
         )
         self.unit_group = (tuple(gens), tuple(orders))
         self.unit_index = {r: i for i, r in enumerate(self.unit_rids)}
 
     def phase_of_rid(self, exponents, rid: int) -> Fraction:
-        vec = self.dlog[rid] if self.m.norm > 1 else ()
+        vec = self.dlog[rid]
         ph = Fraction(0)
         for e, a, n in zip(exponents, vec, self.unit_group[1]):
             ph += Fraction(e * a, n)
@@ -796,8 +804,6 @@ class LoopUnitGroup:
 
     def is_primitive(self, exponents) -> bool:
         m = self.m
-        if m.norm == 1:
-            return True  # the character mod (1) has conductor (1)
         for pi, _ in m.factorization.factors:
             cofactor = divide_exact(m.q, pi)
             if self.factors_through(exponents, cofactor):
@@ -806,7 +812,7 @@ class LoopUnitGroup:
 
     def conductor(self, exponents) -> AlgInt:
         """Smallest-norm divisor class of q through which the character factors."""
-        for f_el in self.m.divisor_classes:
+        for f_el in divisor_classes(self.m):
             if self.factors_through(exponents, f_el):
                 return f_el
         raise AssertionError("character must factor through its own modulus")

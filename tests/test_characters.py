@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     LoopUnitGroup,
+    divisor_classes,
     chi_at,
     chi_of_rid,
     chi_phase,
@@ -20,7 +21,7 @@ from _oracles import (
     residue,
     rid_of,
 )
-from quadlod.characters import Modulus, trivial_modulus
+from quadlod.characters import Modulus
 from quadlod.errors import ZeroOrUnitModulus
 from quadlod.regions import canonical_classes
 from quadlod.rings import SUPPORTED_D, divide_exact, gcd, make_ring
@@ -209,7 +210,7 @@ def test_zero_on_non_coprime(gauss):
 def test_conductor_principal_is_trivial(gauss):
     m = Modulus(gauss, gauss.element(3, 2))
     prin = [c for c in m.characters if c.is_principal][0]
-    assert prin.conductor.norm == 1
+    assert prin.conductor.norm() == 1
     assert not prin.is_primitive
 
 
@@ -222,9 +223,9 @@ def test_conductor_lifted_character(gauss):
     for chi in m.characters:
         cond = chi.conductor
         if chi.is_principal:
-            assert cond.norm == 1
+            assert cond.norm() == 1
         else:
-            assert cond.q == gauss.element(3, 0)
+            assert cond == gauss.element(3, 0)
         assert not chi.is_primitive
 
 
@@ -232,9 +233,9 @@ def test_conductor_prime_modulus(gauss):
     m = Modulus(gauss, gauss.element(2, 1))
     for chi in m.characters:
         if chi.is_principal:
-            assert chi.conductor.norm == 1
+            assert chi.conductor.norm() == 1
         else:
-            assert chi.conductor.q == m.q
+            assert chi.conductor == m.q
             assert chi.is_primitive
 
 
@@ -287,13 +288,6 @@ def test_dlog_inverts(gauss, eisen):
         assert all(n2 <= n1 for n1, n2 in zip(orders, orders[1:]))
 
 
-def test_trivial_modulus(gauss):
-    t = trivial_modulus(gauss)
-    assert t.norm == 1 and t.phi == 1
-    assert len(t.characters) == 1 and t.characters[0].is_principal
-    assert is_coprime(t, gauss.element(7, 3))
-
-
 def test_coprime_matches_gcd(gauss):
     m = Modulus(gauss, gauss.element(3, 1))
     for z in canonical_classes(gauss, 40):
@@ -326,7 +320,7 @@ def assert_matches_loop_reference(m):
         want = np.array([loop_unit_circle(ph) for ph in exact], dtype=np.complex128)
         assert (got.view(np.uint64) == want.view(np.uint64)).all()
         assert chi.is_primitive == ref.is_primitive(e) == (chi in primitive)
-        assert chi.conductor.q == ref.conductor(e)
+        assert chi.conductor == ref.conductor(e)
 
 
 @settings(max_examples=20, deadline=None)
@@ -338,5 +332,22 @@ def test_unit_group_matches_loop_reference(modulus):
 
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
-def test_trivial_modulus_matches_loop_reference(d):
-    assert_matches_loop_reference(trivial_modulus(make_ring(d)))
+def test_conductor_is_the_first_divisor_chi_factors_through(d):
+    # the divisor walk the descent replaced: (1) to q by (norm, x, y), and the
+    # first f with chi factoring mod f; primitive iff chi factors mod no q/pi
+    ring = make_ring(d)
+    for q in canonical_classes(ring, 100):
+        if q.norm() < 2:
+            continue
+        m = Modulus(ring, q)
+        exps = np.array([chi.exponents for chi in m.characters], dtype=np.int64)
+        cond = [None] * len(exps)
+        for f in divisor_classes(m):
+            for i in np.flatnonzero(m._factors_mod(f, exps)).tolist():
+                cond[i] = cond[i] or f
+        primitive = np.ones(len(exps), dtype=bool)
+        for pi, _ in m.factorization.factors:
+            primitive &= ~m._factors_mod(divide_exact(m.q, pi), exps)
+        for chi, want, prim in zip(m.characters, cond, primitive.tolist()):
+            assert chi.conductor == want
+            assert chi.is_primitive == (chi.conductor == m.q) == prim

@@ -811,6 +811,8 @@ def test_config_file_fuzz(fuzz_dir, command, values):
          1, "leaves the float range"),
         (["lod-scan", "--d", "-1", "--f", "one", "--theta", "0.5", "--B", "1934", "--Ngrid", "2"],
          1, "leaves the float range"),
+        (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "1e-310", "--Q2", "20", "--vectors", "2"],
+         1, "overflows"),
     ],
 )
 def test_out_of_range_argument_is_one_line_error(capsys, argv, code, needle):
@@ -832,3 +834,36 @@ def test_non_finite_csv_value_is_computation_error(capsys, tmp_path, column, val
     code, _, err = run(capsys, "sw-check", "--d", "-1", "--f", f"csv:{mu}", "--N", "3", "--D", "1")
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "value, digest",
+    [
+        # 2 classes x 4 units x 2^506 plus the ones: just under 2^510
+        (2.0**506, "b51f50f47beeb67be28990081cd93dc92ca1a0e22953d463d9287c2cc0ceb471"),
+        (2.0**507, None),  # 2^510 and more
+        (1e308, None),  # the sum leaves the float range
+    ],
+)
+def test_sweep_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
+    # two values of 1e308 gave E=inf and 28 inf/nan rows with exit 0; the
+    # sweep now needs sum |f| < 2^510 over the swept elements.  The digest
+    # was recorded before the guard, so under it the bytes are unchanged.
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "tabulate", "--d", "-1", "--f", "one", "--norm-bound", "400", "--out", "one.csv")
+    lines = (tmp_path / "one.csv").read_text().splitlines()
+    for i in (10, 40):
+        row = lines[i].split(",")
+        row[3] = repr(value)
+        lines[i] = ",".join(row)
+    (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys, "lod-scan", "--d", "-1", "--f", "csv:big.csv", "--theta", "0.5", "--B", "0",
+        "--Ngrid", "10,20", "--workers", "1", "--out", "scan.csv",
+    )
+    if digest is None:
+        assert code == 1 and not (tmp_path / "scan.csv").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2^510" in err
+    else:
+        assert code == 0 and err == ""
+        assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == digest

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
 from quadlod.characters import Modulus
-from quadlod.errors import EmptyModulusRange, TableTooSmall
+from quadlod.errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
 from quadlod.lab import (
     LodScanConfig,
     ModulusRecord,
@@ -483,6 +483,21 @@ def test_large_sieve_errors(gauss):
     for coeffs in (np.ones((1, len(els)), dtype=np.complex128), [1j] * len(els)):
         with pytest.raises(ValueError, match="coefficients must be real"):
             large_sieve_ratios(coeffs, *_xy(els), 4, 30, region)
+    # a finite coefficient of 1e160 or 1e200 gave the row (inf, inf, nan);
+    # every vector's sum |c|, integer or not, must be below 2^500
+    for big in (1e160, 1e200):
+        for frac in (1.0, 0.5):
+            coeffs = np.ones((2, len(els)))
+            coeffs[1, 5:7] = big, frac
+            with pytest.raises(BoundsTooLarge, match="need < 2\\^500"):
+                large_sieve_ratios(coeffs, *_xy(els), 4, 30, region)
+    coeffs = np.ones((2, len(els)))
+    coeffs[1, 5] = 2.0**499
+    rows = large_sieve_ratios(coeffs, *_xy(els), 4, 30, region)
+    assert np.isfinite(rows).all() and rows[1][0] > 1e300
+    # a tiny Q1 made rhs inf and the ratio 0.0, a silent pass
+    with pytest.raises(BoundsTooLarge, match="rhs"):
+        large_sieve_ratios(np.ones((2, len(els))), *_xy(els), 1e-310, 20, region)
 
 
 def test_large_sieve_random_sign_ratios(gauss):
@@ -510,8 +525,10 @@ def test_fold_classes_matches_left_to_right_loop(d, qx, qy):
 
 
 def _pack(coeffs):
-    """coeffs packed whole, at the lanes its largest per-vector sum |c| allows."""
-    return lab._pack_lanes(coeffs, lab._lanes_for(lab._coeff_bounds(coeffs)[0]))
+    """coeffs packed whole, at the lanes its largest per-vector sum |c| allows;
+    one lane unless every coefficient is an integer."""
+    a, _, integer = lab._coeff_bounds(coeffs)
+    return lab._pack_lanes(coeffs, lab._lanes_for(a) if integer else 1)
 
 
 def _one_lane(coeffs):
