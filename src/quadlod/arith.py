@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CorruptFile, RingMismatch, TableTooSmall, UnsupportedRing
+from .errors import BoundsTooLarge, CorruptFile, RingMismatch, TableTooSmall, UnsupportedRing
 from .rings import AlgInt, RingDescriptor, canonical_associate, make_ring, norm_xy
 from .regions import (
     a0, canonical_classes, class_arrays, class_index, class_products, element_arrays,
@@ -159,13 +159,25 @@ def _prime_chains(sieve: FactorSieve):
     return distinct, tau * (run + 1), last
 
 
+def _mass(vals: np.ndarray) -> float:
+    """sum of |re| + |im| over complex values; inf past the float range, nan on nan."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(vals.real).sum() + np.abs(vals.imag).sum())
+
+
 def convolve(f: ArithFn, g: ArithFn) -> ArithFn:
-    """Dirichlet convolution (f*g)(a) = sum over divisor pairs d*m = a."""
+    """Dirichlet convolution (f*g)(a) = sum over divisor pairs d*m = a.
+
+    BoundsTooLarge unless M_f * M_g < 2^1022, M the `_mass` of each operand
+    up to the bound: every partial sum of a class's products is then finite.
+    """
     if f.ring.d != g.ring.d:
         raise RingMismatch("convolution operands in different rings")
     bound = min(f.norm_bound, g.norm_bound)
     n = len(class_arrays(f.ring, bound)[0])
     fv, gv = f.vals[:n], g.vals[:n]
+    if not (mass := _mass(fv) * _mass(gv)) < 2.0**1022:
+        raise BoundsTooLarge(f"sum of |f| times sum of |g| is {mass!r}: need < 2^1022")
     left, right = np.flatnonzero(fv), np.flatnonzero(gv)
     out = np.zeros(n, dtype=np.complex128)
     for i, j, k in class_products(f.ring, bound, left, right):

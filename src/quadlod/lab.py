@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import ArithFn, convolve
+from .arith import ArithFn, _mass, convolve
 from .characters import DirichletCharacter, Modulus
 from .errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
 from .regions import (
@@ -157,10 +157,8 @@ def _levels(norms: np.ndarray, fv: np.ndarray) -> _Levels:
     starts = np.flatnonzero(new_level)
     vr = va.real
     real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
-    with np.errstate(over="ignore"):  # a sum past the float range is inf: it fails below
-        mass = np.abs(vr).sum() + (0.0 if real else np.abs(va.imag).sum())
-    if not mass < 2.0**510:
-        raise BoundsTooLarge(f"sum of |f| over the swept elements is {float(mass)!r}: need < 2^510")
+    if not (mass := _mass(va)) < 2.0**510:
+        raise BoundsTooLarge(f"sum of |f| over the swept elements is {mass!r}: need < 2^510")
     # integers with sum |f| < 2^52: every partial sum is exact, in any order
     exact = real and mass < 2**52 and np.array_equal(vr, np.rint(vr))
     level = np.cumsum(new_level) - 1
@@ -510,6 +508,8 @@ def sw_check(
     defaults to 3*D but both exponents are independent knobs.  f is read
     once, and each modulus reduces the elements once for all its characters;
     every twisted sum still runs over all of A0(N) in (norm, x, y) order.
+    BoundsTooLarge unless M * max(1, (log N)^bound_power) < 2^1022, M the
+    `_mass` of f over A0(N): every partial sum and scaled value is at most that.
     """
     if not n > 1:
         raise ValueError(f"N must exceed 1, got {n}")
@@ -523,6 +523,10 @@ def sw_check(
         raise BoundsTooLarge(
             f"(log N)^D or (log N)^bound_power overflows a float at N={n}"
         ) from None
+    if not (mass := _mass(fv) * max(1.0, log_power)) < 2.0**1022:
+        raise BoundsTooLarge(
+            f"sum of |f| over A0(N) times (log N)^bound_power is {mass!r}: need < 2^1022"
+        )
     cnt = len(xs)
     rows = []
     max_scaled = 0.0

@@ -74,13 +74,9 @@ def _pow_exact(n: float, b: float) -> Fraction:
 
 
 def _y_max(ring: RingDescriptor, hi_sq: int) -> int:
-    # |y| <= sqrt(4*hi_sq/|D_K|), tightened to the exact integer bound
-    y = math.isqrt(4 * hi_sq // abs(ring.disc))
-    while (y + 1) * (y + 1) * abs(ring.disc) <= 4 * hi_sq:
-        y += 1
-    while y * y * abs(ring.disc) > 4 * hi_sq:
-        y -= 1
-    return y
+    # the largest y with y^2 * |D_K| <= 4*hi_sq; y^2 is an integer, so
+    # flooring 4*hi_sq/|D_K| before the square root loses nothing
+    return math.isqrt(4 * hi_sq // abs(ring.disc))
 
 
 def _x_interval(ring: RingDescriptor, y: int, bound: int) -> tuple[int, int] | None:
@@ -179,9 +175,9 @@ def class_arrays(ring: RingDescriptor, max_norm: int) -> tuple[np.ndarray, ...]:
 
     Sorted by (norm, x, y); position i is class index i of every class-indexed
     table (`arith.ArithFn.vals`, the factor sieve, the prime table).  The
-    canonical associates are enumerated directly, in the domain that
-    canonical_coords maps to: y > 0 or (y = 0 and x > 0) when w_K = 2, else
-    x > 0 and y >= 0.
+    canonical associates are enumerated directly, row by row over the sector
+    of `rings._in_canonical_sector`: y > 0 or (y = 0 and x > 0) when w_K = 2,
+    else x > 0 and y >= 0.
     """
     _check_guard(max_norm)
     spans = []
@@ -198,11 +194,10 @@ def _key(max_norm: int, xs, ys, norms):
 
 
 def _associates(ring: RingDescriptor, xs: np.ndarray, ys: np.ndarray):
-    """The w_K associates u*(xs, ys), u = omega^k when w_K > 2 (d = -1, -3), else +-1."""
-    u = (0, 1) if ring.w_K > 2 else (-1, 0)
+    """The w_K associates zeta0^k * (xs, ys), k = 0..w_K - 1."""
     for _ in range(ring.w_K):
         yield xs, ys
-        xs, ys = mul_xy(ring, xs, ys, *u)
+        xs, ys = mul_xy(ring, xs, ys, ring.zeta0.x, ring.zeta0.y)
 
 
 @lru_cache(maxsize=8)
@@ -267,29 +262,6 @@ def class_products(ring: RingDescriptor, bound: int, left: np.ndarray, right: np
         j = np.arange(lo, hi) - firsts[i]
         a, b = left[i], right[j]
         yield i, j, class_index(ring, bound, *mul_xy(ring, xs[a], ys[a], xs[b], ys[b]))
-
-
-def canonical_coords(
-    ring: RingDescriptor, xs: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized canonical-associate coordinates (zero maps to itself)."""
-    cx = xs.copy()
-    cy = ys.copy()
-    if ring.w_K == 2:
-        flip = (cy < 0) | ((cy == 0) & (cx < 0))
-        cx[flip] = -cx[flip]
-        cy[flip] = -cy[flip]
-        return cx, cy
-    nonzero = (cx != 0) | (cy != 0)
-    for _ in range(ring.w_K - 1):
-        out = (cx > 0) & (cy >= 0)
-        rot = nonzero & ~out
-        if not rot.any():
-            break
-        rx, ry = cx[rot], cy[rot]
-        # multiply by omega, which is zeta0 when w_K > 2 (d = -1, -3)
-        cx[rot], cy[rot] = ring.n * ry, rx + ring.t * ry
-    return cx, cy
 
 
 def density_ratio(ring: RingDescriptor, n: float) -> float:

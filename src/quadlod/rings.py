@@ -163,14 +163,16 @@ class AlgInt:
         return f"{self.x}{self.y:+d}w"
 
 
-def _in_canonical_sector(ring: RingDescriptor, x: int, y: int) -> bool:
-    # Exact membership test for embedding argument in [0, 2*pi/w_K).
-    # w_K=2: upper half plane plus the positive real axis.
-    # w_K=4 and 6: open right quadrant/sextant closed on the real axis;
-    # in both cases sign(Im) = sign(y) and the upper boundary ray maps to x = 0.
+def _in_canonical_sector(ring: RingDescriptor, x, y):
+    """Whether x + y*omega has embedding argument in [0, 2*pi/w_K); ints or int64 arrays.
+
+    w_K=2: upper half plane plus the positive real axis.  w_K=4 and 6: open
+    right quadrant/sextant closed on the real axis; in both cases sign(Im) =
+    sign(y) and the upper boundary ray maps to x = 0.  Zero is outside.
+    """
     if ring.w_K == 2:
-        return y > 0 or (y == 0 and x > 0)
-    return x > 0 and y >= 0
+        return (y > 0) | ((y == 0) & (x > 0))
+    return (x > 0) & (y >= 0)
 
 
 def canonical_associate(xi: AlgInt) -> AlgInt:

@@ -27,9 +27,9 @@ from .errors import (
     ZeroElement,
 )
 from .regions import (
-    DEFAULT_GUARD, _key, canonical_coords, class_arrays, class_index, class_products,
+    DEFAULT_GUARD, _key, _x_interval, _y_max, class_arrays, class_index, class_products,
 )
-from .rings import AlgInt, RingDescriptor, canonical_associate, divide_exact, norm_xy
+from .rings import AlgInt, RingDescriptor, _in_canonical_sector, divide_exact, norm_xy
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 _SPLIT_CODE = {SPLIT: 0, INERT: 1, RAMIFIED: 2}
@@ -103,28 +103,18 @@ def _prime_norm_codes(ring: RingDescriptor, bound: int) -> np.ndarray:
 
 
 def solve_norm_equation(ring: RingDescriptor, m: int) -> list[AlgInt]:
-    """All canonical associates with norm exactly m (sorted by (x, y))."""
-    out = []
-    seen = set()
-    ymax = math.isqrt(4 * m // abs(ring.disc)) + 1
-    for y in range(-ymax, ymax + 1):
-        # norm m  <=>  (2x + t*y)^2 == 4m + disc*y^2
-        ty = ring.t * y
-        r = 4 * m + ring.disc * y * y
-        if r < 0:
-            continue
-        s = math.isqrt(r)
-        if s * s != r:
-            continue
-        for sv in {s, -s}:
-            if (sv - ty) % 2 == 0:
-                cand = canonical_associate(AlgInt(ring, (sv - ty) // 2, y))
-                key = (cand.x, cand.y)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(cand)
-    out.sort(key=lambda z: (z.x, z.y))
-    return out
+    """All canonical associates with norm exactly m >= 1 (sorted by (x, y)).
+
+    Canonical elements have y >= 0, and the norm is convex in x, so on each
+    row y a point of norm exactly m is an end of the interval of norm <= m.
+    """
+    sols = [
+        (x, y)
+        for y in range(_y_max(ring, m) + 1)
+        for x in set(_x_interval(ring, y, m))
+        if norm_xy(ring, x, y) == m and _in_canonical_sector(ring, x, y)
+    ]
+    return [AlgInt(ring, x, y) for x, y in sorted(sols)]
 
 
 @dataclass
@@ -187,17 +177,15 @@ def _primes_above(ring: RingDescriptor, p: int) -> tuple[tuple[int, int, int, in
     """(norm, x, y, split code) of each canonical prime above the rational prime p.
 
     Memoized per ring and p, as an immutable tuple: one norm equation per
-    ring and p for the whole run, and no class arrays, so factoring a few
-    moduli does not evict the run's cached tables.
+    split or ramified p for the whole run, and no class arrays, so factoring
+    a few moduli does not evict the run's cached tables.  An inert p is
+    itself the prime, and (p, 0) is canonical; a ramified p has one
+    canonical class of norm p, a split p two.
     """
     t = splitting_type(ring, p)
     if t == INERT:
-        pi = canonical_associate(AlgInt(ring, p, 0))
-        return ((p * p, pi.x, pi.y, _SPLIT_CODE[INERT]),)
-    sols = solve_norm_equation(ring, p)
-    if t == RAMIFIED:
-        sols = sols[:1]  # conjugate generates the same ideal
-    return tuple((p, pi.x, pi.y, _SPLIT_CODE[t]) for pi in sols)
+        return ((p * p, p, 0, _SPLIT_CODE[INERT]),)
+    return tuple((p, pi.x, pi.y, _SPLIT_CODE[t]) for pi in solve_norm_equation(ring, p))
 
 
 @dataclass
@@ -320,8 +308,8 @@ def cache_load(ring: RingDescriptor, path) -> PrimeTable:
     reject((xs < -r) | (xs > r) | (ys < -r) | (ys > r), f"has norm above {max_norm}")
     norms = norm_xy(ring, xs, ys)
     reject(norms > max_norm, f"has norm above {max_norm}")
-    cxs, cys = canonical_coords(ring, xs, ys)
-    reject((cxs != xs) | (cys != ys), "is not a canonical associate")
+    nonzero = (xs != 0) | (ys != 0)  # zero fails below, as "is not prime"
+    reject(nonzero & ~_in_canonical_sector(ring, xs, ys), "is not a canonical associate")
     expected = prime_codes[norms]
     reject(expected < 0, "is not prime")
     reject(expected != codes, "has a split code that disagrees with its norm")

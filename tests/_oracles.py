@@ -549,10 +549,29 @@ def loop_convolve(f, g):
     return DictFn(ring, bound, out, f"({f.name})*({g.name})")
 
 
+def canonical_coords(ring, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized canonical-associate coordinates (zero maps to itself), by rotation."""
+    cx = xs.copy()
+    cy = ys.copy()
+    if ring.w_K == 2:
+        flip = (cy < 0) | ((cy == 0) & (cx < 0))
+        cx[flip] = -cx[flip]
+        cy[flip] = -cy[flip]
+        return cx, cy
+    nonzero = (cx != 0) | (cy != 0)
+    for _ in range(ring.w_K - 1):
+        out = (cx > 0) & (cy >= 0)
+        rot = nonzero & ~out
+        if not rot.any():
+            break
+        rx, ry = cx[rot], cy[rot]
+        # multiply by omega, which is zeta0 when w_K > 2 (d = -1, -3)
+        cx[rot], cy[rot] = ring.n * ry, rx + ring.t * ry
+    return cx, cy
+
+
 def loop_fvals(f, xs, ys):
     """The per-element dict lookup that lab._fvals replaced, verbatim."""
-    from quadlod.regions import canonical_coords
-
     cxs, cys = canonical_coords(f.ring, xs, ys)
     vals = f.values
     return np.array(
@@ -566,7 +585,7 @@ def searchsorted_class_index(ring, max_norm, xs, ys):
     Exact for |x|, |y| <= 2^26; beyond that its int64 norms can wrap into range.
     """
     from quadlod.errors import TableTooSmall
-    from quadlod.regions import _key, canonical_coords, class_arrays
+    from quadlod.regions import _key, class_arrays
     from quadlod.rings import norm_xy
 
     cxs, cys = canonical_coords(ring, np.asarray(xs, np.int64), np.asarray(ys, np.int64))
@@ -848,12 +867,40 @@ def loop_rational_primes(n: int) -> list[int]:
     return [i for i, v in enumerate(flags) if v]
 
 
+def loop_solve_norm_equation(ring, m: int) -> list[AlgInt]:
+    """All canonical associates with norm exactly m (sorted by (x, y)).
+
+    The discriminant solve per row that sieve.solve_norm_equation replaced.
+    """
+    out = []
+    seen = set()
+    ymax = math.isqrt(4 * m // abs(ring.disc)) + 1
+    for y in range(-ymax, ymax + 1):
+        # norm m  <=>  (2x + t*y)^2 == 4m + disc*y^2
+        ty = ring.t * y
+        r = 4 * m + ring.disc * y * y
+        if r < 0:
+            continue
+        s = math.isqrt(r)
+        if s * s != r:
+            continue
+        for sv in {s, -s}:
+            if (sv - ty) % 2 == 0:
+                cand = canonical_associate(AlgInt(ring, (sv - ty) // 2, y))
+                key = (cand.x, cand.y)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(cand)
+    out.sort(key=lambda z: (z.x, z.y))
+    return out
+
+
 def loop_sieve_primes(ring, max_norm: int) -> LoopPrimeTable:
     return loop_primes_over(ring, loop_rational_primes(max_norm), max_norm)
 
 
 def loop_primes_over(ring, ps: list[int], max_norm: int) -> LoopPrimeTable:
-    from quadlod.sieve import INERT, RAMIFIED, solve_norm_equation, splitting_type
+    from quadlod.sieve import INERT, RAMIFIED, splitting_type
 
     entries: list[tuple[int, int, int, AlgInt, str]] = []
     for p in ps:
@@ -863,7 +910,7 @@ def loop_primes_over(ring, ps: list[int], max_norm: int) -> LoopPrimeTable:
                 pi = canonical_associate(AlgInt(ring, p, 0))
                 entries.append((p * p, pi.x, pi.y, pi, INERT))
         else:
-            sols = solve_norm_equation(ring, p)
+            sols = loop_solve_norm_equation(ring, p)
             if t == RAMIFIED:
                 sols = sols[:1]  # conjugate generates the same ideal
             for pi in sols:

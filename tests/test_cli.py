@@ -867,3 +867,77 @@ def test_sweep_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
     else:
         assert code == 0 and err == ""
         assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == digest
+
+
+def _one_with(tmp_path, capsys, prefixes, value):
+    """`one` on d = -1 to norm 400, as big.csv, with re = value on the rows of the prefixes."""
+    run(capsys, "tabulate", "--d", "-1", "--f", "one", "--norm-bound", "400", "--out", "one.csv")
+    lines = (tmp_path / "one.csv").read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(prefixes):
+            row = line.split(",")
+            row[3] = repr(value)
+            lines[i] = ",".join(row)
+    (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+
+
+# The digests were recorded before the guards, so under them the bytes are
+# unchanged.  Over them a run exits 1 with one line and writes no file; a
+# RuntimeWarning, which pyproject's pytest settings make an error, fails.
+@pytest.mark.parametrize(
+    "value, digest",
+    [
+        # M = 2^510 + 312 for each operand: M^2 just under 2^1022
+        (2.0**509, "71043d06a04b4500a553b0f93619cdbaebaef4b874847db1edec675dcedfd2f9"),
+        (2.0**510, None),  # M^2 just over 2^1022: finite before the guard, refused now
+        (1e200, None),  # 3 inf/nan rows and a RuntimeWarning before the guard
+    ],
+)
+def test_convolve_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
+    monkeypatch.chdir(tmp_path)
+    _one_with(tmp_path, capsys, ("1,2,5,", "2,1,5,"), value)
+    code, _, err = run(
+        capsys, "convolve", "--d", "-1", "--f", "csv:big.csv", "--g", "csv:big.csv",
+        "--norm-bound", "400", "--out", "c.csv",
+    )
+    if digest is None:
+        assert code == 1 and not (tmp_path / "c.csv").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2^1022" in err
+    else:
+        assert code == 0 and err == ""
+        assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == digest
+
+
+def test_conv_experiment_stops_at_the_convolve_guard(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _one_with(tmp_path, capsys, ("1,2,5,", "2,1,5,"), 1e200)
+    code, _, err = run(
+        capsys, "conv-experiment", "--d", "-1", "--f", "csv:big.csv", "--g", "csv:big.csv",
+        "--theta", "0.5", "--B", "0", "--Ngrid", "10,20", "--workers", "1", "--out", "ce.csv",
+    )
+    assert code == 1 and not (tmp_path / "ce.csv").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sum of |g|" in err
+
+
+@pytest.mark.parametrize(
+    "value, digest",
+    [
+        # M = 2^705 + 1253 over A0(20), (log 20)^200 = 2^316.58: just under 2^1022
+        (2.0**703, "4fd5c1f81d0881de712eb7ad2ce5be3f6419b5028a83c5ea4a1787c1ceccce53"),
+        (2.0**704, None),  # just over 2^1022: finite before the guard, refused now
+        (1e308, None),  # 7 inf rows and max_scaled=inf before the guard
+    ],
+)
+def test_sw_check_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
+    monkeypatch.chdir(tmp_path)
+    _one_with(tmp_path, capsys, ("1,0,1,",), value)
+    code, _, err = run(
+        capsys, "sw-check", "--d", "-1", "--f", "csv:big.csv", "--N", "20", "--D", "1.5",
+        "--bound-power", "200", "--out", "sw.csv",
+    )
+    if digest is None:
+        assert code == 1 and not (tmp_path / "sw.csv").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2^1022" in err
+    else:
+        assert code == 0 and err == ""
+        assert hashlib.sha256((tmp_path / "sw.csv").read_bytes()).hexdigest() == digest

@@ -12,15 +12,16 @@ from quadlod.regions import (
     NormRegion,
     a0,
     canonical_classes,
-    canonical_coords,
     class_arrays,
     count_region,
     density_ratio,
     element_arrays,
     enumerate_region,
 )
-from quadlod.rings import SUPPORTED_D, AlgInt, canonical_associate, make_ring
-from _oracles import brute_region_count
+from quadlod.rings import (
+    SUPPORTED_D, AlgInt, _in_canonical_sector, canonical_associate, make_ring,
+)
+from _oracles import brute_region_count, canonical_coords
 
 
 def test_a0_of_one_is_units(gauss, eisen):
@@ -81,17 +82,21 @@ def test_count_matches_brute_force(d):
 
 @pytest.mark.parametrize("d", SUPPORTED_D)
 def test_canonical_coords_match_scalar(d):
+    # the sector test on arrays, and the oracles' rotation, against canonical_associate
     ring = make_ring(d)
     rng = random.Random(d * 19)
     xs = np.array([rng.randint(-60, 60) for _ in range(400)] + [0], dtype=np.int64)
     ys = np.array([rng.randint(-60, 60) for _ in range(400)] + [0], dtype=np.int64)
+    inside = _in_canonical_sector(ring, xs, ys)
+    assert inside.dtype == bool and inside.shape == xs.shape
     cx, cy = canonical_coords(ring, xs, ys)
-    for x, y, gx, gy in zip(xs.tolist(), ys.tolist(), cx.tolist(), cy.tolist()):
+    for x, y, gx, gy, got in zip(xs.tolist(), ys.tolist(), cx.tolist(), cy.tolist(), inside):
         if x == y == 0:
-            assert (gx, gy) == (0, 0)  # zero maps to itself
+            assert (gx, gy) == (0, 0) and not got  # zero maps to itself, outside the sector
             continue
         c = canonical_associate(AlgInt(ring, x, y))
         assert (gx, gy) == (c.x, c.y)
+        assert got == (c == AlgInt(ring, x, y)) == _in_canonical_sector(ring, x, y)
 
 
 def test_empty_annulus(gauss):

@@ -43,6 +43,7 @@ from _oracles import (
     brute_norm_solutions,
     loop_primes_over,
     loop_sieve_primes,
+    loop_solve_norm_equation,
     loop_tabulate,
     primes_of,
     reconstruct,
@@ -257,6 +258,15 @@ def test_solve_norm_equation_matches_brute_force(d):
     for m in range(1, 121):
         got = [(z.x, z.y) for z in solve_norm_equation(ring, m)]
         assert got == brute_norm_solutions(ring, m)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_solve_norm_equation_matches_discriminant_solve(d):
+    # the row-interval ends against the per-row discriminant solve it replaced
+    ring = make_ring(d)
+    for m in range(1, 3001):
+        got = solve_norm_equation(ring, m)
+        assert [(z.x, z.y) for z in got] == [(z.x, z.y) for z in loop_solve_norm_equation(ring, m)]
 
 
 def test_split_solutions_exist(gauss, eisen):
