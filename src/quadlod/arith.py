@@ -14,18 +14,14 @@ import contextlib
 import csv
 import math
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable
 
 import numpy as np
 
 from .errors import BoundsTooLarge, CorruptFile, RingMismatch, TableTooSmall, UnsupportedRing
-from .rings import AlgInt, RingDescriptor, canonical_associate, make_ring, norm_xy
-from .regions import (
-    a0, canonical_classes, class_arrays, class_index, class_products, element_arrays,
-)
+from .rings import RingDescriptor, make_ring
+from .regions import a0, class_arrays, class_index, class_products, element_arrays
 from .sieve import FactorSieve, PrimeTable
 
 BUILTIN_NAMES = ("one", "moebius", "tau", "log_norm", "lambda", "prime_indicator")
@@ -52,59 +48,21 @@ class ArithFn:
             raise ValueError(f"{self.name}: {len(self.vals)} values, not one per class")
 
     @property
-    def values(self) -> Mapping[tuple[int, int], complex]:
-        """Read-only view: canonical (x, y) -> value, in class order."""
-        return _ClassValues(self)
-
-    def __call__(self, xi: AlgInt) -> complex:
-        can = canonical_associate(xi)
-        try:
-            return self.values[(can.x, can.y)]
-        except KeyError:
-            raise TableTooSmall(
-                f"{self.name} tabulated to norm {self.norm_bound}, asked at {xi.norm()}"
-            ) from None
-
-
-class _ClassValues(Mapping):
-    def __init__(self, f: ArithFn):
-        self.f = f
-        self.xs, self.ys, _ = class_arrays(f.ring, f.norm_bound)
-
-    def __getitem__(self, key):
-        (x, y), f = key, self.f
-        if 1 <= norm_xy(f.ring, x, y) <= f.norm_bound:
-            i = class_index(f.ring, f.norm_bound, [x], [y])[0]
-            if (self.xs[i], self.ys[i]) == (x, y):
-                return complex(f.vals[i])
-        raise KeyError(key)
-
-    def __iter__(self):
-        return zip(self.xs.tolist(), self.ys.tolist())
-
-    def __len__(self):
-        return len(self.xs)
-
-    def items(self):
-        return zip(self, self.f.vals.tolist())
+    def values(self) -> dict[tuple[int, int], complex]:
+        """A new dict: canonical (x, y) -> value, in class order."""
+        xs, ys, _ = class_arrays(self.ring, self.norm_bound)
+        return dict(zip(zip(xs.tolist(), ys.tolist()), self.vals.tolist()))
 
 
 def tabulate(
-    builtin: str | Callable[[AlgInt], complex],
-    ring: RingDescriptor,
-    norm_bound: int,
-    table: PrimeTable | None = None,
+    builtin: str, ring: RingDescriptor, norm_bound: int, table: PrimeTable | None = None
 ) -> ArithFn:
-    """Tabulate a named builtin (or a callback) on all classes up to norm_bound.
+    """Tabulate a named builtin on all classes up to norm_bound.
 
     The factorization-based builtins (moebius, tau, lambda, prime_indicator)
     need a PrimeTable covering norm_bound.
     """
-    name = builtin if isinstance(builtin, str) else getattr(builtin, "__name__", "custom")
-    name = _ALIASES.get(name, name)
-    if not isinstance(builtin, str):
-        vals = [complex(builtin(c)) for c in canonical_classes(ring, norm_bound)]
-        return ArithFn(ring, norm_bound, vals, name)
+    name = _ALIASES.get(builtin, builtin)
     _, _, norms = class_arrays(ring, norm_bound)
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {builtin!r}; choose from {BUILTIN_NAMES}")

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import ArithFn, _mass, convolve
-from .characters import DirichletCharacter, Modulus
+from .characters import DEFAULT_MODULUS_GUARD, DirichletCharacter, Modulus
 from .errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
 from .regions import (
     NormRegion,
@@ -53,6 +53,15 @@ from .regions import (
 )
 from .rings import AlgInt, RingDescriptor, divide_exact, make_ring, norm_xy
 from .sieve import sieve_primes
+
+
+def _check_moduli(ring: RingDescriptor, lo: float, cap: float, name: str) -> None:
+    """BoundsTooLarge, before any Modulus, if a class of norm in (lo, cap] is past the guard."""
+    g = max(DEFAULT_MODULUS_GUARD, math.floor(lo))
+    # the rational integer isqrt(g) + 1 has norm above g: look no further
+    hi = min(cap, (math.isqrt(g) + 1) ** 2)
+    if hi > g and count_region(NormRegion(ring, g + 1, int(hi))):
+        raise BoundsTooLarge(f"{name} = {cap!r} holds a modulus of norm > {DEFAULT_MODULUS_GUARD}")
 
 
 def _fvals(f: ArithFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -75,15 +84,6 @@ def _a0_values(f: ArithFn, n: float) -> tuple[np.ndarray, ...]:
         raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
     xs, ys, norms = element_arrays(f.ring.d, 1, hi)
     return xs, ys, norms, _fvals(f, xs, ys)
-
-
-@dataclass
-class SweepResult:
-    max_abs: float
-    max_eps: complex
-    argmax_norm: int  # squared-norm breakpoint where the max is first attained
-    gamma_x: int
-    gamma_y: int
 
 
 # Cells of one (class x breakpoint) block of the sweep: bounds its working
@@ -282,11 +282,11 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
     return _SweepProfile(lv.norms, row_sq, lv.bounds[1:], t_re, t_im, vc, lv.w, sums)
 
 
-def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[SweepResult]:
+def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[ModulusRecord]:
     """The sweep of the elements of norm <= h, for each cut h, read off the profile.
 
-    Each result sits at the first row of norm <= h that attains their
-    largest |eps|^2, at that row's first class; it is the empty result
+    Each record sits at the first row of norm <= h that attains their
+    largest |eps|^2, at that row's first class; it is the empty record
     (argmax_norm 0) when that maximum is not > 0.  Only that row's class sums
     are rebuilt, from the swept elements up to it, with the block loop's own
     arithmetic: exact integers on the exact path, the class running sums at
@@ -294,11 +294,12 @@ def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[SweepResult]:
     bit for bit and its first argmax is the first class that attains it.
     """
     top = np.maximum.accumulate(p.row_sq)  # prefix maxima, nondecreasing
+    q = (m.q.x, m.q.y, m.norm, m.phi)
     gx, gy = m.rid_coords(m.unit_rids[0])
     out = []
     for n in np.searchsorted(p.norms, cuts, side="right").tolist():
         if n == 0 or not top[n - 1] > 0.0:
-            out.append(SweepResult(0.0, 0j, 0, gx, gy))
+            out.append(ModulusRecord(*q, 0.0, 0j, 0, gx, gy))
             continue
         i = int(np.searchsorted(top, top[n - 1]))  # where the prefix max first appears
         e, phi = p.ends[i], m.phi
@@ -312,8 +313,8 @@ def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[SweepResult]:
             di = a.imag - p.t_im[i]
             sq += di * di
         k = int(sq.argmax())  # the first class: sq[k] is row_sq[i], bit for bit
-        out.append(SweepResult(
-            math.sqrt(sq[k]), complex(dr[k], di[k]), int(p.norms[i]),
+        out.append(ModulusRecord(
+            *q, math.sqrt(sq[k]), complex(dr[k], di[k]), int(p.norms[i]),
             *m.rid_coords(m.unit_rids[k]),
         ))
     return out
@@ -356,13 +357,15 @@ class LodScanConfig:
 
 @dataclass
 class ModulusRecord:
+    """One modulus's sweep of the elements of norm <= a cut (`_best_at`)."""
+
     q_x: int
     q_y: int
     q_norm: int
     phi: int
     max_abs: float
     max_eps: complex
-    argmax_norm: int
+    argmax_norm: int  # squared-norm breakpoint where the max is first attained
     gamma_x: int
     gamma_y: int
 
@@ -390,13 +393,13 @@ class LodTable:
 _SWEEP_CTX: dict = {}
 
 
-def _sweep_task(i: int) -> list[list[tuple[int, SweepResult]]]:
+def _sweep_task(i: int) -> list[list[tuple[int, ModulusRecord]]]:
     m = _SWEEP_CTX["moduli"][i]
     grid = [(k, hi) for k, (hi, cap) in enumerate(_SWEEP_CTX["grid"]) if m.norm <= cap]
     out = []
     for prefixes in _SWEEP_CTX["fns"]:
         # one sweep to the largest grid N whose Q admits q; each such N reads
-        # its result off the sweep's profile, as (grid index, result)
+        # its record off the sweep's profile, as (grid index, record)
         sweep = _sweep_arrays(m, *prefixes[grid[-1][1]])
         out.append(list(zip([k for k, _ in grid], _best_at(m, sweep, [hi for _, hi in grid]))))
         del sweep  # it holds per-element arrays: free them before the next sweep
@@ -411,9 +414,9 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     A modulus sweeps each function's elements up to the largest grid N whose
     Q admits it; each function's rows (`_levels`) are built once per such
     cut, before the pool forks, and every modulus with that cut reads them.
-    Parallelism is across moduli, in one pool; records are assembled in
-    (norm, x, y) order regardless of worker count, so results are identical
-    for any `workers`.
+    Parallelism is across moduli, in one pool of at most one process per
+    modulus (none for one); records are assembled in (norm, x, y) order
+    regardless of worker count, so results are identical for any `workers`.
     """
     global _SWEEP_CTX
     ring = make_ring(cfg.d)
@@ -424,6 +427,7 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
         raise TableTooSmall(f"f covers norm {bound}, grid needs {his[-1]}")
     counts = [count_region(r) for r in grid_a0]
     q_bounds = [cfg.q_bound(cnt, n) for cnt, n in zip(counts, cfg.N_grid)]
+    _check_moduli(ring, 1, max(q_bounds), "Q")
     classes = canonical_classes(ring, int(max(q_bounds)))
     moduli = [Modulus(ring, q) for q in classes if q.norm() >= 2]  # (norm, x, y) order
     out = [[LodTable(*row) for row in zip(cfg.N_grid, q_bounds, counts)] for _ in fns]
@@ -446,6 +450,7 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
             levels[id(cut_fv)] = (cut_fv, _levels(cut_norms, cut_fv))
         fns_cut.append(prefixes)
     _SWEEP_CTX = {"moduli": moduli, "grid": grid, "fns": fns_cut, "levels": levels}
+    workers = min(workers, len(moduli))
     try:
         if workers > 1:
             # longest first, one modulus per task: a sweep costs about phi times the
@@ -460,13 +465,10 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
             results = [_sweep_task(i) for i in range(len(moduli))]
     finally:
         _SWEEP_CTX = {}
-    for m, per_fn in zip(moduli, results):
+    for per_fn in results:
         for tables, res in zip(out, per_fn):
-            for k, r in res:
-                tables[k].records.append(ModulusRecord(
-                    m.q.x, m.q.y, m.norm, m.phi,
-                    r.max_abs, r.max_eps, r.argmax_norm, r.gamma_x, r.gamma_y,
-                ))
+            for k, rec in res:
+                tables[k].records.append(rec)
     return out
 
 
@@ -523,6 +525,7 @@ def sw_check(
         raise BoundsTooLarge(
             f"(log N)^D or (log N)^bound_power overflows a float at N={n}"
         ) from None
+    _check_moduli(ring, 1, cap, "(log N)^D")
     if not (mass := _mass(fv) * max(1.0, log_power)) < 2.0**1022:
         raise BoundsTooLarge(
             f"sum of |f| over A0(N) times (log N)^bound_power is {mass!r}: need < 2^1022"
@@ -784,6 +787,7 @@ def large_sieve_ratios(
     rhs_factor = count_region(a0(ring, region.n)) / q1 + q2
     if not math.isfinite(rhs_factor * float(c_sq.max(initial=0.0))):
         raise BoundsTooLarge(f"rhs = (|A0(N)|/Q1 + Q2) * sum c^2 overflows at Q1={q1}, Q2={q2}")
+    _check_moduli(ring, q1, q2, "Q2")
     lanes = _lanes_for(a) if integer else 1  # no modulus takes fewer
     pack = _pack_lanes(coeff_matrix, 1)
     buf = np.empty((-(-n_vec // lanes), n)) if lanes > 1 else None

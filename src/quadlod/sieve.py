@@ -117,7 +117,7 @@ def solve_norm_equation(ring: RingDescriptor, m: int) -> list[AlgInt]:
     return [AlgInt(ring, x, y) for x, y in sorted(sols)]
 
 
-@dataclass
+@dataclass(eq=False)
 class PrimeTable:
     """Canonical prime classes of norm <= max_norm, sorted by (norm, x, y).
 
@@ -141,17 +141,6 @@ class PrimeTable:
         """Class indices (see regions.class_arrays) of the primes of norm <= bound."""
         k = np.searchsorted(self.norms, bound, side="right")
         return class_index(self.ring, bound, self.xs[:k], self.ys[:k])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeTable)
-            and other.ring.d == self.ring.d
-            and other.max_norm == self.max_norm
-            and all(
-                np.array_equal(getattr(self, a), getattr(other, a))
-                for a in ("xs", "ys", "codes")
-            )
-        )
 
     def __len__(self):
         return len(self.xs)

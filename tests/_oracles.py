@@ -182,10 +182,11 @@ def loop_sweep_running(m, xs, ys, norms, fv):
     of norm <= cut): first for the empty prefix (cut 0), then after each step
     (cut = the step's norm).
     """
-    from quadlod.lab import SweepResult, _coprime_index, _rids
+    from quadlod.lab import ModulusRecord, _coprime_index, _rids
 
+    q = (m.q.x, m.q.y, m.norm, m.phi)
     gx, gy = m.rid_coords(m.unit_rids[0] if m.norm > 1 else 0)
-    yield 0, SweepResult(0.0, 0j, 0, gx, gy)
+    yield 0, ModulusRecord(*q, 0.0, 0j, 0, gx, gy)
     if m.phi == 1:
         return
     rid = _rids(m, xs, ys)
@@ -221,7 +222,7 @@ def loop_sweep_running(m, xs, ys, norms, fv):
             best_norm = int(lvn[s])
             best_cid = i_arg
         gx, gy = m.rid_coords(m.unit_rids[best_cid])
-        yield int(lvn[s]), SweepResult(math.sqrt(best_sq), best_eps, best_norm, gx, gy)
+        yield int(lvn[s]), ModulusRecord(*q, math.sqrt(best_sq), best_eps, best_norm, gx, gy)
 
 
 def loop_sw_check_reference(f, n, d_power, bound_power=None):
@@ -465,19 +466,14 @@ def full_walk_prime_chains(sieve):
 
 
 def loop_tabulate(builtin, ring, norm_bound, table=None):
-    """The per-class tabulate, verbatim apart from returning a DictFn."""
+    """The per-class tabulate of a builtin, verbatim apart from returning a DictFn."""
     from quadlod.arith import _ALIASES, BUILTIN_NAMES
     from quadlod.errors import TableTooSmall
     from quadlod.regions import canonical_classes
 
     classes = canonical_classes(ring, norm_bound)
-    name = builtin if isinstance(builtin, str) else getattr(builtin, "__name__", "custom")
-    name = _ALIASES.get(name, name)
+    name = _ALIASES.get(builtin, builtin)
     values: dict[tuple[int, int], complex] = {}
-    if not isinstance(builtin, str):
-        for c in classes:
-            values[(c.x, c.y)] = complex(builtin(c))
-        return DictFn(ring, norm_bound, values, name)
     if name == "one":
         for c in classes:
             values[(c.x, c.y)] = 1 + 0j

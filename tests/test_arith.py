@@ -11,7 +11,7 @@ from quadlod.arith import (
     unit_fold_check,
 )
 from quadlod.errors import RingMismatch, TableTooSmall
-from quadlod.regions import a0, canonical_classes, enumerate_region
+from quadlod.regions import a0, enumerate_region
 from quadlod.rings import canonical_associate, make_ring
 from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
@@ -26,15 +26,21 @@ def weighted_log_sum(f, n, k):
     return loop_weighted_log_sum(as_dict_fn(f), n, k)
 
 
+def value_at(values, z):
+    """A function's value at z: its value at z's canonical associate."""
+    c = canonical_associate(z)
+    return values[(c.x, c.y)]
+
+
 def test_moebius_examples(gauss, gauss_table_2k):
-    mu = tabulate("moebius", gauss, 100, gauss_table_2k)
-    assert mu.values[(1, 0)] == 1
-    assert mu.values[(1, 1)] == -1
+    mu = tabulate("moebius", gauss, 100, gauss_table_2k).values
+    assert mu[(1, 0)] == 1
+    assert mu[(1, 1)] == -1
     z = gauss.element(1, 1) ** 2
-    assert mu(z) == 0
+    assert value_at(mu, z) == 0
     # squarefree with two classes: 6 = unit * (1+i)^2 * 3 is not squarefree
-    assert mu(gauss.element(6, 0)) == 0
-    assert mu(gauss.element(3, 0)) == -1
+    assert value_at(mu, gauss.element(6, 0)) == 0
+    assert value_at(mu, gauss.element(3, 0)) == -1
 
 
 def test_tau_example(gauss, gauss_table_2k):
@@ -59,10 +65,10 @@ def test_tabulate_requires_covering_table(gauss):
 
 
 def test_unit_invariance_by_construction(gauss, gauss_table_2k):
-    f = tabulate("tau", gauss, 200, gauss_table_2k)
+    f = tabulate("tau", gauss, 200, gauss_table_2k).values
     z = gauss.element(3, 2)
     for u in gauss.units:
-        assert f(u * z) == f(z)
+        assert value_at(f, u * z) == value_at(f, z)
 
 
 def test_mobius_inversion_exact(gauss, gauss_table_2k):
@@ -74,23 +80,23 @@ def test_mobius_inversion_exact(gauss, gauss_table_2k):
     # g = f*1  =>  f = g*mu, exactly, for integer-valued f
     f = random_int_fn(gauss, 400, seed=5)
     g = convolve(f, one)
-    back = convolve(g, mu)
-    assert all(back.values[k] == f.values[k] for k in f.values)
+    got, want = convolve(g, mu).values, f.values
+    assert all(got[k] == want[k] for k in want)
 
 
 def test_one_star_one_is_tau(gauss, gauss_table_2k):
     one = tabulate("one", gauss, 500, gauss_table_2k)
     tau = tabulate("tau", gauss, 500, gauss_table_2k)
-    conv = convolve(one, one)
-    assert all(conv.values[k] == tau.values[k] for k in tau.values)
+    got, want = convolve(one, one).values, tau.values
+    assert all(got[k] == want[k] for k in want)
 
 
 def test_mu_star_log_is_lambda(gauss, gauss_table_2k):
     mu = tabulate("moebius", gauss, 500, gauss_table_2k)
     ln = tabulate("log_norm", gauss, 500, gauss_table_2k)
     lam = tabulate("lambda", gauss, 500, gauss_table_2k)
-    conv = convolve(mu, ln)
-    worst = max(abs(conv.values[k] - lam.values[k]) for k in lam.values)
+    got, want = convolve(mu, ln).values, lam.values
+    worst = max(abs(got[k] - want[k]) for k in want)
     assert worst <= 1e-9
 
 
@@ -106,15 +112,17 @@ def test_convolution_algebra(gauss):
     f = random_float_fn(gauss, bound, 1)
     g = random_float_fn(gauss, bound, 2)
     h = random_float_fn(gauss, bound, 3)
-    fg_h = convolve(convolve(f, g), h)
-    f_gh = convolve(f, convolve(g, h))
-    assert max(abs(fg_h.values[k] - f_gh.values[k]) for k in fg_h.values) <= 1e-9
+
+    def worst(a, b):
+        a, b = a.values, b.values
+        return max(abs(a[k] - b[k]) for k in a)
+
+    assert worst(convolve(convolve(f, g), h), convolve(f, convolve(g, h))) <= 1e-9
     fg = convolve(f, g)
-    gf = convolve(g, f)
-    assert max(abs(fg.values[k] - gf.values[k]) for k in fg.values) <= 1e-9
+    assert worst(fg, convolve(g, f)) <= 1e-9
     lhs = convolve(f, ArithFn(gauss, bound, g.vals + h.vals, "g+h"))
     rhs = ArithFn(gauss, bound, fg.vals + convolve(f, h).vals, "fg+fh")
-    assert max(abs(lhs.values[k] - rhs.values[k]) for k in lhs.values) <= 1e-9
+    assert worst(lhs, rhs) <= 1e-9
 
 
 def test_dirichlet_series_zeta_value(gauss):
@@ -160,9 +168,9 @@ def test_weighted_log_sum_examples(gauss, gauss_table_2k):
     pr = tabulate("prime", gauss, 500, gauss_table_2k)
     got = weighted_log_sum(pr, 10, 2)
     brute = 0.0
+    prime = pr.values
     for xi in enumerate_region(a0(gauss, 10)):
-        can = canonical_associate(xi)
-        if pr.values[(can.x, can.y)]:
+        if value_at(prime, xi):
             brute += math.log(100 / xi.norm()) ** 2
     assert got == pytest.approx(brute, rel=1e-12)
 
@@ -197,9 +205,3 @@ def test_csv_round_trip(tmp_path, gauss, gauss_table_2k):
     g = load_csv(path)
     assert g.ring.d == f.ring.d and g.norm_bound == f.norm_bound
     assert g.values == f.values
-
-
-def test_custom_callback(gauss, gauss_table_2k):
-    f = tabulate(lambda z: z.norm() % 3, gauss, 50, gauss_table_2k)
-    for c in canonical_classes(gauss, 50):
-        assert f.values[(c.x, c.y)] == c.norm() % 3

@@ -941,3 +941,51 @@ def test_sw_check_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
     else:
         assert code == 0 and err == ""
         assert hashlib.sha256((tmp_path / "sw.csv").read_bytes()).hexdigest() == digest
+
+
+# Recorded before ArithFn dropped its Mapping view and the scan its second
+# record type.  moebius with 1 -> 1 + 0.5i and -1 -> -1 - 0.25i takes the
+# complex sweep path (7 rows of the lod-scan have a nonzero max_eps_im).
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["lod-scan", "--d", "-1", "--f", "csv:muc.csv"],
+         "9e1301c377e7124f9f9e2ee49b5a57847c9c5e76eeb5d99c86a8d90dc3dc8654"),
+        (["conv-experiment", "--d", "-1", "--f", "csv:muc.csv", "--g", "prime"],
+         "4cbbc59a66942e78259d060b7a56717bfd0ae4a11c70b0435ba1bf1ffdfa3eaf"),
+    ],
+)
+def test_complex_sweep_path_keeps_its_bytes(capsys, tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "tabulate", "--d", "-1", "--f", "moebius", "--norm-bound", "400", "--out", "mu.csv")
+    data = (tmp_path / "mu.csv").read_bytes()
+    data = data.replace(b",1.0,0.0\r\n", b",1.0,0.5\r\n")
+    (tmp_path / "muc.csv").write_bytes(data.replace(b",-1.0,0.0\r\n", b",-1.0,-0.25\r\n"))
+    for w in ("1", "2"):
+        code, _, err = run(
+            capsys, *argv, "--theta", "0.4", "--B", "0", "--Ngrid", "10,20",
+            "--workers", w, "--out", f"w{w}.csv",
+        )
+        assert code == 0 and err == ""
+        assert hashlib.sha256((tmp_path / f"w{w}.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sw-check", "--d", "-1", "--f", "one", "--N", "20", "--D", "13.2"], "(log N)^D"),
+        (["sw-check", "--d", "-1", "--f", "one", "--N", "3", "--D", "1e3"], "(log N)^D"),
+        (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "1", "--Q2", "2000000"], "Q2"),
+        (["lod-scan", "--d", "-1", "--f", "one", "--theta", "1", "--B", "0",
+          "--Ngrid", "1200", "--workers", "1"], "Q"),
+    ],
+)
+def test_modulus_range_past_the_guard_fails_at_once(capsys, tmp_path, monkeypatch, argv, name):
+    # each built every modulus up to the guard first: 12 s or more
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 3
+    assert code == 1 and out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith(f"error: {name} = ") and err.endswith(" of norm > 1048576\n")
+    assert err.count("\n") == 1

@@ -13,7 +13,6 @@ from quadlod.characters import Modulus
 from quadlod.errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
 from quadlod.lab import (
     LodScanConfig,
-    ModulusRecord,
     _fvals,
     convolution_experiment,
     large_sieve_ratios,
@@ -22,7 +21,7 @@ from quadlod.lab import (
     sw_check,
     write_lod_csv,
 )
-from quadlod.regions import a0, canonical_classes, element_arrays, enumerate_region
+from quadlod.regions import a0, canonical_classes, class_arrays, element_arrays, enumerate_region
 from quadlod.rings import SUPPORTED_D, canonical_associate, gcd, make_ring
 from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
@@ -50,12 +49,13 @@ def brute_epsilon(ring, f, hi, m, gamma):
     g_red = m.rid_xy(gamma.x, gamma.y)
     tot_g = 0j
     tot_c = 0j
+    values = f.values
     for xi in enumerate_region(a0(ring, math.isqrt(hi) + 1)):
         if xi.norm() > hi:
             continue
         red = m.rid_xy(xi.x, xi.y)
         can = canonical_associate(xi)
-        v = f.values[(can.x, can.y)]
+        v = values[(can.x, can.y)]
         if red == g_red:
             tot_g += v
         if red in m.unit_rids:
@@ -284,6 +284,79 @@ def test_lod_scan_builds_each_modulus_once(one_2500, monkeypatch):
         assert len(fvals_calls) == n_fns
 
 
+def test_scan_pool_never_outnumbers_the_moduli(one_2500, monkeypatch):
+    """min(workers, moduli) processes; one modulus runs in process.  The pool is a stub."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(i) for i in items]
+
+    monkeypatch.setattr(lab.multiprocessing, "get_context", lambda method: mock.Mock(
+        Pool=InProcessPool
+    ))
+    # Q(5) = 80^0.4 = 5.77: the four moduli of norm 2, 4, 5, 5; Q(3) = 2.57: norm 2 only
+    for grid, workers, want in (((5,), 64, [4]), ((5,), 3, [3]), ((3,), 64, []), ((5,), 1, [])):
+        sizes.clear()
+        cfg = LodScanConfig(d=-1, theta=0.4, B=0.0, N_grid=grid)
+        tables = lod_scan(cfg, one_2500, workers=workers)
+        assert sizes == want
+        assert repr(tables) == repr(lod_scan(cfg, one_2500))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_modulus_range_check_refuses_exactly_the_ranges_past_the_guard(d, monkeypatch):
+    ring = make_ring(d)
+    norms = class_arrays(ring, 200)[2]
+    for guard in (3, 10, 41, 100):
+        monkeypatch.setattr(lab, "DEFAULT_MODULUS_GUARD", guard)
+        for lo in (1, 4.5, 60):
+            for cap in [c + frac for c in range(2, 200, 3) for frac in (0, 0.5)]:
+                past = bool(((norms > max(lo, guard)) & (norms <= cap)).any())
+                try:
+                    lab._check_moduli(ring, lo, cap, "Q")
+                except BoundsTooLarge as exc:
+                    assert past and str(exc).startswith(f"Q = {cap!r} ")
+                else:
+                    assert not past, (guard, lo, cap)
+
+
+def test_modulus_range_past_the_guard_fails_before_any_modulus(gauss, one_2500, monkeypatch):
+    built = []
+
+    class CountingModulus(lab.Modulus):
+        def __init__(self, ring, q, *args, **kwargs):
+            built.append((q.x, q.y))
+            super().__init__(ring, q, *args, **kwargs)
+
+    monkeypatch.setattr(lab, "Modulus", CountingModulus)
+    monkeypatch.setattr(lab, "DEFAULT_MODULUS_GUARD", 12)
+    els = list(enumerate_region(a0(gauss, 5)))
+    runs = {
+        # (log 50)^2 = 15.3, Q2 = 30 and Q(20) = 17.4 each hold 2 + 3i, of norm 13
+        r"\(log N\)\^D": lambda: sw_check(one_2500, 50, 2.0),
+        "Q2": lambda: large_sieve_ratios(np.ones(len(els)), *_xy(els), 4, 30, a0(gauss, 5)),
+        "Q": lambda: lod_scan(LodScanConfig(d=-1, theta=0.4, B=0.0, N_grid=(20,)), one_2500),
+    }
+    for name, call in runs.items():
+        with pytest.raises(BoundsTooLarge, match=f"^{name} = .* norm > 12$"):
+            call()
+    assert built == []
+    # (log 50)^1.8 = 11.7 and Q2 = 12.9 hold no norm past 12: these runs go on
+    sw_check(one_2500, 50, 1.8)
+    large_sieve_ratios(np.ones(len(els)), *_xy(els), 4, 12.9, a0(gauss, 5))
+    assert built
+
+
 @pytest.fixture(scope="module")
 def tau_scan():
     """d = -2, theta 0.7, B 3: Q(N) = 15.05, 6.56, 4.02, 3.50, 3.70, not monotone."""
@@ -298,15 +371,10 @@ def test_lod_scan_on_non_monotone_q_matches_epsilon_sweep(tau_scan):
     qs = [int(t.q_bound) for t in tables]
     assert qs == [15, 6, 4, 3, 3]
     for t in tables:
-        want = []
-        for q in canonical_classes(f.ring, int(t.q_bound)):
-            if q.norm() >= 2:
-                m = Modulus(f.ring, q)
-                r = epsilon_sweep(f, t.n, m)
-                want.append(ModulusRecord(
-                    q.x, q.y, m.norm, m.phi,
-                    r.max_abs, r.max_eps, r.argmax_norm, r.gamma_x, r.gamma_y,
-                ))
+        want = [
+            epsilon_sweep(f, t.n, Modulus(f.ring, q))
+            for q in canonical_classes(f.ring, int(t.q_bound)) if q.norm() >= 2
+        ]
         assert not t.degenerate and repr(t.records) == repr(want), t.n
 
 

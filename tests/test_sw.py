@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlod import lab
-from quadlod.arith import tabulate
-from quadlod.regions import a0
+from quadlod.arith import ArithFn, tabulate
+from quadlod.regions import a0, canonical_classes
 from quadlod.rings import SUPPORTED_D, make_ring
 from quadlod.sieve import sieve_primes
 from _oracles import loop_sw_check_reference
@@ -27,6 +27,13 @@ def complex_valued(z):
 F_SPECS = ["one", "lambda", "prime", int_valued, complex_valued]
 
 
+def spec_fn(spec, ring, hi):
+    """A builtin by name, or a function of the canonical classes, tabulated to hi."""
+    if isinstance(spec, str):
+        return tabulate(spec, ring, hi, sieve_primes(ring, hi))
+    return ArithFn(ring, hi, [spec(c) for c in canonical_classes(ring, hi)], spec.__name__)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.sampled_from(SUPPORTED_D),
@@ -38,7 +45,7 @@ F_SPECS = ["one", "lambda", "prime", int_valued, complex_valued]
 def test_sw_check_bit_identical_to_loop(d, spec, n, d_power, bound_power):
     ring = make_ring(d)
     hi = a0(ring, n).hi_sq
-    f = tabulate(spec, ring, hi, sieve_primes(ring, hi))
+    f = spec_fn(spec, ring, hi)
     got = lab.sw_check(f, n, d_power, bound_power)
     want = loop_sw_check_reference(f, n, d_power, bound_power)
     assert got.rows == want.rows
