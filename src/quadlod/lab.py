@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .arith import ArithFn, _mass, convolve
 from .characters import DEFAULT_MODULUS_GUARD, DirichletCharacter, Modulus
 from .errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
 from .regions import (
+    DEFAULT_GUARD,
     NormRegion,
     a0,
     canonical_classes,
@@ -55,13 +56,20 @@ from .rings import AlgInt, RingDescriptor, divide_exact, make_ring, norm_xy
 from .sieve import sieve_primes
 
 
-def _check_moduli(ring: RingDescriptor, lo: float, cap: float, name: str) -> None:
-    """BoundsTooLarge, before any Modulus, if a class of norm in (lo, cap] is past the guard."""
+def _moduli(ring: RingDescriptor, lo: float, cap: float, name: str) -> Iterator[Modulus]:
+    """The Modulus of each canonical class with max(lo, 1) < norm <= cap, in (norm, x, y) order.
+
+    BoundsTooLarge at the call, before any Modulus, unless each has norm <= the
+    guard; the moduli are then built lazily, one at a time.
+    """
     g = max(DEFAULT_MODULUS_GUARD, math.floor(lo))
-    # the rational integer isqrt(g) + 1 has norm above g: look no further
+    # the rational integer isqrt(g) + 1 has norm above g: look no further; a
+    # window past the region guard cannot be counted, and is refused uncounted
     hi = min(cap, (math.isqrt(g) + 1) ** 2)
-    if hi > g and count_region(NormRegion(ring, g + 1, int(hi))):
+    if hi >= g + 1 and (hi > DEFAULT_GUARD or count_region(NormRegion(ring, g + 1, int(hi)))):
         raise BoundsTooLarge(f"{name} = {cap!r} holds a modulus of norm > {DEFAULT_MODULUS_GUARD}")
+    classes = canonical_classes(ring, int(min(cap, DEFAULT_MODULUS_GUARD)))
+    return (Modulus(ring, q) for q in classes if q.norm() > max(lo, 1))
 
 
 def _fvals(f: ArithFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -394,14 +402,13 @@ _SWEEP_CTX: dict = {}
 
 
 def _sweep_task(i: int) -> list[list[tuple[int, ModulusRecord]]]:
-    m = _SWEEP_CTX["moduli"][i]
-    grid = [(k, hi) for k, (hi, cap) in enumerate(_SWEEP_CTX["grid"]) if m.norm <= cap]
+    m, ks, his = _SWEEP_CTX["moduli"][i], _SWEEP_CTX["admits"][i], _SWEEP_CTX["his"]
     out = []
     for prefixes in _SWEEP_CTX["fns"]:
         # one sweep to the largest grid N whose Q admits q; each such N reads
         # its record off the sweep's profile, as (grid index, record)
-        sweep = _sweep_arrays(m, *prefixes[grid[-1][1]])
-        out.append(list(zip([k for k, _ in grid], _best_at(m, sweep, [hi for _, hi in grid]))))
+        sweep = _sweep_arrays(m, *prefixes[his[ks[-1]]])
+        out.append(list(zip(ks, _best_at(m, sweep, [his[k] for k in ks]))))
         del sweep  # it holds per-element arrays: free them before the next sweep
     return out
 
@@ -421,25 +428,23 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     global _SWEEP_CTX
     ring = make_ring(cfg.d)
     grid_a0 = [a0(ring, n) for n in cfg.N_grid]
-    his = [r.hi_sq for r in grid_a0]
+    his = [r.hi_sq for r in grid_a0]  # increasing with N
     bound = min(f.norm_bound for f in fns)
     if bound < his[-1]:
         raise TableTooSmall(f"f covers norm {bound}, grid needs {his[-1]}")
     counts = [count_region(r) for r in grid_a0]
     q_bounds = [cfg.q_bound(cnt, n) for cnt, n in zip(counts, cfg.N_grid)]
-    _check_moduli(ring, 1, max(q_bounds), "Q")
-    classes = canonical_classes(ring, int(max(q_bounds)))
-    moduli = [Modulus(ring, q) for q in classes if q.norm() >= 2]  # (norm, x, y) order
+    moduli = list(_moduli(ring, 1, max(q_bounds), "Q"))
     out = [[LodTable(*row) for row in zip(cfg.N_grid, q_bounds, counts)] for _ in fns]
     if not moduli:
         return out
-    xs, ys, norms = element_arrays(ring.d, 1, his[-1])
-    grid = [(hi, int(qb)) for hi, qb in zip(his, q_bounds)]  # hi increases with N
-    cuts = {max(hi for hi, cap in grid if m.norm <= cap) for m in moduli}
+    # the grid indices whose Q admits each modulus; the last one is its cut
+    admits = [[k for k, qb in enumerate(q_bounds) if m.norm <= qb] for m in moduli]
+    cuts = {his[ks[-1]] for ks in admits}
     fns_cut, levels = [], {}
     for f in fns:
+        xs, ys, norms, fv = _a0_values(f, cfg.N_grid[-1])
         # zeros never move eps: drop them once, not per modulus
-        fv = _fvals(f, xs, ys)
         nz = fv != 0
         arrays = (xs[nz], ys[nz], norms[nz], fv[nz])
         del fv, nz  # no full-size value array stays alive through the sweeps
@@ -449,14 +454,12 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
             *_, cut_norms, cut_fv = prefixes[hi] = tuple(a[:cut] for a in arrays)
             levels[id(cut_fv)] = (cut_fv, _levels(cut_norms, cut_fv))
         fns_cut.append(prefixes)
-    _SWEEP_CTX = {"moduli": moduli, "grid": grid, "fns": fns_cut, "levels": levels}
+    _SWEEP_CTX = {"moduli": moduli, "admits": admits, "his": his, "fns": fns_cut, "levels": levels}
     workers = min(workers, len(moduli))
     try:
         if workers > 1:
-            # longest first, one modulus per task: a sweep costs about phi times the
-            # elements up to the largest grid N that admits the modulus
-            cost = [m.phi * max(c for c, (_, cap) in zip(counts, grid) if m.norm <= cap)
-                    for m in moduli]
+            # longest first, one modulus per task: a sweep costs about phi x its cut's elements
+            cost = [m.phi * counts[ks[-1]] for m, ks in zip(moduli, admits)]
             order = sorted(range(len(moduli)), key=lambda i: -cost[i])
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 done = dict(zip(order, pool.map(_sweep_task, order, chunksize=1)))
@@ -525,7 +528,7 @@ def sw_check(
         raise BoundsTooLarge(
             f"(log N)^D or (log N)^bound_power overflows a float at N={n}"
         ) from None
-    _check_moduli(ring, 1, cap, "(log N)^D")
+    moduli = _moduli(ring, 1, cap, "(log N)^D")
     if not (mass := _mass(fv) * max(1.0, log_power)) < 2.0**1022:
         raise BoundsTooLarge(
             f"sum of |f| over A0(N) times (log N)^bound_power is {mass!r}: need < 2^1022"
@@ -533,10 +536,7 @@ def sw_check(
     cnt = len(xs)
     rows = []
     max_scaled = 0.0
-    for q in canonical_classes(ring, int(cap)):
-        if q.norm() < 2:
-            continue
-        m = Modulus(ring, q)
+    for m in moduli:
         cid = _coprime_index(m)[_rids(m, xs, ys)]
         for chi in m.characters:
             if chi.is_principal:
@@ -545,7 +545,7 @@ def sw_check(
             scaled = abs(s) * log_power / cnt
             rows.append(
                 {
-                    "q_x": q.x, "q_y": q.y, "q_norm": q.norm(),
+                    "q_x": m.q.x, "q_y": m.q.y, "q_norm": m.norm,
                     "exponents": chi.exponents,
                     "abs_sum": abs(s), "scaled": scaled,
                 }
@@ -731,7 +731,8 @@ def large_sieve_ratios(
     """(lhs, rhs, ratio) per coefficient vector over the elements (xs, ys).
 
     The large sieve with the 1/x weight: lhs sums (1/phi(q)) times the
-    squared primitive character sums, rhs = (|A0(N)|/Q1 + Q2) * sum c^2.
+    squared primitive character sums, rhs = (|R|/Q1 + Q2) * sum c^2 for |R|
+    the count of the region (|A0(N)| for ``a0(ring, N)``).
     No character is built: each modulus's class sums are projected onto its
     primitive characters (`_primitive_part`), and phi(q) times the projection's
     squared norm is the sum of the squared primitive character sums.  The
@@ -744,7 +745,7 @@ def large_sieve_ratios(
     as A alone; the rows are repacked, into one buffer, only when that count
     changes.  coeff_matrix is real and finite, (vectors, len(xs)) or one
     vector of len(xs); anything else is a ValueError.  Before any modulus,
-    A must be below 2^500 and (|A0(N)|/Q1 + Q2) times the largest sum c^2
+    A must be below 2^500 and (|R|/Q1 + Q2) times the largest sum c^2
     finite, else BoundsTooLarge: a modulus's squared class sums then add up
     to at most A^2 < 2^1000, so every lhs stays finite too.
     """
@@ -784,19 +785,15 @@ def large_sieve_ratios(
     if not a < 2.0**500:
         raise BoundsTooLarge(f"a coefficient vector's sum of |c| is {a!r}: need < 2^500")
     c_sq = (coeff_matrix**2).sum(axis=1)  # before packing: lower peak RSS
-    rhs_factor = count_region(a0(ring, region.n)) / q1 + q2
+    rhs_factor = count_region(region) / q1 + q2
     if not math.isfinite(rhs_factor * float(c_sq.max(initial=0.0))):
         raise BoundsTooLarge(f"rhs = (|A0(N)|/Q1 + Q2) * sum c^2 overflows at Q1={q1}, Q2={q2}")
-    _check_moduli(ring, q1, q2, "Q2")
+    moduli = _moduli(ring, q1, q2, "Q2")
     lanes = _lanes_for(a) if integer else 1  # no modulus takes fewer
     pack = _pack_lanes(coeff_matrix, 1)
     buf = np.empty((-(-n_vec // lanes), n)) if lanes > 1 else None
     lhs = np.zeros(n_vec)
-    for q in canonical_classes(ring, int(q2)):
-        nq = q.norm()
-        if nq <= q1 or nq < 2:
-            continue
-        m = Modulus(ring, q)
+    for m in moduli:
         if not _has_primitive(m):
             continue
         cid = _coprime_index(m)[_rids(m, xs, ys)]

@@ -27,7 +27,6 @@ class NormRegion:
     ring: RingDescriptor
     lo_sq: int
     hi_sq: int
-    n: float = 1.0  # N, whose A0(N) count large_sieve_ratios reads
 
     @staticmethod
     def from_params(
@@ -45,7 +44,7 @@ class NormRegion:
         if hi_radius <= 0:
             raise ValueError(f"outer radius Y + N^b must be positive, got {float(hi_radius)!r}")
         hi = hi_radius * hi_radius
-        return NormRegion(ring, math.ceil(lo), math.floor(hi), n)
+        return NormRegion(ring, math.ceil(lo), math.floor(hi))
 
 
 def a0(ring: RingDescriptor, n: float) -> NormRegion:

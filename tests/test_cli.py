@@ -978,6 +978,9 @@ def test_complex_sweep_path_keeps_its_bytes(capsys, tmp_path, monkeypatch, argv,
         (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "1", "--Q2", "2000000"], "Q2"),
         (["lod-scan", "--d", "-1", "--f", "one", "--theta", "1", "--B", "0",
           "--Ngrid", "1200", "--workers", "1"], "Q"),
+        # past the region guard too: the error blamed hi_sq, not Q2
+        (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "2e7", "--Q2", "3e7"], "Q2"),
+        (["large-sieve", "--d", "-1", "--N", "5", "--Q1", "2e7", "--Q2", "20000001"], "Q2"),
     ],
 )
 def test_modulus_range_past_the_guard_fails_at_once(capsys, tmp_path, monkeypatch, argv, name):
@@ -988,4 +991,4 @@ def test_modulus_range_past_the_guard_fails_at_once(capsys, tmp_path, monkeypatc
     assert time.perf_counter() - start < 3
     assert code == 1 and out == "" and list(tmp_path.iterdir()) == []
     assert err.startswith(f"error: {name} = ") and err.endswith(" of norm > 1048576\n")
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and "hi_sq" not in err

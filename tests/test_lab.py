@@ -21,7 +21,9 @@ from quadlod.lab import (
     sw_check,
     write_lod_csv,
 )
-from quadlod.regions import a0, canonical_classes, class_arrays, element_arrays, enumerate_region
+from quadlod.regions import (
+    NormRegion, a0, canonical_classes, class_arrays, element_arrays, enumerate_region,
+)
 from quadlod.rings import SUPPORTED_D, canonical_associate, gcd, make_ring
 from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
@@ -316,14 +318,30 @@ def test_scan_pool_never_outnumbers_the_moduli(one_2500, monkeypatch):
 @pytest.mark.parametrize("d", SUPPORTED_D)
 def test_modulus_range_check_refuses_exactly_the_ranges_past_the_guard(d, monkeypatch):
     ring = make_ring(d)
-    norms = class_arrays(ring, 200)[2]
+    xs, ys, norms = class_arrays(ring, 200)
+    built = []
+
+    class CountingModulus(lab.Modulus):
+        def __init__(self, ring, q):
+            built.append((q.x, q.y))
+            super().__init__(ring, q)
+
+    monkeypatch.setattr(lab, "Modulus", CountingModulus)
+    # at the real guard: the classes with max(lo, 1) < norm <= cap, in order, built lazily
+    for lo, cap in ((1, 1), (1, 2), (0.5, 30.5), (4.5, 60), (13, 13.9), (59, 200)):
+        moduli = lab._moduli(ring, lo, cap, "Q")
+        assert built == []
+        keep = (norms > max(lo, 1)) & (norms <= cap)
+        want = list(zip(xs[keep].tolist(), ys[keep].tolist()))
+        assert [(m.q.x, m.q.y) for m in moduli] == want == built
+        built.clear()
     for guard in (3, 10, 41, 100):
         monkeypatch.setattr(lab, "DEFAULT_MODULUS_GUARD", guard)
         for lo in (1, 4.5, 60):
             for cap in [c + frac for c in range(2, 200, 3) for frac in (0, 0.5)]:
                 past = bool(((norms > max(lo, guard)) & (norms <= cap)).any())
                 try:
-                    lab._check_moduli(ring, lo, cap, "Q")
+                    lab._moduli(ring, lo, cap, "Q")
                 except BoundsTooLarge as exc:
                     assert past and str(exc).startswith(f"Q = {cap!r} ")
                 else:
@@ -355,6 +373,24 @@ def test_modulus_range_past_the_guard_fails_before_any_modulus(gauss, one_2500, 
     sw_check(one_2500, 50, 1.8)
     large_sieve_ratios(np.ones(len(els)), *_xy(els), 4, 12.9, a0(gauss, 5))
     assert built
+
+
+@pytest.mark.parametrize("theta, B", [(0.4, 0.0), (0.01, 6.0)])  # Q(60) = 12.7; degenerate
+def test_scan_past_the_table_fails_before_any_modulus(one_2500, monkeypatch, theta, B):
+    built = []
+
+    class CountingModulus(lab.Modulus):
+        def __init__(self, ring, q):
+            built.append((q.x, q.y))
+            super().__init__(ring, q)
+
+    monkeypatch.setattr(lab, "Modulus", CountingModulus)
+    cfg = LodScanConfig(d=-1, theta=theta, B=B, N_grid=(20, 60))  # 60^2 > 2500
+    with pytest.raises(TableTooSmall, match="grid needs 3600"):
+        lod_scan(cfg, one_2500)
+    with pytest.raises(TableTooSmall, match="grid needs 3600"):
+        convolution_experiment(one_2500, one_2500, cfg)
+    assert built == []
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +539,16 @@ def test_large_sieve_single_support(gauss):
         direct += len(primitive_characters(m)) / m.phi  # |chi(1)| = 1
     assert lhs == pytest.approx(direct, rel=1e-12)
     assert rhs == pytest.approx((len(list(enumerate_region(region))) / 3 + 50) * 1.0)
+
+
+def test_large_sieve_rhs_counts_the_region_it_is_given(gauss):
+    # the rhs read |A0(n)| for a field n that defaulted to 1: 4588.0 for this
+    # region, where a0(gauss, 7), the same elements, gave 9916.0
+    els = list(enumerate_region(a0(gauss, 7)))
+    ones = np.ones(len(els))
+    rows = large_sieve_ratios(ones, *_xy(els), 4, 30, NormRegion(gauss, 1, 49))
+    assert rows == large_sieve_ratios(ones, *_xy(els), 4, 30, a0(gauss, 7))
+    assert rows[0][1] == 9916.0
 
 
 def test_large_sieve_positivity_and_vanishing(gauss):
