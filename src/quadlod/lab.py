@@ -41,7 +41,7 @@ import numpy as np
 
 from .arith import ArithFn, _mass, convolve
 from .characters import DEFAULT_MODULUS_GUARD, DirichletCharacter, Modulus
-from .errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
+from .errors import BoundsTooLarge, EmptyModulusRange, RingMismatch, TableTooSmall
 from .regions import (
     DEFAULT_GUARD,
     NormRegion,
@@ -413,6 +413,13 @@ def _sweep_task(i: int) -> list[list[tuple[int, ModulusRecord]]]:
     return out
 
 
+def _check_rings(cfg: LodScanConfig, fns: list[ArithFn]) -> None:
+    """RingMismatch unless every function lives in the scan's ring d."""
+    for f in fns:
+        if f.ring.d != cfg.d:
+            raise RingMismatch(f"d={f.ring.d} function in a d={cfg.d} scan")
+
+
 def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[LodTable]]:
     """The E(N, Q) tables of each function, from one sweep per modulus and function.
 
@@ -426,6 +433,7 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     regardless of worker count, so results are identical for any `workers`.
     """
     global _SWEEP_CTX
+    _check_rings(cfg, fns)
     ring = make_ring(cfg.d)
     grid_a0 = [a0(ring, n) for n in cfg.N_grid]
     his = [r.hi_sq for r in grid_a0]  # increasing with N
@@ -483,15 +491,27 @@ def lod_scan(cfg: LodScanConfig, f: ArithFn, workers: int = 1) -> list[LodTable]
 # -- Siegel-Walfisz sums ---------------------------------------------------
 
 
-def sw_term(fv: np.ndarray, cid: np.ndarray, chi: DirichletCharacter) -> complex:
+def sw_term(
+    fv: np.ndarray,
+    cid: np.ndarray,
+    chi: DirichletCharacter,
+    nz: np.ndarray | None = None,
+    buf: np.ndarray | None = None,
+) -> complex:
     """sum of fv * chi over the elements, in element order.
 
     cid is each element's coprime class index (-1 off the unit group); the
-    value table has a trailing 0j slot, so -1 picks 0j.
+    value table has a trailing 0j slot, so -1 picks 0j.  Without nz, fv and
+    cid cover every element.  With nz, they cover only the elements at the
+    positions nz: their products go to those positions of buf, which holds
+    +0 everywhere else, and the sum runs over all of buf.
     """
     m = chi.modulus
     table = np.append(m.circle[chi.phases[m.unit_rids]], 0j)
-    return complex((fv * table[cid]).sum())
+    if nz is None:
+        return complex((fv * table[cid]).sum())
+    buf[nz] = fv * table[cid]
+    return complex(buf.sum())
 
 
 @dataclass
@@ -511,8 +531,14 @@ def sw_check(
 
     The scaled column is |sum| * (log N)^bound_power / |A0(N)|; bound_power
     defaults to 3*D but both exponents are independent knobs.  f is read
-    once, and each modulus reduces the elements once for all its characters;
-    every twisted sum still runs over all of A0(N) in (norm, x, y) order.
+    once, and each modulus reduces f's elements once for all its characters.
+    Each twisted sum is numpy's pairwise `.sum()` over |A0(N)| products in
+    (norm, x, y) order.  When at most half of f's values are nonzero, only
+    f's support is reduced and multiplied; its products are scattered into
+    one buffer that holds +0 elsewhere.  The sum tree is the same as over all
+    products, and a slot where f is zero adds +0 in place of +0 or -0, so
+    only the sign of an exactly-zero part of the sum can differ and |sum|
+    keeps every bit.  A denser f multiplies every element, which is faster.
     BoundsTooLarge unless M * max(1, (log N)^bound_power) < 2^1022, M the
     `_mass` of f over A0(N): every partial sum and scaled value is at most that.
     """
@@ -534,6 +560,11 @@ def sw_check(
             f"sum of |f| over A0(N) times (log N)^bound_power is {mass!r}: need < 2^1022"
         )
     cnt = len(xs)
+    nz = buf = None
+    if 2 * np.count_nonzero(fv) <= cnt:  # sparse f: its support only
+        nz = np.flatnonzero(fv)
+        xs, ys, fv = xs[nz], ys[nz], fv[nz]
+        buf = np.zeros(cnt, dtype=np.complex128)
     rows = []
     max_scaled = 0.0
     for m in moduli:
@@ -541,7 +572,7 @@ def sw_check(
         for chi in m.characters:
             if chi.is_principal:
                 continue
-            s = sw_term(fv, cid, chi)
+            s = sw_term(fv, cid, chi, nz, buf)
             scaled = abs(s) * log_power / cnt
             rows.append(
                 {
@@ -567,6 +598,7 @@ def convolution_experiment(
     f: ArithFn, g: ArithFn, cfg: LodScanConfig, workers: int = 1
 ) -> ConvolutionReport:
     """Side-by-side normalized E(N, Q) for f, g and f*g on one grid."""
+    _check_rings(cfg, [f, g])
     h = convolve(f, g)
     scans = _scan(cfg, [f, h] if g is f else [f, g, h], workers)
     rows = [

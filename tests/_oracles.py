@@ -1047,9 +1047,13 @@ def epsilon_sweep(f, n, m):
 
 
 def sw_sum(f, n, chi):
-    """Character-twisted sum of f over the elements of A0(N), through lab.sw_term."""
+    """Character-twisted sum of f over the elements of A0(N), through lab.sw_term
+    on f's support, scattered into a zero buffer over A0(N).
+    """
     from quadlod.lab import _a0_values, sw_term
 
     m = chi.modulus
     xs, ys, _, fv = _a0_values(f, n)
-    return sw_term(fv, m.coprime_index[m.rid_xy(xs, ys)], chi)
+    nz = np.flatnonzero(fv)
+    cid = m.coprime_index[m.rid_xy(xs[nz], ys[nz])]
+    return sw_term(fv[nz], cid, chi, nz, np.zeros(len(fv), dtype=np.complex128))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
 from quadlod.characters import Modulus
-from quadlod.errors import BoundsTooLarge, EmptyModulusRange, TableTooSmall
+from quadlod.errors import BoundsTooLarge, EmptyModulusRange, RingMismatch, TableTooSmall
 from quadlod.lab import (
     LodScanConfig,
     _fvals,
@@ -393,6 +393,31 @@ def test_scan_past_the_table_fails_before_any_modulus(one_2500, monkeypatch, the
     assert built == []
 
 
+def test_lod_scan_of_another_ring_fails_before_any_modulus(one_2500, monkeypatch):
+    built = []
+
+    class CountingModulus(lab.Modulus):
+        def __init__(self, ring, q):
+            built.append((q.x, q.y))
+            super().__init__(ring, q)
+
+    monkeypatch.setattr(lab, "Modulus", CountingModulus)
+    cfg = LodScanConfig(d=-2, theta=0.4, B=0.0, N_grid=(20, 30))
+    with pytest.raises(RingMismatch, match="d=-1 function in a d=-2 scan"):
+        lod_scan(cfg, one_2500)
+    assert built == []
+
+
+def test_convolution_experiment_of_another_ring_fails_before_convolving(one_2500, monkeypatch):
+    def no_convolve(f, g):
+        raise AssertionError("convolved")
+
+    monkeypatch.setattr(lab, "convolve", no_convolve)
+    cfg = LodScanConfig(d=-2, theta=0.4, B=0.0, N_grid=(20, 30))
+    with pytest.raises(RingMismatch, match="d=-1 function in a d=-2 scan"):
+        convolution_experiment(one_2500, one_2500, cfg)
+
+
 @pytest.fixture(scope="module")
 def tau_scan():
     """d = -2, theta 0.7, B 3: Q(N) = 15.05, 6.56, 4.02, 3.50, 3.70, not monotone."""
@@ -453,17 +478,17 @@ def test_sw_check_report(gauss):
 
 
 def test_sw_check_reads_f_once_and_reduces_each_modulus_once(gauss, monkeypatch):
-    calls = {"fvals": 0, "rids": 0, "sw_term": 0}
-    built = []
+    calls = {"fvals": 0, "sw_term": 0}
+    built, reduced = [], []
     fvals, rids, sw_term = lab._fvals, lab._rids, lab.sw_term
 
     def counting_fvals(*args):
         calls["fvals"] += 1
         return fvals(*args)
 
-    def counting_rids(*args):
-        calls["rids"] += 1
-        return rids(*args)
+    def counting_rids(m, xs, ys):
+        reduced.append(len(xs))
+        return rids(m, xs, ys)
 
     def counting_sw_term(*args):  # the benchmark probes wrap the same global
         calls["sw_term"] += 1
@@ -478,12 +503,22 @@ def test_sw_check_reads_f_once_and_reduces_each_modulus_once(gauss, monkeypatch)
     monkeypatch.setattr(lab, "_rids", counting_rids)
     monkeypatch.setattr(lab, "sw_term", counting_sw_term)
     monkeypatch.setattr(lab, "Modulus", CountingModulus)
-    one = tabulate("one", gauss, 2500, sieve_primes(gauss, 2500))
-    rep = sw_check(one, 50, 1.5)
-    assert len(rep.rows) > len(built) > 1
-    assert calls["sw_term"] == len(rep.rows)
-    assert calls["fvals"] == 1
-    assert calls["rids"] == len(built) == len(set(built))
+    table = sieve_primes(gauss, 2500)
+    xs, ys, _ = element_arrays(-1, 1, 2500)
+    # one is dense: every element is reduced; lambda is sparse: its support only
+    for name, dense in (("one", True), ("lambda", False)):
+        f = tabulate(name, gauss, 2500, table)
+        support = np.count_nonzero(fvals(f, xs, ys))
+        assert (2 * support > len(xs)) == dense
+        calls.update(fvals=0, sw_term=0)
+        built.clear()
+        reduced.clear()
+        rep = sw_check(f, 50, 1.5)
+        assert len(rep.rows) > len(built) > 1
+        assert calls["sw_term"] == len(rep.rows)
+        assert calls["fvals"] == 1
+        assert len(reduced) == len(built) == len(set(built))
+        assert set(reduced) == {len(xs) if dense else support}
 
 
 @pytest.mark.parametrize("n", [1, 0.5, 0, -3, float("nan")])
