@@ -117,6 +117,27 @@ class Modulus:
         cop[self.unit_rids] = np.arange(self.phi)
         return cop
 
+    @cached_property
+    def unit_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(orbit, keys, stab): the orbits of O_K's units acting on the coprime classes.
+
+        Classes are positions in unit_rids.  The units are the powers of
+        ring.zeta0, so the orbit of class c is c, zeta0 c, ..., zeta0^(w_K - 1) c.
+        Orbit o is keyed by its smallest class keys[o], and orbits are numbered
+        in increasing key order; orbit[c] is the orbit of class c.  stab[o] =
+        w_K / |orbit o| is the number of units that fix each class of it.
+        """
+        ring, classes = self.ring, np.arange(self.phi)
+        zeta = self.rid_xy(ring.zeta0.x, ring.zeta0.y)
+        step = self.coprime_index[self.mul_rid(np.array(self.unit_rids), zeta)]
+        key, fixed, cur = classes, np.zeros(self.phi, dtype=np.int64), classes
+        for _ in range(ring.w_K):
+            key = np.minimum(key, cur)
+            fixed += cur == classes
+            cur = step[cur]
+        keys, orbit = np.unique(key, return_inverse=True)
+        return orbit, keys, fixed[keys]
+
     # -- unit group structure --------------------------------------------
 
     @cached_property

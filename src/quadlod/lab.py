@@ -24,10 +24,20 @@ what keeps artifacts byte for byte stable: each class's running sum adds
 its elements one at a time in (norm, x, y) order; each row's new coprime
 elements are summed with numpy's ``.sum()``; the running coprime total adds
 those level sums one at a time.
-The one exception is real integer-valued f with sum |f| < 2^52, such as the
-builtins one, moebius, tau and prime_indicator and their convolutions: every
-partial sum is then an integer below 2^52, which float64 holds exactly, so
-any order of summation gives the same bits and the sweep sums per cell.
+
+The one exception is real integer-valued f with sum |f| < 2^52 over the
+elements, w_K times its sum over the canonical classes (`_exact`), such as
+the builtins one, moebius, tau and prime_indicator and their convolutions:
+every partial sum is then an exact integer in float64, in any order, and
+the sweep runs on canonical classes and unit orbits.  f(u xi) = f(xi) for
+each unit u, and xi = gamma (mod q) gives u xi = u gamma, so the class sums
+A_gamma and A_(u gamma) are equal at every cut: one class per orbit R of
+the units on (O/q)^* is swept (`Modulus.unit_orbits`).  Each element is
+u xi for one canonical xi and one unit u, and s_R = w_K / |R| units fix
+each class of R, so A_gamma = s_R * (sum of f over the canonical xi whose
+class lies in R), and T is w_K times the canonical coprime total.  Orbits
+are keyed by their smallest class, so the first orbit that attains a
+maximum holds the first class that does.
 """
 
 from __future__ import annotations
@@ -52,7 +62,9 @@ from .regions import (
     count_region,
     element_arrays,
 )
-from .rings import AlgInt, RingDescriptor, divide_exact, make_ring, norm_xy
+from .rings import (
+    AlgInt, RingDescriptor, _in_canonical_sector, divide_exact, make_ring, norm_xy,
+)
 from .sieve import sieve_primes
 
 
@@ -136,26 +148,36 @@ def _class_running_sums(va: np.ndarray, vc: np.ndarray, phi: int) -> np.ndarray:
 class _Levels(NamedTuple):
     """One function's sweep rows (`_levels`): what does not depend on the modulus.
 
-    ``level`` and ``w`` hold one entry per nonzero element, in (norm, x, y)
-    order; ``norms`` and ``row_w`` one per row and ``bounds`` one more.
+    ``level`` and ``w`` hold one entry per nonzero argument, a canonical
+    class on the exact path and an element otherwise, in (norm, x, y) order;
+    ``norms`` and ``row_w`` one per row and ``bounds`` one more.
     """
 
-    nz: np.ndarray | slice  # the nonzero elements among the arguments; all of them: slice(None)
-    norms: np.ndarray  # row norms: the distinct norms of the nonzero elements, increasing
-    bounds: np.ndarray  # row b holds the elements bounds[b]:bounds[b + 1]
-    level: np.ndarray  # each element's row
+    nz: np.ndarray | slice  # the nonzero arguments; all of them: slice(None)
+    norms: np.ndarray  # row norms: the distinct norms of the nonzero arguments, increasing
+    bounds: np.ndarray  # row b holds the arguments bounds[b]:bounds[b + 1]
+    level: np.ndarray  # each argument's row
     real: bool  # every imaginary part is zero
-    exact: bool  # real integers with sum |f| < 2^52: every partial sum is exact
+    exact: bool  # `_exact`: the arguments are canonical classes
     w: np.ndarray | None  # the values as float64 when exact, else None
     row_w: np.ndarray | None  # each row's sum of w when exact, else None
 
 
-def _levels(norms: np.ndarray, fv: np.ndarray) -> _Levels:
-    """The rows of f's sweep: one per distinct norm of an element with f != 0.
+def _exact(fv: np.ndarray, w_K: int) -> bool:
+    """Whether f's values fv at canonical classes are real integers with
+    w_K * sum |f| < 2^52 (NaN and inf fail): the sum over the elements, and
+    below 2^53 both float sums are exact, so the two agree."""
+    vr = fv.real
+    return not fv.imag.any() and w_K * _mass(fv) < 2**52 and np.array_equal(vr, np.rint(vr))
 
-    BoundsTooLarge unless sum |re f| + |im f| < 2^510 (NaN and inf fail too):
-    every class sum and T / phi is then at most that sum, so |eps| < 2^511
-    and |eps|^2 < 2^1022 stay finite.
+
+def _levels(norms: np.ndarray, fv: np.ndarray, w_K: int) -> _Levels:
+    """The rows of f's sweep: one per distinct norm of an argument with f != 0.
+
+    The arguments are canonical classes when fv is `_exact`, else elements;
+    then BoundsTooLarge unless sum |re f| + |im f| < 2^510 (NaN and inf fail
+    too): every class sum and T / phi is then at most that sum, so
+    |eps| < 2^511 and |eps|^2 < 2^1022 stay finite.
     """
     nz = fv != 0
     nz = slice(None) if nz.all() else np.flatnonzero(nz)  # a slice keeps views
@@ -163,14 +185,12 @@ def _levels(norms: np.ndarray, fv: np.ndarray) -> _Levels:
     new_level = np.ones(lvn.size, dtype=bool)
     np.not_equal(lvn[1:], lvn[:-1], out=new_level[1:])
     starts = np.flatnonzero(new_level)
-    vr = va.real
-    real = not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
-    if not (mass := _mass(va)) < 2.0**510:
+    exact = _exact(va, w_K)
+    real = exact or not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
+    if not exact and not (mass := _mass(va)) < 2.0**510:
         raise BoundsTooLarge(f"sum of |f| over the swept elements is {mass!r}: need < 2^510")
-    # integers with sum |f| < 2^52: every partial sum is exact, in any order
-    exact = real and mass < 2**52 and np.array_equal(vr, np.rint(vr))
     level = np.cumsum(new_level) - 1
-    w = vr.astype(np.float64) if exact else None
+    w = va.real.astype(np.float64) if exact else None
     return _Levels(
         nz, lvn[starts], np.append(starts, lvn.size), level, real, exact,
         w, np.bincount(level, w, starts.size) if exact else None,
@@ -181,15 +201,15 @@ class _SweepProfile(NamedTuple):
     """`_sweep_arrays`' result: row maxima, and what `_best_at` reads a row back from.
 
     ``norms`` to ``t_im`` hold one entry per row (`_levels`).  ``vc`` is the
-    class of each of f's nonzero elements, phi for the dump class of the
-    elements not coprime to q; ``w`` their values on the exact path, else
-    None; ``sums`` the class running sums (`_class_running_sums`) of the
-    coprime elements on the general path, else None.
+    sweep class (an orbit on the exact path) of each of f's nonzero
+    arguments, k for the dump class; ``w`` s_R times their values on the
+    exact path, else None; ``sums`` the class running sums
+    (`_class_running_sums`) of the coprime elements otherwise, else None.
     """
 
     norms: np.ndarray  # row norms, increasing
     row_sq: np.ndarray  # max over coprime classes of |eps|^2
-    ends: np.ndarray  # nonzero elements of norm <= the row's
+    ends: np.ndarray  # nonzero arguments of norm <= the row's
     t_re: np.ndarray  # running coprime total / phi, real part
     t_im: np.ndarray | None  # its imaginary part; None when f is real
     vc: np.ndarray
@@ -200,14 +220,18 @@ class _SweepProfile(NamedTuple):
 def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
     """The sweep's profile: per row, the max over coprime classes of |eps|^2.
 
-    The rows are f's (`_levels`): one per distinct norm of an element with
+    The arguments are canonical classes when f is `_exact` (an element off
+    the canonical sector is then a ValueError: it would be read as its w_K
+    associates), else elements; the sweep classes are the unit orbits of
+    the coprime classes (module docstring) or the coprime classes, k of them.
+    The rows are f's (`_levels`): one per distinct norm of an argument with
     f != 0, in increasing norm, whatever q is.  Inside `_scan` they come from
     the table it builds once per function and cut before the pool forks
     (``_SWEEP_CTX["levels"]``, keyed by ``id(fv)`` and confirmed with
-    ``is``); any other fv builds its own.  Per modulus only each element's
-    class, T and the blocks are computed.  Elements not coprime to q go to a
-    dump class phi, which the blocks lay out as row phi of (phi + 1, rows)
-    and drop before the square; with phi 1 every element does (one class:
+    ``is``); any other fv builds its own.  Per modulus only each argument's
+    sweep class, T and the blocks are computed.  Arguments not coprime to q
+    go to a dump class k, which the blocks lay out as row k of (k + 1, rows)
+    and drop before the square; with phi 1 every argument does (one class:
     eps is 0).
     Per row b and class c, eps = A[b, c] - T[b] / phi, where A is the
     running sum of class c and T the running coprime total.  The float sums
@@ -220,31 +244,39 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
     bit for bit.  All are prefix sums, so the sweep of the elements of norm
     <= h is the maximum over the rows of norm <= h; `_best_at` finds the
     first row that attains it and only there reads back its first class and
-    eps.  Blocks of at most ``_SWEEP_BLOCK`` coprime cells are laid out
+    eps.  Blocks of at most ``_SWEEP_BLOCK`` cells are laid out
     class-major, (class, row), so each block's running sums are one
     ``cumsum`` along contiguous rows.  When every imaginary part of f is zero
     the class sums and squares run on the real plane alone (eps.imag is then
     +0.0, as the complex sums give); the level sums stay complex128 whatever
     dtype fv has, since a float64 pairwise ``.sum()`` groups differently.
-    When moreover every value is an integer and the sum of |f| is below 2^52
-    (NaN and inf fail this guard), every sum is exact in any order: each
-    block's class sums are one weighted ``bincount`` over its cells plus a
-    running ``cumsum``, T the running sum of f's row sums less one weighted
-    ``bincount`` of the non-coprime elements, and neither class running sums
-    nor level sums are formed.
+    On the exact path every sum is exact in any order: each block's orbit
+    sums A_R are one ``bincount`` over its cells, weighted by s_R f, plus a
+    running ``cumsum``; T is w_K times the running sum of f's row sums less
+    one weighted ``bincount`` of the non-coprime classes; neither class
+    running sums nor level sums are formed.
     """
     hit = _SWEEP_CTX.get("levels", {}).get(id(fv))
-    lv = hit[1] if hit is not None and hit[0] is fv else _levels(norms, fv)
+    if hit is not None and hit[0] is fv:
+        lv = hit[1]
+    else:
+        lv = _levels(norms, fv, m.ring.w_K)
+        if lv.exact and not _in_canonical_sector(m.ring, xs, ys).all():
+            raise ValueError("an exact f is swept on canonical classes, got other elements")
     phi, nb, level = m.phi, lv.norms.size, lv.level
-    ci = _coprime_index(m)
-    # rid -> class, and the dump class phi off the unit group (everywhere when phi is 1)
-    vc = np.where((ci >= 0) & (phi > 1), ci, phi)[_rids(m, xs[lv.nz], ys[lv.nz])]
-    t_im = sums = None
+    # the sweep classes: unit orbits when exact, else each coprime class on its own
+    orbit, keys, stab = m.unit_orbits if lv.exact else (np.arange(phi),) * 3
+    k = keys.size
+    # rid -> sweep class, and the dump class k off the unit group (everywhere when phi is 1)
+    to = np.append(orbit, k)[_coprime_index(m)] if phi > 1 else np.full(m.norm, k)
+    vc = to[_rids(m, xs[lv.nz], ys[lv.nz])]
+    w = t_im = sums = None
     if lv.exact:
         # a row's coprime sum is its sum less its non-coprime sum, exactly
-        nc = np.flatnonzero(vc == phi)
-        t_re = np.cumsum(lv.row_w - np.bincount(level[nc], lv.w[nc], nb)) / phi
-        end = np.zeros(phi)  # each class's running sum before the block
+        nc = np.flatnonzero(vc == k)
+        t_re = m.ring.w_K * np.cumsum(lv.row_w - np.bincount(level[nc], lv.w[nc], nb)) / phi
+        w = lv.w * np.append(stab, 0)[vc]
+        end = np.zeros(k)  # each orbit's running sum before the block
     else:
         cp = np.flatnonzero(vc < phi)  # the coprime elements
         va = fv[lv.nz][cp]
@@ -263,15 +295,15 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
         # flat index into sums of each class's running sum before the block
         end = np.arange(phi) * sums.shape[1]
     row_sq = np.empty(nb)
-    step = max(1, _SWEEP_BLOCK // phi)
+    step = max(1, _SWEEP_BLOCK // k)
     for b0 in range(0, nb, step):
         b1 = min(b0 + step, nb)
         r = b1 - b0
         e0, e1 = lv.bounds[b0], lv.bounds[b1]
         cells = vc[e0:e1] * r + (level[e0:e1] - b0)
         # exact: the cells' value sums; otherwise their element counts
-        acc = np.bincount(cells, lv.w[e0:e1] if lv.exact else None, (phi + 1) * r)
-        acc = acc.reshape(phi + 1, r)[:phi]  # the dump class goes
+        acc = np.bincount(cells, None if w is None else w[e0:e1], (k + 1) * r)
+        acc = acc.reshape(k + 1, r)[:k]  # the dump class goes
         acc[:, 0] += end
         np.cumsum(acc, axis=1, out=acc)
         end = acc[:, -1].copy()
@@ -287,7 +319,7 @@ def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
             di *= di
             acc += di
         acc.max(axis=0, out=row_sq[b0:b1])
-    return _SweepProfile(lv.norms, row_sq, lv.bounds[1:], t_re, t_im, vc, lv.w, sums)
+    return _SweepProfile(lv.norms, row_sq, lv.bounds[1:], t_re, t_im, vc, w, sums)
 
 
 def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[ModulusRecord]:
@@ -295,35 +327,39 @@ def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[ModulusRecord]:
 
     Each record sits at the first row of norm <= h that attains their
     largest |eps|^2, at that row's first class; it is the empty record
-    (argmax_norm 0) when that maximum is not > 0.  Only that row's class sums
-    are rebuilt, from the swept elements up to it, with the block loop's own
-    arithmetic: exact integers on the exact path, the class running sums at
-    each class's element count otherwise, so the row's |eps|^2 comes out
-    bit for bit and its first argmax is the first class that attains it.
+    (argmax_norm 0) when that maximum is not > 0.  Only that row's sums are
+    rebuilt, from the swept arguments up to it, with the block loop's own
+    arithmetic: exact integers A_R per unit orbit on the exact path, the
+    class running sums at each class's element count otherwise, so the
+    row's |eps|^2 comes out bit for bit.  Its first argmax is the first
+    sweep class that attains it; on the exact path that orbit's key, its
+    smallest class, is the first class that attains it.
     """
     top = np.maximum.accumulate(p.row_sq)  # prefix maxima, nondecreasing
     q = (m.q.x, m.q.y, m.norm, m.phi)
     gx, gy = m.rid_coords(m.unit_rids[0])
+    # each sweep class's first class: an orbit's key on the exact path
+    keys = m.unit_orbits[1] if p.sums is None else np.arange(m.phi)
     out = []
     for n in np.searchsorted(p.norms, cuts, side="right").tolist():
         if n == 0 or not top[n - 1] > 0.0:
             out.append(ModulusRecord(*q, 0.0, 0j, 0, gx, gy))
             continue
         i = int(np.searchsorted(top, top[n - 1]))  # where the prefix max first appears
-        e, phi = p.ends[i], m.phi
+        e, k = p.ends[i], keys.size
         if p.sums is None:
-            a = np.bincount(p.vc[:e], p.w[:e], phi + 1)[:phi]  # the dump class goes
+            a = np.bincount(p.vc[:e], p.w[:e], k + 1)[:k]  # the dump class goes
         else:
-            a = p.sums[np.arange(phi), np.bincount(p.vc[:e], minlength=phi + 1)[:phi]]
-        dr, di = a.real - p.t_re[i], np.zeros(phi)
+            a = p.sums[np.arange(k), np.bincount(p.vc[:e], minlength=k + 1)[:k]]
+        dr, di = a.real - p.t_re[i], np.zeros(k)
         sq = dr * dr
         if p.t_im is not None:
             di = a.imag - p.t_im[i]
             sq += di * di
-        k = int(sq.argmax())  # the first class: sq[k] is row_sq[i], bit for bit
+        j = int(sq.argmax())  # the first sweep class: sq[j] is row_sq[i], bit for bit
         out.append(ModulusRecord(
-            *q, math.sqrt(sq[k]), complex(dr[k], di[k]), int(p.norms[i]),
-            *m.rid_coords(m.unit_rids[k]),
+            *q, math.sqrt(sq[j]), complex(dr[j], di[j]), int(p.norms[i]),
+            *m.rid_coords(m.unit_rids[int(keys[j])]),
         ))
     return out
 
@@ -409,8 +445,20 @@ def _sweep_task(i: int) -> list[list[tuple[int, ModulusRecord]]]:
         # its record off the sweep's profile, as (grid index, record)
         sweep = _sweep_arrays(m, *prefixes[his[ks[-1]]])
         out.append(list(zip(ks, _best_at(m, sweep, [his[k] for k in ks]))))
-        del sweep  # it holds per-element arrays: free them before the next sweep
+        del sweep  # it holds per-argument arrays: free them before the next sweep
     return out
+
+
+def _nonzero(xs, ys, norms, fv) -> tuple[np.ndarray, ...]:
+    """The arguments with f != 0; zeros never move eps."""
+    nz = fv != 0
+    return xs[nz], ys[nz], norms[nz], fv[nz]
+
+
+def _upto(arrays: tuple[np.ndarray, ...], hi: int) -> tuple[np.ndarray, ...]:
+    """Views of the prefix of norm <= hi of (xs, ys, norms, fv), sorted by norm."""
+    cut = np.searchsorted(arrays[2], hi, side="right")
+    return tuple(a[:cut] for a in arrays)
 
 
 def _check_rings(cfg: LodScanConfig, fns: list[ArithFn]) -> None:
@@ -425,8 +473,9 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
 
     Moduli run over one canonical associate per class with 2 <= norm(q) <= Q,
     each built once, for the largest Q of the grid (Q need not grow with N).
-    A modulus sweeps each function's elements up to the largest grid N whose
-    Q admits it; each function's rows (`_levels`) are built once per such
+    A modulus sweeps each function up to the largest grid N whose Q admits
+    it: its canonical classes and ``f.vals`` when `_exact`, else its
+    elements; each function's rows (`_levels`) are built once per such
     cut, before the pool forks, and every modulus with that cut reads them.
     Parallelism is across moduli, in one pool of at most one process per
     modulus (none for one); records are assembled in (norm, x, y) order
@@ -451,16 +500,18 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     cuts = {his[ks[-1]] for ks in admits}
     fns_cut, levels = [], {}
     for f in fns:
-        xs, ys, norms, fv = _a0_values(f, cfg.N_grid[-1])
-        # zeros never move eps: drop them once, not per modulus
-        nz = fv != 0
-        arrays = (xs[nz], ys[nz], norms[nz], fv[nz])
-        del fv, nz  # no full-size value array stays alive through the sweeps
+        xs, ys, norms = class_arrays(ring, f.norm_bound)
+        n = np.searchsorted(norms, his[-1], side="right")
+        classes, elements = _nonzero(xs[:n], ys[:n], norms[:n], f.vals[:n]), None
         prefixes = {}
         for hi in cuts:
-            cut = np.searchsorted(arrays[2], hi, side="right")
-            *_, cut_norms, cut_fv = prefixes[hi] = tuple(a[:cut] for a in arrays)
-            levels[id(cut_fv)] = (cut_fv, _levels(cut_norms, cut_fv))
+            arrays = _upto(classes, hi)
+            if not _exact(arrays[3], ring.w_K):  # the general path sweeps elements
+                if elements is None:
+                    elements = _nonzero(*_a0_values(f, cfg.N_grid[-1]))
+                arrays = _upto(elements, hi)
+            *_, cut_norms, cut_fv = prefixes[hi] = arrays
+            levels[id(cut_fv)] = (cut_fv, _levels(cut_norms, cut_fv, ring.w_K))
         fns_cut.append(prefixes)
     _SWEEP_CTX = {"moduli": moduli, "admits": admits, "his": his, "fns": fns_cut, "levels": levels}
     workers = min(workers, len(moduli))

@@ -1039,11 +1039,51 @@ def epsilon(f, m_cut, m, gamma):
     )
 
 
+def sweep_arguments(f, hi):
+    """What a scan hands lab._sweep_arrays for f up to norm hi.
+
+    f's canonical classes and its values there when they take the exact
+    sweep (lab._exact), else the elements and f's values at them.
+    """
+    from quadlod.errors import TableTooSmall
+    from quadlod.lab import _exact, _fvals
+    from quadlod.regions import class_arrays, element_arrays
+
+    if hi > f.norm_bound:
+        raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
+    xs, ys, norms = class_arrays(f.ring, hi)
+    if _exact(f.vals[: len(xs)], f.ring.w_K):
+        return xs, ys, norms, f.vals[: len(xs)]
+    xs, ys, norms = element_arrays(f.ring.d, 1, hi)
+    return xs, ys, norms, _fvals(f, xs, ys)
+
+
 def epsilon_sweep(f, n, m):
     """The library sweep's exact max over real M <= N and coprime gamma, for one modulus."""
-    from quadlod.lab import _a0_values, _best_at, _sweep_arrays
+    from quadlod.lab import _best_at, _sweep_arrays
+    from quadlod.regions import a0
 
-    return _best_at(m, _sweep_arrays(m, *_a0_values(f, n)), [math.inf])[0]
+    return _best_at(m, _sweep_arrays(m, *sweep_arguments(f, a0(f.ring, n).hi_sq)), [math.inf])[0]
+
+
+def loop_unit_orbits(m):
+    """Each coprime class's unit orbit, one unit and one class at a time.
+
+    Returns (members, fixed): members[c] is the set of classes u * c over the
+    units u of the ring, fixed[c] the number of units with u * c = c.
+    Classes are positions in m.unit_rids.
+    """
+    ring = m.ring
+    members, fixed = [], []
+    for c, rid in enumerate(m.unit_rids):
+        x, y = (int(v) for v in m.rid_coords(rid))
+        images = []
+        for u in ring.units:
+            p = AlgInt(ring, x, y) * u
+            images.append(m.unit_rids.index(int(m.rid_xy(p.x, p.y))))
+        members.append(set(images))
+        fixed.append(images.count(c))
+    return members, fixed
 
 
 def sw_sum(f, n, chi):

@@ -16,6 +16,7 @@ from _oracles import (
     hnf_rid_xy,
     is_coprime,
     loop_unit_circle,
+    loop_unit_orbits,
     phase_matrix,
     primitive_characters,
     residue,
@@ -33,6 +34,27 @@ def unit_char_matrix(m):
     for chi in m.characters:
         rows.append([chi_of_rid(chi, r) for r in m.unit_rids])
     return np.array(rows, dtype=np.complex128)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from(SUPPORTED_D), k=st.integers(0, 10**6))
+def test_unit_orbits_match_loop(d, k):
+    """The orbits partition the coprime classes, s_R |R| = w_K, and each orbit's
+    key is its least class."""
+    ring = make_ring(d)
+    moduli = [q for q in canonical_classes(ring, 300) if q.norm() >= 2]
+    m = Modulus(ring, moduli[k % len(moduli)])
+    orbit, keys, stab = m.unit_orbits
+    members, fixed = loop_unit_orbits(m)
+    assert orbit.shape == (m.phi,) and keys.tolist() == sorted(keys.tolist())
+    for c in range(m.phi):
+        assert c in members[c]
+        # same orbit exactly when the loop puts the classes in one orbit: a partition
+        assert set(np.flatnonzero(orbit == orbit[c]).tolist()) == members[c]
+        assert keys[orbit[c]] == min(members[c])
+        assert stab[orbit[c]] == fixed[c] == ring.w_K // len(members[c])
+        assert stab[orbit[c]] * len(members[c]) == ring.w_K
+    assert sorted({min(s) for s in members}) == keys.tolist()
 
 
 def test_modulus_examples(gauss):

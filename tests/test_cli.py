@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadlod
+from quadlod import lab
 from quadlod.cli import RunConfig, default_cache_dir, main
 from quadlod.regions import a0, count_region
 from quadlod.rings import make_ring
@@ -867,6 +868,48 @@ def test_sweep_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
     else:
         assert code == 0 and err == ""
         assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == digest
+
+
+# class 1 holds the value that puts sum |f| over the classes of norm <= 400 at
+# `mass`: w_K * mass just below 2^52 takes the exact sweep on classes, at or
+# above it the general sweep on elements.  The digests were recorded before
+# the exact sweep moved onto classes, when the guard summed over elements.
+D1_BELOW, D3_BELOW = 2**50 - 1, (2**52 - 1) // 6
+
+
+@pytest.mark.parametrize(
+    "d, mass, exact, digest",
+    [
+        (-1, D1_BELOW, True,
+         "d846a834b58c2fa331b597ea65a1a1c46dc28b2b00047414876a8b559debd46e"),
+        (-1, D1_BELOW + 1, False,
+         "dfa55c40f161b054474818298446f2d49c57d7d6e68eb1706315c5eab2cc8bce"),
+        (-1, D1_BELOW + 2, False,
+         "8de83d778164d468a3b17936ff8efbb63c7c5587c950f22b8d43eefd564f620f"),
+        (-3, D3_BELOW, True,
+         "0b2a6c9a5db16222b9c1df27e31aaf4e0ccbe7f013f9db89d619ee5a3d6c8f50"),
+        (-3, D3_BELOW + 1, False,
+         "b907e22f32bb797e91810b108f6478416f0adb46566077b7ce4053194ade46b3"),
+    ],
+)
+def test_exact_sweep_guard_on_classes(capsys, tmp_path, monkeypatch, d, mass, exact, digest):
+    monkeypatch.chdir(tmp_path)
+    general, calls = lab._class_running_sums, []
+    monkeypatch.setattr(lab, "_class_running_sums", lambda *a: calls.append(1) or general(*a))
+    run(capsys, "tabulate", "--d", str(d), "--f", "one", "--norm-bound", "400", "--out", "one.csv")
+    lines = (tmp_path / "one.csv").read_text().splitlines()
+    row = lines[3].split(",")  # the first class: 1, coprime to every q
+    assert row[:3] == ["1", "0", "1"]
+    row[3] = repr(float(mass - (len(lines) - 4)))  # every other class holds 1
+    lines[3] = ",".join(row)
+    (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys, "lod-scan", "--d", str(d), "--f", "csv:big.csv", "--theta", "0.5", "--B", "0",
+        "--Ngrid", "10,20", "--workers", "1", "--out", "scan.csv",
+    )
+    assert code == 0 and err == ""
+    assert (calls == []) == exact
+    assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == digest
 
 
 def _one_with(tmp_path, capsys, prefixes, value):

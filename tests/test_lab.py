@@ -274,16 +274,21 @@ def test_lod_scan_builds_each_modulus_once(one_2500, monkeypatch):
     tables = lod_scan(cfg, one_2500)
     assert len(tables[0].records) < len(tables[-1].records)
     assert len(built) == len(set(built)) == len(tables[-1].records)
-    # one scan for f, g and f*g: each modulus is built once, each function read once
+    # one scan for f, g and f*g: each modulus is built once, each function read
+    # once, on its canonical classes (f.vals): all three are exact, so no
+    # element values are read
     fvals, fvals_calls = lab._fvals, []
     monkeypatch.setattr(lab, "_fvals", lambda *a: fvals_calls.append(a) or fvals(*a))
+    classes, class_reads = lab.class_arrays, []
+    monkeypatch.setattr(lab, "class_arrays", lambda *a: class_reads.append(a) or classes(*a))
     mu = tabulate("moebius", one_2500.ring, 2500, sieve_primes(one_2500.ring, 2500))
     for g, n_fns in ((one_2500, 2), (mu, 3)):
         built.clear()
         fvals_calls.clear()
+        class_reads.clear()
         convolution_experiment(one_2500, g, cfg)
         assert len(built) == len(set(built)) == len(tables[-1].records)
-        assert len(fvals_calls) == n_fns
+        assert len(class_reads) == n_fns and fvals_calls == []
 
 
 def test_scan_pool_never_outnumbers_the_moduli(one_2500, monkeypatch):

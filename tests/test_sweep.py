@@ -1,6 +1,8 @@
 """The blocked breakpoint sweep against the per-breakpoint loop it replaced.
 
-Equality is on repr, so it is bit for bit, signed zeros included.
+Equality is on repr, so it is bit for bit, signed zeros included.  The loop
+always runs over elements; the sweep reads what a scan gives it
+(`sweep_arguments`): canonical classes and unit orbits for exact f.
 """
 
 import math
@@ -14,10 +16,10 @@ from hypothesis import strategies as st
 from quadlod import lab
 from quadlod.arith import ArithFn, tabulate
 from quadlod.characters import Modulus
-from quadlod.regions import a0, canonical_classes, element_arrays
+from quadlod.regions import a0, canonical_classes, class_arrays, element_arrays
 from quadlod.rings import SUPPORTED_D, AlgInt, make_ring
 from quadlod.sieve import sieve_primes
-from _oracles import loop_sweep_running
+from _oracles import loop_sweep_running, loop_unit_orbits, sweep_arguments
 
 INTEGER_VALUES = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
 LOG_VALUES = st.one_of(
@@ -38,16 +40,24 @@ def profile_bytes(sweep):
     return [None if a is None else a.tobytes() for a in sweep]
 
 
-def assert_same_sweep(m, xs, ys, norms, fv):
+def element_values(f, hi):
+    """(xs, ys, norms, fv): the elements of norm 1..hi and f at them, the loop's input."""
+    xs, ys, norms = element_arrays(f.ring.d, 1, hi)
+    return xs, ys, norms, lab._fvals(f, xs, ys)
+
+
+def assert_same_sweep(m, xs, ys, norms, fv, swept=None):
     """At every prefix cut, the sweep's first maximum matches the loop over that prefix.
 
-    The profile has one row per distinct norm of f's nonzero elements, which
-    holds every coprime breakpoint; a row with no coprime element repeats
-    the row before it bit for bit (the empty prefix's zeros for row 0).
-    Each row's norm is a cut, and so is 0 (the empty prefix).  Returns the
-    sweep's profile.
+    The loop runs over the elements (xs, ys, norms, fv); the sweep reads
+    swept, the canonical classes and f's values there for an exact f, and
+    by default the elements themselves.  The profile has one row per
+    distinct norm of f's nonzero elements, which holds every coprime
+    breakpoint; a row with no coprime element repeats the row before it bit
+    for bit (the empty prefix's zeros for row 0).  Each row's norm is a cut,
+    and so is 0 (the empty prefix).  Returns the sweep's profile.
     """
-    sweep = lab._sweep_arrays(m, xs, ys, norms, fv)
+    sweep = lab._sweep_arrays(m, *(swept or (xs, ys, norms, fv)))
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
     rows = np.unique(norms[fv != 0])
     breakpoints = np.unique(norms[(cid >= 0) & (fv != 0)]) if m.phi > 1 else norms[:0]
@@ -82,21 +92,21 @@ def test_sweep_bit_identical_to_loop(data):
     f = ArithFn(ring, hi, vals, "drawn")
     moduli = [q for q in canonical_classes(ring, 60) if q.norm() >= 2]
     m = Modulus(ring, data.draw(st.sampled_from(moduli), label="q"))
-    xs, ys, norms = element_arrays(ring.d, 1, hi)
-    assert_same_sweep(m, xs, ys, norms, lab._fvals(f, xs, ys))
+    assert_same_sweep(m, *element_values(f, hi), swept=sweep_arguments(f, hi))
 
 
 @pytest.mark.parametrize("name", ["log_norm", "lambda", "moebius", "prime_indicator", "tau"])
 def test_sweep_bit_identical_across_blocks(gauss, monkeypatch, name):
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
     f = tabulate(name, gauss, 900, sieve_primes(gauss, 900))
-    xs, ys, norms = element_arrays(-1, 1, 900)
-    fv = lab._fvals(f, xs, ys)
+    elements, swept = element_values(f, 900), sweep_arguments(f, 900)
     for q in canonical_classes(gauss, 40):
         if q.norm() >= 2:
             m = Modulus(gauss, q)
-            assert m.phi < 64 < len(np.unique(norms[fv != 0])) * m.phi  # several blocks
-            assert_same_sweep(m, xs, ys, norms, fv)
+            sweep = assert_same_sweep(m, *elements, swept=swept)
+            # the blocks' rows: unit orbits on the exact path, classes otherwise
+            k = m.unit_orbits[1].size if sweep.w is not None else m.phi
+            assert k < 64 < sweep.norms.size * k  # several blocks
 
 
 @pytest.mark.parametrize("d", [-1, -3])
@@ -128,18 +138,17 @@ def test_sweep_real_plane_matches_complex(monkeypatch, d):
 
 
 def test_sweep_exact_path_only_for_exact_integer_sums(monkeypatch):
-    """Integer f with sum |f| < 2^52 skips the class running sums; anything else takes them.
+    """Integer f with sum |f| < 2^52 over the elements skips the class running sums.
 
     The exact path is chosen from f's values alone, over all of its nonzero
-    elements, coprime to q or not: a 0.5, a sum |f| of 2^52 or an imaginary
-    part of 1e-300 each send the sweep back to the general path.  Both paths
-    must match the loop at every cut.
+    classes, coprime to q or not: each class stands for its w_K associates,
+    so w_K times the sum |f| over the classes decides.  On d = -1 and
+    d = -3, a class sum just below 2^52 / w_K takes the exact path on the
+    classes; at or just above it, a 0.5 or an imaginary part of 1e-300 each
+    send the sweep back to the general path on the elements.  Both paths must
+    match the loop at every cut.
     """
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
-    ring = make_ring(-1)
-    xs, ys, norms = element_arrays(-1, 1, 400)
-    table = sieve_primes(ring, 400)
-    fvs = [lab._fvals(tabulate(name, ring, 400, table), xs, ys) for name in ("tau", "moebius")]
     general = lab._class_running_sums
     calls = []
 
@@ -150,26 +159,75 @@ def test_sweep_exact_path_only_for_exact_integer_sums(monkeypatch):
         calls.append(1)
         return general(*args)
 
-    for q in canonical_classes(ring, 20):
-        if q.norm() < 3:  # phi is 1: eps is 0 and nothing is summed
-            continue
-        m = Modulus(ring, q)
-        for fv in fvs:
-            # the guard sums over all of f's elements; element 0 is a unit
-            rest = np.abs(fv.real).sum() - abs(fv[0].real)
-            under, at_bound, half, tiny = (fv.copy() for _ in range(4))
-            under[0] = 2**52 - 1 - rest
-            at_bound[0] = 2**52 - rest
-            half[0] = 0.5
-            tiny.imag[0] = 1e-300
-            monkeypatch.setattr(lab, "_class_running_sums", refuse)
-            for exact in (fv, under):
-                assert_same_sweep(m, xs, ys, norms, exact)
-            monkeypatch.setattr(lab, "_class_running_sums", count)
-            for inexact in (at_bound, half, tiny):
-                calls.clear()
-                assert_same_sweep(m, xs, ys, norms, inexact)
-                assert calls == [1]
+    for d in (-1, -3):
+        ring = make_ring(d)
+        table = sieve_primes(ring, 400)
+        moduli = [Modulus(ring, q) for q in canonical_classes(ring, 20) if q.norm() >= 2]
+        for name in ("tau", "moebius"):
+            f = tabulate(name, ring, 400, table)
+            # class 0 is the unit class 1, coprime to every q
+            rest = np.abs(f.vals.real).sum() - abs(f.vals[0].real)
+            # w_K * sum |f| over the classes: below 2^52 - 4 on both rings; ceil
+            # 2^52 on d = -1 and 2^52 + 2 on d = -3; above 2^52 + 4 and 2^52 + 2
+            variants = {v: f.vals.copy() for v in ("below", "ceil", "above", "half", "tiny")}
+            variants["below"][0] = (2**52 - 1) // ring.w_K - rest
+            variants["ceil"][0] = -(-(2**52) // ring.w_K) - rest
+            variants["above"][0] = 2**52 // ring.w_K + 1 - rest
+            variants["half"][0] = 0.5
+            variants["tiny"].imag[0] = 1e-300
+            fns = {v: ArithFn(ring, 400, vals, v) for v, vals in variants.items()}
+            for m in moduli:
+                if m.phi == 1:  # eps is 0 and nothing is summed
+                    continue
+                monkeypatch.setattr(lab, "_class_running_sums", refuse)
+                for exact in (f, fns["below"]):
+                    assert_same_sweep(
+                        m, *element_values(exact, 400), swept=sweep_arguments(exact, 400)
+                    )
+                monkeypatch.setattr(lab, "_class_running_sums", count)
+                for key in ("ceil", "above", "half", "tiny"):
+                    calls.clear()
+                    elements = element_values(fns[key], 400)
+                    assert sweep_arguments(fns[key], 400)[0].size == elements[0].size
+                    assert_same_sweep(m, *elements)
+                    assert calls == [1]
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_orbit_sweep_matches_element_loop_with_ties(monkeypatch, d):
+    """On every ring, `_best_at` on unit orbits equals the loop over elements at every cut.
+
+    f = one ties many classes at every row, and a modulus of phi 1 ties its
+    one class at eps 0; moebius and tau break ties.  Moduli run over every
+    norm from 2 to 30 the ring has, phi 1 among them where it occurs.
+    """
+    monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
+    ring = make_ring(d)
+    table = sieve_primes(ring, 300)
+    moduli = [Modulus(ring, q) for q in canonical_classes(ring, 30) if q.norm() >= 2]
+    for name in ("one", "moebius", "tau"):
+        f = tabulate(name, ring, 300, table)
+        elements, swept = element_values(f, 300), sweep_arguments(f, 300)
+        for m in moduli:
+            assert assert_same_sweep(m, *elements, swept=swept).w is not None
+
+
+def test_exact_sweep_refuses_elements(gauss):
+    """An exact f given as elements fails loudly: the sweep would read each as its w_K associates.
+
+    A general f given as elements, and an exact f given as canonical
+    classes, are swept.
+    """
+    table = sieve_primes(gauss, 400)
+    m = Modulus(gauss, AlgInt(gauss, 3, 0))
+    for name in ("one", "moebius", "tau", "prime_indicator"):
+        f = tabulate(name, gauss, 400, table)
+        elements = element_values(f, 400)
+        with pytest.raises(ValueError, match="canonical classes"):
+            lab._sweep_arrays(m, *elements)
+        assert lab._sweep_arrays(m, *sweep_arguments(f, 400)).w is not None
+    f = tabulate("lambda", gauss, 400, table)
+    assert lab._sweep_arrays(m, *element_values(f, 400)).sums is not None
 
 
 def tied_fv(m, xs, ys, norms, scale):
@@ -195,15 +253,48 @@ def tied_fv(m, xs, ys, norms, scale):
     return fv, lo
 
 
+def tied_fn(m, hi):
+    """Exact f on classes whose maximum is a tie at norm 1, met again at a later norm.
+
+    q has two unit orbits, each of w_K classes (s_R = 1), so both orbits'
+    eps are +-(A_0 - A_1) / 2 for A_0 the class sum of orbit 0, which holds
+    class 0, and A_1 the other's: every class ties at every row.  f(1) puts
+    A_0 - A_1 at -2, so class 0's eps is -1 at norm 1; four later classes,
+    in increasing norm, move it to 0, 1, 0 and -2 again.
+    """
+    orbit, keys, stab = m.unit_orbits
+    assert keys.size == 2 and stab.tolist() == [1, 1]
+    xs, ys, norms = class_arrays(m.ring, hi)
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    side = np.where(cid >= 0, 1 - 2 * orbit[cid], 0)  # +1 on orbit 0, -1 on orbit 1
+    vals = np.zeros(xs.size)
+    at, used = 0, set()
+    for step in (-2, 2, 1, -1, -2):  # the moves of A_0 - A_1, at increasing norms
+        while side[at] == 0 or norms[at] in used:
+            at += 1
+        vals[at] = step * side[at]
+        used.add(norms[at])
+    return ArithFn(m.ring, hi, vals, "tied")
+
+
 @pytest.mark.parametrize("block", [64, 1])  # 1: one row per block
 @pytest.mark.parametrize("scale", [1.0, 1 / 3])  # 1/3 takes the general path
 def test_readback_first_class_and_first_row(gauss, monkeypatch, block, scale):
-    """`_best_at` reads the first class, with its sign, at the first row of a repeated maximum."""
+    """`_best_at` reads the first class, with its sign, at the first row of a repeated maximum.
+
+    On the exact path that class is the key of the first orbit that attains it.
+    """
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", block)
-    xs, ys, norms = element_arrays(-1, 1, 100)
-    m = Modulus(gauss, AlgInt(gauss, 1, 2))  # phi = 4: the four units are coprime, apart
-    fv, lo = tied_fv(m, xs, ys, norms, scale)
-    sweep = assert_same_sweep(m, xs, ys, norms, fv)
+    if scale == 1:
+        m = Modulus(gauss, AlgInt(gauss, 3, 0))  # phi = 8: two orbits of the four units
+        f = tied_fn(m, 100)
+        sweep = assert_same_sweep(m, *element_values(f, 100), swept=sweep_arguments(f, 100))
+        lo = 0
+    else:
+        xs, ys, norms = element_arrays(-1, 1, 100)
+        m = Modulus(gauss, AlgInt(gauss, 1, 2))  # phi = 4: the four units are coprime, apart
+        fv, lo = tied_fv(m, xs, ys, norms, scale)
+        sweep = assert_same_sweep(m, xs, ys, norms, fv)
     assert (sweep.w is None, sweep.sums is None) == (scale != 1, scale == 1)
     assert sweep.norms.size == 5
     assert np.flatnonzero(sweep.row_sq == sweep.row_sq.max()).tolist() == [0, 4]
@@ -220,21 +311,23 @@ def test_readback_without_breakpoints(gauss, monkeypatch, block, scale):
     The rows are still f's norms, but every one repeats the empty prefix.
     """
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", block)
-    xs, ys, norms = element_arrays(-1, 1, 100)
+    xs, ys, norms = class_arrays(gauss, 100)
     one = Modulus(gauss, AlgInt(gauss, 1, 1))
     assert one.phi == 1
-    fv = np.full(xs.size, scale, dtype=np.complex128)
+    fv = np.full(xs.size, scale)
     m = Modulus(gauss, AlgInt(gauss, 1, 2))
     off = np.where(lab._coprime_index(m)[lab._rids(m, xs, ys)] < 0, fv, 0)
     assert off.any()
-    for mod, f in ((one, fv), (m, off)):
-        sweep = assert_same_sweep(mod, xs, ys, norms, f)
+    for mod, vals in ((one, fv), (m, off)):
+        f = ArithFn(gauss, 100, vals, "scaled")
+        sweep = assert_same_sweep(mod, *element_values(f, 100), swept=sweep_arguments(f, 100))
         assert sweep.norms.size > 0 and not sweep.row_sq.any()
         assert all(r.argmax_norm == 0 for r in lab._best_at(mod, sweep, [0, 50, math.inf]))
 
 
 def sparse_coprime_fv(m, xs, ys, norms, values):
-    """values on every element not coprime to q, and on one in twenty coprime ones past norm 10.
+    """values on every element (or class) not coprime to q, and on one in twenty
+    coprime ones past norm 10.
 
     Most of f's elements are then not coprime to q, many rows hold no
     coprime element, and the first rows come before the first coprime one.
@@ -242,7 +335,7 @@ def sparse_coprime_fv(m, xs, ys, norms, values):
     cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
     keep = cid < 0
     keep[np.flatnonzero((cid >= 0) & (norms > 10))[::20]] = True
-    return np.where(keep, values, 0), cid >= 0
+    return np.where(keep, values, 0)
 
 
 @pytest.mark.parametrize("block", [16, 1])
@@ -265,11 +358,18 @@ def test_rows_without_coprime_change(gauss, monkeypatch, block, q):
     integers = rng.choice([-3, -2, -1, 1, 2, 3], n).astype(np.complex128)
     floats = rng.standard_normal(n).astype(np.complex128)
     signed_zero = rng.standard_normal(n) + 1j * rng.choice([0.0, -0.0, 0.5], n)
+    coprime = lab._coprime_index(m)[lab._rids(m, xs, ys)] >= 0
     fvs = {}
     for name, values in (("exact", integers), ("general", floats), ("complex", signed_zero)):
-        fv, coprime = sparse_coprime_fv(m, xs, ys, norms, values)
+        if name == "exact":  # on classes: each element takes its class's value
+            cx, cy, cn = class_arrays(gauss, 300)
+            f = ArithFn(gauss, 300, sparse_coprime_fv(m, cx, cy, cn, values[: cx.size]), "sparse")
+            fv = element_values(f, 300)[3]
+            sweep = assert_same_sweep(m, xs, ys, norms, fv, swept=sweep_arguments(f, 300))
+        else:
+            fv = sparse_coprime_fv(m, xs, ys, norms, values)
+            sweep = assert_same_sweep(m, xs, ys, norms, fv)
         fvs[name] = fv
-        sweep = assert_same_sweep(m, xs, ys, norms, fv)
         assert sweep.w is not None if name == "exact" else sweep.sums is not None
         assert (sweep.t_im is not None) == (name == "complex")
         first = norms[coprime & (fv != 0)].min()
@@ -299,9 +399,9 @@ def test_scan_builds_rows_once_per_function_and_cut(gauss, monkeypatch):
     build = lab._levels
     calls = []
 
-    def count(norms, fv):
+    def count(norms, fv, w_K):
         calls.append((id(fv.base), norms.size))  # (function, cut)
-        return build(norms, fv)
+        return build(norms, fv, w_K)
 
     monkeypatch.setattr(lab, "_levels", count)
     cfg, fns = small_scan(gauss)
@@ -326,9 +426,9 @@ def test_prefix_copy_sweeps_like_the_scan_rows(gauss, monkeypatch):
     build, sweep = lab._levels, lab._sweep_arrays
     built, checked = [], []
 
-    def count(norms, fv):
+    def count(norms, fv, w_K):
         built.append(1)
-        return build(norms, fv)
+        return build(norms, fv, w_K)
 
     def both(m, xs, ys, norms, fv):
         before = len(built)
@@ -360,8 +460,7 @@ def test_sweep_dtype_does_not_change_bytes(monkeypatch, d, name):
     monkeypatch.setattr(lab, "_SWEEP_BLOCK", 64)
     ring = make_ring(d)
     f = tabulate(name, ring, 400, sieve_primes(ring, 400))
-    xs, ys, norms = element_arrays(d, 1, 400)
-    wide = lab._fvals(f, xs, ys)
+    xs, ys, norms, wide = sweep_arguments(f, 400)
     assert not wide.imag.any()
     real = wide.real.copy()
     for q in canonical_classes(ring, 40):
