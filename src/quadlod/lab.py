@@ -734,19 +734,20 @@ def _pack_lanes(coeffs: np.ndarray, lanes: int, buf: np.ndarray | None = None) -
 
 
 def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
-    """(n_vec, phi) sums of each coefficient row over its coprime classes.
+    """(n_vec, phi) sums of each coefficient row over the bins 0 .. phi - 1.
 
-    cid is each element's coprime class, < 0 off the coprime set.  Each packed
-    row takes one bincount, which adds a class's weights one at a time in
-    element order: with one lane every class sum is a left-to-right sum.
-    Bins never interact, so with L lanes the class sums are exact integers
-    as long as each coprime class's own partial sums fit the lanes
-    (`_pack_lanes`); that is what the left-to-right sum of integer
-    coefficients gives too, so the bits match.  The digits decode top lane
-    first, d = rint(W / 2^(bj)) and W -= d * 2^(bj), and + 0.0 turns rint's
-    -0.0 into the 0.0 a sum gives.  Non-coprime elements go to the sentinel
-    class phi, which is dropped and need not be exact.  With one lane each
-    bincount goes straight into the result.
+    cid is each element's bin, < 0 to drop it (`large_sieve_ratios` passes
+    residues mod q, phi = N(q), and drops none).  Each packed row takes one
+    bincount, which adds a bin's weights one at a time in element order:
+    with one lane every bin sum is a left-to-right sum.  Bins never
+    interact, so with L lanes the bin sums are exact integers as long as
+    each bin's own partial sums fit the lanes (`_pack_lanes`); that is what
+    the left-to-right sum of integer coefficients gives too, so the bits
+    match.  The digits decode top lane first, d = rint(W / 2^(bj)) and
+    W -= d * 2^(bj), and + 0.0 turns rint's -0.0 into the 0.0 a sum gives.
+    Dropped elements go to the sentinel bin phi, which is thrown away and
+    need not be exact.  With one lane each bincount goes straight into the
+    result.
     """
     key = np.where(cid < 0, phi, cid)
     groups = len(pack.rows)
@@ -763,6 +764,18 @@ def _fold_classes(pack: _Lanes, cid: np.ndarray, phi: int) -> np.ndarray:
             digits[:, j] = d + 0.0
         digits[:, 0] = w
     return folded[: pack.n_vec]
+
+
+def _refold(sums: np.ndarray, m: Modulus, child: Modulus) -> np.ndarray:
+    """(n_vec, N(child)) residue sums mod child | q, from sums (n_vec, N(q)) mod q.
+
+    One bincount over (vector, child residue) keys, in residue order: exact
+    for the integer sums of magnitude < 2^53 that `large_sieve_ratios` passes.
+    """
+    key = child.rid_xy(*m.rid_coords(np.arange(m.norm)))
+    flat = (np.arange(len(sums))[:, None] * child.norm + key).ravel()
+    out = np.bincount(flat, weights=sums.ravel(), minlength=len(sums) * child.norm)
+    return out.reshape(-1, child.norm)
 
 
 def _has_primitive(m: Modulus) -> bool:
@@ -785,8 +798,11 @@ def _primitive_part(m: Modulus, folded: np.ndarray) -> np.ndarray:
     over k = |K_pi| = phi(q)/phi(q/pi), which is N(pi) - 1 when pi divides q
     once and N(pi) otherwise.  By Parseval on (O/q)^*, the squared primitive
     character sums of a row add up to phi(q) times its projection's squared
-    norm.  Works in place on folded, (n_vec, phi) in unit_rids order.
+    norm.  Works in place on folded, (n_vec, phi) in unit_rids order, once it
+    is C-ordered float64, so a row sum over the result keeps its bits
+    whatever layout (or empty int64 bincount) folded came as.
     """
+    folded = np.ascontiguousarray(folded, dtype=np.float64)
     ux, uy = m.rid_coords(np.array(m.unit_rids, dtype=np.int64))
     rows = np.arange(len(folded))[:, None]
     for pi, e in m.factorization.factors:
@@ -819,14 +835,23 @@ def large_sieve_ratios(
     No character is built: each modulus's class sums are projected onto its
     primitive characters (`_primitive_part`), and phi(q) times the projection's
     squared norm is the sum of the squared primitive character sums.  The
-    coefficients are summed as float64 in a fixed order with no BLAS.  When
-    every coefficient is an integer, as the CLI's signs are, one bincount
-    folds several packed vectors (`_pack_lanes`) with the bits of one
-    bincount per vector.  A modulus packs as many as min(A, amax * cmax)
-    allows (`_lanes_for`), for A the largest sum |c| of a vector, amax the
-    largest |c| and cmax the largest coprime class count, at least as many
-    as A alone; the rows are repacked, into one buffer, only when that count
-    changes.  coeff_matrix is real and finite, (vectors, len(xs)) or one
+    coefficients are summed as float64 in a fixed order with no BLAS.  The
+    moduli with a primitive character form a divisor tree, visited depth
+    first: q's parent is its first multiple later in the walk.  Only a root
+    folds the elements, onto all N(q) residues (`_fold_classes`); a child
+    adds up its parent's residue sums (`_refold`).  The tree is built only
+    when every coefficient is an integer and A < 2^53, for A the largest
+    sum |c| of a vector: every partial residue sum is then an integer of
+    magnitude at most A, exact in any order, so the bits are those of a fold
+    from the elements.  Otherwise every modulus is a root, with
+    left-to-right class sums.  Integer coefficients pack several vectors to
+    a bincount (`_pack_lanes`) with the bits of one per vector: a root
+    packs as many as min(A, amax * cmax) allows (`_lanes_for`), for amax
+    the largest |c| and cmax the largest residue count (every residue sum
+    may feed a child, so all must be exact), at least as many as A alone;
+    the rows are repacked, into one buffer, only when that count changes.
+    Each modulus's row sums of squares add to lhs in walk order.
+    coeff_matrix is real and finite, (vectors, len(xs)) or one
     vector of len(xs); anything else is a ValueError.  Before any modulus,
     A must be below 2^500 and (|R|/Q1 + Q2) times the largest sum c^2
     finite, else BoundsTooLarge: a modulus's squared class sums then add up
@@ -871,23 +896,40 @@ def large_sieve_ratios(
     rhs_factor = count_region(region) / q1 + q2
     if not math.isfinite(rhs_factor * float(c_sq.max(initial=0.0))):
         raise BoundsTooLarge(f"rhs = (|A0(N)|/Q1 + Q2) * sum c^2 overflows at Q1={q1}, Q2={q2}")
-    moduli = _moduli(ring, q1, q2, "Q2")
-    lanes = _lanes_for(a) if integer else 1  # no modulus takes fewer
+    moduli = [m for m in _moduli(ring, q1, q2, "Q2") if _has_primitive(m)]
+    # the divisor tree, on exact sums only: q's parent is its first multiple later on
+    exact = integer and a < 2.0**53
+    qnorms = np.array([m.norm for m in moduli], dtype=np.int64)
+    children: list[list[int]] = [[] for _ in moduli]
+    roots = []
+    for i, m in enumerate(moduli):
+        later = (np.flatnonzero(qnorms[i + 1:] % m.norm == 0) + i + 1).tolist() if exact else []
+        parent = next((j for j in later if m.rid_xy(moduli[j].q.x, moduli[j].q.y) == 0), None)
+        (roots if parent is None else children[parent]).append(i)
+    sq: list[np.ndarray | None] = [None] * len(moduli)
+
+    def visit(i: int, sums: np.ndarray) -> None:
+        m = moduli[i]
+        prim = _primitive_part(m, sums.take(m.unit_rids, axis=1))
+        sq[i] = (prim * prim).sum(axis=1)  # the 1/phi(q) cancels
+        for c in children[i]:
+            visit(c, _refold(sums, m, moduli[c]))
+
+    lanes = _lanes_for(a) if integer else 1  # no root takes fewer
     pack = _pack_lanes(coeff_matrix, 1)
     buf = np.empty((-(-n_vec // lanes), n)) if lanes > 1 else None
-    lhs = np.zeros(n_vec)
-    for m in moduli:
-        if not _has_primitive(m):
-            continue
-        cid = _coprime_index(m)[_rids(m, xs, ys)]
+    for i in roots:
+        m = moduli[i]
+        rid = _rids(m, xs, ys)
         if buf is not None:
-            cmax = int(np.bincount(cid[cid >= 0]).max(initial=0))
+            cmax = int(np.bincount(rid).max(initial=0))
             lanes_q = _lanes_for(min(a, amax * cmax))
             if lanes_q != pack.lanes:
                 pack = _pack_lanes(coeff_matrix, lanes_q, buf)
-        folded = _fold_classes(pack, cid, m.phi)
-        prim = _primitive_part(m, folded)
-        lhs += (prim * prim).sum(axis=1)  # the 1/phi(q) cancels
+        visit(i, _fold_classes(pack, rid, m.norm))
+    lhs = np.zeros(n_vec)
+    for row_sq in sq:
+        lhs += row_sq
     out = []
     for i in range(n_vec):
         rhs = rhs_factor * float(c_sq[i])

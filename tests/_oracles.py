@@ -940,6 +940,41 @@ def loop_class_fold(coeffs, cid, phi):
     return np.array(out, dtype=np.float64)
 
 
+def coprime_fold_lhs(coeff_matrix, xs, ys, q1, q2, ring):
+    """large_sieve_ratios' lhs per vector, every modulus folded from the elements.
+
+    The per-modulus loop the divisor tree replaced: each modulus with a
+    primitive character, in walk order, folds the coefficients onto its
+    coprime classes alone (`_fold_classes`, non-coprime elements dropped), at
+    the lanes min(A, amax * cmax) allows for cmax its largest coprime class
+    count, and adds its row sums of squares of the projection to lhs.
+    """
+    from quadlod.lab import (
+        _coeff_bounds, _coprime_index, _fold_classes, _has_primitive, _lanes_for,
+        _moduli, _pack_lanes, _primitive_part, _rids,
+    )
+
+    coeff_matrix = np.atleast_2d(np.asarray(coeff_matrix, dtype=np.float64))
+    n_vec, n = coeff_matrix.shape
+    a, amax, integer = _coeff_bounds(coeff_matrix)
+    lanes = _lanes_for(a) if integer else 1
+    pack = _pack_lanes(coeff_matrix, 1)
+    buf = np.empty((-(-n_vec // lanes), n)) if lanes > 1 else None
+    lhs = np.zeros(n_vec)
+    for m in _moduli(ring, q1, q2, "Q2"):
+        if not _has_primitive(m):
+            continue
+        cid = _coprime_index(m)[_rids(m, xs, ys)]
+        if buf is not None:
+            cmax = int(np.bincount(cid[cid >= 0]).max(initial=0))
+            lanes_q = _lanes_for(min(a, amax * cmax))
+            if lanes_q != pack.lanes:
+                pack = _pack_lanes(coeff_matrix, lanes_q, buf)
+        prim = _primitive_part(m, _fold_classes(pack, cid, m.phi))
+        lhs += (prim * prim).sum(axis=1)
+    return lhs
+
+
 def character_sum_lhs(coeff_matrix, elements, q1, q2, ring):
     """large_sieve_ratios' lhs per vector, from the primitive characters themselves.
 

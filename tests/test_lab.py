@@ -29,6 +29,7 @@ from quadlod.sieve import sieve_primes
 from conftest import random_float_fn, random_int_fn
 from _oracles import (
     character_sum_lhs,
+    coprime_fold_lhs,
     cumsum_sweep_max,
     epsilon,
     epsilon_sweep,
@@ -790,7 +791,8 @@ _PACK, _FOLD = lab._pack_lanes, lab._fold_classes
 
 @contextmanager
 def _spied_folds(one_lane):
-    """(lanes, class sums) of each fold large_sieve_ratios makes, in modulus order.
+    """(lanes, residue sums) of each fold from the elements that large_sieve_ratios
+    makes, one per root of its divisor tree, in modulus order.
 
     With one_lane every pack it asks for comes back as one lane.
     """
@@ -799,9 +801,9 @@ def _spied_folds(one_lane):
     def pack(coeffs, lanes, buf=None):
         return _one_lane(coeffs) if one_lane else _PACK(coeffs, lanes, buf)
 
-    def fold(p, cid, phi):
-        out = _FOLD(p, cid, phi)
-        folds.append((p.lanes, out.copy()))  # the projection then works in place
+    def fold(p, rid, size):
+        out = _FOLD(p, rid, size)
+        folds.append((p.lanes, out.copy()))
         return out
 
     with mock.patch.object(lab, "_pack_lanes", pack), mock.patch.object(lab, "_fold_classes", fold):
@@ -838,33 +840,58 @@ def test_large_sieve_packed_matches_one_lane(d):
         assert lanes and min(lanes) > 1
 
 
-def _class_counts(m, xs, ys):
-    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
-    return np.bincount(cid[cid >= 0], minlength=m.phi)
+def _residue_counts(m, xs, ys):
+    return np.bincount(lab._rids(m, xs, ys), minlength=m.norm)
+
+
+def _primitive_moduli(ring, q1, q2):
+    """The moduli of norm in (q1, q2] with a primitive character, in walk order."""
+    moduli = (Modulus(ring, q) for q in canonical_classes(ring, q2) if q1 < q.norm())
+    return [m for m in moduli if lab._has_primitive(m)]
+
+
+def _divides(m, big):
+    return big is not m and big.norm % m.norm == 0 and m.rid_xy(big.q.x, big.q.y) == 0
+
+
+def _roots(moduli):
+    """The moduli that divide no other one: those folded from the elements."""
+    return [m for m in moduli if not any(_divides(m, big) for big in moduli)]
+
+
+def _longest_chain(moduli):
+    """The most moduli in one chain q_1 | q_2 | ..., all from moduli (in norm order)."""
+    depth = []
+    for i, m in enumerate(moduli):
+        depth.append(1 + max((depth[j] for j in range(i) if _divides(moduli[j], m)), default=0))
+    return max(depth, default=0)
 
 
 def test_large_sieve_bench_moduli_take_more_lanes():
     # the bench's elements and signs: A = n gives 3 lanes for the whole matrix,
-    # and each modulus takes the lanes its largest coprime class allows
+    # and each modulus folded from the elements takes the lanes its largest
+    # residue count allows
     ring = make_ring(-1)
     region = a0(ring, 50)
     xs, ys, _ = element_arrays(-1, 1, region.hi_sq)
     n = len(xs)
     assert n == 7844 and 53 // (2 * n).bit_length() == 3
     coeffs = np.random.default_rng(7).choice([-1.0, 1.0], size=(8, n))
-    lanes = _packed_against_one_lane(coeffs, xs, ys, 10, 20, region)
-    moduli = [Modulus(ring, q) for q in canonical_classes(ring, 20) if 10 < q.norm()]
-    moduli = [m for m in moduli if lab._has_primitive(m)]
-    want = [53 // (2 * int(_class_counts(m, xs, ys).max())).bit_length() for m in moduli]
+    lanes = _packed_against_one_lane(coeffs, xs, ys, 10, 40, region)
+    moduli = _primitive_moduli(ring, 10, 40)
+    roots = _roots(moduli)
+    assert len(roots) < len(moduli)
+    want = [53 // (2 * int(_residue_counts(m, xs, ys).max())).bit_length() for m in roots]
     assert lanes == want and min(want) > 3
 
 
 @pytest.mark.parametrize("cmax,amax,lanes", [(7, 73, 5), (8, 64, 4), (15, 4369, 3), (16, 4096, 2)])
 def test_large_sieve_class_sum_at_a_lane_width_step(cmax, amax, lanes):
     # q = 3 is the one Gaussian modulus of norm in (8.5, 9.5]; two of its
-    # classes hold cmax elements each, so amax * cmax is the per-class bound,
-    # half of A, and it sits on one side of a lane-width step; each vector's
-    # two class sums are +-amax * cmax, the extreme digits
+    # classes hold cmax elements each, and no other residue holds any, so
+    # amax * cmax is the per-residue bound, half of A, and it sits on one
+    # side of a lane-width step; each vector's two class sums are
+    # +-amax * cmax, the extreme digits
     ring = make_ring(-1)
     region = a0(ring, 12)
     m = Modulus(ring, ring.element(3, 0))
@@ -872,7 +899,7 @@ def test_large_sieve_class_sum_at_a_lane_width_step(cmax, amax, lanes):
     cid = lab._coprime_index(m)[lab._rids(m, all_xs, all_ys)]
     pick = np.concatenate([np.flatnonzero(cid == 0)[:cmax], np.flatnonzero(cid == 5)[:cmax]])
     xs, ys = all_xs[pick], all_ys[pick]
-    assert _class_counts(m, xs, ys).max() == cmax
+    assert _residue_counts(m, xs, ys).max() == cmax
     signs = np.array([1, 1, 1, -1, -1, 1, -1, 1, 1, -1, -1, -1, 1], dtype=np.float64)
     coeffs = np.repeat(signs[:, None] * amax, 2 * cmax, axis=1)
     coeffs[:, cmax:] *= -1
@@ -881,26 +908,111 @@ def test_large_sieve_class_sum_at_a_lane_width_step(cmax, amax, lanes):
     with _spied_folds(False) as folds:
         large_sieve_ratios(coeffs, xs, ys, 8.5, 9.5, region)
     ((got_lanes, folded),) = folds
-    assert got_lanes == lanes
-    assert list(folded[:, 0]) == list(signs * amax * cmax)
-    assert list(folded[:, 5]) == list(-signs * amax * cmax)
+    assert got_lanes == lanes and folded.shape == (13, m.norm)
+    assert list(folded[:, m.unit_rids[0]]) == list(signs * amax * cmax)
+    assert list(folded[:, m.unit_rids[5]]) == list(-signs * amax * cmax)
     assert _packed_against_one_lane(coeffs, xs, ys, 8.5, 9.5, region) == [lanes]
 
 
 def test_large_sieve_huge_coefficient_leaves_the_lanes_to_a():
     # one coefficient 2^10 among signs: amax * cmax is above A on every
-    # modulus, so the vector sum A, not the class bound, sets the lanes
+    # modulus, so the vector sum A, not the residue bound, sets the lanes
     ring = make_ring(-1)
     region = a0(ring, 8)
     xs, ys, _ = element_arrays(-1, 1, region.hi_sq)
     coeffs = np.random.default_rng(3).choice([-1.0, 1.0], size=(9, len(xs)))
     coeffs[4, 17] = 2.0**10
     a = 2**10 + len(xs) - 1
-    moduli = [Modulus(ring, q) for q in canonical_classes(ring, 40) if 2 < q.norm()]
-    moduli = [m for m in moduli if lab._has_primitive(m)]
-    assert all(2**10 * _class_counts(m, xs, ys).max() > a for m in moduli)
+    moduli = _primitive_moduli(ring, 2, 40)
+    assert all(2**10 * _residue_counts(m, xs, ys).max() > a for m in moduli)
+    roots = _roots(moduli)
+    assert len(roots) < len(moduli)
     lanes = _packed_against_one_lane(coeffs, xs, ys, 2, 40, region)
-    assert lanes == [lab._lanes_for(a)] * len(moduli) and lab._lanes_for(a) == 4
+    assert lanes == [lab._lanes_for(a)] * len(roots) and lab._lanes_for(a) == 4
+
+
+def _tree_against_coprime_fold(coeffs, xs, ys, q1, q2, region):
+    """Root folds of large_sieve_ratios, after checking its lhs bits against
+    the oracle that folds every modulus from the elements."""
+    with _spied_folds(False) as folds:
+        rows = large_sieve_ratios(coeffs, xs, ys, q1, q2, region)
+    got = np.array([lhs for lhs, _, _ in rows])
+    want = coprime_fold_lhs(coeffs, xs, ys, q1, q2, region.ring)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return len(folds)
+
+
+def _identity_inputs(rng, n):
+    """(coefficients, whether the divisor tree is built for them)."""
+    huge = rng.integers(2**25, 2**40, size=(4, n)) * rng.choice([-1, 1], size=(4, n))
+    a = lab._coeff_bounds(huge.astype(np.float64))[0]
+    assert lab._lanes_for(a) == 1 and a < 2**53
+    return [
+        (rng.choice([-1.0, 1.0], size=(5, n)), True),
+        (rng.choice([-1.0, 0.0, 1.0], size=(5, n)), True),
+        (huge.astype(np.float64), True),  # one lane, still exact
+        (rng.normal(size=(3, n)), False),
+        (rng.integers(-3, 4, size=(3, n)) + 0.5, False),
+    ]
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_large_sieve_divisor_tree_matches_coprime_fold(d):
+    ring = make_ring(d)
+    region = a0(ring, 8)
+    xs, ys, _ = element_arrays(d, 1, region.hi_sq)
+    moduli = _primitive_moduli(ring, 2, 64)
+    assert _longest_chain(moduli) >= 3
+    n_roots = len(_roots(moduli))
+    assert n_roots < len(moduli)
+    rng = np.random.default_rng(-d)
+    for coeffs, tree in _identity_inputs(rng, len(xs)):
+        folds = _tree_against_coprime_fold(coeffs, xs, ys, 2, 64, region)
+        assert folds == (n_roots if tree else len(moduli))
+    # no vectors: an empty bincount is int64, and the children still project
+    assert large_sieve_ratios(np.zeros((0, len(xs))), xs, ys, 2, 64, region) == []
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -7])
+def test_large_sieve_divisor_tree_on_part_of_the_region(d):
+    ring = make_ring(d)
+    region = a0(ring, 9)
+    xs, ys, _ = element_arrays(d, 1, region.hi_sq)
+    rng = np.random.default_rng(100 - d)
+    keep = rng.random(len(xs)) < 0.3
+    xs, ys = xs[keep], ys[keep]
+    for coeffs, _ in _identity_inputs(rng, len(xs)):
+        _tree_against_coprime_fold(coeffs, xs, ys, 3, 81, region)
+
+
+def test_large_sieve_past_2_53_folds_every_modulus_from_the_elements():
+    # integer coefficients with A >= 2^53: a partial sum may round, so no
+    # modulus takes its multiple's sums, and each class sum is left to right
+    ring = make_ring(-1)
+    region = a0(ring, 8)
+    xs, ys, _ = element_arrays(-1, 1, region.hi_sq)
+    coeffs = np.random.default_rng(9).integers(-(2**50), 2**50, size=(3, len(xs))).astype(float)
+    coeffs[1, 3] = 2.0**53
+    assert lab._coeff_bounds(coeffs)[0] >= 2**53
+    folds = _tree_against_coprime_fold(coeffs, xs, ys, 2, 64, region)
+    assert folds == len(_primitive_moduli(ring, 2, 64))
+
+
+def test_primitive_part_bits_do_not_depend_on_layout():
+    # a row sum of squares over a non-contiguous axis adds in another order
+    # than the pairwise one over a C row: the projection comes back C-ordered
+    ring = make_ring(-1)
+    m = Modulus(ring, ring.element(7, 4))
+    xs, ys, _ = element_arrays(-1, 1, 900)
+    cid = lab._coprime_index(m)[lab._rids(m, xs, ys)]
+    coeffs = np.random.default_rng(4).normal(size=(100, len(xs)))
+    folded = lab._fold_classes(_one_lane(coeffs), cid, m.phi)
+    c_prim = lab._primitive_part(m, folded.copy(order="C"))
+    f_prim = lab._primitive_part(m, np.asfortranarray(folded))
+    assert f_prim.flags.c_contiguous
+    assert np.array_equal(c_prim.view(np.int64), f_prim.view(np.int64))
+    c_sq, f_sq = (c_prim * c_prim).sum(axis=1), (f_prim * f_prim).sum(axis=1)
+    assert np.array_equal(c_sq.view(np.int64), f_sq.view(np.int64))
 
 
 @settings(max_examples=30, deadline=None)
