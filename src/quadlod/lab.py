@@ -12,32 +12,33 @@ changes when floor(M^2) crosses the norm of an element carrying a nonzero
 coprime contribution, so the exact maximum over all real M <= N is found by
 evaluating eps at each of those breakpoints for every coprime class.
 
-The sweep's rows are the function's, not the modulus's: one per distinct
-norm of an element with f != 0 (`_levels`), which holds every breakpoint of
-every modulus, built once per function and cut of a scan.  Per modulus,
-elements not coprime to q go to a dump class that is dropped, so a row
-without a breakpoint repeats the row before it bit for bit.  The sweep
-evaluates a bounded (class x row) block per numpy call and keeps only each
-row's maximum over the classes; the first class and eps are read back at
-the one row a cut picks.  Every float sum keeps one fixed order, which is
-what keeps artifacts byte for byte stable: each class's running sum adds
-its elements one at a time in (norm, x, y) order; each row's new coprime
-elements are summed with numpy's ``.sum()``; the running coprime total adds
-those level sums one at a time.
+The sweep runs on canonical classes and unit orbits, for every f.  f(u xi)
+= f(xi) for each unit u, and xi = gamma (mod q) gives u xi = u gamma, so the
+class sums A_gamma and A_(u gamma) are equal at every cut: one class per
+orbit R of the units on (O/q)^* is swept (`Modulus.unit_orbits`).  Each
+element is u xi for one canonical xi and one unit u, and s_R = w_K / |R|
+units fix each class of R, so A_gamma = s_R * (sum of f over the canonical
+xi whose class lies in R), and T is w_K times the canonical coprime total.
+Orbits are keyed by their smallest class, so the first orbit that attains a
+maximum holds the first class that does.  When one orbit holds every
+coprime class, eps is 0 and nothing is summed.
 
-The one exception is real integer-valued f with sum |f| < 2^52 over the
-elements, w_K times its sum over the canonical classes (`_exact`), such as
-the builtins one, moebius, tau and prime_indicator and their convolutions:
-every partial sum is then an exact integer in float64, in any order, and
-the sweep runs on canonical classes and unit orbits.  f(u xi) = f(xi) for
-each unit u, and xi = gamma (mod q) gives u xi = u gamma, so the class sums
-A_gamma and A_(u gamma) are equal at every cut: one class per orbit R of
-the units on (O/q)^* is swept (`Modulus.unit_orbits`).  Each element is
-u xi for one canonical xi and one unit u, and s_R = w_K / |R| units fix
-each class of R, so A_gamma = s_R * (sum of f over the canonical xi whose
-class lies in R), and T is w_K times the canonical coprime total.  Orbits
-are keyed by their smallest class, so the first orbit that attains a
-maximum holds the first class that does.
+The sweep's rows are the function's, not the modulus's: one per distinct
+norm of a canonical class with f != 0 (`_levels`), which holds every
+breakpoint of every modulus, built once per function and cut of a scan.
+Per modulus, classes not coprime to q go to a dump class that is dropped,
+so a row without a breakpoint repeats the row before it bit for bit.  The
+sweep evaluates a bounded (orbit x row) block per numpy call and keeps only
+each row's maximum over the orbits; the first class and eps are read back
+at the one row a cut picks.  Every float sum keeps one fixed order, which
+is what keeps artifacts byte for byte stable, on one float64 plane for real
+f and two for complex f: each (orbit, row) cell sums s_R f over its classes
+from 0 in (norm, x, y) order, and each orbit's running sum adds its cells
+row by row; T adds each row's sum less its non-coprime sum, row by row.
+For real integer-valued f with w_K * sum |f| < 2^52 over the classes, the
+sum over the elements, such as the builtins one, moebius, tau and
+prime_indicator and their convolutions, every partial sum is an exact
+integer in float64, in any order.
 """
 
 from __future__ import annotations
@@ -106,220 +107,168 @@ def _a0_values(f: ArithFn, n: float) -> tuple[np.ndarray, ...]:
     return xs, ys, norms, _fvals(f, xs, ys)
 
 
-# Cells of one (class x breakpoint) block of the sweep: bounds its working
+# Cells of one (orbit x row) block of the sweep: bounds its working
 # memory to a few hundred kB whatever the modulus and N.  Each block costs a
 # fixed number of numpy calls, so at paper scale, where moebius makes nearly
 # every norm a breakpoint, larger blocks pay.
 _SWEEP_BLOCK = 1 << 14
 
 
-def _level_sums(va: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``va[s:s + n].sum()`` for every level, one reduction per distinct size n.
-
-    ``.sum(axis=1)`` of a C-contiguous (levels x n) block runs the same
-    pairwise kernel on each row as ``.sum()`` on the row alone, so the bits
-    agree; ``np.add.reduceat`` sums sequentially and does not.
-    """
-    out = np.empty(starts.size, dtype=va.dtype)
-    for n in np.flatnonzero(np.bincount(sizes)).tolist():
-        sel = np.flatnonzero(sizes == n)
-        out[sel] = va[starts[sel, None] + np.arange(n)].sum(axis=1)
-    return out
-
-
-def _class_running_sums(va: np.ndarray, vc: np.ndarray, phi: int) -> np.ndarray:
-    """Row c: 0, then the running sums of class c's values in element order.
-
-    Each row is one sequential ``cumsum``, the order ``np.add.at`` adds in.
-    A residue class holds about 1/norm(q) of the elements of A0(N), so the
-    padded (phi x largest class count) array has at most about |A0(N)|
-    cells, whatever f is.
-    """
-    # the narrowest unsigned type: numpy radix-sorts up to 16 bits, stably
-    order = np.argsort(vc.astype(np.min_scalar_type(phi - 1)), kind="stable")
-    counts = np.bincount(vc, minlength=phi)
-    first = np.cumsum(counts) - counts
-    cs = vc[order]
-    pad = np.zeros((phi, int(counts.max()) + 1), dtype=va.dtype)
-    pad[cs, np.arange(cs.size) - first[cs] + 1] = va[order]
-    return np.cumsum(pad, axis=1)
-
-
 class _Levels(NamedTuple):
     """One function's sweep rows (`_levels`): what does not depend on the modulus.
 
-    ``level`` and ``w`` hold one entry per nonzero argument, a canonical
-    class on the exact path and an element otherwise, in (norm, x, y) order;
-    ``norms`` and ``row_w`` one per row and ``bounds`` one more.
+    ``level`` and each plane of ``w`` hold one entry per canonical class with
+    f != 0, in (norm, x, y) order; ``norms`` and each plane of ``row_w`` one
+    per row and ``bounds`` one more.
     """
 
-    nz: np.ndarray | slice  # the nonzero arguments; all of them: slice(None)
-    norms: np.ndarray  # row norms: the distinct norms of the nonzero arguments, increasing
-    bounds: np.ndarray  # row b holds the arguments bounds[b]:bounds[b + 1]
-    level: np.ndarray  # each argument's row
-    real: bool  # every imaginary part is zero
-    exact: bool  # `_exact`: the arguments are canonical classes
-    w: np.ndarray | None  # the values as float64 when exact, else None
-    row_w: np.ndarray | None  # each row's sum of w when exact, else None
-
-
-def _exact(fv: np.ndarray, w_K: int) -> bool:
-    """Whether f's values fv at canonical classes are real integers with
-    w_K * sum |f| < 2^52 (NaN and inf fail): the sum over the elements, and
-    below 2^53 both float sums are exact, so the two agree."""
-    vr = fv.real
-    return not fv.imag.any() and w_K * _mass(fv) < 2**52 and np.array_equal(vr, np.rint(vr))
+    nz: np.ndarray | slice  # the nonzero classes; all of them: slice(None)
+    norms: np.ndarray  # row norms: the distinct norms of the nonzero classes, increasing
+    bounds: np.ndarray  # row b holds the classes bounds[b]:bounds[b + 1]
+    level: np.ndarray  # each class's row
+    exact: bool  # every sum of the sweep is an exact integer
+    w: list[np.ndarray]  # f's real part as float64, then its imaginary part unless all zero
+    row_w: list[np.ndarray]  # each row's sum of each plane of w, in class order
 
 
 def _levels(norms: np.ndarray, fv: np.ndarray, w_K: int) -> _Levels:
-    """The rows of f's sweep: one per distinct norm of an argument with f != 0.
+    """The rows of f's sweep: one per distinct norm of a canonical class with f != 0.
 
-    The arguments are canonical classes when fv is `_exact`, else elements;
-    then BoundsTooLarge unless sum |re f| + |im f| < 2^510 (NaN and inf fail
-    too): every class sum and T / phi is then at most that sum, so
-    |eps| < 2^511 and |eps|^2 < 2^1022 stay finite.
+    BoundsTooLarge unless w_K * sum |re f| + |im f| over the classes, the sum
+    over the elements, is below 2^510 (NaN and inf fail too): every orbit sum
+    and T / phi is then at most that, so |eps| < 2^511 and |eps|^2 < 2^1022
+    stay finite.  Exact when f is real and integer with that sum below 2^52:
+    every partial sum is then an exact integer in float64, in any order.
     """
     nz = fv != 0
     nz = slice(None) if nz.all() else np.flatnonzero(nz)  # a slice keeps views
     va, lvn = fv[nz], norms[nz]
+    if not (mass := w_K * _mass(va)) < 2.0**510:
+        raise BoundsTooLarge(f"w_K * sum of |f| over the swept classes is {mass!r}: need < 2^510")
     new_level = np.ones(lvn.size, dtype=bool)
     np.not_equal(lvn[1:], lvn[:-1], out=new_level[1:])
     starts = np.flatnonzero(new_level)
-    exact = _exact(va, w_K)
-    real = exact or not va.imag.any()  # -0.0 parts too: the running sums' imag is +0.0
-    if not exact and not (mass := _mass(va)) < 2.0**510:
-        raise BoundsTooLarge(f"sum of |f| over the swept elements is {mass!r}: need < 2^510")
     level = np.cumsum(new_level) - 1
-    w = va.real.astype(np.float64) if exact else None
+    # -0.0 imaginary parts too: a sum from +0.0 never turns -0.0
+    real = not va.imag.any()
+    w = [a.astype(np.float64) for a in ((va.real,) if real else (va.real, va.imag))]
+    exact = real and mass < 2**52 and np.array_equal(w[0], np.rint(w[0]))
     return _Levels(
-        nz, lvn[starts], np.append(starts, lvn.size), level, real, exact,
-        w, np.bincount(level, w, starts.size) if exact else None,
+        nz, lvn[starts], np.append(starts, lvn.size), level, exact,
+        w, [np.bincount(level, p, starts.size) for p in w],
     )
 
 
 class _SweepProfile(NamedTuple):
     """`_sweep_arrays`' result: row maxima, and what `_best_at` reads a row back from.
 
-    ``norms`` to ``t_im`` hold one entry per row (`_levels`).  ``vc`` is the
-    sweep class (an orbit on the exact path) of each of f's nonzero
-    arguments, k for the dump class; ``w`` s_R times their values on the
-    exact path, else None; ``sums`` the class running sums
-    (`_class_running_sums`) of the coprime elements otherwise, else None.
+    ``row_sq`` and each plane of ``t`` hold one entry per row of ``lv``.
+    ``vc`` is the unit orbit of each of f's nonzero classes, k for the dump
+    class, and each plane of ``w`` s_R times their values.  ``starts[j]``
+    holds each orbit's running sums, one array per plane, before block j of
+    ``step`` rows; None when the sums are exact.
     """
 
-    norms: np.ndarray  # row norms, increasing
+    lv: _Levels
     row_sq: np.ndarray  # max over coprime classes of |eps|^2
-    ends: np.ndarray  # nonzero arguments of norm <= the row's
-    t_re: np.ndarray  # running coprime total / phi, real part
-    t_im: np.ndarray | None  # its imaginary part; None when f is real
+    t: list[np.ndarray]  # running coprime total / phi, per plane
     vc: np.ndarray
-    w: np.ndarray | None
-    sums: np.ndarray | None
+    w: list[np.ndarray]
+    starts: list[list[np.ndarray]] | None
+    step: int
+
+
+def _block_sums(
+    lv: _Levels, vc: np.ndarray, w, k: int, b0: int, b1: int, start
+) -> list[np.ndarray]:
+    """Each orbit's running sums at rows b0 until b1, per plane of w, from start's.
+
+    A (orbit, row) cell sums its weights from 0 in class order, one weighted
+    ``bincount`` per plane with the dump class k dropped; each orbit's
+    running sum then adds its cells row by row, one ``cumsum``.
+    """
+    r = b1 - b0
+    e0, e1 = lv.bounds[b0], lv.bounds[b1]
+    cells = vc[e0:e1] * r + (lv.level[e0:e1] - b0)
+    out = []
+    for wp, s in zip(w, start):
+        acc = np.bincount(cells, wp[e0:e1], (k + 1) * r).reshape(k + 1, r)[:k]
+        acc[:, 0] += s
+        out.append(np.cumsum(acc, axis=1, out=acc))
+    return out
 
 
 def _sweep_arrays(m: Modulus, xs, ys, norms, fv) -> _SweepProfile:
     """The sweep's profile: per row, the max over coprime classes of |eps|^2.
 
-    The arguments are canonical classes when f is `_exact` (an element off
-    the canonical sector is then a ValueError: it would be read as its w_K
-    associates), else elements; the sweep classes are the unit orbits of
-    the coprime classes (module docstring) or the coprime classes, k of them.
-    The rows are f's (`_levels`): one per distinct norm of an argument with
-    f != 0, in increasing norm, whatever q is.  Inside `_scan` they come from
-    the table it builds once per function and cut before the pool forks
-    (``_SWEEP_CTX["levels"]``, keyed by ``id(fv)`` and confirmed with
-    ``is``); any other fv builds its own.  Per modulus only each argument's
-    sweep class, T and the blocks are computed.  Arguments not coprime to q
-    go to a dump class k, which the blocks lay out as row k of (k + 1, rows)
-    and drop before the square; with phi 1 every argument does (one class:
-    eps is 0).
-    Per row b and class c, eps = A[b, c] - T[b] / phi, where A is the
-    running sum of class c and T the running coprime total.  The float sums
-    keep the order of a per-breakpoint loop over the coprime elements, so
-    every entry is bit-identical to it for any f: A[b, c] is read from each
-    class's sequential running sums at the class's element count after b; T
-    is a sequential running sum of per-row ``.sum()`` values over the row's
-    coprime elements.  A row with no coprime element adds 0j to T, which
-    starts at +0.0 and so never turns -0.0: the row repeats the row before it
-    bit for bit.  All are prefix sums, so the sweep of the elements of norm
-    <= h is the maximum over the rows of norm <= h; `_best_at` finds the
-    first row that attains it and only there reads back its first class and
-    eps.  Blocks of at most ``_SWEEP_BLOCK`` cells are laid out
-    class-major, (class, row), so each block's running sums are one
-    ``cumsum`` along contiguous rows.  When every imaginary part of f is zero
-    the class sums and squares run on the real plane alone (eps.imag is then
-    +0.0, as the complex sums give); the level sums stay complex128 whatever
-    dtype fv has, since a float64 pairwise ``.sum()`` groups differently.
-    On the exact path every sum is exact in any order: each block's orbit
-    sums A_R are one ``bincount`` over its cells, weighted by s_R f, plus a
-    running ``cumsum``; T is w_K times the running sum of f's row sums less
-    one weighted ``bincount`` of the non-coprime classes; neither class
-    running sums nor level sums are formed.
+    The arguments are f's canonical classes and its values there; any other
+    element is a ValueError, as the sweep would read it as its w_K
+    associates.  The rows are f's (`_levels`), whatever q is.  Inside
+    `_scan` they come from the table it builds once per function and cut
+    before the pool forks (``_SWEEP_CTX["levels"]``, keyed by ``id(fv)`` and
+    confirmed with ``is``); any other fv builds its own.  Per modulus only
+    each class's sweep class, T and the blocks are computed.  The sweep
+    classes are the k unit orbits (module docstring); classes not coprime to
+    q go to a dump class k, which the blocks drop, and so does every class
+    when one orbit holds every coprime class (phi 1 among them): eps is 0.
+    Per row b, orbit R and plane, eps = A[b, R] - T[b] / phi: A is R's
+    running sum of its cells (`_block_sums`), T w_K times the running sum of
+    each row's sum less its non-coprime sum.  A row with no coprime class
+    adds +0.0 to sums that start at +0.0 and never turn -0.0, so it repeats
+    the row before it bit for bit.  All are prefix sums, so the sweep of the
+    elements of norm <= h is the maximum over the rows of norm <= h;
+    `_best_at` finds the first row that attains it and only there reads back
+    its first class and eps.  Blocks of at most ``_SWEEP_BLOCK`` cells are
+    laid out orbit-major, (orbit, row), so each block's running sums are one
+    ``cumsum`` along contiguous rows; unless the sums are exact, the running
+    sums before each block are kept for the readback.  For real f eps.imag
+    is +0.0, as a complex sum would give.
     """
     hit = _SWEEP_CTX.get("levels", {}).get(id(fv))
     if hit is not None and hit[0] is fv:
         lv = hit[1]
     else:
+        if not _in_canonical_sector(m.ring, xs, ys).all():
+            raise ValueError("f is swept on canonical classes, got other elements")
         lv = _levels(norms, fv, m.ring.w_K)
-        if lv.exact and not _in_canonical_sector(m.ring, xs, ys).all():
-            raise ValueError("an exact f is swept on canonical classes, got other elements")
     phi, nb, level = m.phi, lv.norms.size, lv.level
-    # the sweep classes: unit orbits when exact, else each coprime class on its own
-    orbit, keys, stab = m.unit_orbits if lv.exact else (np.arange(phi),) * 3
+    orbit, keys, stab = m.unit_orbits
     k = keys.size
-    # rid -> sweep class, and the dump class k off the unit group (everywhere when phi is 1)
-    to = np.append(orbit, k)[_coprime_index(m)] if phi > 1 else np.full(m.norm, k)
+    # rid -> unit orbit, and the dump class k off the unit group (everywhere for one orbit)
+    to = np.append(orbit, k)[_coprime_index(m)] if k > 1 else np.full(m.norm, k)
     vc = to[_rids(m, xs[lv.nz], ys[lv.nz])]
-    w = t_im = sums = None
-    if lv.exact:
-        # a row's coprime sum is its sum less its non-coprime sum, exactly
-        nc = np.flatnonzero(vc == k)
-        t_re = m.ring.w_K * np.cumsum(lv.row_w - np.bincount(level[nc], lv.w[nc], nb)) / phi
-        w = lv.w * np.append(stab, 0)[vc]
-        end = np.zeros(k)  # each orbit's running sum before the block
-    else:
-        cp = np.flatnonzero(vc < phi)  # the coprime elements
-        va = fv[lv.nz][cp]
-        sizes = np.bincount(level[cp], minlength=nb)
-        lsum = np.zeros(nb + 1, dtype=np.complex128)
-        starts = np.cumsum(sizes) - sizes
-        lsum[1:] = _level_sums(va.astype(np.complex128, copy=False), starts, sizes)
-        total = np.cumsum(lsum)[1:]  # from 0j, as a loop's `total += level sum`
-        # componentwise division: scalar float division is IEEE-unambiguous,
-        # complex division by an integer is not identical across runtimes
-        t_re = total.real / phi
-        if not lv.real:
-            t_im = total.imag / phi
-        sums = _class_running_sums(va.real if lv.real else va, vc[cp], phi)
-        flat = sums.ravel()
-        # flat index into sums of each class's running sum before the block
-        end = np.arange(phi) * sums.shape[1]
-    row_sq = np.empty(nb)
+    # a row's coprime sum is its sum less its non-coprime sum
+    nc = np.flatnonzero(vc == k)
+    t = [
+        m.ring.w_K * np.cumsum(rw - np.bincount(level[nc], p[nc], nb)) / phi
+        for p, rw in zip(lv.w, lv.row_w)
+    ]
+    s_R = np.append(stab, 0)[vc]
+    w = [p * s_R for p in lv.w]
     step = max(1, _SWEEP_BLOCK // k)
+    starts = None if lv.exact else []
+    end = [np.zeros(k) for _ in w]  # each orbit's running sums before the block, per plane
+    row_sq = np.empty(nb)
     for b0 in range(0, nb, step):
         b1 = min(b0 + step, nb)
-        r = b1 - b0
-        e0, e1 = lv.bounds[b0], lv.bounds[b1]
-        cells = vc[e0:e1] * r + (level[e0:e1] - b0)
-        # exact: the cells' value sums; otherwise their element counts
-        acc = np.bincount(cells, None if w is None else w[e0:e1], (k + 1) * r)
-        acc = acc.reshape(k + 1, r)[:k]  # the dump class goes
-        acc[:, 0] += end
-        np.cumsum(acc, axis=1, out=acc)
-        end = acc[:, -1].copy()
-        if not lv.exact:
-            acc = flat[acc]
-        if lv.real:
-            acc -= t_re[b0:b1]
-            acc *= acc  # plain multiplies; exact for integer-valued f
-        else:
-            di = acc.imag - t_im[b0:b1]
-            acc = acc.real - t_re[b0:b1]
-            acc *= acc
+        if starts is not None:
+            starts.append(end)
+        acc, *im = sums = _block_sums(lv, vc, w, k, b0, b1, end)
+        end = [a[:, -1].copy() for a in sums]
+        acc -= t[0][b0:b1]
+        acc *= acc  # plain multiplies; exact for integer-valued f
+        for di in im:
+            di -= t[1][b0:b1]
             di *= di
             acc += di
         acc.max(axis=0, out=row_sq[b0:b1])
-    return _SweepProfile(lv.norms, row_sq, lv.bounds[1:], t_re, t_im, vc, w, sums)
+    return _SweepProfile(lv, row_sq, t, vc, w, starts, step)
+
+
+def _replay(p: _SweepProfile, i: int, k: int) -> list[np.ndarray]:
+    """Each orbit's running sums at row i, per plane: its block again from the saved start."""
+    b0 = i - i % p.step
+    return [a[:, -1] for a in _block_sums(p.lv, p.vc, p.w, k, b0, i + 1, p.starts[i // p.step])]
 
 
 def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[ModulusRecord]:
@@ -327,38 +276,39 @@ def _best_at(m: Modulus, p: _SweepProfile, cuts) -> list[ModulusRecord]:
 
     Each record sits at the first row of norm <= h that attains their
     largest |eps|^2, at that row's first class; it is the empty record
-    (argmax_norm 0) when that maximum is not > 0.  Only that row's sums are
-    rebuilt, from the swept arguments up to it, with the block loop's own
-    arithmetic: exact integers A_R per unit orbit on the exact path, the
-    class running sums at each class's element count otherwise, so the
-    row's |eps|^2 comes out bit for bit.  Its first argmax is the first
-    sweep class that attains it; on the exact path that orbit's key, its
-    smallest class, is the first class that attains it.
+    (argmax_norm 0) when that maximum is not > 0.  Only that row's orbit
+    sums are rebuilt, with the block loop's own arithmetic, so the row's
+    |eps|^2 comes out bit for bit: exact sums are one ``bincount`` over the
+    classes up to the row, in any order; others replay the row's block from
+    the running sums saved at its start (`_replay`), each cell from 0 in
+    class order, up to the row.  Its first argmax is the first orbit that
+    attains it, and that orbit's key, its smallest class, is the first class
+    that does.
     """
     top = np.maximum.accumulate(p.row_sq)  # prefix maxima, nondecreasing
     q = (m.q.x, m.q.y, m.norm, m.phi)
     gx, gy = m.rid_coords(m.unit_rids[0])
-    # each sweep class's first class: an orbit's key on the exact path
-    keys = m.unit_orbits[1] if p.sums is None else np.arange(m.phi)
+    keys = m.unit_orbits[1]
+    k = keys.size
     out = []
-    for n in np.searchsorted(p.norms, cuts, side="right").tolist():
+    for n in np.searchsorted(p.lv.norms, cuts, side="right").tolist():
         if n == 0 or not top[n - 1] > 0.0:
             out.append(ModulusRecord(*q, 0.0, 0j, 0, gx, gy))
             continue
         i = int(np.searchsorted(top, top[n - 1]))  # where the prefix max first appears
-        e, k = p.ends[i], keys.size
-        if p.sums is None:
-            a = np.bincount(p.vc[:e], p.w[:e], k + 1)[:k]  # the dump class goes
+        if p.starts is None:
+            e = p.lv.bounds[i + 1]
+            a = [np.bincount(p.vc[:e], w[:e], k + 1)[:k] for w in p.w]  # the dump class goes
         else:
-            a = p.sums[np.arange(k), np.bincount(p.vc[:e], minlength=k + 1)[:k]]
-        dr, di = a.real - p.t_re[i], np.zeros(k)
+            a = _replay(p, i, k)
+        dr, di = a[0] - p.t[0][i], np.zeros(k)
         sq = dr * dr
-        if p.t_im is not None:
-            di = a.imag - p.t_im[i]
+        if len(a) > 1:
+            di = a[1] - p.t[1][i]
             sq += di * di
-        j = int(sq.argmax())  # the first sweep class: sq[j] is row_sq[i], bit for bit
+        j = int(sq.argmax())  # the first orbit: sq[j] is row_sq[i], bit for bit
         out.append(ModulusRecord(
-            *q, math.sqrt(sq[j]), complex(dr[j], di[j]), int(p.norms[i]),
+            *q, math.sqrt(sq[j]), complex(dr[j], di[j]), int(p.lv.norms[i]),
             *m.rid_coords(m.unit_rids[int(keys[j])]),
         ))
     return out
@@ -450,7 +400,7 @@ def _sweep_task(i: int) -> list[list[tuple[int, ModulusRecord]]]:
 
 
 def _nonzero(xs, ys, norms, fv) -> tuple[np.ndarray, ...]:
-    """The arguments with f != 0; zeros never move eps."""
+    """The classes with f != 0; zeros never move eps."""
     nz = fv != 0
     return xs[nz], ys[nz], norms[nz], fv[nz]
 
@@ -473,10 +423,10 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
 
     Moduli run over one canonical associate per class with 2 <= norm(q) <= Q,
     each built once, for the largest Q of the grid (Q need not grow with N).
-    A modulus sweeps each function up to the largest grid N whose Q admits
-    it: its canonical classes and ``f.vals`` when `_exact`, else its
-    elements; each function's rows (`_levels`) are built once per such
-    cut, before the pool forks, and every modulus with that cut reads them.
+    A modulus sweeps each function's canonical classes and ``f.vals`` up to
+    the largest grid N whose Q admits it; each function's rows (`_levels`)
+    are built once per such cut, before the pool forks, and every modulus
+    with that cut reads them.
     Parallelism is across moduli, in one pool of at most one process per
     modulus (none for one); records are assembled in (norm, x, y) order
     regardless of worker count, so results are identical for any `workers`.
@@ -502,15 +452,10 @@ def _scan(cfg: LodScanConfig, fns: list[ArithFn], workers: int) -> list[list[Lod
     for f in fns:
         xs, ys, norms = class_arrays(ring, f.norm_bound)
         n = np.searchsorted(norms, his[-1], side="right")
-        classes, elements = _nonzero(xs[:n], ys[:n], norms[:n], f.vals[:n]), None
+        classes = _nonzero(xs[:n], ys[:n], norms[:n], f.vals[:n])
         prefixes = {}
         for hi in cuts:
-            arrays = _upto(classes, hi)
-            if not _exact(arrays[3], ring.w_K):  # the general path sweeps elements
-                if elements is None:
-                    elements = _nonzero(*_a0_values(f, cfg.N_grid[-1]))
-                arrays = _upto(elements, hi)
-            *_, cut_norms, cut_fv = prefixes[hi] = arrays
+            *_, cut_norms, cut_fv = prefixes[hi] = _upto(classes, hi)
             levels[id(cut_fv)] = (cut_fv, _levels(cut_norms, cut_fv, ring.w_K))
         fns_cut.append(prefixes)
     _SWEEP_CTX = {"moduli": moduli, "admits": admits, "his": his, "fns": fns_cut, "levels": levels}

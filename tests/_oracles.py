@@ -225,6 +225,77 @@ def loop_sweep_running(m, xs, ys, norms, fv):
         yield int(lvn[s]), ModulusRecord(*q, math.sqrt(best_sq), best_eps, best_norm, gx, gy)
 
 
+def loop_orbit_sweep_running(m, xs, ys, norms, fv):
+    """lab._sweep_arrays' float order, one row and one class at a time.
+
+    (xs, ys, norms, fv) are canonical classes, sorted by (norm, x, y), and f's
+    values there.  The sweep classes are the unit orbits of the coprime
+    classes (loop_unit_orbits), keyed by their smallest class; when one orbit
+    holds every coprime class, eps is 0 and only the empty record comes out.
+    A plane is the real part of f, and its imaginary part unless every one
+    is zero.  The rows are the distinct norms of f's nonzero classes.  Per
+    row and orbit R, the cell sums s_R * f over the row's classes in R,
+    from 0.0 in class order, and R's running sum A adds the cell.  The row's
+    coprime sum is its sum from 0.0 less its non-coprime sum from 0.0, T
+    adds it, and eps = A - w_K * T / phi on each plane.  Yields (cut, the
+    running best record) as loop_sweep_running does: the empty record at
+    cut 0, then one after every row.
+    """
+    from quadlod.lab import ModulusRecord
+
+    q = (m.q.x, m.q.y, m.norm, m.phi)
+    gx, gy = m.rid_coords(m.unit_rids[0])
+    best = ModulusRecord(*q, 0.0, 0j, 0, gx, gy)
+    yield 0, best
+    members, fixed = loop_unit_orbits(m)
+    keys = sorted({min(s) for s in members})
+    if len(keys) == 1:
+        return
+    position = {int(rid): c for c, rid in enumerate(m.unit_rids)}
+    w_K, phi = m.ring.w_K, m.phi
+    nz = [i for i in range(len(fv)) if fv[i] != 0]
+    planes = 2 if any(complex(fv[i]).imag != 0 for i in nz) else 1
+    acc = {key: [0.0, 0.0] for key in keys}
+    total = [0.0, 0.0]
+    best_sq = 0.0
+    at = 0
+    while at < len(nz):
+        norm = int(norms[nz[at]])
+        cells = {key: [0.0, 0.0] for key in keys}
+        row, off = [0.0, 0.0], [0.0, 0.0]
+        while at < len(nz) and int(norms[nz[at]]) == norm:
+            i = nz[at]
+            v = complex(fv[i])
+            parts = (v.real, v.imag)
+            c = position.get(int(m.rid_xy(int(xs[i]), int(ys[i]))))
+            for p in range(planes):
+                row[p] += parts[p]
+                if c is None:
+                    off[p] += parts[p]
+                else:
+                    cells[min(members[c])][p] += fixed[c] * parts[p]
+            at += 1
+        t = [0.0, 0.0]
+        for p in range(planes):
+            total[p] += row[p] - off[p]
+            t[p] = w_K * total[p] / phi
+        row_best = None
+        for key in keys:
+            for p in range(planes):
+                acc[key][p] += cells[key][p]
+            dr = acc[key][0] - t[0]
+            di = acc[key][1] - t[1] if planes == 2 else 0.0
+            sq = dr * dr + di * di if planes == 2 else dr * dr
+            if row_best is None or sq > row_best[0]:
+                row_best = (sq, dr, di, key)
+        sq, dr, di, key = row_best
+        if sq > best_sq:
+            best_sq = sq
+            kx, ky = m.rid_coords(m.unit_rids[key])
+            best = ModulusRecord(*q, math.sqrt(sq), complex(dr, di), norm, kx, ky)
+        yield norm, best
+
+
 def loop_sw_check_reference(f, n, d_power, bound_power=None):
     """The sw_check -> sw_term -> sw_sum loop that lab.sw_check replaced.
 
@@ -1075,22 +1146,15 @@ def epsilon(f, m_cut, m, gamma):
 
 
 def sweep_arguments(f, hi):
-    """What a scan hands lab._sweep_arrays for f up to norm hi.
-
-    f's canonical classes and its values there when they take the exact
-    sweep (lab._exact), else the elements and f's values at them.
-    """
+    """What a scan hands lab._sweep_arrays for f up to norm hi: f's canonical
+    classes and its values there."""
     from quadlod.errors import TableTooSmall
-    from quadlod.lab import _exact, _fvals
-    from quadlod.regions import class_arrays, element_arrays
+    from quadlod.regions import class_arrays
 
     if hi > f.norm_bound:
         raise TableTooSmall(f"N^2 = {hi} beyond table {f.norm_bound}")
     xs, ys, norms = class_arrays(f.ring, hi)
-    if _exact(f.vals[: len(xs)], f.ring.w_K):
-        return xs, ys, norms, f.vals[: len(xs)]
-    xs, ys, norms = element_arrays(f.ring.d, 1, hi)
-    return xs, ys, norms, _fvals(f, xs, ys)
+    return xs, ys, norms, f.vals[: len(xs)]
 
 
 def epsilon_sweep(f, n, m):

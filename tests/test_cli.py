@@ -848,7 +848,7 @@ def test_non_finite_csv_value_is_computation_error(capsys, tmp_path, column, val
 )
 def test_sweep_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
     # two values of 1e308 gave E=inf and 28 inf/nan rows with exit 0; the
-    # sweep now needs sum |f| < 2^510 over the swept elements.  The digest
+    # sweep now needs w_K * sum |f| < 2^510 over the swept classes.  The digest
     # was recorded before the guard, so under it the bytes are unchanged.
     monkeypatch.chdir(tmp_path)
     run(capsys, "tabulate", "--d", "-1", "--f", "one", "--norm-bound", "400", "--out", "one.csv")
@@ -871,9 +871,10 @@ def test_sweep_sum_of_f_guard(capsys, tmp_path, monkeypatch, value, digest):
 
 
 # class 1 holds the value that puts sum |f| over the classes of norm <= 400 at
-# `mass`: w_K * mass just below 2^52 takes the exact sweep on classes, at or
-# above it the general sweep on elements.  The digests were recorded before
-# the exact sweep moved onto classes, when the guard summed over elements.
+# `mass`: w_K * mass just below 2^52 has exact sums, read back with one
+# bincount; at or above it the readback replays the row's block.  The digests
+# were recorded when the sums at or above the bound were taken over the
+# elements; they hold on classes too.
 D1_BELOW, D3_BELOW = 2**50 - 1, (2**52 - 1) // 6
 
 
@@ -894,8 +895,8 @@ D1_BELOW, D3_BELOW = 2**50 - 1, (2**52 - 1) // 6
 )
 def test_exact_sweep_guard_on_classes(capsys, tmp_path, monkeypatch, d, mass, exact, digest):
     monkeypatch.chdir(tmp_path)
-    general, calls = lab._class_running_sums, []
-    monkeypatch.setattr(lab, "_class_running_sums", lambda *a: calls.append(1) or general(*a))
+    replay, calls = lab._replay, []
+    monkeypatch.setattr(lab, "_replay", lambda *a: calls.append(1) or replay(*a))
     run(capsys, "tabulate", "--d", str(d), "--f", "one", "--norm-bound", "400", "--out", "one.csv")
     lines = (tmp_path / "one.csv").read_text().splitlines()
     row = lines[3].split(",")  # the first class: 1, coprime to every q

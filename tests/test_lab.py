@@ -276,14 +276,16 @@ def test_lod_scan_builds_each_modulus_once(one_2500, monkeypatch):
     assert len(tables[0].records) < len(tables[-1].records)
     assert len(built) == len(set(built)) == len(tables[-1].records)
     # one scan for f, g and f*g: each modulus is built once, each function read
-    # once, on its canonical classes (f.vals): all three are exact, so no
-    # element values are read
+    # once, on its canonical classes (f.vals), exact or not (lambda): no
+    # element is enumerated and no element value is read
     fvals, fvals_calls = lab._fvals, []
     monkeypatch.setattr(lab, "_fvals", lambda *a: fvals_calls.append(a) or fvals(*a))
+    monkeypatch.setattr(lab, "element_arrays", lambda *a: pytest.fail("elements read"))
     classes, class_reads = lab.class_arrays, []
     monkeypatch.setattr(lab, "class_arrays", lambda *a: class_reads.append(a) or classes(*a))
-    mu = tabulate("moebius", one_2500.ring, 2500, sieve_primes(one_2500.ring, 2500))
-    for g, n_fns in ((one_2500, 2), (mu, 3)):
+    table = sieve_primes(one_2500.ring, 2500)
+    mu, lam = (tabulate(name, one_2500.ring, 2500, table) for name in ("moebius", "lambda"))
+    for g, n_fns in ((one_2500, 2), (mu, 3), (lam, 3)):
         built.clear()
         fvals_calls.clear()
         class_reads.clear()
